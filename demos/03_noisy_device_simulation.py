@@ -11,12 +11,7 @@ import numpy as np
 
 from twobell.channels import build_noise_model, load_calibration
 from twobell.cli import packaged_calibration_path
-from twobell.experiments import (
-    deterministic_noisy_fidelity,
-    noisy_histogram,
-    repeat_noisy_fidelities,
-    routed_experiment,
-)
+from twobell.experiments import noisy_experiment, routed_experiment
 from twobell.tomography import fidelity_stats
 
 records = load_calibration(packaged_calibration_path())
@@ -30,14 +25,17 @@ layout, routed, receivers, report = routed_experiment()
 print("\nlayout (logical -> physical):", layout.mapping)
 print("cost:", report)
 
-hist, _, _ = noisy_histogram(nm, shots=8192, seed=0)
+# One pass through the noise engine: the routed circuit plus the nine
+# tomography settings.  Everything below is read from this result.
+exp = noisy_experiment(nm)
+hist = exp.histogram(shots=8192, seed=0)
 print("\nnoisy 8192-shot histogram (ideal would be ~2048 each):")
 for outcome in sorted(hist):
     print(f"  {outcome}: {hist[outcome]}")
 
-print(f"\nshot-free noisy fidelity: {100 * deterministic_noisy_fidelity(nm):.2f}%")
+print(f"\nshot-free noisy fidelity: {100 * exp.deterministic_fidelity():.2f}%")
 
-fids = repeat_noisy_fidelities(nm, shots=8192, seed=42, reps=10)
+fids = exp.repetition_fidelities(shots=8192, seed=42, reps=10)
 stats = fidelity_stats([100 * f for f in fids])
 print(f"10 tomography repetitions: mean {stats.mean:.2f}% "
       f"+- {stats.sample_std:.3f}% (classical limit {100 * 2 / 3:.2f}%)")

@@ -26,18 +26,10 @@ from itertools import product
 
 import numpy as np
 
-from .circuit import Circuit, ClassicallyControlled, Gate, Measure
-from .qstate import DensityMatrix, apply_kraus, apply_unitary_dm
+from .circuit import Circuit, ClassicallyControlled, Gate, Measure, sample_distribution
+from .qstate import PAULI, DensityMatrix, apply_kraus, apply_unitary_dm
 
 CSV_HEADER = ["qubit", "t1_us", "t2_us", "freq_ghz", "readout_err", "x_err", "cnot_errs"]
-
-_I2 = np.eye(2, dtype=complex)
-_PAULI = {
-    "I": _I2,
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 
 @dataclass(frozen=True)
@@ -157,7 +149,7 @@ def amplitude_damping_kraus(p: float) -> list:
 
 
 def phase_flip_kraus(p: float) -> list:
-    return [np.sqrt(1 - p) * _I2, np.sqrt(p) * _PAULI["Z"]]
+    return [np.sqrt(1 - p) * PAULI["I"], np.sqrt(p) * PAULI["Z"]]
 
 
 def depolarizing_kraus(p: float, num_qubits: int) -> list:
@@ -169,7 +161,7 @@ def depolarizing_kraus(p: float, num_qubits: int) -> list:
     for label in labels:
         m = np.array([[1]], dtype=complex)
         for ch in label:
-            m = np.kron(m, _PAULI[ch])
+            m = np.kron(m, PAULI[ch])
         ops.append(np.sqrt(p / (d ** 2 - 1)) * m)
     return ops
 
@@ -203,7 +195,7 @@ class NoiseModel:
     def idle_kraus(self, qubit: int, duration_ns: float) -> list:
         """Amplitude damping then dephasing over the given duration."""
         if duration_ns <= 0:
-            return [_I2.copy()]
+            return [PAULI["I"].copy()]
         t1 = self.t1_ns[qubit]
         t2 = self.t2_ns[qubit]
         p_amp = 1.0 - np.exp(-duration_ns / t1)
@@ -307,26 +299,26 @@ class _NoisyRun:
         return rho
 
     def run(self, initial_rho: np.ndarray | None = None):
-        """Returns (branches, final_rho) where branches maps classical-bit
-        tuples to (probability, normalized density matrix)."""
+        """Returns (branches, final_rho) where branches is a list of
+        (classical bits by name, probability, normalized density matrix)
+        in fork order.  Re-measured bits can leave two branches with the
+        same bits."""
         dim = 2 ** self.n
         if initial_rho is None:
             rho0 = np.zeros((dim, dim), dtype=complex)
             rho0[0, 0] = 1.0
         else:
             rho0 = np.array(initial_rho, dtype=complex)
-        branches = {(): (1.0, rho0)}
+        branches = [({}, 1.0, rho0)]
         dur = self.nm.durations
         for step in self.c.steps:
             if isinstance(step, Gate):
-                branches = {
-                    key: (p, self._apply_gate(rho, step))
-                    for key, (p, rho) in branches.items()
-                }
+                branches = [
+                    (bits, p, self._apply_gate(rho, step)) for bits, p, rho in branches
+                ]
             elif isinstance(step, ClassicallyControlled):
-                new = {}
-                for key, (p, rho) in branches.items():
-                    bits = dict(zip(self.bit_names, key))
+                new = []
+                for bits, p, rho in branches:
                     if bits.get(step.bit) == step.value:
                         rho = self._apply_gate(rho, step.gate)
                     else:
@@ -337,22 +329,22 @@ class _NoisyRun:
                             else dur.cnot_ns
                         )
                         rho = self._idle_all(rho, span)
-                    new[key] = (p, rho)
+                    new.append((bits, p, rho))
                 branches = new
             elif isinstance(step, Measure):
                 for qubit, bit in zip(step.qubits, step.bits):
                     self.measured_qubit[bit] = qubit
-                    forked = {}
-                    for key, (p, rho) in branches.items():
+                    forked = []
+                    for bits, p, rho in branches:
                         for outcome in (0, 1):
                             sub = _project_dm(rho, qubit, outcome, self.n)
                             w = float(np.trace(sub).real)
                             if w <= 1e-12:
                                 continue
                             sub = self._idle_all(sub / w, dur.readout_ns)
-                            forked[key + (outcome,)] = (p * w, sub)
+                            forked.append(({**bits, bit: outcome}, p * w, sub))
                     branches = forked
-        final = sum(p * rho for p, rho in branches.values())
+        final = sum(p * rho for _, p, rho in branches)
         return branches, final
 
 
@@ -361,35 +353,23 @@ def noisy_distribution(c: Circuit, nm: NoiseModel, initial_rho: np.ndarray | Non
     confusion, plus the pre-readout final density matrix."""
     run = _NoisyRun(c, nm)
     branches, final = run.run(initial_rho)
-    names = run.bit_names
     dist = {}
-    for key, (p, _) in branches.items():
+    for bits, p, _ in branches:
         # Convolve each recorded bit with its qubit's confusion matrix.
         recorded = [("", p)]
-        for name, true_bit in zip(names, key):
+        for name in run.bit_names:
+            true_bit = bits[name]
             conf = nm.confusion[run.measured_qubit[name]]
             recorded = [
-                (bits + str(r), q * conf[r, true_bit])
-                for bits, q in recorded
+                (rec + str(r), q * conf[r, true_bit])
+                for rec, q in recorded
                 for r in (0, 1)
                 if conf[r, true_bit] > 0
             ]
-        for bits, q in recorded:
-            dist[bits] = dist.get(bits, 0.0) + q
+        for rec, q in recorded:
+            dist[rec] = dist.get(rec, 0.0) + q
     final_dm = DensityMatrix(c.num_qubits, 0.5 * (final + final.conj().T))
     return final_dm, dist
-
-
-def sample_distribution(dist: dict, shots: int, seed: int) -> dict:
-    """Multinomial counts from an outcome -> probability map, using a
-    seeded PCG64 generator."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    outcomes = sorted(dist)
-    probs = np.array([dist[o] for o in outcomes])
-    rng = np.random.default_rng(seed)
-    draws = rng.multinomial(shots, probs / probs.sum())
-    return {o: int(k) for o, k in zip(outcomes, draws) if k > 0}
 
 
 def run_noisy(c: Circuit, nm: NoiseModel, shots: int, seed: int):

@@ -17,7 +17,8 @@ Text format (one step per line, ``#`` starts a comment):
 
 Gate names: H X Y Z S CNOT SWAP.  ``M q -> name`` measures one qubit
 into a named classical bit.  ``<gate> <targets> if <bit>`` applies the
-gate when the named bit reads 1.  CUSTOM gates have no text form.
+gate when the named bit reads 1.  CUSTOM gates and controls on any
+other bit value have no text form.
 """
 
 from __future__ import annotations
@@ -26,22 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qstate import StateVector, apply_unitary, basis_state, _check_unitary
+from .qstate import GATE_MATRICES, StateVector, apply_unitary, basis_state, _check_unitary
 
-_SQ2 = 1 / np.sqrt(2)
-GATE_MATRICES = {
-    "H": np.array([[1, 1], [1, -1]], dtype=complex) * _SQ2,
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-    "S": np.array([[1, 0], [0, 1j]], dtype=complex),
-    "CNOT": np.array(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-    ),
-    "SWAP": np.array(
-        [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-    ),
-}
 GATE_ARITY = {"H": 1, "X": 1, "Y": 1, "Z": 1, "S": 1, "CNOT": 2, "SWAP": 2}
 
 
@@ -192,7 +179,12 @@ class BranchDistribution:
     entries: tuple  # of BranchEntry, lexicographic by bits
 
     def probabilities(self) -> dict:
-        return {e.bits: e.probability for e in self.entries}
+        """Outcome -> probability; branches that end with the same bits
+        (a bit written more than once) are summed."""
+        out = {}
+        for e in self.entries:
+            out[e.bits] = out.get(e.bits, 0.0) + e.probability
+        return out
 
 
 _PRUNE = 1e-12
@@ -262,20 +254,24 @@ def run_exact(c: Circuit, initial: StateVector | None = None) -> BranchDistribut
     return BranchDistribution(tuple(names), tuple(entries))
 
 
+def sample_distribution(dist: dict, shots: int, seed: int) -> dict:
+    """Multinomial counts from an outcome -> probability map, using a
+    seeded PCG64 generator."""
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
+    outcomes = sorted(dist)
+    probs = np.array([dist[o] for o in outcomes])
+    rng = np.random.default_rng(seed)
+    draws = rng.multinomial(shots, probs / probs.sum())
+    return {o: int(k) for o, k in zip(outcomes, draws) if k > 0}
+
+
 def sample_counts(c: Circuit, shots: int, seed: int) -> dict:
     """Multinomial shot sampling over the exact branch distribution.
 
     Reproducible: uses numpy's PCG64 generator seeded with ``seed``.
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    dist = run_exact(c)
-    rng = np.random.default_rng(seed)
-    probs = np.array([e.probability for e in dist.entries])
-    draws = rng.multinomial(shots, probs / probs.sum())
-    return {
-        e.bits: int(k) for e, k in zip(dist.entries, draws) if k > 0
-    }
+    return sample_distribution(run_exact(c).probabilities(), shots, seed)
 
 
 # -- text serialization -----------------------------------------------------
@@ -301,6 +297,8 @@ def to_text(c: Circuit) -> str:
             g = step.gate
             if g.kind == "CUSTOM":
                 raise ValueError("CUSTOM gates have no text form")
+            if step.value != 1:
+                raise ValueError(f"controls on bit value {step.value} have no text form")
             lines.append(f"{g.kind} {' '.join(map(str, g.targets))} if {step.bit}")
     return "\n".join(lines) + "\n"
 

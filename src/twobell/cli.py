@@ -13,7 +13,7 @@ import csv as _csv
 import json
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 
 import numpy as np
@@ -66,9 +66,10 @@ class ExperimentConfig:
     noise: str | None = None  # None or calibration CSV path
     durations: dict = field(default_factory=dict)
     reps: int = 1
-    workers: int = 1
+    workers: int = 1  # ignored; accepted so that older configs still load
 
     def __post_init__(self):
+        _check_keys(self.durations, DurationConfig, "durations")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
         if self.shots < 1:
@@ -78,6 +79,14 @@ class ExperimentConfig:
 
     def duration_config(self) -> DurationConfig:
         return DurationConfig(**self.durations)
+
+
+def _check_keys(data, cls, label: str):
+    if not isinstance(data, dict):
+        raise ValueError(f"{label} must be a JSON object")
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {label} key(s): {', '.join(unknown)}")
 
 
 def _complex(pair) -> complex:
@@ -109,6 +118,7 @@ def load_config(args) -> ExperimentConfig:
     if getattr(args, "config", None):
         with open(args.config) as fh:
             data = json.load(fh)
+    _check_keys(data, ExperimentConfig, "config")
     for key in ("shots", "seed", "reps", "workers"):
         value = getattr(args, key, None)
         if value is not None:
@@ -208,16 +218,14 @@ def cmd_run(config: ExperimentConfig) -> dict:
         }
         nm = _noise_model(config)
         if nm is not None:
-            hist, _, _ = experiments.noisy_histogram(nm, config.shots, config.seed)
-            fid_det = experiments.deterministic_noisy_fidelity(nm)
+            exp = experiments.noisy_experiment(nm)
+            fid_det = exp.deterministic_fidelity()
             noisy_doc = {
-                "histogram": hist,
+                "histogram": exp.histogram(config.shots, config.seed),
                 "fidelity_percent_deterministic": round(100 * fid_det, 6),
             }
             if config.reps >= 1:
-                fids = experiments.repeat_noisy_fidelities(
-                    nm, config.shots, config.seed, config.reps, config.workers
-                )
+                fids = exp.repetition_fidelities(config.shots, config.seed, config.reps)
                 noisy_doc["repetition_fidelities_percent"] = [
                     round(100 * f, 6) for f in fids
                 ]
@@ -240,7 +248,7 @@ def cmd_tomography(config: ExperimentConfig, exact: bool = False) -> dict:
     elif nm is None:
         rho = tomography_from_state(ideal, shots=config.shots, seed=config.seed)
     else:
-        rho, _ = experiments.noisy_tomography(nm, config.shots, config.seed)
+        rho, _ = experiments.noisy_experiment(nm).tomography(config.shots, config.seed)
     fid = fidelity(to_density(ideal), rho)
     return {
         "schema_version": SCHEMA_VERSION,
@@ -347,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--reps", type=int, help="repetitions for fidelity stats")
         p.add_argument("--out", help="write the JSON document here")
-        p.add_argument("--workers", type=int, help="worker budget for repetitions")
+        p.add_argument("--workers", type=int, help="ignored; kept for old command lines")
 
     p_run = sub.add_parser("run", help="run a teleportation scheme")
     common(p_run)

@@ -2,26 +2,36 @@
 on the device graph, noisy shot histograms, and tomography-based
 fidelity repetitions.
 
-The noisy outcome distribution is deterministic given the model, so the
-nine tomography setting distributions are computed once and repetitions
-only re-sample shot noise with derived seeds.
+The noisy outcome distributions are deterministic given the model, so
+``noisy_experiment`` runs the routed circuit and the nine tomography
+settings through the noise engine once; the histogram, the shot-free
+fidelity and every repetition are read from that one result, and
+repetitions only re-sample shot noise with derived seeds.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .channels import NoiseModel, noisy_distribution, sample_distribution
-from .circuit import Circuit
+from .channels import NoiseModel, noisy_distribution
+from .circuit import Circuit, sample_distribution
 from .protocols import (
     EXPERIMENT_OUTPUT_BITS,
     EXPERIMENT_RECEIVER_QUBITS,
     experiment_circuit,
 )
-from .qstate import DensityMatrix, StateVector, partial_trace, plus_state, tensor, to_density
+from .qstate import (
+    GATE_MATRICES,
+    DensityMatrix,
+    StateVector,
+    partial_trace,
+    plus_state,
+    tensor,
+    to_density,
+)
 from .tomography import (
     _BASIS_ROTATION,
     expectations_from_settings,
@@ -62,112 +72,88 @@ def marginal_counts(counts: dict, bit_names, wanted) -> dict:
     return out
 
 
-def post_correction_state(nm: NoiseModel, graph=None):
-    """Exact noisy density matrix after the teleportation corrections.
-
-    Classical control ends with the corrections, so the measurement
-    branches can be merged here; tomography settings continue from this
-    state."""
-    _, routed, receivers, _ = routed_experiment(graph)
-    final_dm, _ = noisy_distribution(routed, nm)
-    return final_dm, receivers
+def ideal_output_state() -> StateVector:
+    return tensor(plus_state(), plus_state())
 
 
-def _tail_circuit(num_qubits, receivers, rotations: str | None):
+def _tail_circuit(num_qubits, receivers, rotations: str):
     c = Circuit(num_qubits)
-    if rotations:
-        for q, axis in zip(receivers, rotations):
-            if axis != "Z":
-                c.custom(_BASIS_ROTATION[axis], [q])
+    for q, axis in zip(receivers, rotations):
+        if axis != "Z":
+            c.custom(_BASIS_ROTATION[axis], [q])
     for q, bit in zip(receivers, EXPERIMENT_OUTPUT_BITS):
         c.measure(q, bit)
     return c
 
 
-def noisy_output_distribution(nm: NoiseModel, graph=None, rotations: str | None = None):
+@dataclass(frozen=True)
+class NoisyExperiment:
+    """One noisy run of the routed experiment.
+
+    ``state`` is the exact density matrix after the teleportation
+    corrections (classical control ends there, so the measurement
+    branches are merged); ``setting_dists`` maps each tomography setting
+    ("XX" .. "ZZ") to the exact distribution over the two receiver bits,
+    readout confusion included.
+    """
+
+    state: DensityMatrix
+    receivers: tuple
+    setting_dists: dict
+
+    def histogram(self, shots: int, seed: int) -> dict:
+        """Shot histogram over the two receiver bits (the ZZ setting)."""
+        return sample_distribution(self.setting_dists["ZZ"], shots, seed)
+
+    def deterministic_fidelity(self) -> float:
+        """Shot-free reference: fidelity of the receiver qubits' exact
+        noisy marginal against the ideal output."""
+        marginal = partial_trace(self.state, set(self.receivers))
+        # partial_trace keeps ascending order; receiver 1 may map above receiver 2.
+        if self.receivers[0] > self.receivers[1]:
+            swap = GATE_MATRICES["SWAP"]
+            marginal = DensityMatrix(2, swap @ marginal.entries @ swap)
+        return pure_fidelity(ideal_output_state(), marginal)
+
+    def tomography(self, shots: int, seed: int):
+        """Hardware-style tomography of the receiver qubits: all nine
+        Pauli settings at ``shots`` shots each, linear-inversion
+        reconstruction.  Returns (density matrix, fidelity vs the ideal
+        |+>|+> output)."""
+        seeds = child_seeds(seed, len(self.setting_dists))
+        setting_counts = {
+            setting: sample_distribution(dist, shots, s)
+            for (setting, dist), s in zip(sorted(self.setting_dists.items()), seeds)
+        }
+        rho = reconstruct(expectations_from_settings(setting_counts, 2), 2)
+        return rho, fidelity(to_density(ideal_output_state()), rho)
+
+    def repetition_fidelities(self, shots: int, seed: int, reps: int) -> list:
+        """Tomography fidelities for ``reps`` independently seeded
+        repetitions."""
+        return [self.tomography(shots, s)[1] for s in child_seeds(seed, reps)]
+
+
+def noisy_experiment(nm: NoiseModel, graph=None) -> NoisyExperiment:
+    """Run the routed experiment through the noise engine once, then the
+    nine tomography tails from its post-correction state."""
+    _, routed, receivers, _ = routed_experiment(graph)
+    state, _ = noisy_distribution(routed, nm)
+    setting_dists = {}
+    for s in settings(2):
+        tail = _tail_circuit(state.num_qubits, receivers, s)
+        _, setting_dists[s] = noisy_distribution(tail, nm, initial_rho=state.entries)
+    return NoisyExperiment(state, receivers, setting_dists)
+
+
+def noisy_output_distribution(nm: NoiseModel, graph=None):
     """Exact noisy distribution over the two receiver bits (readout
     confusion included), plus the post-correction density matrix."""
-    post_dm, receivers = post_correction_state(nm, graph)
-    tail = _tail_circuit(post_dm.num_qubits, receivers, rotations)
-    _, dist = noisy_distribution(tail, nm, initial_rho=post_dm.entries)
-    return dist, post_dm
+    exp = noisy_experiment(nm, graph)
+    return exp.setting_dists["ZZ"], exp.state
 
 
-def noisy_histogram(nm: NoiseModel, shots: int, seed: int, graph=None):
-    """Shot histogram over the two receiver bits of the routed experiment
-    under the given noise model."""
-    dist, final_dm = noisy_output_distribution(nm, graph)
-    _, _, receivers, _ = routed_experiment(graph)
-    return sample_distribution(dist, shots, seed), final_dm, receivers
-
-
-def ideal_output_state() -> StateVector:
-    return tensor(plus_state(), plus_state())
-
-
-def noisy_setting_distributions(nm: NoiseModel, graph=None) -> dict:
-    """Per-tomography-setting exact outcome distributions over the two
-    receiver bits, sharing one post-correction state."""
-    post_dm, receivers = post_correction_state(nm, graph)
-    out = {}
-    for s in settings(2):
-        tail = _tail_circuit(post_dm.num_qubits, receivers, s)
-        _, dist = noisy_distribution(tail, nm, initial_rho=post_dm.entries)
-        out[s] = dist
-    return out
-
-
-def _tomography_from_distributions(setting_dists: dict, shots: int, seed: int):
-    seeds = child_seeds(seed, len(setting_dists))
-    setting_counts = {
-        setting: sample_distribution(dist, shots, s)
-        for (setting, dist), s in zip(sorted(setting_dists.items()), seeds)
-    }
-    rho = reconstruct(expectations_from_settings(setting_counts, 2), 2)
-    return rho, fidelity(to_density(ideal_output_state()), rho)
-
-
-def noisy_tomography(nm: NoiseModel, shots: int, seed: int, graph=None):
-    """Hardware-style tomography of the receiver qubits: all nine Pauli
-    settings at ``shots`` shots each (readout confusion included),
-    linear-inversion reconstruction.  Returns (density matrix, fidelity
-    vs the ideal |+>|+> output)."""
-    return _tomography_from_distributions(
-        noisy_setting_distributions(nm, graph), shots, seed
-    )
-
-
-def noisy_tomography_fidelity(nm: NoiseModel, shots: int, seed: int, graph=None) -> float:
-    return noisy_tomography(nm, shots, seed, graph)[1]
-
-
-def repeat_noisy_fidelities(
-    nm: NoiseModel, shots: int, seed: int, reps: int, workers: int = 1, graph=None
-) -> list:
+def repeat_noisy_fidelities(nm: NoiseModel, shots: int, seed: int, reps: int, graph=None) -> list:
     """Tomography-based fidelities for ``reps`` independently seeded
-    repetitions.  Deterministic regardless of worker count."""
-    setting_dists = noisy_setting_distributions(nm, graph)
-    seeds = child_seeds(seed, reps)
-
-    def one(s):
-        return _tomography_from_distributions(setting_dists, shots, s)[1]
-
-    if workers <= 1:
-        return [one(s) for s in seeds]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, seeds))
-
-
-def deterministic_noisy_fidelity(nm: NoiseModel, graph=None) -> float:
-    """Shot-free reference: fidelity of the receiver qubits' exact noisy
-    marginal against the ideal output."""
-    _, routed, receivers, _ = routed_experiment(graph)
-    final_dm, _ = noisy_distribution(routed, nm)
-    marginal = partial_trace(final_dm, set(receivers))
-    # partial_trace keeps ascending order; receiver 1 may map above receiver 2.
-    if receivers[0] > receivers[1]:
-        swap = np.array(
-            [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-        )
-        marginal = DensityMatrix(2, swap @ marginal.entries @ swap)
-    return pure_fidelity(ideal_output_state(), marginal)
+    repetitions."""
+    return noisy_experiment(nm, graph).repetition_fidelities(shots, seed, reps)

@@ -17,6 +17,8 @@ import numpy as np
 from .circuit import Circuit
 from .circuit import run_exact
 from .qstate import (
+    GATE_MATRICES,
+    NORM_ATOL,
     StateVector,
     apply_unitary,
     basis_state,
@@ -26,8 +28,6 @@ from .qstate import (
     split_product,
     tensor,
 )
-
-NORM_ATOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -163,14 +163,12 @@ def compress_ghz_class(s: GeneralizedBellTypeState):
     head_flip = bits[0] == 1
     tail_flips = tuple(q for q in range(1, n) if bits[q] ^ bits[0])
     psi = s.to_statevector()
-    cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
     for q in range(1, n):
-        psi = apply_unitary(psi, cnot, [0, q])
+        psi = apply_unitary(psi, GATE_MATRICES["CNOT"], [0, q])
     for q in tail_flips:
-        psi = apply_unitary(psi, x, [q])
+        psi = apply_unitary(psi, GATE_MATRICES["X"], [q])
     if head_flip:
-        psi = apply_unitary(psi, x, [0])
+        psi = apply_unitary(psi, GATE_MATRICES["X"], [0])
     if n > 1:
         compressed = project_qubits(psi, {q: 0 for q in range(1, n)})
     else:
@@ -186,14 +184,12 @@ def expand_ghz_class(q: StateVector, record: InversionRecord) -> StateVector:
     if record.n < 1 or any(not 1 <= t < record.n for t in record.tail_flips):
         raise ValueError("malformed inversion record")
     psi = q if record.n == 1 else tensor(q, basis_state(record.n - 1, 0))
-    cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
     if record.head_flip:
-        psi = apply_unitary(psi, x, [0])
+        psi = apply_unitary(psi, GATE_MATRICES["X"], [0])
     for t in record.tail_flips:
-        psi = apply_unitary(psi, x, [t])
+        psi = apply_unitary(psi, GATE_MATRICES["X"], [t])
     for t in range(1, record.n):
-        psi = apply_unitary(psi, cnot, [0, t])
+        psi = apply_unitary(psi, GATE_MATRICES["CNOT"], [0, t])
     return psi
 
 
@@ -349,8 +345,6 @@ def cluster_channel_teleport(
     c.c_if("X", (7,), "b4")
     c.c_if("Z", (6,), "b3")
     dist = run_exact(c)
-
-    cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
     branches = []
     for e in dist.entries:
         assign = {0: int(e.bits[0]), 3: int(e.bits[1]), 1: int(e.bits[2]), 4: int(e.bits[3]), 2: 0}
@@ -359,7 +353,7 @@ def cluster_channel_teleport(
         out_a = expand_ghz_class(bob1, rec_a)
         # Receiver 2 holds alpha|00> + beta|11>; a final CNOT frees the
         # compressed qubit, then the record rebuilds chi_b.
-        pair = apply_unitary(bob2, cnot, [0, 1])
+        pair = apply_unitary(bob2, GATE_MATRICES["CNOT"], [0, 1])
         qb_out = project_qubits(pair, {1: 0})
         out_b = expand_ghz_class(qb_out, rec_b)
         corrections = _corrections_for(e.bits[:2], 1, (0,)) + _corrections_for(

@@ -18,6 +18,29 @@ NORM_ATOL = 1e-10
 HERM_ATOL = 1e-10
 EIG_FLOOR = -1e-9
 
+# The one table of Pauli and gate matrices; every module reads these.
+PAULI = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+GATE_MATRICES = {
+    "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
+    "X": PAULI["X"],
+    "Y": PAULI["Y"],
+    "Z": PAULI["Z"],
+    "S": np.array([[1, 0], [0, 1j]], dtype=complex),
+    "CNOT": np.array(
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
+    ),
+    "SWAP": np.array(
+        [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
+    ),
+}
+for _m in (*PAULI.values(), *GATE_MATRICES.values()):
+    _m.setflags(write=False)
+
 
 def _as_complex(a) -> np.ndarray:
     return np.asarray(a, dtype=complex)

@@ -14,25 +14,28 @@ from itertools import product
 
 import numpy as np
 
-from .qstate import DensityMatrix, StateVector, apply_unitary, hermitian_sqrt
-
-_PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+from .qstate import (
+    GATE_MATRICES,
+    PAULI,
+    DensityMatrix,
+    StateVector,
+    apply_unitary,
+    hermitian_sqrt,
+)
 
 # Rotation into the measurement basis: measure P by rotating then reading Z.
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _SDG = np.array([[1, 0], [0, -1j]], dtype=complex)
-_BASIS_ROTATION = {"X": _H, "Y": _H @ _SDG, "Z": np.eye(2, dtype=complex)}
+_BASIS_ROTATION = {
+    "X": GATE_MATRICES["H"],
+    "Y": GATE_MATRICES["H"] @ _SDG,
+    "Z": PAULI["I"],
+}
 
 
 def pauli_operator(label: str) -> np.ndarray:
     m = np.array([[1]], dtype=complex)
     for ch in label:
-        m = np.kron(m, _PAULI[ch])
+        m = np.kron(m, PAULI[ch])
     return m
 
 

@@ -229,6 +229,17 @@ def test_zero_noise_limit_matches_exact():
             )
 
 
+def test_remeasured_bit_engines_agree():
+    c = Circuit(2).h(0).measure(0, "c").x(0).measure(0, "c")
+    c.c_if("X", (1,), "c").measure(1, "o")
+    exact = run_exact(c).probabilities()
+    _, dist = noisy_distribution(c, ideal_noise_model(2))
+    assert exact == pytest.approx({"00": 0.5, "11": 0.5})
+    assert set(dist) == set(exact)
+    for outcome, p in exact.items():
+        assert dist[outcome] == pytest.approx(p, abs=1e-12)
+
+
 def test_final_matrix_stays_psd_random_circuits():
     nm = build_noise_model(table_records())
     edges = sorted(tuple(sorted(e)) for e in casablanca_topology().edges)

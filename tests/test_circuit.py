@@ -153,6 +153,19 @@ def test_text_roundtrip():
     assert run_exact(c).probabilities() == pytest.approx(run_exact(back).probabilities())
 
 
+def test_to_text_rejects_control_on_zero():
+    c = Circuit(2).measure(0, "c").c_if("X", (1,), "c", value=0).measure(1, "o")
+    assert run_exact(c).probabilities() == pytest.approx({"01": 1.0})
+    with pytest.raises(ValueError, match="bit value 0"):
+        to_text(c)
+
+
+def test_remeasured_bit_keeps_every_shot():
+    c = Circuit(1).h(0).measure(0, "c").h(0).measure(0, "c")
+    assert run_exact(c).probabilities() == pytest.approx({"0": 0.5, "1": 0.5})
+    assert sum(sample_counts(c, 1000, 0).values()) == 1000
+
+
 def test_parse_error_reports_line():
     with pytest.raises(CircuitParseError) as exc:
         from_text("H 0\nFOO 1\n")

@@ -1,8 +1,14 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from twobell import experiments
 from twobell.cli import main, packaged_calibration_path, packaged_fidelities_path
+
+PAPER_REFERENCE = (
+    Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "paper_noisy_seed0.json"
+)
 
 
 def run_cli(args, tmp_path, name="doc.json"):
@@ -77,6 +83,26 @@ def test_run_worker_count_does_not_change_output(tmp_path):
     _, a = run_cli(base + ["--workers", "1"], tmp_path, "w1.json")
     _, b = run_cli(base + ["--workers", "4"], tmp_path, "w4.json")
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_paper_run_matches_reference_document(capsys):
+    assert main(["run", "--calibration", "builtin", "--reps", "10", "--seed", "0"]) == 0
+    assert capsys.readouterr().out == PAPER_REFERENCE.read_text()
+
+
+def test_noisy_run_makes_one_noisy_pass(tmp_path, monkeypatch):
+    calls = []
+    real = experiments.noisy_distribution
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "noisy_distribution", counting)
+    code, _ = run_cli(["run", "--calibration", "builtin", "--reps", "10"], tmp_path)
+    assert code == 0
+    # One routed run plus the nine tomography tails.
+    assert len(calls) == 10
 
 
 def test_run_csv_export(tmp_path):
@@ -182,6 +208,21 @@ def test_compare_command(tmp_path):
 def test_bad_calibration_path_exits_nonzero(tmp_path, capsys):
     assert main(["run", "--calibration", "/nonexistent.csv"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "data, key",
+    [
+        ({"shotz": 5}, "shotz"),
+        ({"durations": {"cnot": 5}, "noise": "builtin"}, "cnot"),
+    ],
+)
+def test_unknown_config_key_rejected(tmp_path, capsys, data, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
 
 
 def test_unnormalized_config_rejected(tmp_path, capsys):
