@@ -1,5 +1,6 @@
 """Calibration-driven noise: CSV ingestion, Kraus channel construction,
-and density-matrix execution of circuits.
+and density-matrix execution of circuits (``noisy_distribution``, which
+runs the branch walker ``circuit.walk`` on density matrices).
 
 Model summary, per gate on a calibrated device:
 
@@ -26,7 +27,7 @@ from itertools import product
 
 import numpy as np
 
-from .circuit import Circuit, ClassicallyControlled, Gate, Measure, sample_distribution
+from .circuit import Circuit, Gate, Measure, sample_distribution, walk
 from .qstate import PAULI, DensityMatrix, apply_kraus, apply_unitary_dm
 
 CSV_HEADER = ["qubit", "t1_us", "t2_us", "freq_ghz", "readout_err", "x_err", "cnot_errs"]
@@ -250,116 +251,73 @@ def build_noise_model(records, durations: DurationConfig | None = None) -> Noise
 # -- density-matrix execution -------------------------------------------------
 
 
-def _project_dm(rho: np.ndarray, qubit: int, outcome: int, n: int) -> np.ndarray:
-    """Unnormalized projection of the density matrix onto an outcome."""
-    proj = np.zeros((2, 2), dtype=complex)
-    proj[outcome, outcome] = 1.0
-    return apply_kraus(rho, [proj], [qubit], n)
-
-
-class _NoisyRun:
-    """Branch-per-classical-assignment density-matrix evolution."""
-
-    def __init__(self, c: Circuit, nm: NoiseModel):
-        c.validate()
-        self.n = c.num_qubits
-        if c.num_qubits > 7:
-            raise ValueError("noisy simulation is limited to 7 qubits")
-        missing = set(range(self.n)) - nm.qubits()
-        if missing:
-            raise CalibrationError(f"no calibration for qubit(s) {sorted(missing)}")
-        self.c = c
-        self.nm = nm
-        self.bit_names = c.classical_bits()
-        self.measured_qubit = {}  # bit name -> qubit index
-
-    def _idle_all(self, rho, duration, skip=()):
-        for q in range(self.n):
-            if q not in skip:
-                rho = apply_kraus(rho, self.nm.idle_kraus(q, duration), [q], self.n)
-        return rho
-
-    def _apply_gate(self, rho, gate: Gate):
-        rho = apply_unitary_dm(rho, gate.unitary(), list(gate.targets), self.n)
-        dur = self.nm.durations
-        if len(gate.targets) == 1:
-            q = gate.targets[0]
-            rho = apply_kraus(rho, self.nm.single_gate_kraus(q), [q], self.n)
-            rho = self._idle_all(rho, dur.single_qubit_gate_ns, skip=gate.targets)
-        elif gate.kind == "SWAP":
-            # Decomposes to 3 CNOTs on hardware: triple duration and error.
-            a, b = gate.targets
-            for _ in range(3):
-                rho = apply_kraus(rho, self.nm.cnot_gate_kraus(a, b), [a, b], self.n)
-            rho = self._idle_all(rho, 3 * dur.cnot_ns, skip=gate.targets)
-        else:
-            a, b = gate.targets
-            rho = apply_kraus(rho, self.nm.cnot_gate_kraus(a, b), [a, b], self.n)
-            rho = self._idle_all(rho, dur.cnot_ns, skip=gate.targets)
-        return rho
-
-    def run(self, initial_rho: np.ndarray | None = None):
-        """Returns (branches, final_rho) where branches is a list of
-        (classical bits by name, probability, normalized density matrix)
-        in fork order.  Re-measured bits can leave two branches with the
-        same bits."""
-        dim = 2 ** self.n
-        if initial_rho is None:
-            rho0 = np.zeros((dim, dim), dtype=complex)
-            rho0[0, 0] = 1.0
-        else:
-            rho0 = np.array(initial_rho, dtype=complex)
-        branches = [({}, 1.0, rho0)]
-        dur = self.nm.durations
-        for step in self.c.steps:
-            if isinstance(step, Gate):
-                branches = [
-                    (bits, p, self._apply_gate(rho, step)) for bits, p, rho in branches
-                ]
-            elif isinstance(step, ClassicallyControlled):
-                new = []
-                for bits, p, rho in branches:
-                    if bits.get(step.bit) == step.value:
-                        rho = self._apply_gate(rho, step.gate)
-                    else:
-                        # Feedforward window: idle everyone either way.
-                        span = (
-                            dur.single_qubit_gate_ns
-                            if len(step.gate.targets) == 1
-                            else dur.cnot_ns
-                        )
-                        rho = self._idle_all(rho, span)
-                    new.append((bits, p, rho))
-                branches = new
-            elif isinstance(step, Measure):
-                for qubit, bit in zip(step.qubits, step.bits):
-                    self.measured_qubit[bit] = qubit
-                    forked = []
-                    for bits, p, rho in branches:
-                        for outcome in (0, 1):
-                            sub = _project_dm(rho, qubit, outcome, self.n)
-                            w = float(np.trace(sub).real)
-                            if w <= 1e-12:
-                                continue
-                            sub = self._idle_all(sub / w, dur.readout_ns)
-                            forked.append(({**bits, bit: outcome}, p * w, sub))
-                    branches = forked
-        final = sum(p * rho for _, p, rho in branches)
-        return branches, final
-
-
 def noisy_distribution(c: Circuit, nm: NoiseModel, initial_rho: np.ndarray | None = None):
     """Exact outcome distribution over classical bits after readout
-    confusion, plus the pre-readout final density matrix."""
-    run = _NoisyRun(c, nm)
-    branches, final = run.run(initial_rho)
+    confusion, plus the pre-readout final density matrix.
+
+    The circuit runs through ``circuit.walk`` with one density matrix per
+    branch: every gate adds its Kraus noise and idles the other qubits, a
+    control that does not fire idles every qubit for the gate's window,
+    and each kept measurement outcome idles every qubit for the readout.
+    """
+    n = c.num_qubits
+    if n > 7:
+        raise ValueError("noisy simulation is limited to 7 qubits")
+    missing = set(range(n)) - nm.qubits()
+    if missing:
+        raise CalibrationError(f"no calibration for qubit(s) {sorted(missing)}")
+    dur = nm.durations
+
+    def idle_all(rho, duration, busy=()):
+        for q in range(n):
+            if q not in busy:
+                rho = apply_kraus(rho, nm.idle_kraus(q, duration), [q], n)
+        return rho
+
+    def window(gate: Gate):
+        return dur.single_qubit_gate_ns if len(gate.targets) == 1 else dur.cnot_ns
+
+    def apply_gate(rho, gate: Gate):
+        targets = list(gate.targets)
+        rho = apply_unitary_dm(rho, gate.unitary(), targets, n)
+        build = nm.single_gate_kraus if len(targets) == 1 else nm.cnot_gate_kraus
+        # A SWAP decomposes to 3 CNOTs on hardware: triple duration and error.
+        repeats = 3 if gate.kind == "SWAP" else 1
+        for _ in range(repeats):
+            rho = apply_kraus(rho, build(*targets), targets, n)
+        return idle_all(rho, repeats * window(gate), busy=targets)
+
+    def project(rho, qubit, outcome):
+        proj = np.zeros((2, 2), dtype=complex)
+        proj[outcome, outcome] = 1.0
+        sub = apply_kraus(rho, [proj], [qubit], n)
+        return float(np.trace(sub).real), sub
+
+    if initial_rho is None:
+        rho0 = np.zeros((2 ** n, 2 ** n), dtype=complex)
+        rho0[0, 0] = 1.0
+    else:
+        rho0 = np.array(initial_rho, dtype=complex)
+    branches = walk(
+        c,
+        rho0,
+        apply=apply_gate,
+        skip=lambda rho, gate: idle_all(rho, window(gate)),
+        project=project,
+        settle=lambda sub, w: idle_all(sub / w, dur.readout_ns),
+    )
+    names = c.classical_bits()
+    measured_qubit = {}  # bit name -> the qubit its last measurement reads
+    for step in c.steps:
+        if isinstance(step, Measure):
+            measured_qubit.update(zip(step.bits, step.qubits))
     dist = {}
     for bits, p, _ in branches:
         # Convolve each recorded bit with its qubit's confusion matrix.
         recorded = [("", p)]
-        for name in run.bit_names:
+        for name in names:
             true_bit = bits[name]
-            conf = nm.confusion[run.measured_qubit[name]]
+            conf = nm.confusion[measured_qubit[name]]
             recorded = [
                 (rec + str(r), q * conf[r, true_bit])
                 for rec, q in recorded
@@ -368,7 +326,8 @@ def noisy_distribution(c: Circuit, nm: NoiseModel, initial_rho: np.ndarray | Non
             ]
         for rec, q in recorded:
             dist[rec] = dist.get(rec, 0.0) + q
-    final_dm = DensityMatrix(c.num_qubits, 0.5 * (final + final.conj().T))
+    final = sum(p * rho for _, p, rho in branches)
+    final_dm = DensityMatrix(n, 0.5 * (final + final.conj().T))
     return final_dm, dist
 
 

@@ -1,7 +1,8 @@
 """Gate-level circuits with exact branch-enumerating execution.
 
-Measurement never samples here: ``run_exact`` forks one branch per
-outcome and carries exact probabilities, so per-branch claims can be
+Measurement never samples here: ``walk``, the one step loop of both
+engines, forks one branch per outcome and carries exact probabilities;
+``run_exact`` runs it on state vectors, so per-branch claims can be
 verified directly.  Shot noise only enters through ``sample_counts``,
 which draws from the exact distribution with a seeded numpy PCG64
 generator (``np.random.default_rng(seed)``), making counts
@@ -23,7 +24,7 @@ other bit value have no text form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,19 +90,17 @@ class Circuit:
 
     # -- builders ----------------------------------------------------------
     def add(self, step):
-        if isinstance(step, Gate) or (
-            isinstance(step, ClassicallyControlled) and isinstance(step.gate, Gate)
-        ):
-            targets = step.targets if isinstance(step, Gate) else step.gate.targets
-            for q in targets:
-                if not 0 <= q < self.num_qubits:
-                    raise ValueError(f"qubit {q} out of range")
+        if isinstance(step, Gate):
+            qubits = step.targets
+        elif isinstance(step, ClassicallyControlled) and isinstance(step.gate, Gate):
+            qubits = step.gate.targets
         elif isinstance(step, Measure):
-            for q in step.qubits:
-                if not 0 <= q < self.num_qubits:
-                    raise ValueError(f"qubit {q} out of range")
+            qubits = step.qubits
         else:
             raise TypeError(f"not a circuit step: {step!r}")
+        for q in qubits:
+            if not 0 <= q < self.num_qubits:
+                raise ValueError(f"qubit {q} out of range")
         self.steps.append(step)
         return self
 
@@ -142,6 +141,17 @@ class Circuit:
         self.measure(q1, bit1)
         self.measure(q2, bit2)
         return self
+
+    def bell_pair(self, a, b):
+        """H(a), then CNOT(a->b): |phi+> on (a, b) from |00>."""
+        return self.h(a).cnot(a, b)
+
+    def feed_forward(self, x_bit, z_bit, receivers):
+        """Teleportation corrections: X on every receiver qubit if x_bit
+        reads 1, then Z on the first if z_bit reads 1."""
+        for q in receivers:
+            self.c_if("X", (q,), x_bit)
+        return self.c_if("Z", (receivers[0],), z_bit)
 
     # -- bookkeeping -------------------------------------------------------
     def classical_bits(self) -> list:
@@ -187,23 +197,49 @@ class BranchDistribution:
         return out
 
 
-_PRUNE = 1e-12
+PRUNE = 1e-12  # measurement outcomes of at most this weight are dropped
 
 
-def _measure_qubit(psi: StateVector, qubit: int):
-    """Yield (outcome, probability, post state) for nonzero outcomes."""
-    n = psi.num_qubits
-    t = psi.amplitudes.reshape([2] * n)
-    for outcome in (0, 1):
-        idx = [slice(None)] * n
-        idx[qubit] = outcome
-        sub = t[tuple(idx)]
-        p = float(np.sum(np.abs(sub) ** 2))
-        if p <= _PRUNE:
-            continue
-        post = np.zeros_like(t)
-        post[tuple(idx)] = sub / np.sqrt(p)
-        yield outcome, p, StateVector(n, post.reshape(-1))
+def walk(c: Circuit, state, apply, skip, project, settle) -> list:
+    """Run ``c`` branch by branch from ``state``; the one step loop of
+    both engines.
+
+    The caller supplies the physics: ``apply(state, gate)`` and
+    ``skip(state, gate)`` (a classical control that does not fire) return
+    the next state; ``project(state, qubit, outcome)`` returns the weight
+    of one outcome and its unnormalized post state, which
+    ``settle(post, weight)`` normalizes if the weight exceeds ``PRUNE``.
+    Returns (bits by name, probability, state) per branch, in fork order:
+    each measurement splits every branch into outcome 0, then 1.
+    """
+    c.validate()
+    branches = [({}, 1.0, state)]
+    for step in c.steps:
+        if isinstance(step, Measure):
+            for qubit, bit in zip(step.qubits, step.bits):
+                forked = []
+                for bits, p, s in branches:
+                    for outcome in (0, 1):
+                        w, post = project(s, qubit, outcome)
+                        if w > PRUNE:
+                            forked.append(({**bits, bit: outcome}, p * w, settle(post, w)))
+                branches = forked
+        elif isinstance(step, ClassicallyControlled):
+            branches = [
+                (bits, p, (apply if bits.get(step.bit) == step.value else skip)(s, step.gate))
+                for bits, p, s in branches
+            ]
+        else:
+            branches = [(bits, p, apply(s, step)) for bits, p, s in branches]
+    return branches
+
+
+def _project(psi: StateVector, qubit: int, outcome: int):
+    t = psi.amplitudes.reshape([2] * psi.num_qubits)
+    idx = (slice(None),) * qubit + (outcome,)
+    post = np.zeros_like(t)
+    post[idx] = t[idx]
+    return float(np.sum(np.abs(t[idx]) ** 2)), post
 
 
 def run_exact(c: Circuit, initial: StateVector | None = None) -> BranchDistribution:
@@ -212,39 +248,17 @@ def run_exact(c: Circuit, initial: StateVector | None = None) -> BranchDistribut
     Branches with probability below 1e-12 are dropped; output is ordered
     lexicographically by classical bit values (first-write bit order).
     """
-    c.validate()
     state = initial if initial is not None else basis_state(c.num_qubits, 0)
     if state.num_qubits != c.num_qubits:
         raise ValueError("initial state qubit count does not match circuit")
-    branches = [({}, 1.0, state)]
-    for step in c.steps:
-        if isinstance(step, Gate):
-            branches = [
-                (bits, p, apply_unitary(psi, step.unitary(), step.targets))
-                for bits, p, psi in branches
-            ]
-        elif isinstance(step, ClassicallyControlled):
-            branches = [
-                (
-                    bits,
-                    p,
-                    apply_unitary(psi, step.gate.unitary(), step.gate.targets)
-                    if bits.get(step.bit) == step.value
-                    else psi,
-                )
-                for bits, p, psi in branches
-            ]
-        elif isinstance(step, Measure):
-            for qubit, bit in zip(step.qubits, step.bits):
-                forked = []
-                for bits, p, psi in branches:
-                    for outcome, pq, post in _measure_qubit(psi, qubit):
-                        nb = dict(bits)
-                        nb[bit] = outcome
-                        forked.append((nb, p * pq, post))
-                branches = forked
-        else:  # pragma: no cover - add() blocks this
-            raise TypeError(f"malformed circuit step: {step!r}")
+    branches = walk(
+        c,
+        state,
+        apply=lambda psi, g: apply_unitary(psi, g.unitary(), g.targets),
+        skip=lambda psi, g: psi,
+        project=_project,
+        settle=lambda post, p: StateVector(c.num_qubits, (post / np.sqrt(p)).reshape(-1)),
+    )
     names = c.classical_bits()
     entries = [
         BranchEntry("".join(str(bits[b]) for b in names), p, psi)
@@ -286,20 +300,18 @@ class CircuitParseError(ValueError):
 def to_text(c: Circuit) -> str:
     lines = [f"qubits {c.num_qubits}"]
     for step in c.steps:
-        if isinstance(step, Gate):
-            if step.kind == "CUSTOM":
-                raise ValueError("CUSTOM gates have no text form")
-            lines.append(f"{step.kind} {' '.join(map(str, step.targets))}")
-        elif isinstance(step, Measure):
-            for q, b in zip(step.qubits, step.bits):
-                lines.append(f"M {q} -> {b}")
-        elif isinstance(step, ClassicallyControlled):
-            g = step.gate
-            if g.kind == "CUSTOM":
-                raise ValueError("CUSTOM gates have no text form")
+        if isinstance(step, Measure):
+            lines.extend(f"M {q} -> {b}" for q, b in zip(step.qubits, step.bits))
+            continue
+        g = step.gate if isinstance(step, ClassicallyControlled) else step
+        if g.kind == "CUSTOM":
+            raise ValueError("CUSTOM gates have no text form")
+        line = f"{g.kind} {' '.join(map(str, g.targets))}"
+        if isinstance(step, ClassicallyControlled):
             if step.value != 1:
                 raise ValueError(f"controls on bit value {step.value} have no text form")
-            lines.append(f"{g.kind} {' '.join(map(str, g.targets))} if {step.bit}")
+            line += f" if {step.bit}"
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 

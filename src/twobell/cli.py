@@ -25,12 +25,12 @@ from .protocols import (
     GeneralizedBellTypeState,
     TwoQubitState,
     cluster_channel_teleport,
-    count_bell_resources,
+    compress_ghz_class,
     experiment_circuit,
     multi_output_teleport,
     teleport_two_qubit_general,
 )
-from .qstate import single_qubit_state, to_density
+from .qstate import plus_state, tensor, to_density
 from .tomography import (
     fidelity,
     fidelity_stats,
@@ -44,6 +44,7 @@ CLASSICAL_LIMIT = 2.0 / 3.0
 DEFAULT_SHOTS = 8192
 
 SCHEMES = ("two_bell", "cluster5", "general_two_qubit")
+INPUT_KEYS = ("x", "alpha", "beta")
 
 
 def packaged_calibration_path():
@@ -69,7 +70,18 @@ class ExperimentConfig:
     workers: int = 1  # ignored; accepted so that older configs still load
 
     def __post_init__(self):
-        _check_keys(self.durations, DurationConfig, "durations")
+        _check_keys(self.durations, [f.name for f in fields(DurationConfig)], "durations")
+        _check_keys(self.input_a, INPUT_KEYS, "input_a")
+        _check_keys(self.input_b, INPUT_KEYS, "input_b")
+        for name in ("m", "shots", "seed", "reps", "workers"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if self.coefficients is not None and (
+            not isinstance(self.coefficients, list) or len(self.coefficients) != 4
+        ):
+            raise ValueError("coefficients must be a list of 4 amplitudes")
+        if self.noise is not None and not isinstance(self.noise, str):
+            raise ValueError(f"noise must be a calibration path or 'builtin', got {self.noise!r}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
         if self.shots < 1:
@@ -81,19 +93,24 @@ class ExperimentConfig:
         return DurationConfig(**self.durations)
 
 
-def _check_keys(data, cls, label: str):
+def _check_keys(data, names, label: str):
     if not isinstance(data, dict):
         raise ValueError(f"{label} must be a JSON object")
-    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    unknown = sorted(set(data) - set(names))
     if unknown:
         raise ValueError(f"unknown {label} key(s): {', '.join(unknown)}")
 
 
-def _complex(pair) -> complex:
-    if isinstance(pair, (int, float)):
-        return complex(pair)
-    re, im = pair
-    return complex(re, im)
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _complex(value) -> complex:
+    """A number, or an [re, im] pair of numbers."""
+    parts = value if isinstance(value, list) and len(value) == 2 else [value]
+    if not all(_is_int(v) or isinstance(v, float) for v in parts):
+        raise ValueError(f"expected a number or [re, im], got {value!r}")
+    return complex(*parts)
 
 
 def _normalized(coeffs, label):
@@ -110,7 +127,10 @@ def _bell_type_state(fields: dict, n: int, label: str) -> GeneralizedBellTypeSta
     alpha = _complex(fields.get("alpha", [default, 0.0]))
     beta = _complex(fields.get("beta", [default, 0.0]))
     alpha, beta = _normalized([alpha, beta], label)
-    return GeneralizedBellTypeState(n, int(fields.get("x", 0)), alpha, beta)
+    x = fields.get("x", 0)
+    if not _is_int(x):
+        raise ValueError(f"{label}: x must be an integer, got {x!r}")
+    return GeneralizedBellTypeState(n, x, alpha, beta)
 
 
 def load_config(args) -> ExperimentConfig:
@@ -118,7 +138,7 @@ def load_config(args) -> ExperimentConfig:
     if getattr(args, "config", None):
         with open(args.config) as fh:
             data = json.load(fh)
-    _check_keys(data, ExperimentConfig, "config")
+    _check_keys(data, [f.name for f in fields(ExperimentConfig)], "config")
     for key in ("shots", "seed", "reps", "workers"):
         value = getattr(args, key, None)
         if value is not None:
@@ -161,28 +181,26 @@ def _branch_docs(branches, ideal_output):
     return docs
 
 
-def _run_branches(config: ExperimentConfig):
-    """Protocol branches, intended joint output, and the resource doc."""
+def cmd_run(config: ExperimentConfig) -> dict:
+    if config.noise is not None and config.scheme != "two_bell":
+        raise ValueError(f"the noisy run is defined for the two_bell scheme, not {config.scheme}")
+    report = None
     if config.scheme == "general_two_qubit":
         coeffs = config.coefficients or [[1, 0], [0, 0], [0, 0], [0, 0]]
         coeffs = _normalized([_complex(c) for c in coeffs], "coefficients")
         state = TwoQubitState(*coeffs)
         branches, report = teleport_two_qubit_general(state)
-        return branches, state.to_statevector(), report
-
-    chi_a = _bell_type_state(config.input_a, config.m, "input_a")
-    chi_b = _bell_type_state(config.input_b, config.m + 1, "input_b")
-    ideal = protocols.tensor(chi_a.to_statevector(), chi_b.to_statevector())
-    if config.scheme == "cluster5":
-        if config.m != 1:
-            raise ValueError("the cluster5 baseline is defined for m = 1")
-        return cluster_channel_teleport(chi_a, chi_b), ideal, None
-    branches, report = multi_output_teleport(chi_a, chi_b)
-    return branches, ideal, report
-
-
-def cmd_run(config: ExperimentConfig) -> dict:
-    branches, ideal, report = _run_branches(config)
+        ideal = state.to_statevector()
+    else:
+        chi_a = _bell_type_state(config.input_a, config.m, "input_a")
+        chi_b = _bell_type_state(config.input_b, config.m + 1, "input_b")
+        ideal = tensor(chi_a.to_statevector(), chi_b.to_statevector())
+        if config.scheme == "cluster5":
+            if config.m != 1:
+                raise ValueError("the cluster5 baseline is defined for m = 1")
+            branches = cluster_channel_teleport(chi_a, chi_b)
+        else:
+            branches, report = multi_output_teleport(chi_a, chi_b)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "run",
@@ -201,12 +219,8 @@ def cmd_run(config: ExperimentConfig) -> dict:
         doc["resources"] = {"channel_qubits": 5, "channel": "five_qubit_cluster"}
 
     if config.scheme == "two_bell":
-        qa, _ = protocols.compress_ghz_class(
-            _bell_type_state(config.input_a, config.m, "input_a")
-        )
-        qb, _ = protocols.compress_ghz_class(
-            _bell_type_state(config.input_b, config.m + 1, "input_b")
-        )
+        qa, _ = compress_ghz_class(chi_a)
+        qb, _ = compress_ghz_class(chi_b)
         circuit = experiment_circuit(qa, qb)
         counts = sample_counts(circuit, config.shots, config.seed)
         names = circuit.classical_bits()
@@ -218,6 +232,10 @@ def cmd_run(config: ExperimentConfig) -> dict:
         }
         nm = _noise_model(config)
         if nm is not None:
+            # The noisy run simulates the routed |+>,|+> experiment only.
+            for label, q in (("input_a", qa), ("input_b", qb)):
+                if abs(np.vdot(plus_state().amplitudes, q.amplitudes)) ** 2 < 1 - 1e-9:
+                    raise ValueError(f"{label} does not compress to |+>, the noisy run's input")
             exp = experiments.noisy_experiment(nm)
             fid_det = exp.deterministic_fidelity()
             noisy_doc = {

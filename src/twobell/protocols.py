@@ -4,7 +4,7 @@ accounting.
 
 Correction convention: a Bell measurement (CNOT then H, reading bits
 (b1, b2)) maps outcomes to receiver Paulis 00 -> I, 01 -> X, 10 -> Z,
-11 -> Z.X (X applied first).  The tables below are locked by tests.
+11 -> Z.X (X applied first); ``Circuit.feed_forward`` emits them.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .qstate import (
     basis_state,
     prep_unitary,
     project_qubits,
-    single_qubit_state,
     split_product,
     tensor,
 )
@@ -195,15 +194,6 @@ def expand_ghz_class(q: StateVector, record: InversionRecord) -> StateVector:
 
 # -- teleportation ------------------------------------------------------------
 
-# Bell outcome (b1, b2) -> Paulis the receiver applies, in application order.
-CORRECTION_TABLE = {
-    "00": (),
-    "01": ("X",),
-    "10": ("Z",),
-    "11": ("X", "Z"),
-}
-
-
 def _corrections_for(bits: str, receiver: int, qubits) -> tuple:
     out = []
     b1, b2 = bits
@@ -223,11 +213,9 @@ def teleport_single(psi: StateVector) -> list:
         raise ValueError("teleport_single takes a single-qubit state")
     c = Circuit(3)
     c.custom(prep_unitary(psi.amplitudes), [0])
-    c.h(1)
-    c.cnot(1, 2)
+    c.bell_pair(1, 2)
     c.bell_measure(0, 1, "b1", "b2")
-    c.c_if("X", (2,), "b2")
-    c.c_if("Z", (2,), "b1")
+    c.feed_forward("b2", "b1", (2,))
     dist = run_exact(c)
     branches = []
     for e in dist.entries:
@@ -282,16 +270,11 @@ def teleport_two_qubit_general(s: TwoQubitState):
     """
     c = Circuit(6)
     c.custom(prep_unitary(s.to_statevector().amplitudes), [0, 1])
-    c.h(2)
-    c.cnot(2, 3)
-    c.h(4)
-    c.cnot(4, 5)
+    c.bell_pair(2, 3).bell_pair(4, 5)
     c.bell_measure(0, 2, "b1", "b2")
     c.bell_measure(1, 4, "b3", "b4")
-    c.c_if("X", (3,), "b2")
-    c.c_if("Z", (3,), "b1")
-    c.c_if("X", (5,), "b4")
-    c.c_if("Z", (5,), "b3")
+    c.feed_forward("b2", "b1", (3,))
+    c.feed_forward("b4", "b3", (5,))
     dist = run_exact(c)
     branches = []
     for e in dist.entries:
@@ -339,11 +322,8 @@ def cluster_channel_teleport(
     c.bell_measure(1, 4, "b3", "b4")
     # Receiver 1 on cluster qubit 3; receiver 2 on the (4, 5) code pair,
     # where logical X is X(x)X and logical Z acts on either qubit.
-    c.c_if("X", (5,), "b2")
-    c.c_if("Z", (5,), "b1")
-    c.c_if("X", (6,), "b4")
-    c.c_if("X", (7,), "b4")
-    c.c_if("Z", (6,), "b3")
+    c.feed_forward("b2", "b1", (5,))
+    c.feed_forward("b4", "b3", (6, 7))
     dist = run_exact(c)
     branches = []
     for e in dist.entries:
@@ -389,16 +369,11 @@ def experiment_circuit(
         c.h(3)
     else:
         c.custom(prep_unitary(input_b.amplitudes), [3])
-    c.h(1)
-    c.cnot(1, 2)
-    c.h(4)
-    c.cnot(4, 5)
+    c.bell_pair(1, 2).bell_pair(4, 5)
     c.bell_measure(0, 1, "b1", "b2")
     c.bell_measure(3, 4, "b3", "b4")
-    c.c_if("X", (2,), "b2")
-    c.c_if("Z", (2,), "b1")
-    c.c_if("X", (5,), "b4")
-    c.c_if("Z", (5,), "b3")
+    c.feed_forward("b2", "b1", (2,))
+    c.feed_forward("b4", "b3", (5,))
     if measure_outputs:
         c.measure(2, "out1")
         c.measure(5, "out2")

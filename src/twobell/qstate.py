@@ -120,10 +120,6 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     return StateVector(a.num_qubits + b.num_qubits, np.kron(a.amplitudes, b.amplitudes))
 
 
-def tensor_dm(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
-    return DensityMatrix(a.num_qubits + b.num_qubits, np.kron(a.entries, b.entries))
-
-
 def to_density(psi: StateVector) -> DensityMatrix:
     amps = psi.amplitudes
     return DensityMatrix(psi.num_qubits, np.outer(amps, amps.conj()))

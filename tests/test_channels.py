@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twobell.channels import (
     CalibrationError,
@@ -16,7 +18,7 @@ from twobell.channels import (
     phase_flip_kraus,
     run_noisy,
 )
-from twobell.circuit import Circuit, run_exact
+from twobell.circuit import GATE_ARITY, Circuit, ClassicallyControlled, Gate, run_exact
 from twobell.cli import packaged_calibration_path
 from twobell.experiments import noisy_output_distribution
 from twobell.protocols import experiment_circuit
@@ -238,6 +240,52 @@ def test_remeasured_bit_engines_agree():
     assert set(dist) == set(exact)
     for outcome, p in exact.items():
         assert dist[outcome] == pytest.approx(p, abs=1e-12)
+
+
+@st.composite
+def branching_circuits(draw):
+    """Up to 4 qubits with mid-circuit measurements into a small pool of
+    bits, then a re-measured bit and controls on both of its values."""
+    n = draw(st.integers(1, 4))
+    qubit = st.integers(0, n - 1)
+    kinds = sorted(k for k, arity in GATE_ARITY.items() if arity <= n)
+
+    def gate():
+        kind = draw(st.sampled_from(kinds))
+        targets = draw(st.permutations(range(n)))[: GATE_ARITY[kind]]
+        return Gate(kind, tuple(targets))
+
+    def control(bit, value=None):
+        if value is None:
+            value = draw(st.integers(0, 1))
+        return ClassicallyControlled(gate(), bit, value)
+
+    c = Circuit(n).h(draw(qubit)).measure(draw(qubit), "a")
+    written = ["a"]
+    for _ in range(draw(st.integers(1, 6))):
+        step = draw(st.sampled_from(["gate", "measure", "control"]))
+        if step == "gate":
+            c.add(gate())
+        elif step == "measure":
+            bit = draw(st.sampled_from(["a", "b"]))
+            c.measure(draw(qubit), bit)
+            written.append(bit)
+        else:
+            c.add(control(draw(st.sampled_from(written))))
+    c.measure(draw(qubit), "a")
+    c.add(control("a", 0)).add(control("a", 1))
+    return c
+
+
+@settings(max_examples=60)
+@given(branching_circuits())
+def test_noiseless_engine_matches_exact_engine(c):
+    exact = run_exact(c).probabilities()
+    _, dist = noisy_distribution(c, ideal_noise_model(c.num_qubits))
+    assert sum(exact.values()) == pytest.approx(1.0, abs=1e-9)
+    assert sum(dist.values()) == pytest.approx(1.0, abs=1e-9)
+    for outcome in set(exact) | set(dist):
+        assert dist.get(outcome, 0.0) == pytest.approx(exact.get(outcome, 0.0), abs=1e-9)
 
 
 def test_final_matrix_stays_psd_random_circuits():

@@ -215,6 +215,7 @@ def test_bad_calibration_path_exits_nonzero(tmp_path, capsys):
     [
         ({"shotz": 5}, "shotz"),
         ({"durations": {"cnot": 5}, "noise": "builtin"}, "cnot"),
+        ({"input_a": {"y": 3}}, "input_a key(s): y"),
     ],
 )
 def test_unknown_config_key_rejected(tmp_path, capsys, data, key):
@@ -223,6 +224,41 @@ def test_unknown_config_key_rejected(tmp_path, capsys, data, key):
     assert main(["run", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"shots": "5"}, "shots must be an integer"),
+        ({"m": 1.5}, "m must be an integer"),
+        ({"reps": True}, "reps must be an integer"),
+        ({"scheme": "general_two_qubit", "coefficients": [[1, 0]]}, "4 amplitudes"),
+        ({"input_b": {"alpha": None}}, "[re, im]"),
+        ({"input_a": {"x": "1"}}, "x must be an integer"),
+        ({"noise": 5}, "noise must be a calibration path"),
+    ],
+)
+def test_wrong_typed_config_value_rejected(tmp_path, capsys, data, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("scheme", ["cluster5", "general_two_qubit"])
+def test_noisy_run_rejects_other_schemes(capsys, scheme):
+    assert main(["run", "--scheme", scheme, "--calibration", "builtin"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and scheme in err
+
+
+def test_noisy_run_rejects_inputs_other_than_plus(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"input_b": {"x": 1, "alpha": [0.6, 0], "beta": [0.8, 0]}}))
+    assert main(["run", "--config", str(cfg), "--calibration", "builtin"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "input_b" in err
 
 
 def test_unnormalized_config_rejected(tmp_path, capsys):
