@@ -1,8 +1,9 @@
 """Running the double-teleportation circuit under a calibrated noise model.
 
 The packaged calibration CSV (T1/T2, gate errors, readout assignment
-errors for a 7-qubit device) is compiled into Kraus channels; the routed
-circuit is then executed on density matrices. Shot histograms become
+errors for a 7-qubit device) is compiled into Kraus channels, each folded
+once into a superoperator; the routed circuit is then executed on density
+matrices. Shot histograms become
 slightly non-uniform and the transferred state's fidelity drops below 1
 but stays above the 2/3 classical limit.
 """

@@ -2,6 +2,10 @@
 and density-matrix execution of circuits (``noisy_distribution``, which
 runs the branch walker ``circuit.walk`` on density matrices).
 
+The ``*_kraus`` constructors define each channel; ``NoiseModel.channel``
+folds it once per model into a cached superoperator, and every gate,
+channel and measurement projector acts on rho as one ``apply_superop``.
+
 Model summary, per gate on a calibrated device:
 
 * amplitude damping with p = 1 - exp(-t / T1),
@@ -23,12 +27,11 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
 from .circuit import Circuit, Gate, Measure, sample_distribution, walk
-from .qstate import PAULI, DensityMatrix, apply_kraus, apply_unitary_dm
+from .qstate import PAULI, DensityMatrix, apply_superop, pauli_labels, pauli_operator, superop
 
 CSV_HEADER = ["qubit", "t1_us", "t2_us", "freq_ghz", "readout_err", "x_err", "cnot_errs"]
 
@@ -157,14 +160,8 @@ def depolarizing_kraus(p: float, num_qubits: int) -> list:
     """Uniform Pauli channel: identity with prob 1-p, each nontrivial
     Pauli with prob p / (d^2 - 1)."""
     d = 2 ** num_qubits
-    ops = [np.sqrt(1 - p) * np.eye(d, dtype=complex)]
-    labels = [l for l in product("IXYZ", repeat=num_qubits) if set(l) != {"I"}]
-    for label in labels:
-        m = np.array([[1]], dtype=complex)
-        for ch in label:
-            m = np.kron(m, PAULI[ch])
-        ops.append(np.sqrt(p / (d ** 2 - 1)) * m)
-    return ops
+    paulis = [np.sqrt(p / (d ** 2 - 1)) * pauli_operator(l) for l in pauli_labels(num_qubits)]
+    return [np.sqrt(1 - p) * np.eye(d, dtype=complex), *paulis]
 
 
 def depolarizing_strength(gate_error: float, num_qubits: int) -> float:
@@ -189,9 +186,19 @@ class NoiseModel:
     cnot_depol: dict  # frozenset({a, b}) -> depolarizing probability
     confusion: dict  # qubit -> 2x2 column-stochastic matrix, P(read r | true t)
     durations: DurationConfig = field(default_factory=DurationConfig)
+    # (constructor name, *args) -> superoperator; filled by ``channel``.
+    _superops: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def qubits(self):
         return set(self.t1_ns)
+
+    def channel(self, build: str, *args) -> np.ndarray:
+        """Superoperator of ``self.<build>(*args)``, ``build`` naming one of
+        the ``*_kraus`` constructors; built once per model, then cached."""
+        key = (build, *args)
+        if key not in self._superops:
+            self._superops[key] = superop(getattr(self, build)(*args))
+        return self._superops[key]
 
     def idle_kraus(self, qubit: int, duration_ns: float) -> list:
         """Amplitude damping then dephasing over the given duration."""
@@ -250,13 +257,16 @@ def build_noise_model(records, durations: DurationConfig | None = None) -> Noise
 
 # -- density-matrix execution -------------------------------------------------
 
+# Superoperators P (x) P of the projectors onto |0> and |1>.
+_PROJECTORS = (superop([np.diag([1.0, 0.0])]), superop([np.diag([0.0, 1.0])]))
+
 
 def noisy_distribution(c: Circuit, nm: NoiseModel, initial_rho: np.ndarray | None = None):
     """Exact outcome distribution over classical bits after readout
     confusion, plus the pre-readout final density matrix.
 
     The circuit runs through ``circuit.walk`` with one density matrix per
-    branch: every gate adds its Kraus noise and idles the other qubits, a
+    branch: every gate adds its noise channel and idles the other qubits, a
     control that does not fire idles every qubit for the gate's window,
     and each kept measurement outcome idles every qubit for the readout.
     """
@@ -271,7 +281,7 @@ def noisy_distribution(c: Circuit, nm: NoiseModel, initial_rho: np.ndarray | Non
     def idle_all(rho, duration, busy=()):
         for q in range(n):
             if q not in busy:
-                rho = apply_kraus(rho, nm.idle_kraus(q, duration), [q], n)
+                rho = apply_superop(rho, nm.channel("idle_kraus", q, duration), [q], n)
         return rho
 
     def window(gate: Gate):
@@ -279,18 +289,17 @@ def noisy_distribution(c: Circuit, nm: NoiseModel, initial_rho: np.ndarray | Non
 
     def apply_gate(rho, gate: Gate):
         targets = list(gate.targets)
-        rho = apply_unitary_dm(rho, gate.unitary(), targets, n)
-        build = nm.single_gate_kraus if len(targets) == 1 else nm.cnot_gate_kraus
+        rho = apply_superop(rho, superop([gate.unitary()]), targets, n)
+        build = "single_gate_kraus" if len(targets) == 1 else "cnot_gate_kraus"
+        noise = nm.channel(build, *targets)
         # A SWAP decomposes to 3 CNOTs on hardware: triple duration and error.
         repeats = 3 if gate.kind == "SWAP" else 1
         for _ in range(repeats):
-            rho = apply_kraus(rho, build(*targets), targets, n)
+            rho = apply_superop(rho, noise, targets, n)
         return idle_all(rho, repeats * window(gate), busy=targets)
 
     def project(rho, qubit, outcome):
-        proj = np.zeros((2, 2), dtype=complex)
-        proj[outcome, outcome] = 1.0
-        sub = apply_kraus(rho, [proj], [qubit], n)
+        sub = apply_superop(rho, _PROJECTORS[outcome], [qubit], n)
         return float(np.trace(sub).real), sub
 
     if initial_rho is None:

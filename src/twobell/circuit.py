@@ -82,11 +82,17 @@ class ClassicallyControlled:
 class Circuit:
     """Ordered list of gates, measurements, and classically controlled gates."""
 
-    def __init__(self, num_qubits: int):
+    def __init__(self, num_qubits: int, steps=()):
         if num_qubits < 1:
             raise ValueError("num_qubits must be >= 1")
         self.num_qubits = num_qubits
         self.steps: list = []
+        for step in steps:
+            self.add(step)
+
+    def __repr__(self):
+        # Evaluates back to an equal circuit (CUSTOM matrices print as numpy arrays).
+        return f"Circuit({self.num_qubits}, {self.steps!r})"
 
     # -- builders ----------------------------------------------------------
     def add(self, step):

@@ -71,6 +71,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _check_keys(self.durations, [f.name for f in fields(DurationConfig)], "durations")
+        for name, value in self.durations.items():
+            if not (_is_number(value) and abs(value) <= sys.float_info.max):
+                raise ValueError(f"durations.{name} must be a finite number, got {value!r}")
         _check_keys(self.input_a, INPUT_KEYS, "input_a")
         _check_keys(self.input_b, INPUT_KEYS, "input_b")
         for name in ("m", "shots", "seed", "reps", "workers"):
@@ -105,10 +108,14 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
 def _complex(value) -> complex:
     """A number, or an [re, im] pair of numbers."""
     parts = value if isinstance(value, list) and len(value) == 2 else [value]
-    if not all(_is_int(v) or isinstance(v, float) for v in parts):
+    if not all(_is_number(v) for v in parts):
         raise ValueError(f"expected a number or [re, im], got {value!r}")
     return complex(*parts)
 
@@ -321,6 +328,8 @@ def cmd_route(circuit_path, graph_path=None) -> dict:
 
 
 def cmd_compare(config: ExperimentConfig) -> dict:
+    if config.noise is not None:
+        raise ValueError("compare is a noiseless comparison; it takes no calibration")
     chi_a = _bell_type_state(config.input_a, 1, "input_a")
     chi_b = _bell_type_state(config.input_b, 2, "input_b")
     two_bell, report = multi_output_teleport(chi_a, chi_b)

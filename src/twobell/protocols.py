@@ -14,8 +14,7 @@ from math import ceil, log2
 
 import numpy as np
 
-from .circuit import Circuit
-from .circuit import run_exact
+from .circuit import Circuit, run_exact
 from .qstate import (
     GATE_MATRICES,
     NORM_ATOL,

@@ -11,6 +11,7 @@ package share this convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -40,6 +41,18 @@ GATE_MATRICES = {
 }
 for _m in (*PAULI.values(), *GATE_MATRICES.values()):
     _m.setflags(write=False)
+
+
+def pauli_labels(num_qubits: int) -> list:
+    """The nontrivial Pauli strings over IXYZ, in product order."""
+    return ["".join(t) for t in product("IXYZ", repeat=num_qubits) if set(t) != {"I"}]
+
+
+def pauli_operator(label: str) -> np.ndarray:
+    m = np.array([[1]], dtype=complex)
+    for ch in label:
+        m = np.kron(m, PAULI[ch])
+    return m
 
 
 def _as_complex(a) -> np.ndarray:
@@ -161,38 +174,21 @@ def apply_unitary(state: StateVector, u, targets) -> StateVector:
     return StateVector(n, psi.reshape(-1))
 
 
-def apply_unitary_dm(rho: np.ndarray, u: np.ndarray, targets, num_qubits: int) -> np.ndarray:
-    """rho -> U rho U^dagger on a raw 2^n x 2^n array (no validation)."""
-    out = _mat_on_rows(rho, u, targets, num_qubits)
-    return _mat_on_cols(out, u, targets, num_qubits)
+def superop(kraus) -> np.ndarray:
+    """Superoperator S = sum_i K_i (x) conj(K_i) of a Kraus set: S acts on
+    the row-major flattening of rho, vec(K rho K^dagger) = (K (x) conj(K)) vec(rho)."""
+    return sum(np.kron(k, np.conj(k)) for k in kraus)
 
 
-def apply_kraus(rho: np.ndarray, kraus, targets, num_qubits: int) -> np.ndarray:
-    """rho -> sum_i K_i rho K_i^dagger on a raw array."""
-    out = np.zeros_like(rho)
-    for k in kraus:
-        term = _mat_on_rows(rho, k, targets, num_qubits)
-        out += _mat_on_cols(term, k, targets, num_qubits)
-    return out
-
-
-def _mat_on_rows(rho, m, targets, n):
-    k = len(targets)
-    t = rho.reshape([2] * (2 * n))
-    t = np.moveaxis(t, targets, range(k))
-    t = (np.asarray(m, dtype=complex) @ t.reshape(2 ** k, -1)).reshape([2] * (2 * n))
-    t = np.moveaxis(t, range(k), targets)
-    return t.reshape(2 ** n, 2 ** n)
-
-
-def _mat_on_cols(rho, m, targets, n):
-    col_axes = [n + q for q in targets]
-    k = len(targets)
-    t = rho.reshape([2] * (2 * n))
-    t = np.moveaxis(t, col_axes, range(k))
-    t = (np.asarray(m, dtype=complex).conj() @ t.reshape(2 ** k, -1)).reshape([2] * (2 * n))
-    t = np.moveaxis(t, range(k), col_axes)
-    return t.reshape(2 ** n, 2 ** n)
+def apply_superop(rho: np.ndarray, s: np.ndarray, targets, num_qubits: int) -> np.ndarray:
+    """Apply a k-qubit channel, given by its 4^k x 4^k superoperator, to
+    the listed target qubits of a raw 2^n x 2^n rho (no validation): the
+    row and column axes of the targets move to the front, then one matmul."""
+    n, k = num_qubits, len(targets)
+    axes = [*targets, *(n + q for q in targets)]
+    t = np.moveaxis(rho.reshape([2] * (2 * n)), axes, range(2 * k))
+    t = (s @ t.reshape(4 ** k, -1)).reshape(t.shape)
+    return np.moveaxis(t, range(2 * k), axes).reshape(2 ** n, 2 ** n)
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:

@@ -21,6 +21,9 @@ from .qstate import (
     StateVector,
     apply_unitary,
     hermitian_sqrt,
+    pauli_labels,
+    pauli_operator,
+    to_density,
 )
 
 # Rotation into the measurement basis: measure P by rotating then reading Z.
@@ -30,18 +33,6 @@ _BASIS_ROTATION = {
     "Y": GATE_MATRICES["H"] @ _SDG,
     "Z": PAULI["I"],
 }
-
-
-def pauli_operator(label: str) -> np.ndarray:
-    m = np.array([[1]], dtype=complex)
-    for ch in label:
-        m = np.kron(m, PAULI[ch])
-    return m
-
-
-def pauli_labels(num_qubits: int, include_identity: bool = False) -> list:
-    labels = ["".join(t) for t in product("IXYZ", repeat=num_qubits)]
-    return labels if include_identity else [l for l in labels if set(l) != {"I"}]
 
 
 def settings(num_qubits: int) -> list:
@@ -162,8 +153,6 @@ def tomography_from_state(
     """
     n = psi.num_qubits
     if shots is None:
-        from .qstate import to_density
-
         return reconstruct(exact_expectations(to_density(psi)), n)
     rng = np.random.default_rng(seed)
     counts = {s: sample_setting_counts(psi, s, shots, rng) for s in settings(n)}

@@ -112,22 +112,12 @@ class Layout:
         if len(set(vals)) != len(vals):
             raise ValueError("layout must be injective")
 
-    def as_tuple(self):
-        return tuple(self.mapping[l] for l in sorted(self.mapping))
-
 
 @dataclass(frozen=True)
 class CostReport:
     cnot_count: int
     swap_count: int
     depth: int
-
-
-def _two_qubit_steps(c: Circuit):
-    for step in c.steps:
-        gate = step.gate if isinstance(step, ClassicallyControlled) else step
-        if isinstance(gate, Gate) and len(gate.targets) == 2:
-            yield gate
 
 
 def cost(routed: Circuit, graph: CouplingGraph | None = None) -> CostReport:

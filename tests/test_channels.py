@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twobell import channels, experiments
 from twobell.channels import (
     CalibrationError,
+    CalibrationRecord,
     DurationConfig,
     NoiseModel,
     amplitude_damping_kraus,
@@ -339,3 +341,103 @@ def test_noisy_teleport_fidelity_never_exceeds_ideal():
         fid = pure_fidelity(ideal, marginal)
         assert fid <= 1.0 + 1e-9
         assert fid < 1.0  # noise strictly degrades the transfer
+
+
+# -- cached superoperators ------------------------------------------------------
+
+
+@st.composite
+def calibrated_models(draw):
+    """A noise model from a random valid calibration of the 7-qubit device
+    graph, with random gate and readout durations."""
+    prob = st.floats(0.0, 1.0)
+    edges = sorted(tuple(sorted(e)) for e in casablanca_topology().edges)
+    cnot_err = {e: draw(prob) for e in edges}
+    records = []
+    for q in range(7):
+        t1 = draw(st.floats(1.0, 500.0))
+        t2 = 2 * t1 * draw(st.floats(0.01, 1.0))
+        neighbours = {b if a == q else a: e for (a, b), e in cnot_err.items() if q in (a, b)}
+        records.append(CalibrationRecord(q, t1, t2, 5.0, draw(prob), draw(prob), neighbours))
+    ns = st.floats(1.0, 2000.0)
+    return build_noise_model(records, DurationConfig(draw(ns), draw(ns), draw(ns)))
+
+
+def model_channels(nm):
+    """Every superoperator ``noisy_distribution`` can ask ``nm`` for."""
+    dur = nm.durations
+    idle_ns = (dur.single_qubit_gate_ns, dur.cnot_ns, 3 * dur.cnot_ns, dur.readout_ns)
+    for q in sorted(nm.qubits()):
+        yield from (nm.channel("idle_kraus", q, t) for t in idle_ns)
+        yield nm.channel("single_gate_kraus", q)
+    for pair in nm.cnot_depol:
+        yield nm.channel("cnot_gate_kraus", *sorted(pair))
+
+
+@settings(max_examples=20)
+@given(calibrated_models())
+def test_cached_superoperators_are_cptp(nm):
+    for s in model_channels(nm):
+        d = int(round(np.sqrt(s.shape[0])))
+        blocks = s.reshape(d, d, d, d)  # [i, j, a, b]: rho[a, b] -> out[i, j]
+        assert np.max(np.abs(np.einsum("iiab->ab", blocks) - np.eye(d))) < 1e-10
+        choi = blocks.transpose(0, 2, 1, 3).reshape(d * d, d * d)
+        assert np.max(np.abs(choi - choi.conj().T)) < 1e-12
+        assert np.min(np.linalg.eigvalsh(choi)) > -1e-10
+
+
+def assert_valid_rho(rho):
+    assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
+    assert abs(np.trace(rho).real - 1.0) < 1e-10
+    assert np.min(np.linalg.eigvalsh(rho)) > -1e-10
+
+
+@settings(max_examples=8)
+@given(calibrated_models())
+def test_rho_stays_valid_after_every_step_of_routed_paper_circuit(nm):
+    _, routed, _, _ = experiments.routed_experiment()
+    real_walk = channels.walk
+    checked = []
+
+    def checked_walk(c, state, apply, skip, project, settle):
+        def check(step):
+            def run(*args):
+                rho = step(*args)
+                assert_valid_rho(rho)
+                checked.append(1)
+                return rho
+
+            return run
+
+        return real_walk(c, state, check(apply), check(skip), project, check(settle))
+
+    channels.walk = checked_walk
+    try:
+        noisy_distribution(routed, nm)
+    finally:
+        channels.walk = real_walk
+    assert len(checked) > len(routed.steps)
+
+
+def test_noisy_experiment_builds_each_channel_once(monkeypatch):
+    nm = build_noise_model(table_records())
+    builds, depth = [], [0]
+    for name in ("idle_kraus", "single_gate_kraus", "cnot_gate_kraus"):
+        build = getattr(NoiseModel, name)
+
+        def counted(self, *args, build=build, name=name):
+            # Count only the builds the cache asks for, not the idle
+            # channels a gate constructor composes inside itself.
+            if depth[0] == 0:
+                builds.append((name, *args))
+            depth[0] += 1
+            try:
+                return build(self, *args)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(NoiseModel, name, counted)
+    experiments.noisy_experiment(nm)
+    assert len(builds) == len(set(builds)) == 31
+    experiments.noisy_experiment(nm)
+    assert len(builds) == 31

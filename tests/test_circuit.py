@@ -175,3 +175,14 @@ def test_parse_error_reports_line():
 def test_parse_comments_and_header():
     c = from_text("# teleport demo\nqubits 4\nH 0\n")
     assert c.num_qubits == 4
+
+
+def test_repr_lists_steps_and_replays():
+    import twobell.circuit as circuit_module
+
+    c = Circuit(2).h(0).measure(0, "c").c_if("X", (1,), "c", value=0).measure(1, "o")
+    text = repr(c)
+    assert text.startswith("Circuit(2, [") and "value=0" in text
+    back = eval(text, vars(circuit_module))
+    assert back.num_qubits == c.num_qubits and back.steps == c.steps
+    assert run_exact(back).probabilities() == run_exact(c).probabilities()

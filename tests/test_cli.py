@@ -205,6 +205,13 @@ def test_compare_command(tmp_path):
     assert doc["resources"]["two_bell"]["channel_qubits"] == 4
 
 
+def test_compare_rejects_calibration(capsys):
+    # compare is noiseless; a calibration used to be accepted and ignored.
+    assert main(["compare", "--calibration", "builtin"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "calibration" in err
+
+
 def test_bad_calibration_path_exits_nonzero(tmp_path, capsys):
     assert main(["run", "--calibration", "/nonexistent.csv"]) == 1
     assert "error:" in capsys.readouterr().err
@@ -236,6 +243,8 @@ def test_unknown_config_key_rejected(tmp_path, capsys, data, key):
         ({"input_b": {"alpha": None}}, "[re, im]"),
         ({"input_a": {"x": "1"}}, "x must be an integer"),
         ({"noise": 5}, "noise must be a calibration path"),
+        ({"durations": {"cnot_ns": "5"}, "noise": "builtin"}, "durations.cnot_ns must be a finite"),
+        ({"durations": {"readout_ns": float("nan")}}, "durations.readout_ns must be a finite"),
     ],
 )
 def test_wrong_typed_config_value_rejected(tmp_path, capsys, data, message):

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from twobell.qstate import (
     DensityMatrix,
     StateVector,
+    apply_superop,
     apply_unitary,
     basis_state,
     hermitian_sqrt,
@@ -13,6 +17,7 @@ from twobell.qstate import (
     project_qubits,
     single_qubit_state,
     split_product,
+    superop,
     tensor,
     to_density,
 )
@@ -210,3 +215,43 @@ def test_prep_unitary():
     u = prep_unitary(v)
     assert np.allclose(u @ u.conj().T, np.eye(4), atol=1e-10)
     assert np.allclose(u[:, 0], v)
+
+
+# -- superoperator kernel ---------------------------------------------------------
+
+
+def embed(k, targets, n):
+    """``k`` on ``targets`` (targets[0] the most significant) as a 2^n x 2^n
+    matrix: kron(k, I) on the reordered qubits, then permuted back."""
+    order = [*targets, *(q for q in range(n) if q not in targets)]
+    full = np.kron(k, np.eye(2 ** (n - len(targets))))
+    # perm[i]: the index, in kron(k, I)'s qubit order, of natural basis index i.
+    perm = [
+        sum(((i >> (n - 1 - q)) & 1) << (n - 1 - p) for p, q in enumerate(order))
+        for i in range(2 ** n)
+    ]
+    return full[np.ix_(perm, perm)]
+
+
+@st.composite
+def channel_cases(draw):
+    """A random rho on n <= 4 qubits, 1-2 distinct targets in any order and
+    1-3 arbitrary complex operators on them."""
+    n = draw(st.integers(1, 4))
+    targets = draw(st.permutations(range(n)))[: draw(st.integers(1, min(2, n)))]
+    entries = st.floats(-1, 1)
+    d, dk = 2 ** n, 2 ** len(targets)
+    a = draw(arrays(float, (2, d, d), elements=entries))
+    a = a[0] + 1j * a[1]
+    rho = a @ a.conj().T + 1e-3 * np.eye(d)
+    ops = draw(arrays(float, (draw(st.integers(1, 3)), 2, dk, dk), elements=entries))
+    return rho / np.trace(rho).real, list(targets), [k[0] + 1j * k[1] for k in ops], n
+
+
+@settings(max_examples=80)
+@given(channel_cases())
+def test_apply_superop_matches_kraus_sum_on_full_space(case):
+    rho, targets, kraus, n = case
+    expected = sum(embed(k, targets, n) @ rho @ embed(k, targets, n).conj().T for k in kraus)
+    got = apply_superop(rho, superop(kraus), targets, n)
+    assert np.max(np.abs(got - expected)) < 1e-10
