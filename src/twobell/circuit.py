@@ -321,16 +321,18 @@ def to_text(c: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
+def parse_int(tok: str, line_no: int) -> int:
+    """``int(tok)``, or a ``line N: expected integer`` error for a text file."""
+    try:
+        return int(tok)
+    except ValueError:
+        raise CircuitParseError(line_no, f"expected integer, got {tok!r}") from None
+
+
 def from_text(text: str) -> Circuit:
     steps = []
     num_qubits = None
     max_qubit = -1
-
-    def parse_int(tok, line_no):
-        try:
-            return int(tok)
-        except ValueError:
-            raise CircuitParseError(line_no, f"expected integer, got {tok!r}") from None
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

@@ -3,17 +3,31 @@
 The cost metric is CNOT count with SWAP = 3 CNOTs (two-qubit errors
 dominate single-qubit errors by over an order of magnitude on this
 device class), tie-broken by depth, then by lexicographic layout.
-Layouts are searched exhaustively (at most 7 physical qubits here);
 SWAPs are inserted greedily along shortest paths.  CNOT direction is
 ignored: reversal is free via Hadamard conjugation.
+
+Layouts are enumerated in lexicographic order and bounded by the
+greedy router itself: under a fixed layout it inserts exactly ``d - 1``
+SWAPs before the first two-qubit gate whose qubits sit ``d > 1`` hops
+apart, so that layout costs at least the circuit's own CNOT count plus
+``3 * (d - 1)``.  A layout with no such gate routes with no SWAP and
+the circuit's own depth, so the first one found wins every tie-break
+and is the only layout routed.  Otherwise layouts are routed in
+increasing order of their bound until the bound exceeds the best CNOT
+count found, and a route is cut short once its SWAPs alone take it past
+that count.  The result is the optimum of an exhaustive search, with
+the same tie-breaks.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from itertools import permutations
 
-from .circuit import Circuit, ClassicallyControlled, Gate, Measure
+from .circuit import Circuit, ClassicallyControlled, Gate, Measure, parse_int
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -95,7 +109,7 @@ def load_coupling_graph(path) -> CouplingGraph:
             parts = line.split()
             if len(parts) != 2:
                 raise ValueError(f"line {line_no}: expected 'u v', got {line!r}")
-            u, v = int(parts[0]), int(parts[1])
+            u, v = (parse_int(tok, line_no) for tok in parts)
             edges.add(frozenset((u, v)))
             max_node = max(max_node, u, v)
     if not edges:
@@ -150,9 +164,14 @@ def cost(routed: Circuit, graph: CouplingGraph | None = None) -> CostReport:
     return CostReport(cnots + 3 * swaps, swaps, max(level.values(), default=0))
 
 
-def _route_with_layout(c: Circuit, g: CouplingGraph, initial: dict, dist: dict):
-    """Greedy nearest-neighbor SWAP insertion for a fixed initial layout."""
+def _route_with_layout(c: Circuit, g: CouplingGraph, initial: dict, dist: dict,
+                       max_swaps: float = float("inf")):
+    """Greedy nearest-neighbor SWAP insertion for a fixed initial layout.
+
+    Returns None as soon as more than ``max_swaps`` SWAPs are needed.
+    """
     l2p = dict(initial)
+    swaps = 0
     adj = g.adjacency()
     routed = Circuit(g.num_physical)
 
@@ -173,6 +192,9 @@ def _route_with_layout(c: Circuit, g: CouplingGraph, initial: dict, dist: dict):
         if len(gate.targets) == 2:
             a, b = gate.targets
             while dist[l2p[a]][l2p[b]] > 1:
+                swaps += 1
+                if swaps > max_swaps:
+                    return None
                 pa, pb = l2p[a], l2p[b]
                 nxt = min(
                     (n for n in adj[pa]),
@@ -192,9 +214,13 @@ def _route_with_layout(c: Circuit, g: CouplingGraph, initial: dict, dist: dict):
 def route(c: Circuit, g: CouplingGraph):
     """Map and route a logical circuit onto the coupling graph.
 
-    Exhaustive search over injective layouts, minimizing CNOT count,
-    ties broken by depth then lexicographic layout.  Returns
-    (layout, routed circuit, cost report).
+    Returns (layout, routed circuit, cost report) for the layout that
+    minimizes CNOT count, ties broken by depth then lexicographic
+    layout: the optimum of an exhaustive search over injective layouts.
+    Only the first layout that needs no SWAP is routed, if one exists;
+    otherwise layouts are routed in order of their lower bound (see the
+    module docstring) until it exceeds the best CNOT count found.
+    Logs the layouts enumerated and routed at DEBUG level.
     """
     n_log = c.num_qubits
     if n_log > g.num_physical:
@@ -202,13 +228,40 @@ def route(c: Circuit, g: CouplingGraph):
             f"{n_log} logical qubits exceed {g.num_physical} physical qubits"
         )
     dist = g.distances()
-    best = None
+    pairs = []
+    for step in c.steps:
+        gate = step.gate if isinstance(step, ClassicallyControlled) else step
+        if isinstance(gate, Gate) and len(gate.targets) == 2:
+            pairs.append(gate.targets)
+    floor = cost(c).cnot_count
+    candidates, enumerated = [], 0
     for phys in permutations(range(g.num_physical), n_log):
+        enumerated += 1
+        # Hop distance of the first gate that is off an edge; 1 if none is.
+        hops = next((d for d in (dist[phys[a]][phys[b]] for a, b in pairs) if d > 1), 1)
+        if hops == 1:
+            candidates = [(floor, phys)]
+            break
+        candidates.append((floor + 3 * (hops - 1), phys))
+    best, routed_count, cut_short = None, 0, 0
+    for bound, phys in sorted(candidates):
+        if best is not None and bound > best[0][0]:
+            break
+        routed_count += 1
         layout = dict(enumerate(phys))
-        routed = _route_with_layout(c, g, layout, dist)
+        # Every SWAP adds 3 to ``floor``: one SWAP past this budget loses.
+        budget = float("inf") if best is None else (best[0][0] - floor) // 3
+        routed = _route_with_layout(c, g, layout, dist, budget)
+        if routed is None:
+            cut_short += 1
+            continue
         report = cost(routed, g)
         key = (report.cnot_count, report.depth, phys)
         if best is None or key < best[0]:
             best = (key, Layout(layout), routed, report)
     _, layout, routed, report = best
+    log.debug(
+        "route: %d layouts enumerated, %d routed (%d cut short), chose cnot_count=%d depth=%d",
+        enumerated, routed_count, cut_short, report.cnot_count, report.depth,
+    )
     return layout, routed, report

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import twobell
 from twobell import experiments
 from twobell.cli import main, packaged_calibration_path, packaged_fidelities_path
 
@@ -194,6 +198,31 @@ def test_route_custom_graph(tmp_path):
     code, out = run_cli(["route", str(circ), "--graph", str(graph)], tmp_path)
     assert code == 0
     assert load(out)["cost"]["cnot_count"] == 1
+
+
+def test_route_graph_with_non_integer_node_names_its_line(tmp_path, capsys):
+    circ = tmp_path / "circ.txt"
+    circ.write_text("qubits 2\nCNOT 0 1\n")
+    graph = tmp_path / "g.txt"
+    graph.write_text("0 1\n1 x\n")
+    assert main(["route", str(circ), "--graph", str(graph)]) == 1
+    assert capsys.readouterr().err == "error: line 2: expected integer, got 'x'\n"
+
+
+def test_python_m_twobell_matches_cli_main(tmp_path, capsys):
+    circ = tmp_path / "circ.txt"
+    circ.write_text("qubits 3\nH 0\nCNOT 0 2\nCNOT 1 2\nM 2 -> c0\nX 1 if c0\n")
+    assert main(["route", str(circ)]) == 0
+    expected = capsys.readouterr().out
+    src = str(Path(twobell.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "twobell", "route", str(circ)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected
+    assert proc.stderr == ""
 
 
 def test_compare_command(tmp_path):

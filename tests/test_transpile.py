@@ -1,10 +1,13 @@
 import heapq
+import logging
 from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from twobell.circuit import Circuit, run_exact
+from twobell import transpile
+from twobell.circuit import Circuit, ClassicallyControlled, Gate, Measure, run_exact
 from twobell.protocols import experiment_circuit
 from twobell.transpile import (
     CostReport,
@@ -214,3 +217,105 @@ def test_route_deterministic_tie_breaking():
     second = route(c, g)
     assert first[0].mapping == second[0].mapping
     assert first[2] == second[2]
+
+
+# -- pruned search against the exhaustive one -----------------------------------
+
+
+GRAPHS = {
+    "casablanca": casablanca_topology(),
+    "line5": CouplingGraph(5, frozenset(frozenset((i, i + 1)) for i in range(4))),
+    "ring6": CouplingGraph(6, frozenset(frozenset((i, (i + 1) % 6)) for i in range(6))),
+}
+
+
+def exhaustive_route(c: Circuit, g: CouplingGraph):
+    """Reference: route and cost every injective layout, keep the least
+    (cnot_count, depth, layout) key."""
+    dist = g.distances()
+    best = None
+    for phys in permutations(range(g.num_physical), c.num_qubits):
+        layout = dict(enumerate(phys))
+        routed = transpile._route_with_layout(c, g, layout, dist)
+        report = cost(routed, g)
+        key = (report.cnot_count, report.depth, phys)
+        if best is None or key < best[0]:
+            best = (key, Layout(layout), routed, report)
+    _, layout, routed, report = best
+    return layout, routed, report
+
+
+@st.composite
+def routing_cases(draw, g):
+    """(circuit, embeds): ``embeds`` circuits only interact pairs that
+    are edges under one hidden layout; the others contain a CNOT
+    triangle, which none of the (triangle-free) graphs can hold."""
+    n = draw(st.sampled_from(range(1, min(6, g.num_physical) + 1)))
+    embeds = n < 3 or draw(st.booleans())
+    if embeds:
+        hidden = draw(st.permutations(range(g.num_physical)))
+        pairs = [(a, b) for a, b in permutations(range(n), 2) if g.has_edge(hidden[a], hidden[b])]
+    else:
+        pairs = list(permutations(range(n), 2))
+
+    def gate(two_qubit):
+        if two_qubit:
+            return Gate(draw(st.sampled_from(["CNOT", "SWAP"])), draw(st.sampled_from(pairs)))
+        return Gate(draw(st.sampled_from(["H", "X", "Z", "S"])), (draw(st.integers(0, n - 1)),))
+
+    steps, bits = [], []
+    kinds = ["1q", "measure", "c1q"] + (["2q", "2q", "c2q"] if pairs else [])
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=10)):
+        if kind == "measure":
+            bits.append(f"c{draw(st.integers(0, 2))}")  # a bit may be measured twice
+            steps.append(Measure((draw(st.integers(0, n - 1)),), (bits[-1],)))
+        elif kind.startswith("c") and bits:
+            value = draw(st.integers(0, 1))
+            steps.append(ClassicallyControlled(gate(kind == "c2q"), draw(st.sampled_from(bits)), value))
+        else:
+            steps.append(gate(kind in ("2q", "c2q")))
+    if not embeds:
+        a, b, c = draw(st.permutations(range(n)))[:3]
+        for pair in ((a, b), (b, c), (a, c)):
+            steps.insert(draw(st.integers(0, len(steps))), Gate("CNOT", pair))
+    return Circuit(n, steps), embeds
+
+
+@pytest.mark.parametrize("graph", sorted(GRAPHS))
+@settings(max_examples=40)
+@given(data=st.data())
+def test_route_equals_exhaustive_search(graph, data):
+    g = GRAPHS[graph]
+    c, embeds = data.draw(routing_cases(g))
+    layout, routed, report = route(c, g)
+    ref_layout, ref_routed, ref_report = exhaustive_route(c, g)
+    assert layout.mapping == ref_layout.mapping
+    assert routed.steps == ref_routed.steps
+    assert report == ref_report
+    # The case is of the kind it was drawn as: SWAPs are needed exactly
+    # when no layout embeds the circuit.
+    assert (report.cnot_count == cost(c).cnot_count) == embeds
+
+
+def test_routing_the_experiment_routes_one_layout(monkeypatch):
+    calls = []
+    real = transpile._route_with_layout
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(transpile, "_route_with_layout", counted)
+    layout, _, _ = route(experiment_circuit(measure_outputs=False), casablanca_topology())
+    assert calls == [layout.mapping]
+
+
+def test_route_logs_the_search(caplog):
+    g = casablanca_topology()
+    with caplog.at_level(logging.DEBUG, logger="twobell.transpile"):
+        route(experiment_circuit(measure_outputs=False), g)
+        route(Circuit(3).cnot(0, 1).cnot(1, 2).cnot(0, 2), g)
+    assert [r.getMessage() for r in caplog.records] == [
+        "route: 3 layouts enumerated, 1 routed (0 cut short), chose cnot_count=4 depth=5",
+        "route: 210 layouts enumerated, 106 routed (92 cut short), chose cnot_count=6 depth=4",
+    ]
