@@ -284,19 +284,23 @@ def noisy_distribution(c: Circuit, nm: NoiseModel, initial_rho: np.ndarray | Non
                 rho = apply_superop(rho, nm.channel("idle_kraus", q, duration), [q], n)
         return rho
 
+    # A SWAP decomposes to 3 CNOTs on hardware: triple duration and error.
+    def repeats(gate: Gate):
+        return 3 if gate.kind == "SWAP" else 1
+
     def window(gate: Gate):
-        return dur.single_qubit_gate_ns if len(gate.targets) == 1 else dur.cnot_ns
+        """Time the gate takes, whether or not its control fires."""
+        one = dur.single_qubit_gate_ns if len(gate.targets) == 1 else dur.cnot_ns
+        return repeats(gate) * one
 
     def apply_gate(rho, gate: Gate):
         targets = list(gate.targets)
         rho = apply_superop(rho, superop([gate.unitary()]), targets, n)
         build = "single_gate_kraus" if len(targets) == 1 else "cnot_gate_kraus"
         noise = nm.channel(build, *targets)
-        # A SWAP decomposes to 3 CNOTs on hardware: triple duration and error.
-        repeats = 3 if gate.kind == "SWAP" else 1
-        for _ in range(repeats):
+        for _ in range(repeats(gate)):
             rho = apply_superop(rho, noise, targets, n)
-        return idle_all(rho, repeats * window(gate), busy=targets)
+        return idle_all(rho, window(gate), busy=targets)
 
     def project(rho, qubit, outcome):
         sub = apply_superop(rho, _PROJECTORS[outcome], [qubit], n)

@@ -2,17 +2,18 @@
 on the device graph, noisy shot histograms, and tomography-based
 fidelity repetitions.
 
-The noisy outcome distributions are deterministic given the model, so
-``noisy_experiment`` runs the routed circuit and the nine tomography
-settings through the noise engine once; the histogram, the shot-free
-fidelity and every repetition are read from that one result, and
-repetitions only re-sample shot noise with derived seeds.
+``noisy_experiment(nm)`` is the one way into the noisy run.  The noisy
+outcome distributions are deterministic given the model, so it runs the
+routed circuit and the nine tomography settings through the noise engine
+once; the histogram, the shot-free fidelity and every repetition are
+read from that one result, and repetitions only re-sample shot noise
+with derived seeds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -40,7 +41,7 @@ from .tomography import (
     reconstruct,
     settings,
 )
-from .transpile import CouplingGraph, casablanca_topology, route
+from .transpile import casablanca_topology, route
 
 
 def child_seeds(seed: int, count: int) -> list:
@@ -48,19 +49,15 @@ def child_seeds(seed: int, count: int) -> list:
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(count)]
 
 
-@lru_cache(maxsize=8)
-def _routed_default(graph: CouplingGraph):
+@cache
+def routed_experiment():
+    """Route the |+>,|+> two-teleportation circuit (without output
+    measurement) onto the device graph, once per process.  Returns
+    (layout, routed circuit, receiver physical qubits, cost report)."""
     logical = experiment_circuit(measure_outputs=False)
-    layout, routed, report = route(logical, graph)
+    layout, routed, report = route(logical, casablanca_topology())
     receivers = tuple(layout.mapping[q] for q in EXPERIMENT_RECEIVER_QUBITS)
     return layout, routed, receivers, report
-
-
-def routed_experiment(graph: CouplingGraph | None = None):
-    """Route the |+>,|+> two-teleportation circuit (without output
-    measurement) onto the device graph.  Returns (layout, routed circuit,
-    receiver physical qubits, cost report)."""
-    return _routed_default(graph or casablanca_topology())
 
 
 def marginal_counts(counts: dict, bit_names, wanted) -> dict:
@@ -134,26 +131,13 @@ class NoisyExperiment:
         return [self.tomography(shots, s)[1] for s in child_seeds(seed, reps)]
 
 
-def noisy_experiment(nm: NoiseModel, graph=None) -> NoisyExperiment:
+def noisy_experiment(nm: NoiseModel) -> NoisyExperiment:
     """Run the routed experiment through the noise engine once, then the
     nine tomography tails from its post-correction state."""
-    _, routed, receivers, _ = routed_experiment(graph)
+    _, routed, receivers, _ = routed_experiment()
     state, _ = noisy_distribution(routed, nm)
     setting_dists = {}
     for s in settings(2):
         tail = _tail_circuit(state.num_qubits, receivers, s)
         _, setting_dists[s] = noisy_distribution(tail, nm, initial_rho=state.entries)
     return NoisyExperiment(state, receivers, setting_dists)
-
-
-def noisy_output_distribution(nm: NoiseModel, graph=None):
-    """Exact noisy distribution over the two receiver bits (readout
-    confusion included), plus the post-correction density matrix."""
-    exp = noisy_experiment(nm, graph)
-    return exp.setting_dists["ZZ"], exp.state
-
-
-def repeat_noisy_fidelities(nm: NoiseModel, shots: int, seed: int, reps: int, graph=None) -> list:
-    """Tomography-based fidelities for ``reps`` independently seeded
-    repetitions."""
-    return noisy_experiment(nm, graph).repetition_fidelities(shots, seed, reps)

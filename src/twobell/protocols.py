@@ -240,11 +240,11 @@ def multi_output_teleport(
         raise ValueError("chi_b must have exactly one more qubit than chi_a")
     qa, rec_a = compress_ghz_class(chi_a)
     qb, rec_b = compress_ghz_class(chi_b)
+    outs_a = [(ba, expand_ghz_class(ba.output, rec_a)) for ba in teleport_single(qa)]
+    outs_b = [(bb, expand_ghz_class(bb.output, rec_b)) for bb in teleport_single(qb)]
     branches = []
-    for ba in teleport_single(qa):
-        out_a = expand_ghz_class(ba.output, rec_a)
-        for bb in teleport_single(qb):
-            out_b = expand_ghz_class(bb.output, rec_b)
+    for ba, out_a in outs_a:
+        for bb, out_b in outs_b:
             corrections = _corrections_for(ba.outcome_bits, 1, tuple(range(chi_a.n)))
             corrections += _corrections_for(bb.outcome_bits, 2, tuple(range(chi_b.n)))
             branches.append(

@@ -17,12 +17,16 @@ increasing order of their bound until the bound exceeds the best CNOT
 count found, and a route is cut short once its SWAPs alone take it past
 that count.  The result is the optimum of an exhaustive search, with
 the same tie-breaks.
+
+A ``CouplingGraph`` builds its adjacency once.  Hop counts come from one
+BFS per source, run the first time that source's row is read; the BFS
+from node 0 is also the connectivity check.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import permutations
 
 from .circuit import Circuit, ClassicallyControlled, Gate, Measure, parse_int
@@ -30,65 +34,57 @@ from .circuit import Circuit, ClassicallyControlled, Gate, Measure, parse_int
 log = logging.getLogger(__name__)
 
 
+class _HopCounts(dict):
+    """Hop counts ``[a][b]``; the row of each source ``a`` is filled by
+    one BFS the first time it is read."""
+
+    def __init__(self, adj: dict):
+        super().__init__()
+        self.adj = adj
+
+    def __missing__(self, source: int) -> dict:
+        row, frontier = {source: 0}, [source]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for w in self.adj[v]:
+                    if w not in row:
+                        row[w] = row[v] + 1
+                        nxt.append(w)
+            frontier = nxt
+        self[source] = row
+        return row
+
+
 @dataclass(frozen=True)
 class CouplingGraph:
     num_physical: int
     edges: frozenset  # of frozenset pairs
+    _hops: _HopCounts = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         edges = frozenset(frozenset(e) for e in self.edges)
+        adj = {q: set() for q in range(self.num_physical)}
         for e in edges:
             if len(e) != 2 or any(not 0 <= q < self.num_physical for q in e):
                 raise ValueError(f"bad edge {set(e)}")
-        object.__setattr__(self, "edges", edges)
-        if self.num_physical > 1 and len(self._components()) != 1:
-            raise ValueError("coupling graph must be connected")
-
-    def _components(self):
-        seen, comps = set(), []
-        adj = self.adjacency()
-        for start in range(self.num_physical):
-            if start in seen:
-                continue
-            comp, stack = set(), [start]
-            while stack:
-                v = stack.pop()
-                if v in comp:
-                    continue
-                comp.add(v)
-                stack.extend(adj[v])
-            seen |= comp
-            comps.append(comp)
-        return comps
-
-    def adjacency(self) -> dict:
-        adj = {q: set() for q in range(self.num_physical)}
-        for e in self.edges:
-            a, b = sorted(e)
+            a, b = e
             adj[a].add(b)
             adj[b].add(a)
-        return adj
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_hops", _HopCounts(adj))
+        if self.num_physical > 1 and len(self._hops[0]) != self.num_physical:
+            raise ValueError("coupling graph must be connected")
+
+    def adjacency(self) -> dict:
+        return self._hops.adj
 
     def has_edge(self, a: int, b: int) -> bool:
         return frozenset((a, b)) in self.edges
 
     def distances(self) -> dict:
-        """All-pairs hop counts by BFS."""
-        adj = self.adjacency()
-        dist = {}
-        for s in range(self.num_physical):
-            d = {s: 0}
-            frontier = [s]
-            while frontier:
-                nxt = []
-                for v in frontier:
-                    for w in adj[v]:
-                        if w not in d:
-                            d[w] = d[v] + 1
-                            nxt.append(w)
-                frontier = nxt
-            dist[s] = d
-        return dist
+        """Hop counts ``[a][b]``, each source's row computed on first read."""
+        return self._hops
 
 
 def casablanca_topology() -> CouplingGraph:
@@ -191,14 +187,14 @@ def _route_with_layout(c: Circuit, g: CouplingGraph, initial: dict, dist: dict,
         gate = step.gate if isinstance(step, ClassicallyControlled) else step
         if len(gate.targets) == 2:
             a, b = gate.targets
-            while dist[l2p[a]][l2p[b]] > 1:
+            while dist[l2p[b]][l2p[a]] > 1:
                 swaps += 1
                 if swaps > max_swaps:
                     return None
                 pa, pb = l2p[a], l2p[b]
                 nxt = min(
                     (n for n in adj[pa]),
-                    key=lambda n: (dist[n][pb], n),
+                    key=lambda n: (dist[pb][n], n),
                 )
                 routed.gate("SWAP", pa, nxt)
                 la, ln = p2l.get(pa), p2l.get(nxt)

@@ -10,10 +10,7 @@ import pytest
 from twobell.channels import build_noise_model, load_calibration
 from twobell.circuit import Circuit, sample_counts
 from twobell.cli import packaged_calibration_path, packaged_fidelities_path
-from twobell.experiments import (
-    noisy_output_distribution,
-    repeat_noisy_fidelities,
-)
+from twobell.experiments import noisy_experiment
 from twobell.protocols import (
     GeneralizedBellTypeState,
     cluster_channel_teleport,
@@ -135,12 +132,12 @@ def test_criterion_4_reference_statistics():
 
 def test_criterion_5_noise_model_plausibility():
     with _Check(5, "calibrated noise gives realistic sub-ideal fidelity", 30):
-        nm = _table_model()
-        fids = repeat_noisy_fidelities(nm, 8192, 105, reps=10)
+        exp = noisy_experiment(_table_model())
+        fids = exp.repetition_fidelities(8192, 105, reps=10)
         mean = float(np.mean(fids))
         assert 2 / 3 < mean < 0.98
         assert max(fids) < 1.0
-        dist, _ = noisy_output_distribution(nm)
+        dist = exp.setting_dists["ZZ"]
         probs = [dist.get(o, 0.0) for o in ("00", "01", "10", "11")]
         assert max(probs) - min(probs) > 0.005
 

@@ -22,9 +22,9 @@ from twobell.channels import (
 )
 from twobell.circuit import GATE_ARITY, Circuit, ClassicallyControlled, Gate, run_exact
 from twobell.cli import packaged_calibration_path
-from twobell.experiments import noisy_output_distribution
+from twobell.experiments import noisy_experiment
 from twobell.protocols import experiment_circuit
-from twobell.qstate import partial_trace, plus_state, tensor, to_density
+from twobell.qstate import partial_trace, plus_state, superop, tensor, to_density
 from twobell.tomography import pure_fidelity
 from twobell.transpile import casablanca_topology
 
@@ -154,6 +154,54 @@ def test_cnot_depolarizing_strength_from_reported_error():
     assert depolarizing_strength(0.01, 1) == pytest.approx(0.015)
 
 
+def one_qubit_model(t1_ns, t2_ns):
+    return NoiseModel({0: t1_ns}, {0: t2_ns}, {0: 0.0}, {}, {0: np.eye(2)})
+
+
+@given(st.floats(1e2, 1e6), st.floats(0.01, 2.0), st.floats(0.0, 5.0))
+def test_idle_dephases_plus_state_at_t2(t1_ns, t2_over_t1, t_over_t1):
+    t2_ns, t = t2_over_t1 * t1_ns, t_over_t1 * t1_ns
+    plus = np.full((2, 2), 0.5, dtype=complex)
+    out = sum(k @ plus @ k.conj().T for k in one_qubit_model(t1_ns, t2_ns).idle_kraus(0, t))
+    assert abs(out[0, 1]) == pytest.approx(0.5 * np.exp(-t / t2_ns), abs=1e-12)
+
+
+def average_gate_infidelity(kraus):
+    """1 - F_avg with F_avg = (d F_e + 1) / (d + 1), F_e = Tr S / d^2."""
+    s = superop(kraus)
+    d = int(round(np.sqrt(s.shape[0])))
+    return 1.0 - (d * np.trace(s).real / d ** 2 + 1) / (d + 1)
+
+
+@given(st.floats(0.0, 0.6), st.sampled_from([1, 2]))
+def test_depolarizing_part_has_reported_average_infidelity(err, k):
+    kraus = depolarizing_kraus(depolarizing_strength(err, k), k)
+    assert average_gate_infidelity(kraus) == pytest.approx(err, abs=1e-12)
+
+
+# Infidelity of the whole gate channel (decay over the gate's duration,
+# then depolarizing at the reported error) over the reported error, per
+# gate of the builtin table: the reported error is the depolarizing
+# part alone, so the decay comes on top of it.
+SINGLE_GATE_INFIDELITY_RATIO = {
+    0: 2.265, 1: 1.923, 2: 1.448, 3: 1.371, 4: 1.918, 5: 1.546, 6: 1.264,
+}
+CNOT_INFIDELITY_RATIO = {
+    (0, 1): 1.441, (1, 2): 1.298, (1, 3): 1.399, (3, 5): 1.262, (4, 5): 1.380, (5, 6): 1.256,
+}
+
+
+def test_gate_channels_exceed_reported_error_by_their_decay():
+    records = table_records()
+    nm = build_noise_model(records)
+    for r in records:
+        ratio = average_gate_infidelity(nm.single_gate_kraus(r.qubit)) / r.pauli_x_error
+        assert ratio == pytest.approx(SINGLE_GATE_INFIDELITY_RATIO[r.qubit], abs=5e-4)
+        for nb, err in r.cnot_errors.items():
+            ratio = average_gate_infidelity(nm.cnot_gate_kraus(r.qubit, nb)) / err
+            assert ratio == pytest.approx(CNOT_INFIDELITY_RATIO[tuple(sorted((r.qubit, nb)))], abs=5e-4)
+
+
 def test_missing_cnot_calibration_raises():
     nm = build_noise_model(table_records())
     with pytest.raises(CalibrationError):
@@ -164,13 +212,13 @@ def test_missing_cnot_calibration_raises():
 
 
 def test_ideal_model_gives_uniform_output():
-    dist, _ = noisy_output_distribution(ideal_noise_model(7))
+    dist = noisy_experiment(ideal_noise_model(7)).setting_dists["ZZ"]
     assert dist == pytest.approx({"00": 0.25, "01": 0.25, "10": 0.25, "11": 0.25})
 
 
 def test_table1_output_nonuniform_but_bounded():
     nm = build_noise_model(table_records())
-    dist, _ = noisy_output_distribution(nm)
+    dist = noisy_experiment(nm).setting_dists["ZZ"]
     probs = [dist.get(o, 0.0) for o in ("00", "01", "10", "11")]
     assert all(0.15 < p < 0.35 for p in probs)
     assert max(probs) - min(probs) > 0.005
@@ -242,6 +290,23 @@ def test_remeasured_bit_engines_agree():
     assert set(dist) == set(exact)
     for outcome, p in exact.items():
         assert dist[outcome] == pytest.approx(p, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["X", "CNOT", "SWAP"])
+def test_controlled_gate_takes_its_window_whether_or_not_it_fires(kind):
+    """A spectator in |1> decays the same under a gate whose control does
+    not fire as under the same gate run unconditionally."""
+    nm = build_noise_model(table_records())
+    targets = tuple(range(GATE_ARITY[kind]))
+
+    def spectator(step):
+        c = Circuit(3).x(2).measure(0, "c").add(step)
+        final, _ = noisy_distribution(c, nm)
+        return partial_trace(final, {2}).entries
+
+    skipped = spectator(ClassicallyControlled(Gate(kind, targets), "c", 1))
+    fired = spectator(Gate(kind, targets))
+    assert np.max(np.abs(skipped - fired)) < 1e-12
 
 
 @st.composite

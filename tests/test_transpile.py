@@ -85,6 +85,16 @@ def test_graph_rejects_disconnected():
         CouplingGraph(4, frozenset({frozenset({0, 1}), frozenset({2, 3})}))
 
 
+def test_route_on_large_graph_computes_only_the_hop_counts_it_reads():
+    g = CouplingGraph(600, frozenset(frozenset((i, i + 1)) for i in range(599)))
+    layout, routed, report = route(Circuit(2).cnot(0, 1), g)
+    assert layout.mapping == {0: 0, 1: 1}
+    assert report == CostReport(1, 0, 1)
+    # BFS sources: node 0 for the connectivity check, then the routed gate's.
+    assert len(g.distances()) <= 2
+    assert g.distances()[0][599] == 599
+
+
 def test_load_coupling_graph(tmp_path):
     p = tmp_path / "graph.txt"
     p.write_text("0 1\n1 2\n")
