@@ -8,13 +8,11 @@ from .protocols import (
     GeneralizedBellTypeState,
     ResourceReport,
     TeleportBranch,
-    TwoQubitState,
     cluster_channel_teleport,
     compress_ghz_class,
     count_bell_resources,
     expand_ghz_class,
     experiment_circuit,
-    make_ghz_class,
     multi_output_teleport,
     prepare_bell,
     prepare_cluster5,
@@ -38,7 +36,6 @@ from .channels import (
     NoiseModel,
     build_noise_model,
     load_calibration,
-    run_noisy,
 )
 from .tomography import (
     FidelityStats,

@@ -342,13 +342,3 @@ def noisy_distribution(c: Circuit, nm: NoiseModel, initial_rho: np.ndarray | Non
     final = sum(p * rho for _, p, rho in branches)
     final_dm = DensityMatrix(n, 0.5 * (final + final.conj().T))
     return final_dm, dist
-
-
-def run_noisy(c: Circuit, nm: NoiseModel, shots: int, seed: int):
-    """Noisy execution: (final density matrix before readout, counts after
-    readout confusion).  Counts are keyed by classical bits in first-write
-    order and sampled with a seeded PCG64 generator."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    final_dm, dist = noisy_distribution(c, nm)
-    return final_dm, sample_distribution(dist, shots, seed)

@@ -41,6 +41,8 @@ class Gate:
 
     def __post_init__(self):
         object.__setattr__(self, "targets", tuple(self.targets))
+        if len(set(self.targets)) != len(self.targets):
+            raise ValueError(f"duplicate target qubits: {list(self.targets)}")
         if self.kind == "CUSTOM":
             if self.matrix is None:
                 raise ValueError("CUSTOM gate needs a matrix")
@@ -118,9 +120,6 @@ class Circuit:
 
     def x(self, q):
         return self.gate("X", q)
-
-    def z(self, q):
-        return self.gate("Z", q)
 
     def cnot(self, ctrl, tgt):
         return self.gate("CNOT", ctrl, tgt)
@@ -369,7 +368,10 @@ def from_text(text: str) -> Circuit:
             )
         targets = tuple(parse_int(t, line_no) for t in body)
         max_qubit = max(max_qubit, *targets)
-        gate = Gate(head, targets)
+        try:
+            gate = Gate(head, targets)
+        except ValueError as exc:
+            raise CircuitParseError(line_no, str(exc)) from None
         steps.append(ClassicallyControlled(gate, cond) if cond else gate)
 
     if max_qubit < 0 and num_qubits is None:

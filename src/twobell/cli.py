@@ -23,14 +23,13 @@ from .channels import DurationConfig, build_noise_model, load_calibration
 from .circuit import from_text, sample_counts, to_text
 from .protocols import (
     GeneralizedBellTypeState,
-    TwoQubitState,
     cluster_channel_teleport,
     compress_ghz_class,
     experiment_circuit,
     multi_output_teleport,
     teleport_two_qubit_general,
 )
-from .qstate import plus_state, tensor, to_density
+from .qstate import StateVector, plus_state, tensor, to_density
 from .tomography import (
     fidelity,
     fidelity_stats,
@@ -170,6 +169,7 @@ def _state_doc(state) -> list:
 
 
 def _branch_docs(branches, ideal_output):
+    ideal = to_density(ideal_output)
     docs = []
     for b in branches:
         docs.append(
@@ -180,9 +180,7 @@ def _branch_docs(branches, ideal_output):
                     {"receiver": r, "pauli": p, "qubit": q} for r, p, q in b.corrections
                 ],
                 "output_amplitudes": _state_doc(b.output),
-                "fidelity_vs_ideal": round(
-                    pure_fidelity(b.output, to_density(ideal_output)), 12
-                ),
+                "fidelity_vs_ideal": round(pure_fidelity(b.output, ideal), 12),
             }
         )
     return docs
@@ -195,9 +193,8 @@ def cmd_run(config: ExperimentConfig) -> dict:
     if config.scheme == "general_two_qubit":
         coeffs = config.coefficients or [[1, 0], [0, 0], [0, 0], [0, 0]]
         coeffs = _normalized([_complex(c) for c in coeffs], "coefficients")
-        state = TwoQubitState(*coeffs)
-        branches, report = teleport_two_qubit_general(state)
-        ideal = state.to_statevector()
+        ideal = StateVector(2, np.array(coeffs, dtype=complex))
+        branches, report = teleport_two_qubit_general(ideal)
     else:
         chi_a = _bell_type_state(config.input_a, config.m, "input_a")
         chi_b = _bell_type_state(config.input_b, config.m + 1, "input_b")

@@ -2,6 +2,10 @@
 baseline, the generalized-Bell-type compression step, and resource
 accounting.
 
+Inputs are ``GeneralizedBellTypeState`` values, or a 2-qubit
+``StateVector`` for the general two-qubit scheme.  ``ResourceReport``
+derives its Bell-pair and channel-qubit counts from n unknown coefficients.
+
 Correction convention: a Bell measurement (CNOT then H, reading bits
 (b1, b2)) maps outcomes to receiver Paulis 00 -> I, 01 -> X, 10 -> Z,
 11 -> Z.X (X applied first); ``Circuit.feed_forward`` emits them.
@@ -57,26 +61,6 @@ class GeneralizedBellTypeState:
 
 
 @dataclass(frozen=True)
-class TwoQubitState:
-    """General two-qubit input alpha|00> + beta|01> + gamma|10> + delta|11>."""
-
-    alpha: complex
-    beta: complex
-    gamma: complex
-    delta: complex
-
-    def __post_init__(self):
-        s = sum(abs(c) ** 2 for c in (self.alpha, self.beta, self.gamma, self.delta))
-        if abs(s - 1.0) > NORM_ATOL:
-            raise ValueError("coefficients must be normalized")
-
-    def to_statevector(self) -> StateVector:
-        return StateVector(
-            2, np.array([self.alpha, self.beta, self.gamma, self.delta], dtype=complex)
-        )
-
-
-@dataclass(frozen=True)
 class TeleportBranch:
     outcome_bits: str
     corrections: tuple  # of (receiver, pauli, qubit)
@@ -86,40 +70,27 @@ class TeleportBranch:
 
 @dataclass(frozen=True)
 class ResourceReport:
-    bell_pairs: int
-    channel_qubits: int
+    """ceil(log2 n) Bell pairs for n unknown coefficients, two qubits each."""
+
     unknown_coefficients: int
 
     def __post_init__(self):
-        expected = count_bell_pairs(self.unknown_coefficients)
-        if self.bell_pairs != expected:
-            raise ValueError(
-                f"bell_pairs={self.bell_pairs}, expected ceil(log2("
-                f"{self.unknown_coefficients})) = {expected}"
-            )
-        if self.channel_qubits != 2 * self.bell_pairs:
-            raise ValueError("channel_qubits must be 2 * bell_pairs")
+        if self.unknown_coefficients < 1:
+            raise ValueError("need at least one coefficient")
+
+    @property
+    def bell_pairs(self) -> int:
+        return ceil(log2(self.unknown_coefficients))
+
+    @property
+    def channel_qubits(self) -> int:
+        return 2 * self.bell_pairs
 
 
-def count_bell_pairs(unknown_coefficients: int) -> int:
-    if unknown_coefficients < 1:
-        raise ValueError("need at least one coefficient")
-    return ceil(log2(unknown_coefficients))
-
-
-def count_bell_resources(unknown_coefficients: int) -> ResourceReport:
-    """Bell pairs needed for a state with the given number of unknown
-    coefficients: ceil(log2 m)."""
-    pairs = count_bell_pairs(unknown_coefficients)
-    return ResourceReport(pairs, 2 * pairs, unknown_coefficients)
+count_bell_resources = ResourceReport
 
 
 # -- state constructors ------------------------------------------------------
-
-
-def make_ghz_class(m: int, alpha: complex, beta: complex) -> StateVector:
-    """alpha|0...0> + beta|1...1> on m qubits."""
-    return GeneralizedBellTypeState(m, 0, alpha, beta).to_statevector()
 
 
 def prepare_bell() -> StateVector:
@@ -256,19 +227,21 @@ def multi_output_teleport(
                 )
             )
     branches.sort(key=lambda b: b.outcome_bits)
-    report = ResourceReport(bell_pairs=2, channel_qubits=4, unknown_coefficients=4)
+    report = count_bell_resources(4)
     return branches, report
 
 
-def teleport_two_qubit_general(s: TwoQubitState):
+def teleport_two_qubit_general(psi: StateVector):
     """Teleport a general (possibly entangled) two-qubit state with two
     Bell pairs: one standard teleportation per qubit.
 
     Qubit layout: (0, 1) input pair, (2, 3) and (4, 5) Bell pairs;
     the receiver side holds 3 and 5.
     """
+    if psi.num_qubits != 2:
+        raise ValueError("teleport_two_qubit_general takes a two-qubit state")
     c = Circuit(6)
-    c.custom(prep_unitary(s.to_statevector().amplitudes), [0, 1])
+    c.custom(prep_unitary(psi.amplitudes), [0, 1])
     c.bell_pair(2, 3).bell_pair(4, 5)
     c.bell_measure(0, 2, "b1", "b2")
     c.bell_measure(1, 4, "b3", "b4")
@@ -283,7 +256,7 @@ def teleport_two_qubit_general(s: TwoQubitState):
             e.bits[2:], 2, (1,)
         )
         branches.append(TeleportBranch(e.bits, corrections, e.probability, out))
-    report = ResourceReport(bell_pairs=2, channel_qubits=4, unknown_coefficients=4)
+    report = count_bell_resources(4)
     return branches, report
 
 

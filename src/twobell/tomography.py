@@ -95,21 +95,12 @@ def reconstruct(expectations: dict, num_qubits: int) -> DensityMatrix:
     return DensityMatrix(num_qubits, 0.5 * (rho + rho.conj().T))
 
 
-def rotate_to_setting(psi: StateVector, setting: str) -> StateVector:
+def sample_setting_counts(psi: StateVector, setting: str, shots: int, rng) -> dict:
     """Apply the per-qubit basis rotations so that a computational
-    measurement reads out the requested Pauli setting."""
+    measurement reads out the requested Pauli setting, then draw shots."""
     for q, axis in enumerate(setting):
         psi = apply_unitary(psi, _BASIS_ROTATION[axis], [q])
-    return psi
-
-
-def setting_probabilities(psi: StateVector, setting: str) -> np.ndarray:
-    return np.abs(rotate_to_setting(psi, setting).amplitudes) ** 2
-
-
-def sample_setting_counts(psi: StateVector, setting: str, shots: int, rng) -> dict:
-    probs = setting_probabilities(psi, setting)
-    draws = rng.multinomial(shots, probs)
+    draws = rng.multinomial(shots, np.abs(psi.amplitudes) ** 2)
     n = psi.num_qubits
     return {format(i, f"0{n}b"): int(k) for i, k in enumerate(draws) if k > 0}
 

@@ -18,9 +18,15 @@ from twobell.channels import (
     load_calibration,
     noisy_distribution,
     phase_flip_kraus,
-    run_noisy,
 )
-from twobell.circuit import GATE_ARITY, Circuit, ClassicallyControlled, Gate, run_exact
+from twobell.circuit import (
+    GATE_ARITY,
+    Circuit,
+    ClassicallyControlled,
+    Gate,
+    run_exact,
+    sample_distribution,
+)
 from twobell.cli import packaged_calibration_path
 from twobell.experiments import noisy_experiment
 from twobell.protocols import experiment_circuit
@@ -238,7 +244,8 @@ def test_x_then_readout_closed_form():
 def test_counts_sum_and_trace():
     nm = build_noise_model(table_records())
     c = Circuit(2).h(0).cnot(0, 1).measure(0, "a").measure(1, "b")
-    final_dm, counts = run_noisy(c, nm, 4096, 7)
+    final_dm, dist = noisy_distribution(c, nm)
+    counts = sample_distribution(dist, 4096, 7)
     assert sum(counts.values()) == 4096
     assert np.trace(final_dm.entries).real == pytest.approx(1.0, abs=1e-8)
 
@@ -246,7 +253,8 @@ def test_counts_sum_and_trace():
 def test_run_noisy_seed_deterministic():
     nm = build_noise_model(table_records())
     c = Circuit(1).h(0).measure(0, "c0")
-    assert run_noisy(c, nm, 1000, 5)[1] == run_noisy(c, nm, 1000, 5)[1]
+    counts = [sample_distribution(noisy_distribution(c, nm)[1], 1000, 5) for _ in range(2)]
+    assert counts[0] == counts[1]
 
 
 def test_zero_noise_limit_matches_exact():

@@ -4,6 +4,7 @@ import pytest
 from twobell.circuit import (
     Circuit,
     CircuitParseError,
+    Gate,
     from_text,
     run_exact,
     sample_counts,
@@ -170,6 +171,28 @@ def test_parse_error_reports_line():
     with pytest.raises(CircuitParseError) as exc:
         from_text("H 0\nFOO 1\n")
     assert "line 2" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Gate("CNOT", (1, 1)),
+        lambda: Gate("SWAP", [0, 0]),
+        lambda: Gate("CUSTOM", (2, 2), np.eye(4)),
+        lambda: Circuit(2).cnot(1, 1),
+        lambda: Circuit(2).c_if("SWAP", (0, 0), "c"),
+    ],
+    ids=["cnot", "swap", "custom", "circuit_cnot", "controlled"],
+)
+def test_gate_rejects_duplicate_targets(make):
+    with pytest.raises(ValueError, match="duplicate target qubits"):
+        make()
+
+
+def test_parse_duplicate_targets_reports_line():
+    with pytest.raises(CircuitParseError, match=r"^line 3: duplicate target qubits") as exc:
+        from_text("qubits 3\nH 0\nCNOT 2 2 if c\n")
+    assert exc.value.line_no == 3
 
 
 def test_parse_comments_and_header():

@@ -7,12 +7,25 @@ from pathlib import Path
 import pytest
 
 import twobell
-from twobell import experiments
+from twobell import cli, experiments
 from twobell.cli import main, packaged_calibration_path, packaged_fidelities_path
 
 PAPER_REFERENCE = (
     Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "paper_noisy_seed0.json"
 )
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# Document name -> the command line that prints it.  Each document was
+# written with ``python -m twobell <argv> --out tests/golden/<name>.json``.
+GOLDEN_RUNS = {
+    "run_two_bell_m2": ["run", "--config", GOLDEN / "two_bell_m2.config.json",
+                        "--shots", "1024", "--seed", "3"],
+    "run_cluster5": ["run", "--config", GOLDEN / "cluster5.config.json"],
+    "run_general_two_qubit": ["run", "--config", GOLDEN / "general_two_qubit.config.json"],
+    "compare": ["compare", "--config", GOLDEN / "compare.config.json"],
+    "tomography_sampled": ["tomography", "--shots", "1024", "--seed", "5"],
+    "tomography_exact": ["tomography", "--exact"],
+}
 
 
 def run_cli(args, tmp_path, name="doc.json"):
@@ -92,6 +105,27 @@ def test_run_worker_count_does_not_change_output(tmp_path):
 def test_paper_run_matches_reference_document(capsys):
     assert main(["run", "--calibration", "builtin", "--reps", "10", "--seed", "0"]) == 0
     assert capsys.readouterr().out == PAPER_REFERENCE.read_text()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_exact_run_matches_golden_document(name, capsys):
+    assert main([str(arg) for arg in GOLDEN_RUNS[name]]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
+
+
+def test_run_builds_the_ideal_density_once(tmp_path, monkeypatch):
+    calls = []
+    real = cli.to_density
+
+    def counting(psi):
+        calls.append(psi.num_qubits)
+        return real(psi)
+
+    monkeypatch.setattr(cli, "to_density", counting)
+    code, out = run_cli(["run", "--scheme", "two_bell"], tmp_path)
+    assert code == 0
+    assert len(load(out)["branches"]) == 16
+    assert calls == [3]
 
 
 def test_noisy_run_makes_one_noisy_pass(tmp_path, monkeypatch):
@@ -207,6 +241,15 @@ def test_route_graph_with_non_integer_node_names_its_line(tmp_path, capsys):
     graph.write_text("0 1\n1 x\n")
     assert main(["route", str(circ), "--graph", str(graph)]) == 1
     assert capsys.readouterr().err == "error: line 2: expected integer, got 'x'\n"
+
+
+def test_route_duplicate_target_names_its_line(tmp_path, capsys):
+    circ = tmp_path / "circ.txt"
+    circ.write_text("qubits 3\nH 0\nCNOT 1 1\n")
+    assert main(["route", str(circ)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: line 3: duplicate target qubits: [1, 1]\n"
+    assert "routing bug" not in err
 
 
 def test_python_m_twobell_matches_cli_main(tmp_path, capsys):

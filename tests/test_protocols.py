@@ -5,12 +5,10 @@ from twobell.circuit import Circuit, run_exact
 from twobell.protocols import (
     GeneralizedBellTypeState,
     ResourceReport,
-    TwoQubitState,
     cluster_channel_teleport,
     compress_ghz_class,
     count_bell_resources,
     expand_ghz_class,
-    make_ghz_class,
     multi_output_teleport,
     prepare_bell,
     prepare_cluster5,
@@ -47,15 +45,17 @@ def random_bell_type(n, rng):
 
 
 def test_make_ghz_class_plus():
-    assert np.allclose(make_ghz_class(1, SQ2, SQ2).amplitudes, [SQ2, SQ2])
+    got = GeneralizedBellTypeState(1, 0, SQ2, SQ2).to_statevector().amplitudes
+    assert np.allclose(got, [SQ2, SQ2])
 
 
 def test_make_ghz_class_00():
-    assert np.allclose(make_ghz_class(2, 1, 0).amplitudes, [1, 0, 0, 0])
+    got = GeneralizedBellTypeState(2, 0, 1, 0).to_statevector().amplitudes
+    assert np.allclose(got, [1, 0, 0, 0])
 
 
 def test_make_ghz_class_3_qubits():
-    got = make_ghz_class(3, 0.6, 0.8).amplitudes
+    got = GeneralizedBellTypeState(3, 0, 0.6, 0.8).to_statevector().amplitudes
     expected = np.zeros(8)
     expected[0], expected[7] = 0.6, 0.8
     assert np.allclose(got, expected)
@@ -63,9 +63,9 @@ def test_make_ghz_class_3_qubits():
 
 def test_make_ghz_class_rejects_bad_input():
     with pytest.raises(ValueError):
-        make_ghz_class(0, 1, 0)
+        GeneralizedBellTypeState(0, 0, 1, 0)
     with pytest.raises(ValueError):
-        make_ghz_class(1, 1, 1)
+        GeneralizedBellTypeState(1, 0, 1, 1)
 
 
 def test_cluster5_support_and_norm():
@@ -200,7 +200,7 @@ def test_multi_output_plus_case():
     branches, report = multi_output_teleport(chi_a, chi_b)
     ideal = tensor(chi_a.to_statevector(), chi_b.to_statevector())
     assert_all_branches_match(branches, ideal, count=16, prob=1 / 16)
-    assert report == ResourceReport(2, 4, 4)
+    assert report == count_bell_resources(4)
 
 
 def test_multi_output_basis_case():
@@ -265,14 +265,14 @@ def test_cluster_teleport_rejects_wrong_m():
 
 
 def test_two_qubit_general_bell_input():
-    s = TwoQubitState(SQ2, 0, 0, SQ2)
+    s = StateVector(2, [SQ2, 0, 0, SQ2])
     branches, report = teleport_two_qubit_general(s)
-    assert_all_branches_match(branches, s.to_statevector(), count=16, prob=1 / 16)
+    assert_all_branches_match(branches, s, count=16, prob=1 / 16)
     assert report.bell_pairs == 2
 
 
 def test_two_qubit_general_basis():
-    branches, _ = teleport_two_qubit_general(TwoQubitState(1, 0, 0, 0))
+    branches, _ = teleport_two_qubit_general(StateVector(2, [1, 0, 0, 0]))
     assert_all_branches_match(branches, StateVector(2, [1, 0, 0, 0]))
 
 
@@ -280,9 +280,9 @@ def test_two_qubit_general_random():
     rng = np.random.default_rng(8)
     v = rng.normal(size=4) + 1j * rng.normal(size=4)
     v /= np.linalg.norm(v)
-    s = TwoQubitState(*v)
+    s = StateVector(2, v)
     branches, _ = teleport_two_qubit_general(s)
-    assert_all_branches_match(branches, s.to_statevector(), count=16)
+    assert_all_branches_match(branches, s, count=16)
 
 
 def test_count_bell_resources():
@@ -294,7 +294,15 @@ def test_count_bell_resources():
 
 
 def test_resource_report_invariants():
+    # Both counts derive from n, so no report can disagree with it.
+    for n, pairs in [(1, 0), (2, 1), (3, 2), (4, 2), (5, 3), (8, 3), (9, 4), (1024, 10)]:
+        report = ResourceReport(n)
+        assert (report.bell_pairs, report.channel_qubits) == (pairs, 2 * pairs)
     with pytest.raises(ValueError):
-        ResourceReport(bell_pairs=3, channel_qubits=6, unknown_coefficients=4)
-    with pytest.raises(ValueError):
-        ResourceReport(bell_pairs=2, channel_qubits=5, unknown_coefficients=4)
+        ResourceReport(0)
+
+
+def test_two_qubit_general_rejects_other_widths():
+    for n in (1, 3):
+        with pytest.raises(ValueError, match="two-qubit"):
+            teleport_two_qubit_general(StateVector(n, [1] + [0] * (2 ** n - 1)))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twobell import transpile
+from twobell.channels import ideal_noise_model, noisy_distribution
 from twobell.circuit import Circuit, ClassicallyControlled, Gate, Measure, run_exact
 from twobell.protocols import experiment_circuit
 from twobell.transpile import (
@@ -329,3 +330,52 @@ def test_route_logs_the_search(caplog):
         "route: 3 layouts enumerated, 1 routed (0 cut short), chose cnot_count=4 depth=5",
         "route: 210 layouts enumerated, 106 routed (92 cut short), chose cnot_count=6 depth=4",
     ]
+
+
+# -- the noise engine on routed circuits against the exact engine -------------
+
+
+ROUTED_AGREEMENT_GRAPHS = {
+    "casablanca": casablanca_topology(),
+    "ring7": CouplingGraph(7, frozenset(frozenset((i, (i + 1) % 7)) for i in range(7))),
+}
+
+
+@st.composite
+def measured_circuits(draw):
+    """Up to 5 logical qubits, mostly 5 so that layouts reach the far
+    qubits of the graph: one- and two-qubit gates on any qubits,
+    mid-circuit measurements, gates controlled on either bit value, and a
+    final measurement."""
+    n = draw(st.sampled_from([1, 2, 3, 4, 5, 5, 5, 5]))
+    kinds = ["H", "X", "Z", "S"] + (["CNOT", "CNOT", "SWAP"] if n > 1 else [])
+
+    def gate():
+        kind = draw(st.sampled_from(kinds))
+        arity = 2 if kind in ("CNOT", "SWAP") else 1
+        return Gate(kind, tuple(draw(st.permutations(range(n)))[:arity]))
+
+    c = Circuit(n).h(draw(st.integers(0, n - 1)))
+    bits = []
+    for step in draw(st.lists(st.sampled_from(["gate", "gate", "measure", "control"]), max_size=10)):
+        if step == "measure":
+            bits.append(draw(st.sampled_from(["m0", "m1"])))
+            c.measure(draw(st.integers(0, n - 1)), bits[-1])
+        elif step == "control" and bits:
+            c.add(ClassicallyControlled(gate(), draw(st.sampled_from(bits)), draw(st.integers(0, 1))))
+        else:
+            c.add(gate())
+    return c.measure(draw(st.integers(0, n - 1)), "out")
+
+
+@pytest.mark.parametrize("graph", sorted(ROUTED_AGREEMENT_GRAPHS))
+@settings(max_examples=40)
+@given(c=measured_circuits())
+def test_noiseless_routed_run_matches_exact_logical_run(graph, c):
+    """Routing keeps the classical bit names, so the noiseless noise engine
+    on the routed circuit gives the exact engine's distribution key by key."""
+    _, routed, _ = route(c, ROUTED_AGREEMENT_GRAPHS[graph])
+    exact = run_exact(c).probabilities()
+    _, dist = noisy_distribution(routed, ideal_noise_model(7))
+    for outcome in set(exact) | set(dist):
+        assert dist.get(outcome, 0.0) == pytest.approx(exact.get(outcome, 0.0), abs=1e-9)
