@@ -47,8 +47,10 @@ class CalibrationRecord:
     cnot_errors: dict  # neighbor qubit -> error
 
     def __post_init__(self):
-        if self.t1_us <= 0 or self.t2_us <= 0:
-            raise ValueError("T1 and T2 must be positive")
+        if not (self.t1_us > 0 and self.t2_us > 0):  # also rejects NaN
+            raise ValueError(
+                f"qubit {self.qubit}: T1 and T2 must be positive, got {self.t1_us}, {self.t2_us}"
+            )
         if self.t2_us > 2 * self.t1_us + 1e-6:
             raise ValueError("T2 must not exceed 2*T1")
         for p in [self.readout_error, self.pauli_x_error, *self.cnot_errors.values()]:
@@ -267,7 +269,7 @@ def noisy_distribution(c: Circuit, nm: NoiseModel, initial_rho: np.ndarray | Non
 
     The circuit runs through ``circuit.walk`` with one density matrix per
     branch: every gate adds its noise channel and idles the other qubits, a
-    control that does not fire idles every qubit for the gate's window,
+    gate whose control does not fire idles every qubit for its window,
     and each kept measurement outcome idles every qubit for the readout.
     """
     n = c.num_qubits
@@ -320,10 +322,8 @@ def noisy_distribution(c: Circuit, nm: NoiseModel, initial_rho: np.ndarray | Non
         settle=lambda sub, w: idle_all(sub / w, dur.readout_ns),
     )
     names = c.classical_bits()
-    measured_qubit = {}  # bit name -> the qubit its last measurement reads
-    for step in c.steps:
-        if isinstance(step, Measure):
-            measured_qubit.update(zip(step.bits, step.qubits))
+    # Bit name -> the qubit its last measurement reads.
+    measured_qubit = {s.bit: s.qubit for s in c.steps if isinstance(s, Measure)}
     dist = {}
     for bits, p, _ in branches:
         # Convolve each recorded bit with its qubit's confusion matrix.

@@ -20,6 +20,10 @@ Gate names: H X Y Z S CNOT SWAP.  ``M q -> name`` measures one qubit
 into a named classical bit.  ``<gate> <targets> if <bit>`` applies the
 gate when the named bit reads 1.  CUSTOM gates and controls on any
 other bit value have no text form.
+
+A circuit is a list of two kinds of step: a ``Gate``, which may carry a
+classical control (apply only when ``bit`` reads ``value``), and a
+``Measure`` of one qubit into one named bit.
 """
 
 from __future__ import annotations
@@ -38,6 +42,8 @@ class Gate:
     kind: str
     targets: tuple
     matrix: np.ndarray | None = None  # CUSTOM only
+    bit: str | None = None  # classical control; None applies unconditionally
+    value: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "targets", tuple(self.targets))
@@ -61,28 +67,20 @@ class Gate:
     def unitary(self) -> np.ndarray:
         return self.matrix if self.kind == "CUSTOM" else GATE_MATRICES[self.kind]
 
+    def fires(self, bits: dict) -> bool:
+        """Whether the gate applies on a branch with these bit values."""
+        return self.bit is None or bits.get(self.bit) == self.value
+
 
 @dataclass(frozen=True)
 class Measure:
-    qubits: tuple
-    bits: tuple  # classical bit names, one per qubit
-
-    def __post_init__(self):
-        object.__setattr__(self, "qubits", tuple(self.qubits))
-        object.__setattr__(self, "bits", tuple(self.bits))
-        if len(self.qubits) != len(self.bits):
-            raise ValueError("one classical bit per measured qubit")
-
-
-@dataclass(frozen=True)
-class ClassicallyControlled:
-    gate: Gate
-    bit: str
-    value: int = 1
+    qubit: int
+    bit: str  # classical bit name
 
 
 class Circuit:
-    """Ordered list of gates, measurements, and classically controlled gates."""
+    """Ordered list of gates, each with an optional classical control, and
+    one-qubit measurements."""
 
     def __init__(self, num_qubits: int, steps=()):
         if num_qubits < 1:
@@ -100,10 +98,8 @@ class Circuit:
     def add(self, step):
         if isinstance(step, Gate):
             qubits = step.targets
-        elif isinstance(step, ClassicallyControlled) and isinstance(step.gate, Gate):
-            qubits = step.gate.targets
         elif isinstance(step, Measure):
-            qubits = step.qubits
+            qubits = (step.qubit,)
         else:
             raise TypeError(f"not a circuit step: {step!r}")
         for q in qubits:
@@ -128,10 +124,10 @@ class Circuit:
         return self.add(Gate("CUSTOM", tuple(targets), np.asarray(matrix)))
 
     def measure(self, qubit, bit):
-        return self.add(Measure((qubit,), (bit,)))
+        return self.add(Measure(qubit, bit))
 
     def c_if(self, kind, targets, bit, value=1):
-        return self.add(ClassicallyControlled(Gate(kind, tuple(targets)), bit, value))
+        return self.add(Gate(kind, tuple(targets), bit=bit, value=value))
 
     def bell_measure(self, q1, q2, bit1, bit2):
         """CNOT(q1->q2), H(q1), then measure q1 -> bit1 and q2 -> bit2.
@@ -161,24 +157,15 @@ class Circuit:
     # -- bookkeeping -------------------------------------------------------
     def classical_bits(self) -> list:
         """Bit names in first-write order."""
-        order = []
-        for step in self.steps:
-            if isinstance(step, Measure):
-                for b in step.bits:
-                    if b not in order:
-                        order.append(b)
-        return order
+        return list(dict.fromkeys(s.bit for s in self.steps if isinstance(s, Measure)))
 
     def validate(self):
         written = set()
         for step in self.steps:
             if isinstance(step, Measure):
-                written.update(step.bits)
-            elif isinstance(step, ClassicallyControlled):
-                if step.bit not in written:
-                    raise ValueError(
-                        f"classical bit {step.bit!r} read before it is written"
-                    )
+                written.add(step.bit)
+            elif step.bit is not None and step.bit not in written:
+                raise ValueError(f"classical bit {step.bit!r} read before it is written")
 
 
 @dataclass(frozen=True)
@@ -210,7 +197,7 @@ def walk(c: Circuit, state, apply, skip, project, settle) -> list:
     both engines.
 
     The caller supplies the physics: ``apply(state, gate)`` and
-    ``skip(state, gate)`` (a classical control that does not fire) return
+    ``skip(state, gate)`` (a gate whose control does not fire) return
     the next state; ``project(state, qubit, outcome)`` returns the weight
     of one outcome and its unnormalized post state, which
     ``settle(post, weight)`` normalizes if the weight exceeds ``PRUNE``.
@@ -221,21 +208,18 @@ def walk(c: Circuit, state, apply, skip, project, settle) -> list:
     branches = [({}, 1.0, state)]
     for step in c.steps:
         if isinstance(step, Measure):
-            for qubit, bit in zip(step.qubits, step.bits):
-                forked = []
-                for bits, p, s in branches:
-                    for outcome in (0, 1):
-                        w, post = project(s, qubit, outcome)
-                        if w > PRUNE:
-                            forked.append(({**bits, bit: outcome}, p * w, settle(post, w)))
-                branches = forked
-        elif isinstance(step, ClassicallyControlled):
+            forked = []
+            for bits, p, s in branches:
+                for outcome in (0, 1):
+                    w, post = project(s, step.qubit, outcome)
+                    if w > PRUNE:
+                        forked.append(({**bits, step.bit: outcome}, p * w, settle(post, w)))
+            branches = forked
+        else:
             branches = [
-                (bits, p, (apply if bits.get(step.bit) == step.value else skip)(s, step.gate))
+                (bits, p, (apply if step.fires(bits) else skip)(s, step))
                 for bits, p, s in branches
             ]
-        else:
-            branches = [(bits, p, apply(s, step)) for bits, p, s in branches]
     return branches
 
 
@@ -306,13 +290,12 @@ def to_text(c: Circuit) -> str:
     lines = [f"qubits {c.num_qubits}"]
     for step in c.steps:
         if isinstance(step, Measure):
-            lines.extend(f"M {q} -> {b}" for q, b in zip(step.qubits, step.bits))
+            lines.append(f"M {step.qubit} -> {step.bit}")
             continue
-        g = step.gate if isinstance(step, ClassicallyControlled) else step
-        if g.kind == "CUSTOM":
+        if step.kind == "CUSTOM":
             raise ValueError("CUSTOM gates have no text form")
-        line = f"{g.kind} {' '.join(map(str, g.targets))}"
-        if isinstance(step, ClassicallyControlled):
+        line = f"{step.kind} {' '.join(map(str, step.targets))}"
+        if step.bit is not None:
             if step.value != 1:
                 raise ValueError(f"controls on bit value {step.value} have no text form")
             line += f" if {step.bit}"
@@ -349,7 +332,7 @@ def from_text(text: str) -> Circuit:
                 raise CircuitParseError(line_no, "usage: M <qubit> -> <bit>")
             q = parse_int(toks[1], line_no)
             max_qubit = max(max_qubit, q)
-            steps.append(Measure((q,), (toks[3],)))
+            steps.append(Measure(q, toks[3]))
             continue
         if head not in GATE_ARITY:
             raise CircuitParseError(line_no, f"unknown gate {toks[0]!r}")
@@ -369,16 +352,13 @@ def from_text(text: str) -> Circuit:
         targets = tuple(parse_int(t, line_no) for t in body)
         max_qubit = max(max_qubit, *targets)
         try:
-            gate = Gate(head, targets)
+            steps.append(Gate(head, targets, bit=cond))
         except ValueError as exc:
             raise CircuitParseError(line_no, str(exc)) from None
-        steps.append(ClassicallyControlled(gate, cond) if cond else gate)
 
     if max_qubit < 0 and num_qubits is None:
         raise CircuitParseError(1, "empty circuit and no qubits header")
     n = num_qubits if num_qubits is not None else max_qubit + 1
-    c = Circuit(n)
-    for step in steps:
-        c.add(step)
+    c = Circuit(n, steps)
     c.validate()
     return c

@@ -30,12 +30,7 @@ from .protocols import (
     teleport_two_qubit_general,
 )
 from .qstate import StateVector, plus_state, tensor, to_density
-from .tomography import (
-    fidelity,
-    fidelity_stats,
-    pure_fidelity,
-    tomography_from_state,
-)
+from .tomography import fidelity, fidelity_stats, overlap, tomography_from_state
 from .transpile import casablanca_topology, load_coupling_graph, route
 
 SCHEMA_VERSION = 1
@@ -168,8 +163,7 @@ def _state_doc(state) -> list:
     return [[float(a.real), float(a.imag)] for a in state.amplitudes]
 
 
-def _branch_docs(branches, ideal_output):
-    ideal = to_density(ideal_output)
+def _branch_docs(branches, ideal):
     docs = []
     for b in branches:
         docs.append(
@@ -180,7 +174,7 @@ def _branch_docs(branches, ideal_output):
                     {"receiver": r, "pauli": p, "qubit": q} for r, p, q in b.corrections
                 ],
                 "output_amplitudes": _state_doc(b.output),
-                "fidelity_vs_ideal": round(pure_fidelity(b.output, ideal), 12),
+                "fidelity_vs_ideal": round(overlap(b.output, ideal), 12),
             }
         )
     return docs
@@ -238,7 +232,7 @@ def cmd_run(config: ExperimentConfig) -> dict:
         if nm is not None:
             # The noisy run simulates the routed |+>,|+> experiment only.
             for label, q in (("input_a", qa), ("input_b", qb)):
-                if abs(np.vdot(plus_state().amplitudes, q.amplitudes)) ** 2 < 1 - 1e-9:
+                if overlap(plus_state(), q) < 1 - 1e-9:
                     raise ValueError(f"{label} does not compress to |+>, the noisy run's input")
             exp = experiments.noisy_experiment(nm)
             fid_det = exp.deterministic_fidelity()
@@ -290,10 +284,17 @@ def cmd_tomography(config: ExperimentConfig, exact: bool = False) -> dict:
 def cmd_stats(values_path) -> dict:
     values = []
     with open(values_path) as fh:
-        for raw in fh:
+        for line_no, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
-            if line:
-                values.append(float(line))
+            if not line:
+                continue
+            try:
+                value = float(line)
+                if not np.isfinite(value):
+                    raise ValueError
+            except ValueError:
+                raise ValueError(f"line {line_no}: expected a finite number, got {line!r}") from None
+            values.append(value)
     if len(values) < 2:
         raise ValueError("need >= 2 values")
     stats = fidelity_stats(values)
@@ -335,7 +336,7 @@ def cmd_compare(config: ExperimentConfig) -> dict:
     worst = 1.0
     for b in two_bell:
         other = by_bits[b.outcome_bits]
-        worst = min(worst, pure_fidelity(b.output, to_density(other.output)))
+        worst = min(worst, overlap(b.output, other.output))
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "compare",

@@ -62,6 +62,13 @@ def pure_fidelity(psi: StateVector, rho: DensityMatrix) -> float:
     return float(np.real(np.vdot(v, rho.entries @ v)))
 
 
+def overlap(a: StateVector, b: StateVector) -> float:
+    """|<a|b>|^2, the fidelity of two pure states."""
+    if a.dim != b.dim:
+        raise ValueError("dimension mismatch")
+    return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
+
+
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     w = np.linalg.eigvalsh(a.entries - b.entries)
     return float(0.5 * np.sum(np.abs(w)))

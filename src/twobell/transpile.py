@@ -29,7 +29,7 @@ import logging
 from dataclasses import dataclass, field
 from itertools import permutations
 
-from .circuit import Circuit, ClassicallyControlled, Gate, Measure, parse_int
+from .circuit import Circuit, Gate, Measure, parse_int
 
 log = logging.getLogger(__name__)
 
@@ -142,21 +142,19 @@ def cost(routed: Circuit, graph: CouplingGraph | None = None) -> CostReport:
             level[q] = lvl
 
     for step in routed.steps:
-        gate = step.gate if isinstance(step, ClassicallyControlled) else step
-        if isinstance(gate, Measure):
-            for q in gate.qubits:
-                bump([q])
+        if isinstance(step, Measure):
+            bump([step.qubit])
             continue
-        if len(gate.targets) == 2:
-            if graph is not None and not graph.has_edge(*gate.targets):
+        if len(step.targets) == 2:
+            if graph is not None and not graph.has_edge(*step.targets):
                 raise ValueError(
-                    f"two-qubit gate on non-edge {gate.targets}: routing bug"
+                    f"two-qubit gate on non-edge {step.targets}: routing bug"
                 )
-            if gate.kind == "SWAP":
+            if step.kind == "SWAP":
                 swaps += 1
             else:
                 cnots += 1
-        bump(gate.targets)
+        bump(step.targets)
     return CostReport(cnots + 3 * swaps, swaps, max(level.values(), default=0))
 
 
@@ -170,40 +168,27 @@ def _route_with_layout(c: Circuit, g: CouplingGraph, initial: dict, dist: dict,
     swaps = 0
     adj = g.adjacency()
     routed = Circuit(g.num_physical)
-
-    def emit(step, gate):
-        phys = tuple(l2p[q] for q in gate.targets)
-        new_gate = Gate(gate.kind, phys, gate.matrix)
-        if isinstance(step, ClassicallyControlled):
-            routed.add(ClassicallyControlled(new_gate, step.bit, step.value))
-        else:
-            routed.add(new_gate)
-
     p2l = {p: l for l, p in l2p.items()}
     for step in c.steps:
         if isinstance(step, Measure):
-            routed.add(Measure(tuple(l2p[q] for q in step.qubits), step.bits))
+            routed.add(Measure(l2p[step.qubit], step.bit))
             continue
-        gate = step.gate if isinstance(step, ClassicallyControlled) else step
-        if len(gate.targets) == 2:
-            a, b = gate.targets
+        if len(step.targets) == 2:
+            a, b = step.targets
             while dist[l2p[b]][l2p[a]] > 1:
                 swaps += 1
                 if swaps > max_swaps:
                     return None
                 pa, pb = l2p[a], l2p[b]
-                nxt = min(
-                    (n for n in adj[pa]),
-                    key=lambda n: (dist[pb][n], n),
-                )
+                nxt = min(adj[pa], key=lambda n: (dist[pb][n], n))
                 routed.gate("SWAP", pa, nxt)
-                la, ln = p2l.get(pa), p2l.get(nxt)
+                la, ln = p2l.pop(pa, None), p2l.pop(nxt, None)
                 if la is not None:
-                    l2p[la] = nxt
+                    l2p[la], p2l[nxt] = nxt, la
                 if ln is not None:
-                    l2p[ln] = pa
-                p2l = {p: l for l, p in l2p.items()}
-        emit(step, gate)
+                    l2p[ln], p2l[pa] = pa, ln
+        phys = tuple(l2p[q] for q in step.targets)
+        routed.add(Gate(step.kind, phys, step.matrix, step.bit, step.value))
     return routed
 
 
@@ -224,11 +209,7 @@ def route(c: Circuit, g: CouplingGraph):
             f"{n_log} logical qubits exceed {g.num_physical} physical qubits"
         )
     dist = g.distances()
-    pairs = []
-    for step in c.steps:
-        gate = step.gate if isinstance(step, ClassicallyControlled) else step
-        if isinstance(gate, Gate) and len(gate.targets) == 2:
-            pairs.append(gate.targets)
+    pairs = [s.targets for s in c.steps if isinstance(s, Gate) and len(s.targets) == 2]
     floor = cost(c).cnot_count
     candidates, enumerated = [], 0
     for phys in permutations(range(g.num_physical), n_log):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,6 @@ from twobell.channels import (
 from twobell.circuit import (
     GATE_ARITY,
     Circuit,
-    ClassicallyControlled,
     Gate,
     run_exact,
     sample_distribution,
@@ -312,7 +313,7 @@ def test_controlled_gate_takes_its_window_whether_or_not_it_fires(kind):
         final, _ = noisy_distribution(c, nm)
         return partial_trace(final, {2}).entries
 
-    skipped = spectator(ClassicallyControlled(Gate(kind, targets), "c", 1))
+    skipped = spectator(replace(Gate(kind, targets), bit="c", value=1))
     fired = spectator(Gate(kind, targets))
     assert np.max(np.abs(skipped - fired)) < 1e-12
 
@@ -333,7 +334,7 @@ def branching_circuits(draw):
     def control(bit, value=None):
         if value is None:
             value = draw(st.integers(0, 1))
-        return ClassicallyControlled(gate(), bit, value)
+        return replace(gate(), bit=bit, value=value)
 
     c = Circuit(n).h(draw(qubit)).measure(draw(qubit), "a")
     written = ["a"]

@@ -25,6 +25,9 @@ GOLDEN_RUNS = {
     "compare": ["compare", "--config", GOLDEN / "compare.config.json"],
     "tomography_sampled": ["tomography", "--shots", "1024", "--seed", "5"],
     "tomography_exact": ["tomography", "--exact"],
+    "route_default": ["route", GOLDEN / "route_default.circuit.txt"],
+    "route_ring": ["route", GOLDEN / "route_ring.circuit.txt",
+                   "--graph", GOLDEN / "ring6.graph.txt"],
 }
 
 
@@ -113,7 +116,8 @@ def test_exact_run_matches_golden_document(name, capsys):
     assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
 
 
-def test_run_builds_the_ideal_density_once(tmp_path, monkeypatch):
+def test_run_builds_no_density_matrix(tmp_path, monkeypatch):
+    """Branch fidelities against a pure ideal are overlaps |<ideal|out>|^2."""
     calls = []
     real = cli.to_density
 
@@ -125,7 +129,7 @@ def test_run_builds_the_ideal_density_once(tmp_path, monkeypatch):
     code, out = run_cli(["run", "--scheme", "two_bell"], tmp_path)
     assert code == 0
     assert len(load(out)["branches"]) == 16
-    assert calls == [3]
+    assert calls == []
 
 
 def test_noisy_run_makes_one_noisy_pass(tmp_path, monkeypatch):
@@ -213,6 +217,16 @@ def test_stats_single_value_errors(tmp_path, capsys):
     assert "2 values" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "80.1.2"])
+def test_stats_rejects_values_that_are_not_finite_numbers(tmp_path, capsys, text):
+    p = tmp_path / "values.txt"
+    p.write_text(f"80.0  # first\n\n{text}\n78.0\n")
+    assert main(["stats", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: line 3: expected a finite number, got '{text}'\n"
+    assert captured.out == ""
+
+
 def test_route_command(tmp_path):
     circ = tmp_path / "circ.txt"
     circ.write_text("qubits 3\nH 0\nCNOT 0 1\nCNOT 1 2\nM 2 -> c0\n")
@@ -282,6 +296,20 @@ def test_compare_rejects_calibration(capsys):
     assert main(["compare", "--calibration", "builtin"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "calibration" in err
+
+
+@pytest.mark.parametrize("column", [1, 2], ids=["t1_us", "t2_us"])
+def test_nan_coherence_time_in_calibration_rejected(tmp_path, capsys, column):
+    rows = packaged_calibration_path().read_text().splitlines()
+    fields = rows[1].split(",")
+    fields[column] = "nan"
+    rows[1] = ",".join(fields)
+    csv_path = tmp_path / "cal.csv"
+    csv_path.write_text("\n".join(rows) + "\n")
+    assert main(["run", "--calibration", str(csv_path), "--reps", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: qubit 0: T1 and T2 must be positive")
+    assert captured.out == ""
 
 
 def test_bad_calibration_path_exits_nonzero(tmp_path, capsys):

@@ -15,6 +15,7 @@ from twobell.tomography import (
     expectations_from_settings,
     fidelity,
     fidelity_stats,
+    overlap,
     pauli_labels,
     pure_fidelity,
     reconstruct,
@@ -92,6 +93,16 @@ def test_pure_fidelity_matches_general_formula():
             psi = random_state(n, rng)
             rho = random_dm(n, rng)
             assert abs(pure_fidelity(psi, rho) - fidelity(to_density(psi), rho)) < 1e-8
+
+
+def test_overlap_is_pure_fidelity_of_two_pure_states():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3):
+        for _ in range(10):
+            a, b = random_state(n, rng), random_state(n, rng)
+            assert overlap(a, b) == pytest.approx(pure_fidelity(a, to_density(b)), abs=1e-12)
+    with pytest.raises(ValueError):
+        overlap(plus_state(), tensor(plus_state(), plus_state()))
 
 
 # -- reconstruction -------------------------------------------------------------

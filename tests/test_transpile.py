@@ -1,5 +1,6 @@
 import heapq
 import logging
+from dataclasses import replace
 from itertools import permutations
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from twobell import transpile
 from twobell.channels import ideal_noise_model, noisy_distribution
-from twobell.circuit import Circuit, ClassicallyControlled, Gate, Measure, run_exact
+from twobell.circuit import Circuit, Gate, Measure, run_exact
 from twobell.protocols import experiment_circuit
 from twobell.transpile import (
     CostReport,
@@ -279,10 +280,10 @@ def routing_cases(draw, g):
     for kind in draw(st.lists(st.sampled_from(kinds), max_size=10)):
         if kind == "measure":
             bits.append(f"c{draw(st.integers(0, 2))}")  # a bit may be measured twice
-            steps.append(Measure((draw(st.integers(0, n - 1)),), (bits[-1],)))
+            steps.append(Measure(draw(st.integers(0, n - 1)), bits[-1]))
         elif kind.startswith("c") and bits:
             value = draw(st.integers(0, 1))
-            steps.append(ClassicallyControlled(gate(kind == "c2q"), draw(st.sampled_from(bits)), value))
+            steps.append(replace(gate(kind == "c2q"), bit=draw(st.sampled_from(bits)), value=value))
         else:
             steps.append(gate(kind in ("2q", "c2q")))
     if not embeds:
@@ -362,7 +363,7 @@ def measured_circuits(draw):
             bits.append(draw(st.sampled_from(["m0", "m1"])))
             c.measure(draw(st.integers(0, n - 1)), bits[-1])
         elif step == "control" and bits:
-            c.add(ClassicallyControlled(gate(), draw(st.sampled_from(bits)), draw(st.integers(0, 1))))
+            c.add(replace(gate(), bit=draw(st.sampled_from(bits)), value=draw(st.integers(0, 1))))
         else:
             c.add(gate())
     return c.measure(draw(st.integers(0, n - 1)), "out")
