@@ -20,6 +20,11 @@ Model summary, per gate on a calibrated device:
 Idle qubits decohere for the duration of each step (one gate per step).
 Gate durations are not part of the calibration table; the defaults
 below are typical for this device family and are overridable.
+
+Light cone: circuit qubit i takes the noise of calibrated qubit
+``qubits[i]``, so a circuit can run on only the qubits that can change
+its output; idles are local, trace-preserving and fix |0><0|, so
+dropping the others is exact.
 """
 
 from __future__ import annotations
@@ -31,7 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import Circuit, Gate, Measure, sample_distribution, walk
-from .qstate import PAULI, DensityMatrix, apply_superop, pauli_labels, pauli_operator, superop
+from .qstate import (GATE_MATRICES, PAULI, DensityMatrix, apply_superop, pauli_labels,
+                     pauli_operator, superop)
 
 CSV_HEADER = ["qubit", "t1_us", "t2_us", "freq_ghz", "readout_err", "x_err", "cnot_errs"]
 
@@ -259,23 +265,30 @@ def build_noise_model(records, durations: DurationConfig | None = None) -> Noise
 
 # -- density-matrix execution -------------------------------------------------
 
-# Superoperators P (x) P of the projectors onto |0> and |1>.
+# Superoperators P (x) P of the projectors onto |0> and |1>, U (x) conj(U) of the fixed gates.
 _PROJECTORS = (superop([np.diag([1.0, 0.0])]), superop([np.diag([0.0, 1.0])]))
+_GATE_SUPEROPS = {kind: superop([u]) for kind, u in GATE_MATRICES.items()}
 
 
-def noisy_distribution(c: Circuit, nm: NoiseModel, initial_rho: np.ndarray | None = None):
+def noisy_distribution(c: Circuit, nm: NoiseModel, initial_rho: np.ndarray | None = None,
+                       qubits=None):
     """Exact outcome distribution over classical bits after readout
-    confusion, plus the pre-readout final density matrix.
+    confusion, plus the pre-readout final density matrix of all n qubits.
 
     The circuit runs through ``circuit.walk`` with one density matrix per
     branch: every gate adds its noise channel and idles the other qubits, a
     gate whose control does not fire idles every qubit for its window,
     and each kept measurement outcome idles every qubit for the readout.
+    Circuit qubit i takes the T1, T2, gate errors and readout confusion
+    of calibrated qubit ``qubits[i]`` (default: of qubit i).
     """
     n = c.num_qubits
     if n > 7:
         raise ValueError("noisy simulation is limited to 7 qubits")
-    missing = set(range(n)) - nm.qubits()
+    cal = tuple(range(n) if qubits is None else qubits)
+    if len(cal) != n or len(set(cal)) != n:
+        raise ValueError(f"qubits must map each of the {n} circuit qubits to its own qubit")
+    missing = set(cal) - nm.qubits()
     if missing:
         raise CalibrationError(f"no calibration for qubit(s) {sorted(missing)}")
     dur = nm.durations
@@ -283,7 +296,7 @@ def noisy_distribution(c: Circuit, nm: NoiseModel, initial_rho: np.ndarray | Non
     def idle_all(rho, duration, busy=()):
         for q in range(n):
             if q not in busy:
-                rho = apply_superop(rho, nm.channel("idle_kraus", q, duration), [q], n)
+                rho = apply_superop(rho, nm.channel("idle_kraus", cal[q], duration), [q], n)
         return rho
 
     # A SWAP decomposes to 3 CNOTs on hardware: triple duration and error.
@@ -297,9 +310,10 @@ def noisy_distribution(c: Circuit, nm: NoiseModel, initial_rho: np.ndarray | Non
 
     def apply_gate(rho, gate: Gate):
         targets = list(gate.targets)
-        rho = apply_superop(rho, superop([gate.unitary()]), targets, n)
+        u = superop([gate.matrix]) if gate.kind == "CUSTOM" else _GATE_SUPEROPS[gate.kind]
+        rho = apply_superop(rho, u, targets, n)
         build = "single_gate_kraus" if len(targets) == 1 else "cnot_gate_kraus"
-        noise = nm.channel(build, *targets)
+        noise = nm.channel(build, *(cal[q] for q in targets))
         for _ in range(repeats(gate)):
             rho = apply_superop(rho, noise, targets, n)
         return idle_all(rho, window(gate), busy=targets)
@@ -330,7 +344,7 @@ def noisy_distribution(c: Circuit, nm: NoiseModel, initial_rho: np.ndarray | Non
         recorded = [("", p)]
         for name in names:
             true_bit = bits[name]
-            conf = nm.confusion[measured_qubit[name]]
+            conf = nm.confusion[cal[measured_qubit[name]]]
             recorded = [
                 (rec + str(r), q * conf[r, true_bit])
                 for rec, q in recorded

@@ -312,9 +312,10 @@ def parse_int(tok: str, line_no: int) -> int:
 
 
 def from_text(text: str) -> Circuit:
-    steps = []
+    steps = []  # (line number, step)
     num_qubits = None
     max_qubit = -1
+    written = set()
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -332,7 +333,8 @@ def from_text(text: str) -> Circuit:
                 raise CircuitParseError(line_no, "usage: M <qubit> -> <bit>")
             q = parse_int(toks[1], line_no)
             max_qubit = max(max_qubit, q)
-            steps.append(Measure(q, toks[3]))
+            steps.append((line_no, Measure(q, toks[3])))
+            written.add(toks[3])
             continue
         if head not in GATE_ARITY:
             raise CircuitParseError(line_no, f"unknown gate {toks[0]!r}")
@@ -352,13 +354,19 @@ def from_text(text: str) -> Circuit:
         targets = tuple(parse_int(t, line_no) for t in body)
         max_qubit = max(max_qubit, *targets)
         try:
-            steps.append(Gate(head, targets, bit=cond))
+            steps.append((line_no, Gate(head, targets, bit=cond)))
         except ValueError as exc:
             raise CircuitParseError(line_no, str(exc)) from None
+        if cond is not None and cond not in written:
+            raise CircuitParseError(line_no, f"classical bit {cond!r} read before it is written")
 
     if max_qubit < 0 and num_qubits is None:
         raise CircuitParseError(1, "empty circuit and no qubits header")
-    n = num_qubits if num_qubits is not None else max_qubit + 1
-    c = Circuit(n, steps)
-    c.validate()
+    # The header may follow the steps, so qubit range is checked here.
+    c = Circuit(num_qubits if num_qubits is not None else max_qubit + 1)
+    for line_no, step in steps:
+        try:
+            c.add(step)
+        except ValueError as exc:
+            raise CircuitParseError(line_no, str(exc)) from None
     return c

@@ -12,20 +12,19 @@ with derived seeds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 
 import numpy as np
 
 from .channels import NoiseModel, noisy_distribution
-from .circuit import Circuit, sample_distribution
+from .circuit import Circuit, Gate, sample_distribution
 from .protocols import (
     EXPERIMENT_OUTPUT_BITS,
     EXPERIMENT_RECEIVER_QUBITS,
     experiment_circuit,
 )
 from .qstate import (
-    GATE_MATRICES,
     DensityMatrix,
     StateVector,
     partial_trace,
@@ -73,25 +72,37 @@ def ideal_output_state() -> StateVector:
     return tensor(plus_state(), plus_state())
 
 
-def _tail_circuit(num_qubits, receivers, rotations: str):
-    c = Circuit(num_qubits)
-    for q, axis in zip(receivers, rotations):
+def _tail_circuit(rotations: str):
+    """Rotate the two receivers (qubits 0, 1) into a setting and read them."""
+    c = Circuit(2)
+    for q, axis in enumerate(rotations):
         if axis != "Z":
             c.custom(_BASIS_ROTATION[axis], [q])
-    for q, bit in zip(receivers, EXPERIMENT_OUTPUT_BITS):
+    for q, bit in enumerate(EXPERIMENT_OUTPUT_BITS):
         c.measure(q, bit)
     return c
+
+
+def _light_cone(c: Circuit, receivers):
+    """``c`` on only the qubits it touches, renumbered with the receivers
+    as 0 and 1, and the tuple of its old qubit for each new one."""
+    touched = {q for s in c.steps for q in (s.targets if isinstance(s, Gate) else [s.qubit])}
+    active = (*receivers, *sorted(touched - set(receivers)))
+    new = {q: i for i, q in enumerate(active)}
+    steps = [replace(s, targets=[new[q] for q in s.targets]) if isinstance(s, Gate)
+             else replace(s, qubit=new[s.qubit]) for s in c.steps]
+    return Circuit(len(active), steps), active
 
 
 @dataclass(frozen=True)
 class NoisyExperiment:
     """One noisy run of the routed experiment.
 
-    ``state`` is the exact density matrix after the teleportation
-    corrections (classical control ends there, so the measurement
-    branches are merged); ``setting_dists`` maps each tomography setting
-    ("XX" .. "ZZ") to the exact distribution over the two receiver bits,
-    readout confusion included.
+    ``state`` is the exact density matrix of the two ``receivers`` after
+    the teleportation corrections (classical control ends there, so the
+    measurement branches are merged); ``setting_dists`` maps each
+    tomography setting ("XX" .. "ZZ") to the exact distribution over the
+    two receiver bits, readout confusion included.
     """
 
     state: DensityMatrix
@@ -104,13 +115,8 @@ class NoisyExperiment:
 
     def deterministic_fidelity(self) -> float:
         """Shot-free reference: fidelity of the receiver qubits' exact
-        noisy marginal against the ideal output."""
-        marginal = partial_trace(self.state, set(self.receivers))
-        # partial_trace keeps ascending order; receiver 1 may map above receiver 2.
-        if self.receivers[0] > self.receivers[1]:
-            swap = GATE_MATRICES["SWAP"]
-            marginal = DensityMatrix(2, swap @ marginal.entries @ swap)
-        return pure_fidelity(ideal_output_state(), marginal)
+        noisy state against the ideal output."""
+        return pure_fidelity(ideal_output_state(), self.state)
 
     def tomography(self, shots: int, seed: int):
         """Hardware-style tomography of the receiver qubits: all nine
@@ -133,11 +139,17 @@ class NoisyExperiment:
 
 def noisy_experiment(nm: NoiseModel) -> NoisyExperiment:
     """Run the routed experiment through the noise engine once, then the
-    nine tomography tails from its post-correction state."""
+    nine tomography tails from its post-correction state.  Only the light
+    cone runs: the routed circuit on the qubits it touches (an untouched
+    qubit stays in |0>), receivers first, and the tails on the receivers'
+    marginal, which the other qubits' local idles cannot change.
+    """
     _, routed, receivers, _ = routed_experiment()
-    state, _ = noisy_distribution(routed, nm)
-    setting_dists = {}
-    for s in settings(2):
-        tail = _tail_circuit(state.num_qubits, receivers, s)
-        _, setting_dists[s] = noisy_distribution(tail, nm, initial_rho=state.entries)
+    compact, active = _light_cone(routed, receivers)
+    full, _ = noisy_distribution(compact, nm, qubits=active)
+    state = partial_trace(full, {0, 1})
+    setting_dists = {
+        s: noisy_distribution(_tail_circuit(s), nm, state.entries, qubits=receivers)[1]
+        for s in settings(2)
+    }
     return NoisyExperiment(state, receivers, setting_dists)

@@ -512,6 +512,115 @@ def test_noisy_experiment_builds_each_channel_once(monkeypatch):
 
         monkeypatch.setattr(NoiseModel, name, counted)
     experiments.noisy_experiment(nm)
-    assert len(builds) == len(set(builds)) == 31
+    # Qubit 6 is outside the light cone, so none of its idles is built.
+    assert len(builds) == len(set(builds)) == 28
     experiments.noisy_experiment(nm)
-    assert len(builds) == 31
+    assert len(builds) == 28
+
+
+# -- light cone -----------------------------------------------------------------
+
+
+def all_pairs_model():
+    """The packaged calibration with a distinct CNOT error on every pair,
+    so a CNOT on the wrong calibrated pair changes the result."""
+    base = build_noise_model(table_records())
+    pairs = {
+        frozenset((a, b)): 0.01 + 0.001 * a + 0.0001 * b for a in range(7) for b in range(a + 1, 7)
+    }
+    return replace(base, cnot_depol=pairs)
+
+
+@st.composite
+def embedded_circuits(draw):
+    """A branching circuit on k <= 4 qubits and the calibrated positions
+    (distinct, in any order) its qubits sit at in the 7-qubit register."""
+    k = draw(st.integers(1, 4))
+    positions = tuple(draw(st.permutations(range(7)))[:k])
+    qubit = st.integers(0, k - 1)
+    kinds = sorted(kind for kind, arity in GATE_ARITY.items() if arity <= k)
+    c = Circuit(k).h(draw(qubit)).measure(draw(qubit), "a")
+    for _ in range(draw(st.integers(1, 6))):
+        step = draw(st.sampled_from(["gate", "measure", "control"]))
+        if step == "measure":
+            c.measure(draw(qubit), draw(st.sampled_from(["a", "b"])))
+            continue
+        kind = draw(st.sampled_from(kinds))
+        targets = tuple(draw(st.permutations(range(k)))[: GATE_ARITY[kind]])
+        bit = "a" if step == "control" else None
+        c.add(Gate(kind, targets, bit=bit, value=draw(st.integers(0, 1))))
+    return c.measure(draw(qubit), "b"), positions
+
+
+def embed(c, positions):
+    """``c`` on the 7-qubit register, its qubit i at ``positions[i]``."""
+    def place(step):
+        if isinstance(step, Gate):
+            return replace(step, targets=[positions[q] for q in step.targets])
+        return replace(step, qubit=positions[step.qubit])
+
+    return Circuit(7, [place(step) for step in c.steps])
+
+
+def in_ascending_order(rho, positions):
+    """``rho`` over qubits at ``positions`` with its qubits permuted into
+    ascending position order, the order ``partial_trace`` keeps."""
+    k = len(positions)
+    order = sorted(range(k), key=lambda i: positions[i])
+    return rho.reshape([2] * (2 * k)).transpose(order + [k + i for i in order]).reshape(2 ** k, -1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(embedded_circuits())
+def test_compact_run_with_qubit_map_matches_full_width_run(case):
+    c, positions = case
+    nm = all_pairs_model()
+    compact, compact_dist = noisy_distribution(c, nm, qubits=positions)
+    full, full_dist = noisy_distribution(embed(c, positions), nm)
+    assert set(compact_dist) == set(full_dist)
+    for outcome, p in full_dist.items():
+        assert compact_dist[outcome] == pytest.approx(p, abs=1e-12)
+    marginal = partial_trace(full, set(positions)).entries
+    assert np.max(np.abs(in_ascending_order(compact.entries, positions) - marginal)) < 1e-12
+
+
+def test_noisy_experiment_matches_full_width_run():
+    """The routed circuit and the nine tails on all 7 qubits give the
+    experiment's receiver state and setting distributions."""
+    nm = build_noise_model(table_records())
+    exp = noisy_experiment(nm)
+    _, routed, receivers, _ = experiments.routed_experiment()
+    full, _ = noisy_distribution(routed, nm)
+    marginal = partial_trace(full, set(receivers)).entries
+    assert np.max(np.abs(in_ascending_order(exp.state.entries, receivers) - marginal)) < 1e-12
+    for setting, dist in exp.setting_dists.items():
+        tail = embed(experiments._tail_circuit(setting), receivers)
+        _, ref = noisy_distribution(tail, nm, initial_rho=full.entries)
+        assert set(dist) == set(ref)
+        for outcome, p in ref.items():
+            assert dist[outcome] == pytest.approx(p, abs=1e-12)
+
+
+@pytest.mark.parametrize("q", range(7))
+def test_qubit_map_reads_the_calibrated_qubit(q):
+    nm = build_noise_model(table_records())
+    alone = NoiseModel(
+        {0: nm.t1_ns[q]}, {0: nm.t2_ns[q]}, {0: nm.x_depol[q]}, {}, {0: nm.confusion[q]}
+    )
+    # H leaves a coherence that T1, T2 and the gate error shrink; the
+    # readout of X adds the confusion.
+    for c in (Circuit(1).h(0), Circuit(1).x(0).measure(0, "c")):
+        mapped, mapped_dist = noisy_distribution(c, nm, qubits=(q,))
+        ref, ref_dist = noisy_distribution(c, alone)
+        assert np.max(np.abs(mapped.entries - ref.entries)) < 1e-15
+        assert mapped_dist == pytest.approx(ref_dist, abs=1e-15)
+
+
+def test_qubit_map_must_name_one_distinct_qubit_each():
+    nm = build_noise_model(table_records())
+    c = Circuit(2).cnot(0, 1)
+    for qubits in [(1,), (1, 1), (1, 2, 3)]:
+        with pytest.raises(ValueError, match="qubits must map"):
+            noisy_distribution(c, nm, qubits=qubits)
+    with pytest.raises(CalibrationError, match="no calibration"):
+        noisy_distribution(c, nm, qubits=(1, 9))

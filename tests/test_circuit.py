@@ -195,6 +195,23 @@ def test_parse_duplicate_targets_reports_line():
     assert exc.value.line_no == 3
 
 
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("qubits 2\nM 0 -> c\nX 5 if c\n", 3, "qubit 5 out of range"),
+        ("H 0\nM 3 -> c\nqubits 2\n", 2, "qubit 3 out of range"),
+        ("qubits 2\nCNOT 0 1 if c\n", 2, "classical bit 'c' read before it is written"),
+        ("qubits 2\nH 0 if c\nM 0 -> c\n", 2, "classical bit 'c' read before it is written"),
+    ],
+    ids=["range", "range_before_header", "unwritten", "written_later"],
+)
+def test_parse_range_and_unwritten_bit_errors_report_their_line(text, line, message):
+    with pytest.raises(CircuitParseError) as exc:
+        from_text(text)
+    assert str(exc.value) == f"line {line}: {message}"
+    assert exc.value.line_no == line
+
+
 def test_parse_comments_and_header():
     c = from_text("# teleport demo\nqubits 4\nH 0\n")
     assert c.num_qubits == 4

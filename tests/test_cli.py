@@ -28,6 +28,11 @@ GOLDEN_RUNS = {
     "route_default": ["route", GOLDEN / "route_default.circuit.txt"],
     "route_ring": ["route", GOLDEN / "route_ring.circuit.txt",
                    "--graph", GOLDEN / "ring6.graph.txt"],
+    # The noisy path, written by the engine that ran the routed circuit
+    # and the tomography tails on all 7 qubits: the light cone must not
+    # move them.
+    "run_noisy_seed7": ["run", "--calibration", "builtin", "--reps", "10", "--seed", "7"],
+    "tomography_noisy_seed3": ["tomography", "--calibration", "builtin", "--seed", "3"],
 }
 
 
