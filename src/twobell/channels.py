@@ -2,9 +2,9 @@
 and density-matrix execution of circuits (``noisy_distribution``, which
 runs the branch walker ``circuit.walk`` on density matrices).
 
-The ``*_kraus`` constructors define each channel; ``NoiseModel.channel``
-folds it once per model into a cached superoperator, and every gate,
-channel and measurement projector acts on rho as one ``apply_superop``.
+The ``NoiseModel.*_kraus`` constructors build each channel's superoperator
+as the product S(second) @ S(first) of its stages'; ``NoiseModel.channel``
+caches them, and every gate, channel and projector is one ``apply_superop``.
 
 Model summary, per gate on a calibrated device:
 
@@ -17,7 +17,9 @@ Model summary, per gate on a calibrated device:
 * symmetric per-qubit readout confusion with flip probability equal to
   the reported readout assignment error.
 
-Idle qubits decohere for the duration of each step (one gate per step).
+Idle qubits decay through every step they sit out.  Idle channels are local
+and idle(s) then idle(t) = idle(s + t), so each qubit owes its idle time and
+pays it as one channel before its next gate or measurement, or at the end.
 Gate durations are not part of the calibration table; the defaults
 below are typical for this device family and are overridable.
 
@@ -179,11 +181,6 @@ def depolarizing_strength(gate_error: float, num_qubits: int) -> float:
     return min(1.0, gate_error * (d + 1) / d)
 
 
-def compose_kraus(first: list, second: list) -> list:
-    """Kraus set of (second after first)."""
-    return [b @ a for a in first for b in second]
-
-
 @dataclass(frozen=True)
 class NoiseModel:
     """Immutable per-qubit noise parameters compiled from calibration."""
@@ -201,37 +198,33 @@ class NoiseModel:
         return set(self.t1_ns)
 
     def channel(self, build: str, *args) -> np.ndarray:
-        """Superoperator of ``self.<build>(*args)``, ``build`` naming one of
-        the ``*_kraus`` constructors; built once per model, then cached."""
+        """Superoperator ``self.<build>(*args)``, ``build`` naming one of the
+        ``*_kraus`` constructors; built once per model, then cached."""
         key = (build, *args)
         if key not in self._superops:
-            self._superops[key] = superop(getattr(self, build)(*args))
+            self._superops[key] = getattr(self, build)(*args)
         return self._superops[key]
 
-    def idle_kraus(self, qubit: int, duration_ns: float) -> list:
+    def idle_kraus(self, qubit: int, duration_ns: float) -> np.ndarray:
         """Amplitude damping then dephasing over the given duration."""
-        if duration_ns <= 0:
-            return [PAULI["I"].copy()]
-        t1 = self.t1_ns[qubit]
-        t2 = self.t2_ns[qubit]
+        t1, t2 = self.t1_ns[qubit], self.t2_ns[qubit]
         p_amp = 1.0 - np.exp(-duration_ns / t1)
         rate_phi = max(0.0, 1.0 / t2 - 1.0 / (2.0 * t1))
         p_flip = 0.5 * (1.0 - np.exp(-rate_phi * duration_ns))
-        return compose_kraus(amplitude_damping_kraus(p_amp), phase_flip_kraus(p_flip))
+        return superop(phase_flip_kraus(p_flip)) @ superop(amplitude_damping_kraus(p_amp))
 
-    def single_gate_kraus(self, qubit: int) -> list:
+    def single_gate_kraus(self, qubit: int) -> np.ndarray:
         decay = self.idle_kraus(qubit, self.durations.single_qubit_gate_ns)
-        depol = depolarizing_kraus(self.x_depol[qubit], 1)
-        return compose_kraus(decay, depol)
+        return superop(depolarizing_kraus(self.x_depol[qubit], 1)) @ decay
 
-    def cnot_gate_kraus(self, a: int, b: int) -> list:
+    def cnot_gate_kraus(self, a: int, b: int) -> np.ndarray:
         key = frozenset((a, b))
         if key not in self.cnot_depol:
             raise CalibrationError(f"no CNOT calibration for qubits {a}, {b}")
-        decay_a = self.idle_kraus(a, self.durations.cnot_ns)
-        decay_b = self.idle_kraus(b, self.durations.cnot_ns)
-        decay = [np.kron(ka, kb) for ka in decay_a for kb in decay_b]
-        return compose_kraus(decay, depolarizing_kraus(self.cnot_depol[key], 2))
+        sa, sb = (self.idle_kraus(q, self.durations.cnot_ns).reshape([2] * 4) for q in (a, b))
+        # Row-major vec of a two-qubit rho is indexed (row a, row b, col a, col b).
+        decay = np.einsum("ijkl,mnop->imjnkolp", sa, sb).reshape(16, 16)
+        return superop(depolarizing_kraus(self.cnot_depol[key], 2)) @ decay
 
 
 def ideal_noise_model(num_qubits: int, durations: DurationConfig | None = None) -> NoiseModel:
@@ -279,6 +272,8 @@ def noisy_distribution(c: Circuit, nm: NoiseModel, initial_rho: np.ndarray | Non
     branch: every gate adds its noise channel and idles the other qubits, a
     gate whose control does not fire idles every qubit for its window,
     and each kept measurement outcome idles every qubit for the readout.
+    An idle only adds to the time a qubit owes, which it pays as one idle
+    channel just before its next gate or projection, or at the end.
     Circuit qubit i takes the T1, T2, gate errors and readout confusion
     of calibrated qubit ``qubits[i]`` (default: of qubit i).
     """
@@ -293,11 +288,14 @@ def noisy_distribution(c: Circuit, nm: NoiseModel, initial_rho: np.ndarray | Non
         raise CalibrationError(f"no calibration for qubit(s) {sorted(missing)}")
     dur = nm.durations
 
-    def idle_all(rho, duration, busy=()):
-        for q in range(n):
-            if q not in busy:
-                rho = apply_superop(rho, nm.channel("idle_kraus", cal[q], duration), [q], n)
+    def pay(rho, owed, qs):
+        for q in qs:
+            if owed[q]:
+                rho = apply_superop(rho, nm.channel("idle_kraus", cal[q], owed[q]), [q], n)
         return rho
+
+    def idle(owed, duration, paid=()):
+        return tuple(0.0 if q in paid else t + duration for q, t in enumerate(owed))
 
     # A SWAP decomposes to 3 CNOTs on hardware: triple duration and error.
     def repeats(gate: Gate):
@@ -308,19 +306,22 @@ def noisy_distribution(c: Circuit, nm: NoiseModel, initial_rho: np.ndarray | Non
         one = dur.single_qubit_gate_ns if len(gate.targets) == 1 else dur.cnot_ns
         return repeats(gate) * one
 
-    def apply_gate(rho, gate: Gate):
+    def apply_gate(state, gate: Gate):
+        rho, owed = state
         targets = list(gate.targets)
+        rho = pay(rho, owed, targets)
         u = superop([gate.matrix]) if gate.kind == "CUSTOM" else _GATE_SUPEROPS[gate.kind]
         rho = apply_superop(rho, u, targets, n)
         build = "single_gate_kraus" if len(targets) == 1 else "cnot_gate_kraus"
         noise = nm.channel(build, *(cal[q] for q in targets))
         for _ in range(repeats(gate)):
             rho = apply_superop(rho, noise, targets, n)
-        return idle_all(rho, window(gate), busy=targets)
+        return rho, idle(owed, window(gate), paid=targets)
 
-    def project(rho, qubit, outcome):
-        sub = apply_superop(rho, _PROJECTORS[outcome], [qubit], n)
-        return float(np.trace(sub).real), sub
+    def project(state, qubit, outcome):
+        rho, owed = state
+        sub = apply_superop(pay(rho, owed, [qubit]), _PROJECTORS[outcome], [qubit], n)
+        return float(np.trace(sub).real), (sub, idle(owed, 0.0, paid=[qubit]))
 
     if initial_rho is None:
         rho0 = np.zeros((2 ** n, 2 ** n), dtype=complex)
@@ -329,11 +330,11 @@ def noisy_distribution(c: Circuit, nm: NoiseModel, initial_rho: np.ndarray | Non
         rho0 = np.array(initial_rho, dtype=complex)
     branches = walk(
         c,
-        rho0,
+        (rho0, (0.0,) * n),
         apply=apply_gate,
-        skip=lambda rho, gate: idle_all(rho, window(gate)),
+        skip=lambda state, gate: (state[0], idle(state[1], window(gate))),
         project=project,
-        settle=lambda sub, w: idle_all(sub / w, dur.readout_ns),
+        settle=lambda post, w: (post[0] / w, idle(post[1], dur.readout_ns)),
     )
     names = c.classical_bits()
     # Bit name -> the qubit its last measurement reads.
@@ -353,6 +354,9 @@ def noisy_distribution(c: Circuit, nm: NoiseModel, initial_rho: np.ndarray | Non
             ]
         for rec, q in recorded:
             dist[rec] = dist.get(rec, 0.0) + q
-    final = sum(p * rho for _, p, rho in branches)
+    owing = {}  # owed times -> merged rho of the branches that owe them, paid once
+    for _, p, (rho, owed) in branches:
+        owing[owed] = owing.get(owed, 0.0) + p * rho
+    final = sum(pay(rho, owed, range(n)) for owed, rho in owing.items())
     final_dm = DensityMatrix(n, 0.5 * (final + final.conj().T))
     return final_dm, dist

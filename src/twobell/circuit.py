@@ -327,6 +327,8 @@ def from_text(text: str) -> Circuit:
             if len(toks) != 2:
                 raise CircuitParseError(line_no, "usage: qubits N")
             num_qubits = parse_int(toks[1], line_no)
+            if num_qubits < 1:
+                raise CircuitParseError(line_no, "num_qubits must be >= 1")
             continue
         if head == "M":
             if len(toks) != 4 or toks[2] != "->":

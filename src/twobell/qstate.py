@@ -11,6 +11,7 @@ package share this convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 import numpy as np
@@ -177,18 +178,26 @@ def apply_unitary(state: StateVector, u, targets) -> StateVector:
 def superop(kraus) -> np.ndarray:
     """Superoperator S = sum_i K_i (x) conj(K_i) of a Kraus set: S acts on
     the row-major flattening of rho, vec(K rho K^dagger) = (K (x) conj(K)) vec(rho)."""
-    return sum(np.kron(k, np.conj(k)) for k in kraus)
+    k = np.asarray(kraus)
+    return np.einsum("kij,kab->iajb", k, k.conj()).reshape(k.shape[1] ** 2, -1)
+
+
+@cache
+def _superop_axes(targets: tuple, n: int):
+    """rho's tensor axes, the targets' row and column axes first; and the inverse."""
+    order = [*targets, *(n + q for q in targets)]
+    order += [a for a in range(2 * n) if a not in order]
+    return tuple(order), tuple(np.argsort(order))
 
 
 def apply_superop(rho: np.ndarray, s: np.ndarray, targets, num_qubits: int) -> np.ndarray:
     """Apply a k-qubit channel, given by its 4^k x 4^k superoperator, to
     the listed target qubits of a raw 2^n x 2^n rho (no validation): the
     row and column axes of the targets move to the front, then one matmul."""
-    n, k = num_qubits, len(targets)
-    axes = [*targets, *(n + q for q in targets)]
-    t = np.moveaxis(rho.reshape([2] * (2 * n)), axes, range(2 * k))
-    t = (s @ t.reshape(4 ** k, -1)).reshape(t.shape)
-    return np.moveaxis(t, range(2 * k), axes).reshape(2 ** n, 2 ** n)
+    order, inverse = _superop_axes(tuple(targets), num_qubits)
+    t = rho.reshape([2] * (2 * num_qubits)).transpose(order)
+    t = (s @ t.reshape(s.shape[1], -1)).reshape(t.shape)
+    return t.transpose(inverse).reshape(rho.shape)
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:

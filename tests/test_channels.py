@@ -13,7 +13,6 @@ from twobell.channels import (
     NoiseModel,
     amplitude_damping_kraus,
     build_noise_model,
-    compose_kraus,
     depolarizing_kraus,
     depolarizing_strength,
     ideal_noise_model,
@@ -25,13 +24,22 @@ from twobell.circuit import (
     GATE_ARITY,
     Circuit,
     Gate,
+    Measure,
     run_exact,
     sample_distribution,
+    walk,
 )
 from twobell.cli import packaged_calibration_path
 from twobell.experiments import noisy_experiment
 from twobell.protocols import experiment_circuit
-from twobell.qstate import partial_trace, plus_state, superop, tensor, to_density
+from twobell.qstate import (
+    apply_superop,
+    partial_trace,
+    plus_state,
+    superop,
+    tensor,
+    to_density,
+)
 from twobell.tomography import pure_fidelity
 from twobell.transpile import casablanca_topology
 
@@ -40,10 +48,27 @@ def table_records():
     return load_calibration(packaged_calibration_path())
 
 
+def compose_kraus(first, second):
+    """Kraus set of (second after first)."""
+    return [b @ a for a in first for b in second]
+
+
 def assert_trace_preserving(kraus, atol=1e-10):
     d = kraus[0].shape[0]
     total = sum(k.conj().T @ k for k in kraus)
     assert np.max(np.abs(total - np.eye(d))) < atol
+
+
+def assert_channel_trace_preserving(s, atol=1e-10):
+    """Tr S(rho) = Tr rho, for a superoperator on the row-major vec of rho."""
+    d = int(round(np.sqrt(s.shape[0])))
+    blocks = s.reshape(d, d, d, d)  # [i, j, a, b]: rho[a, b] -> out[i, j]
+    assert np.max(np.abs(np.einsum("iiab->ab", blocks) - np.eye(d))) < atol
+
+
+def act(s, rho):
+    """The channel with superoperator ``s`` applied to ``rho``."""
+    return (s @ rho.reshape(-1)).reshape(rho.shape)
 
 
 # -- calibration loading -------------------------------------------------------
@@ -123,11 +148,11 @@ def test_kraus_sets_trace_preserving():
 def test_model_channels_trace_preserving():
     nm = build_noise_model(table_records())
     for q in sorted(nm.qubits()):
-        assert_trace_preserving(nm.idle_kraus(q, 500.0))
-        assert_trace_preserving(nm.single_gate_kraus(q))
+        assert_channel_trace_preserving(nm.idle_kraus(q, 500.0))
+        assert_channel_trace_preserving(nm.single_gate_kraus(q))
     for pair in nm.cnot_depol:
         a, b = sorted(pair)
-        assert_trace_preserving(nm.cnot_gate_kraus(a, b))
+        assert_channel_trace_preserving(nm.cnot_gate_kraus(a, b))
 
 
 def test_confusion_columns_sum_to_one():
@@ -138,20 +163,18 @@ def test_confusion_columns_sum_to_one():
 
 def test_ideal_model_is_identity():
     nm = ideal_noise_model(2)
-    for kraus in (nm.idle_kraus(0, 1000.0), nm.single_gate_kraus(0)):
-        total = sum(k.conj().T @ k for k in kraus)
-        assert np.allclose(total, np.eye(2))
+    for s in (nm.idle_kraus(0, 1000.0), nm.single_gate_kraus(0)):
+        assert_channel_trace_preserving(s)
         rho = np.array([[0.5, 0.5], [0.5, 0.5]])
-        out = sum(k @ rho @ k.conj().T for k in kraus)
+        out = act(s, rho)
         assert np.max(np.abs(out - rho)) < 1e-12
 
 
 def test_idle_half_life_gives_half_damping():
     nm = build_noise_model(table_records())
     t_half = nm.t1_ns[0] * np.log(2)
-    kraus = nm.idle_kraus(0, t_half)
     rho1 = np.array([[0, 0], [0, 1]], dtype=complex)
-    out = sum(k @ rho1 @ k.conj().T for k in kraus)
+    out = act(nm.idle_kraus(0, t_half), rho1)
     assert out[0, 0].real == pytest.approx(0.5, abs=1e-12)
 
 
@@ -169,13 +192,23 @@ def one_qubit_model(t1_ns, t2_ns):
 def test_idle_dephases_plus_state_at_t2(t1_ns, t2_over_t1, t_over_t1):
     t2_ns, t = t2_over_t1 * t1_ns, t_over_t1 * t1_ns
     plus = np.full((2, 2), 0.5, dtype=complex)
-    out = sum(k @ plus @ k.conj().T for k in one_qubit_model(t1_ns, t2_ns).idle_kraus(0, t))
+    out = act(one_qubit_model(t1_ns, t2_ns).idle_kraus(0, t), plus)
     assert abs(out[0, 1]) == pytest.approx(0.5 * np.exp(-t / t2_ns), abs=1e-12)
 
 
-def average_gate_infidelity(kraus):
-    """1 - F_avg with F_avg = (d F_e + 1) / (d + 1), F_e = Tr S / d^2."""
-    s = superop(kraus)
+@given(st.floats(1e2, 1e6), st.floats(0.01, 2.0), st.floats(0.0, 1e4), st.floats(0.0, 1e4))
+def test_idle_channels_compose_in_time(t1_ns, t2_over_t1, s_ns, t_ns):
+    """idle(s) then idle(t) is idle(s + t): the engine pays each qubit's
+    owed idle time as one channel."""
+    nm = one_qubit_model(t1_ns, t2_over_t1 * t1_ns)
+    both = nm.channel("idle_kraus", 0, s_ns + t_ns)
+    steps = nm.channel("idle_kraus", 0, t_ns) @ nm.channel("idle_kraus", 0, s_ns)
+    assert np.max(np.abs(both - steps)) < 1e-12
+
+
+def average_gate_infidelity(s):
+    """1 - F_avg of the channel with superoperator ``s``, with
+    F_avg = (d F_e + 1) / (d + 1), F_e = Tr S / d^2."""
     d = int(round(np.sqrt(s.shape[0])))
     return 1.0 - (d * np.trace(s).real / d ** 2 + 1) / (d + 1)
 
@@ -183,7 +216,7 @@ def average_gate_infidelity(kraus):
 @given(st.floats(0.0, 0.6), st.sampled_from([1, 2]))
 def test_depolarizing_part_has_reported_average_infidelity(err, k):
     kraus = depolarizing_kraus(depolarizing_strength(err, k), k)
-    assert average_gate_infidelity(kraus) == pytest.approx(err, abs=1e-12)
+    assert average_gate_infidelity(superop(kraus)) == pytest.approx(err, abs=1e-12)
 
 
 # Infidelity of the whole gate channel (decay over the gate's duration,
@@ -364,6 +397,66 @@ def test_noiseless_engine_matches_exact_engine(c):
         assert dist.get(outcome, 0.0) == pytest.approx(exact.get(outcome, 0.0), abs=1e-9)
 
 
+def eager_noisy_distribution(c, nm):
+    """Reference engine that idles eagerly: after each gate every other
+    qubit idles for the gate's window, a gate whose control does not fire
+    idles every qubit, and each kept outcome idles every qubit for the
+    readout.  Returns (distribution after readout confusion, final rho)."""
+    n, dur = c.num_qubits, nm.durations
+
+    def idle_all(rho, duration, busy=()):
+        for q in range(n):
+            if q not in busy:
+                rho = apply_superop(rho, nm.channel("idle_kraus", q, duration), [q], n)
+        return rho
+
+    def repeats(gate):
+        return 3 if gate.kind == "SWAP" else 1
+
+    def window(gate):
+        one = dur.single_qubit_gate_ns if len(gate.targets) == 1 else dur.cnot_ns
+        return repeats(gate) * one
+
+    def apply(rho, gate):
+        rho = apply_superop(rho, superop([gate.unitary()]), gate.targets, n)
+        build = "single_gate_kraus" if len(gate.targets) == 1 else "cnot_gate_kraus"
+        for _ in range(repeats(gate)):
+            rho = apply_superop(rho, nm.channel(build, *gate.targets), gate.targets, n)
+        return idle_all(rho, window(gate), busy=gate.targets)
+
+    def project(rho, qubit, outcome):
+        sub = apply_superop(rho, superop([np.diag(np.eye(2)[outcome])]), [qubit], n)
+        return np.trace(sub).real, sub
+
+    rho0 = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    rho0[0, 0] = 1.0
+    branches = walk(c, rho0, apply, lambda rho, gate: idle_all(rho, window(gate)), project,
+                    lambda sub, w: idle_all(sub / w, dur.readout_ns))
+    read_by = {s.bit: s.qubit for s in c.steps if isinstance(s, Measure)}
+    dist = {}
+    for bits, p, _ in branches:
+        recorded = {"": p}
+        for name in c.classical_bits():
+            conf = nm.confusion[read_by[name]]
+            recorded = {rec + str(r): w * conf[r, bits[name]]
+                        for rec, w in recorded.items() for r in (0, 1)}
+        for rec, w in recorded.items():
+            dist[rec] = dist.get(rec, 0.0) + w
+    return dist, sum(p * rho for _, p, rho in branches)
+
+
+@settings(max_examples=40, deadline=None)
+@given(branching_circuits())
+def test_owed_idles_match_eager_idles(c):
+    nm = all_pairs_model()
+    final, dist = noisy_distribution(c, nm)
+    ref_dist, ref_final = eager_noisy_distribution(c, nm)
+    assert set(dist) == set(ref_dist)
+    for outcome, p in ref_dist.items():
+        assert dist[outcome] == pytest.approx(p, abs=1e-12)
+    assert np.max(np.abs(final.entries - ref_final)) < 1e-12
+
+
 def test_final_matrix_stays_psd_random_circuits():
     nm = build_noise_model(table_records())
     edges = sorted(tuple(sorted(e)) for e in casablanca_topology().edges)
@@ -417,6 +510,31 @@ def test_noisy_teleport_fidelity_never_exceeds_ideal():
         assert fid < 1.0  # noise strictly degrades the transfer
 
 
+AXIS_STATES = [
+    np.array(v, dtype=complex) / np.linalg.norm(v)
+    for v in ([1, 0], [0, 1], [1, 1], [1, -1], [1, 1j], [1, -1j])
+]
+
+
+def test_teleport_through_noisy_pair_gives_two_f_plus_one_over_three():
+    """Standard teleportation through a pair of singlet fraction F (its
+    overlap with the Bell state the corrections assume) has average
+    fidelity (2F + 1) / 3; the six axis states form a 2-design."""
+    nm = build_noise_model(table_records())
+    pair, _ = noisy_distribution(Circuit(2).h(0).cnot(0, 1), nm)
+    bell = np.array([1, 0, 0, 1]) / np.sqrt(2)
+    f = (bell.conj() @ pair.entries @ bell).real
+    assert 0.5 < f < 0.99
+    c = Circuit(3).cnot(0, 1).h(0).measure(0, "m1").measure(1, "m2")
+    c.c_if("X", (2,), "m2").c_if("Z", (2,), "m1")
+    fids = []
+    for psi in AXIS_STATES:
+        rho = np.kron(np.outer(psi, psi.conj()), pair.entries)
+        out, _ = noisy_distribution(c, ideal_noise_model(3), initial_rho=rho)
+        fids.append((psi.conj() @ partial_trace(out, {2}).entries @ psi).real)
+    assert np.mean(fids) == pytest.approx((2 * f + 1) / 3, abs=1e-9)
+
+
 # -- cached superoperators ------------------------------------------------------
 
 
@@ -460,6 +578,32 @@ def test_cached_superoperators_are_cptp(nm):
         assert np.min(np.linalg.eigvalsh(choi)) > -1e-10
 
 
+def idle_kraus_set(nm, q, t):
+    """The idle channel as a Kraus set: amplitude damping, then dephasing."""
+    p_amp = 1.0 - np.exp(-t / nm.t1_ns[q])
+    rate_phi = max(0.0, 1.0 / nm.t2_ns[q] - 1.0 / (2.0 * nm.t1_ns[q]))
+    p_flip = 0.5 * (1.0 - np.exp(-rate_phi * t))
+    return compose_kraus(amplitude_damping_kraus(p_amp), phase_flip_kraus(p_flip))
+
+
+@settings(max_examples=20)
+@given(calibrated_models(), st.floats(1.0, 1e4))
+def test_folded_channels_equal_their_kraus_compositions(nm, t):
+    dur = nm.durations
+    for q in sorted(nm.qubits()):
+        kraus = idle_kraus_set(nm, q, t)
+        assert np.max(np.abs(nm.channel("idle_kraus", q, t) - superop(kraus))) < 1e-12
+        kraus = compose_kraus(idle_kraus_set(nm, q, dur.single_qubit_gate_ns),
+                              depolarizing_kraus(nm.x_depol[q], 1))
+        assert np.max(np.abs(nm.channel("single_gate_kraus", q) - superop(kraus))) < 1e-12
+    for pair in nm.cnot_depol:
+        for a, b in (sorted(pair), sorted(pair, reverse=True)):
+            decay = [np.kron(ka, kb) for ka in idle_kraus_set(nm, a, dur.cnot_ns)
+                     for kb in idle_kraus_set(nm, b, dur.cnot_ns)]
+            kraus = compose_kraus(decay, depolarizing_kraus(nm.cnot_depol[pair], 2))
+            assert np.max(np.abs(nm.channel("cnot_gate_kraus", a, b) - superop(kraus))) < 1e-12
+
+
 def assert_valid_rho(rho):
     assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
     assert abs(np.trace(rho).real - 1.0) < 1e-10
@@ -476,10 +620,10 @@ def test_rho_stays_valid_after_every_step_of_routed_paper_circuit(nm):
     def checked_walk(c, state, apply, skip, project, settle):
         def check(step):
             def run(*args):
-                rho = step(*args)
-                assert_valid_rho(rho)
+                state = step(*args)  # (rho, idle time each qubit owes)
+                assert_valid_rho(state[0])
                 checked.append(1)
-                return rho
+                return state
 
             return run
 
@@ -512,10 +656,24 @@ def test_noisy_experiment_builds_each_channel_once(monkeypatch):
 
         monkeypatch.setattr(NoiseModel, name, counted)
     experiments.noisy_experiment(nm)
-    # Qubit 6 is outside the light cone, so none of its idles is built.
-    assert len(builds) == len(set(builds)) == 28
+    # Qubit 6 is outside the light cone, so none of its idles is built;
+    # an idle channel is built for each distinct owed duration.
+    assert len(builds) == len(set(builds)) == 37
     experiments.noisy_experiment(nm)
-    assert len(builds) == 28
+    assert len(builds) == 37
+
+
+def test_noisy_experiment_apply_superop_calls(monkeypatch):
+    calls = []
+    real = channels.apply_superop
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(channels, "apply_superop", counted)
+    experiments.noisy_experiment(build_noise_model(table_records()))
+    assert len(calls) == 384
 
 
 # -- light cone -----------------------------------------------------------------

@@ -202,8 +202,9 @@ def test_parse_duplicate_targets_reports_line():
         ("H 0\nM 3 -> c\nqubits 2\n", 2, "qubit 3 out of range"),
         ("qubits 2\nCNOT 0 1 if c\n", 2, "classical bit 'c' read before it is written"),
         ("qubits 2\nH 0 if c\nM 0 -> c\n", 2, "classical bit 'c' read before it is written"),
+        ("H 0\nqubits 0\n", 2, "num_qubits must be >= 1"),
     ],
-    ids=["range", "range_before_header", "unwritten", "written_later"],
+    ids=["range", "range_before_header", "unwritten", "written_later", "no_qubits"],
 )
 def test_parse_range_and_unwritten_bit_errors_report_their_line(text, line, message):
     with pytest.raises(CircuitParseError) as exc:
