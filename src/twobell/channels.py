@@ -128,7 +128,8 @@ def load_calibration(path) -> list:
         q = int(row["qubit"])
         t1 = float(row["t1_us"])
         t2 = float(row["t2_us"])
-        if t2 > 2 * t1:
+        # A non-positive or NaN T1 is left for CalibrationRecord to reject unclamped.
+        if t1 > 0 and t2 > 2 * t1:
             warnings.warn(f"qubit {q}: T2={t2} > 2*T1={2 * t1}, clamping")
             t2 = 2 * t1
         parsed.append(
@@ -318,10 +319,11 @@ def noisy_distribution(c: Circuit, nm: NoiseModel, initial_rho: np.ndarray | Non
             rho = apply_superop(rho, noise, targets, n)
         return rho, idle(owed, window(gate), paid=targets)
 
-    def project(state, qubit, outcome):
-        rho, owed = state
-        sub = apply_superop(pay(rho, owed, [qubit]), _PROJECTORS[outcome], [qubit], n)
-        return float(np.trace(sub).real), (sub, idle(owed, 0.0, paid=[qubit]))
+    def project(state, qubit):
+        rho, owed = pay(*state, [qubit]), idle(state[1], 0.0, paid=[qubit])
+        for projector in _PROJECTORS:
+            sub = apply_superop(rho, projector, [qubit], n)
+            yield float(np.trace(sub).real), (sub, owed)
 
     if initial_rho is None:
         rho0 = np.zeros((2 ** n, 2 ** n), dtype=complex)

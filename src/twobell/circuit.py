@@ -1,7 +1,8 @@
 """Gate-level circuits with exact branch-enumerating execution.
 
 Measurement never samples here: ``walk``, the one step loop of both
-engines, forks one branch per outcome and carries exact probabilities;
+engines, makes one ``project(state, qubit)`` call per branch and
+measurement, forks one branch per outcome and carries exact probabilities;
 ``run_exact`` runs it on state vectors, so per-branch claims can be
 verified directly.  Shot noise only enters through ``sample_counts``,
 which draws from the exact distribution with a seeded numpy PCG64
@@ -198,9 +199,9 @@ def walk(c: Circuit, state, apply, skip, project, settle) -> list:
 
     The caller supplies the physics: ``apply(state, gate)`` and
     ``skip(state, gate)`` (a gate whose control does not fire) return
-    the next state; ``project(state, qubit, outcome)`` returns the weight
-    of one outcome and its unnormalized post state, which
-    ``settle(post, weight)`` normalizes if the weight exceeds ``PRUNE``.
+    the next state; ``project(state, qubit)`` yields the weight and the
+    unnormalized post state of outcome 0, then of outcome 1, and
+    ``settle(post, weight)`` normalizes those whose weight exceeds ``PRUNE``.
     Returns (bits by name, probability, state) per branch, in fork order:
     each measurement splits every branch into outcome 0, then 1.
     """
@@ -208,13 +209,11 @@ def walk(c: Circuit, state, apply, skip, project, settle) -> list:
     branches = [({}, 1.0, state)]
     for step in c.steps:
         if isinstance(step, Measure):
-            forked = []
-            for bits, p, s in branches:
-                for outcome in (0, 1):
-                    w, post = project(s, step.qubit, outcome)
-                    if w > PRUNE:
-                        forked.append(({**bits, step.bit: outcome}, p * w, settle(post, w)))
-            branches = forked
+            branches = [
+                ({**bits, step.bit: outcome}, p * w, settle(post, w))
+                for bits, p, s in branches
+                for outcome, (w, post) in enumerate(project(s, step.qubit)) if w > PRUNE
+            ]
         else:
             branches = [
                 (bits, p, (apply if step.fires(bits) else skip)(s, step))
@@ -223,12 +222,13 @@ def walk(c: Circuit, state, apply, skip, project, settle) -> list:
     return branches
 
 
-def _project(psi: StateVector, qubit: int, outcome: int):
+def _project(psi: StateVector, qubit: int):
     t = psi.amplitudes.reshape([2] * psi.num_qubits)
-    idx = (slice(None),) * qubit + (outcome,)
-    post = np.zeros_like(t)
-    post[idx] = t[idx]
-    return float(np.sum(np.abs(t[idx]) ** 2)), post
+    for outcome in (0, 1):
+        idx = (slice(None),) * qubit + (outcome,)
+        post = np.zeros_like(t)
+        post[idx] = t[idx]
+        yield float(np.sum(np.abs(t[idx]) ** 2)), post
 
 
 def run_exact(c: Circuit, initial: StateVector | None = None) -> BranchDistribution:

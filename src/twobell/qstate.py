@@ -49,10 +49,13 @@ def pauli_labels(num_qubits: int) -> list:
     return ["".join(t) for t in product("IXYZ", repeat=num_qubits) if set(t) != {"I"}]
 
 
+@cache
 def pauli_operator(label: str) -> np.ndarray:
+    """The Pauli string ``label`` as a read-only matrix, built once per process."""
     m = np.array([[1]], dtype=complex)
     for ch in label:
         m = np.kron(m, PAULI[ch])
+    m.setflags(write=False)
     return m
 
 

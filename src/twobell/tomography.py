@@ -33,6 +33,7 @@ _BASIS_ROTATION = {
     "Y": GATE_MATRICES["H"] @ _SDG,
     "Z": PAULI["I"],
 }
+_TO_Z = str.maketrans("XY", "ZZ")
 
 
 def settings(num_qubits: int) -> list:
@@ -112,33 +113,26 @@ def sample_setting_counts(psi: StateVector, setting: str, shots: int, rng) -> di
     return {format(i, f"0{n}b"): int(k) for i, k in enumerate(draws) if k > 0}
 
 
-def expectation_from_counts(counts: dict, positions) -> float:
-    """Parity-weighted average over the listed bit positions."""
-    total = sum(counts.values())
-    acc = 0.0
-    for bits, k in counts.items():
-        parity = sum(int(bits[p]) for p in positions) % 2
-        acc += (-1) ** parity * k
-    return acc / total
-
-
 def expectations_from_settings(setting_counts: dict, num_qubits: int) -> dict:
-    """All nontrivial Pauli expectations from per-setting counts.
+    """All nontrivial Pauli expectations from {bits: count} per setting,
+    or from exact {bits: probability} (infinite-shot tomography).
 
-    A string with identities is estimated from every compatible setting
-    and averaged.
+    Each setting's estimates are its counts times the labels' parity rows,
+    the diagonals of their Z strings; a string with identities averages
+    the estimates of every compatible setting.
     """
-    out = {}
-    for label in pauli_labels(num_qubits):
-        positions = [i for i, ch in enumerate(label) if ch != "I"]
-        estimates = []
-        for setting, counts in setting_counts.items():
-            if all(setting[p] == label[p] for p in positions):
-                estimates.append(expectation_from_counts(counts, positions))
-        if not estimates:
-            raise ValueError(f"no setting covers Pauli string {label!r}")
-        out[label] = float(np.mean(estimates))
-    return out
+    names, labels = settings(num_qubits), pauli_labels(num_qubits)
+    table = np.zeros((len(names), 2 ** num_qubits))
+    for i, setting in enumerate(names):
+        if setting not in setting_counts:
+            raise ValueError(f"no counts for setting {setting!r}")
+        for bits, k in setting_counts[setting].items():
+            table[i, int(bits, 2)] = k
+    parity = np.array([pauli_operator(l.translate(_TO_Z)).diagonal().real for l in labels])
+    estimates = table @ parity.T / table.sum(axis=1, keepdims=True)
+    label_axes = np.array([list(l) for l in labels])[:, None]
+    compatible = ((label_axes == "I") | (label_axes == np.array([list(s) for s in names]))).all(2)
+    return {l: float(np.mean(estimates[compatible[j], j])) for j, l in enumerate(labels)}
 
 
 def tomography_from_state(

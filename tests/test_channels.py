@@ -30,7 +30,7 @@ from twobell.circuit import (
     walk,
 )
 from twobell.cli import packaged_calibration_path
-from twobell.experiments import noisy_experiment
+from twobell.experiments import ideal_output_state, noisy_experiment
 from twobell.protocols import experiment_circuit
 from twobell.qstate import (
     apply_superop,
@@ -40,7 +40,7 @@ from twobell.qstate import (
     tensor,
     to_density,
 )
-from twobell.tomography import pure_fidelity
+from twobell.tomography import expectations_from_settings, fidelity, pure_fidelity, reconstruct
 from twobell.transpile import casablanca_topology
 
 
@@ -264,6 +264,22 @@ def test_table1_output_nonuniform_but_bounded():
     assert max(probs) - min(probs) > 0.005
 
 
+def test_readout_only_tomography_closed_form():
+    # Symmetric readout flips shrink <XI>, <IX> and <XX> of |++> by (1 - 2e)
+    # per receiver, so infinite-shot tomography has fidelity (1 - e_a)(1 - e_b).
+    base = build_noise_model(table_records())
+    nm = replace(base, t1_ns={q: np.inf for q in base.t1_ns}, t2_ns={q: np.inf for q in base.t2_ns},
+                 x_depol={q: 0.0 for q in base.x_depol},
+                 cnot_depol={pair: 0.0 for pair in base.cnot_depol})
+    run = noisy_experiment(nm)
+    e_a, e_b = (nm.confusion[q][1, 0] for q in run.receivers)
+    assert run.receivers == (2, 4) and (e_a, e_b) == (0.0085, 0.0306)
+    rho = reconstruct(expectations_from_settings(run.setting_dists, 2), 2)
+    f = fidelity(to_density(ideal_output_state()), rho)
+    assert abs(f - (1 - e_a) * (1 - e_b)) < 1e-12
+    assert f == pytest.approx(0.96116, abs=1e-5)
+
+
 def test_x_then_readout_closed_form():
     (q0,) = [r for r in table_records() if r.qubit == 0]
     nm = build_noise_model([q0])
@@ -424,9 +440,10 @@ def eager_noisy_distribution(c, nm):
             rho = apply_superop(rho, nm.channel(build, *gate.targets), gate.targets, n)
         return idle_all(rho, window(gate), busy=gate.targets)
 
-    def project(rho, qubit, outcome):
-        sub = apply_superop(rho, superop([np.diag(np.eye(2)[outcome])]), [qubit], n)
-        return np.trace(sub).real, sub
+    def project(rho, qubit):
+        for outcome in (0, 1):
+            sub = apply_superop(rho, superop([np.diag(np.eye(2)[outcome])]), [qubit], n)
+            yield np.trace(sub).real, sub
 
     rho0 = np.zeros((2 ** n, 2 ** n), dtype=complex)
     rho0[0, 0] = 1.0
@@ -673,7 +690,7 @@ def test_noisy_experiment_apply_superop_calls(monkeypatch):
 
     monkeypatch.setattr(channels, "apply_superop", counted)
     experiments.noisy_experiment(build_noise_model(table_records()))
-    assert len(calls) == 384
+    assert len(calls) == 350
 
 
 # -- light cone -----------------------------------------------------------------

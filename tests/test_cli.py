@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -315,6 +316,20 @@ def test_nan_coherence_time_in_calibration_rejected(tmp_path, capsys, column):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: qubit 0: T1 and T2 must be positive")
     assert captured.out == ""
+
+
+def test_negative_t1_rejected_before_t2_is_clamped(tmp_path, capsys):
+    rows = packaged_calibration_path().read_text().splitlines()
+    fields = rows[1].split(",")
+    fields[1] = "-5"
+    rows[1] = ",".join(fields)
+    csv_path = tmp_path / "cal.csv"
+    csv_path.write_text("\n".join(rows) + "\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", "--calibration", str(csv_path), "--reps", "2"]) == 1
+    assert caught == []
+    assert capsys.readouterr().err.startswith("error: qubit 0: T1 and T2 must be positive, got -5.0,")
 
 
 def test_bad_calibration_path_exits_nonzero(tmp_path, capsys):

@@ -1,15 +1,31 @@
-"""Every name a package module imports is read somewhere in that module.
+"""Every name a package module imports is read somewhere in that module,
+and every function the layer tracer wraps still exists.
 
 No linter ships with the toolchain, so this walks each module's syntax
 tree: an imported name that no ``Name`` node reads is unused.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "twobell"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "twobell"
+
+# Tracer targets whose functions are gone, so their metrics read 0.  This
+# set may only shrink: a rename that silently zeroes a span must fail here.
+KNOWN_DEAD_TARGETS = {
+    ("qstate", "apply_kraus"),
+    ("qstate", "apply_unitary_dm"),
+    ("experiments", "post_correction_state"),
+    ("experiments", "noisy_setting_distributions"),
+    ("experiments", "repeat_noisy_fidelities"),
+    ("experiments", "deterministic_noisy_fidelity"),
+    ("experiments", "noisy_histogram"),
+}
 
 # (module, name) -> why the import stays although the module never reads it.
 ALLOWED_UNUSED = {
@@ -43,3 +59,17 @@ def test_unused_imports_are_found():
 def test_module_reads_every_name_it_imports(path):
     allowed = sorted(name for module, name in ALLOWED_UNUSED if module == path.stem)
     assert unused_imports(path.read_text()) == allowed
+
+
+def test_tracer_targets_resolve():
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    dead = set()
+    for module, attr, _, _ in spans.TARGETS:
+        owner = importlib.import_module(f"twobell.{module}")
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            dead.add((module, attr))
+    assert dead == KNOWN_DEAD_TARGETS

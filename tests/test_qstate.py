@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from twobell.qstate import (
+    PAULI,
     DensityMatrix,
     StateVector,
     apply_superop,
@@ -12,6 +13,7 @@ from twobell.qstate import (
     basis_state,
     hermitian_sqrt,
     partial_trace,
+    pauli_operator,
     plus_state,
     prep_unitary,
     project_qubits,
@@ -48,6 +50,13 @@ def test_bit_ordering_qubit0_is_msb():
     # |01011> on 5 qubits must sit at index 11.
     psi = basis_state(5, 0b01011)
     assert psi.amplitudes[11] == 1.0
+
+
+def test_pauli_operator_is_one_read_only_array():
+    xy = pauli_operator("XY")
+    assert pauli_operator("XY") is xy
+    assert not xy.flags.writeable
+    assert np.array_equal(xy, np.kron(PAULI["X"], PAULI["Y"]))
 
 
 def test_tensor_basis():

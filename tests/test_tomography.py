@@ -11,7 +11,6 @@ from twobell.qstate import (
 )
 from twobell.tomography import (
     exact_expectations,
-    expectation_from_counts,
     expectations_from_settings,
     fidelity,
     fidelity_stats,
@@ -170,10 +169,19 @@ def test_settings_and_labels():
     assert "II" not in pauli_labels(2)
 
 
-def test_expectation_from_counts_parity():
-    assert expectation_from_counts({"00": 3, "11": 1}, [0, 1]) == pytest.approx(1.0)
-    assert expectation_from_counts({"01": 2, "10": 2}, [0, 1]) == pytest.approx(-1.0)
-    assert expectation_from_counts({"01": 1, "11": 1}, [1]) == pytest.approx(-1.0)
+def test_expectations_from_settings_parity():
+    # Every setting reads the same counts, so each label sees them.
+    cases = [({"00": 3, "11": 1}, "ZZ", 1.0), ({"01": 2, "10": 2}, "ZZ", -1.0),
+             ({"01": 1, "11": 1}, "IZ", -1.0)]
+    for counts, label, expected in cases:
+        exps = expectations_from_settings({s: counts for s in settings(2)}, 2)
+        assert exps[label] == pytest.approx(expected)
+
+
+def test_expectations_from_settings_names_missing_setting():
+    counts = {s: {"00": 1} for s in settings(2) if s != "YZ"}
+    with pytest.raises(ValueError, match="'YZ'"):
+        expectations_from_settings(counts, 2)
 
 
 def test_expectations_averaged_over_compatible_settings():
