@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Circuit, Gate, Measure, sample_distribution, walk
+from .circuit import Circuit, Gate, sample_distribution, walk
 from .qstate import (GATE_MATRICES, PAULI, DensityMatrix, apply_superop, pauli_labels,
                      pauli_operator, superop)
 
@@ -338,16 +338,13 @@ def noisy_distribution(c: Circuit, nm: NoiseModel, initial_rho: np.ndarray | Non
         project=project,
         settle=lambda post, w: (post[0] / w, idle(post[1], dur.readout_ns)),
     )
-    names = c.classical_bits()
-    # Bit name -> the qubit its last measurement reads.
-    measured_qubit = {s.bit: s.qubit for s in c.steps if isinstance(s, Measure)}
     dist = {}
     for bits, p, _ in branches:
-        # Convolve each recorded bit with its qubit's confusion matrix.
+        # Convolve each recorded bit with the confusion matrix of the qubit it reads.
         recorded = [("", p)]
-        for name in names:
+        for name, qubit in c.measured.items():
             true_bit = bits[name]
-            conf = nm.confusion[cal[measured_qubit[name]]]
+            conf = nm.confusion[cal[qubit]]
             recorded = [
                 (rec + str(r), q * conf[r, true_bit])
                 for rec, q in recorded

@@ -24,7 +24,11 @@ other bit value have no text form.
 
 A circuit is a list of two kinds of step: a ``Gate``, which may carry a
 classical control (apply only when ``bit`` reads ``value``), and a
-``Measure`` of one qubit into one named bit.
+``Measure`` of one qubit into one named bit.  Both report their qubits as
+``targets`` and move to other qubits with ``on``.  A circuit is checked
+as each step is added (qubit range, and every control bit written by an
+earlier measurement), and records in ``measured`` the qubit that each
+bit reads; ``walk`` and every other reader trust it.
 """
 
 from __future__ import annotations
@@ -48,6 +52,11 @@ class Gate:
 
     def __post_init__(self):
         object.__setattr__(self, "targets", tuple(self.targets))
+        arity = len(self.targets) if self.kind == "CUSTOM" else GATE_ARITY.get(self.kind)
+        if arity is None:
+            raise ValueError(f"unknown gate kind {self.kind!r}")
+        if len(self.targets) != arity:
+            raise ValueError(f"{self.kind} takes {arity} target(s), got {len(self.targets)}")
         if len(set(self.targets)) != len(self.targets):
             raise ValueError(f"duplicate target qubits: {list(self.targets)}")
         if self.kind == "CUSTOM":
@@ -56,14 +65,6 @@ class Gate:
             m = _check_unitary(self.matrix, len(self.targets))
             m.setflags(write=False)
             object.__setattr__(self, "matrix", m)
-        else:
-            if self.kind not in GATE_ARITY:
-                raise ValueError(f"unknown gate kind {self.kind!r}")
-            if len(self.targets) != GATE_ARITY[self.kind]:
-                raise ValueError(
-                    f"{self.kind} takes {GATE_ARITY[self.kind]} target(s), "
-                    f"got {len(self.targets)}"
-                )
 
     def unitary(self) -> np.ndarray:
         return self.matrix if self.kind == "CUSTOM" else GATE_MATRICES[self.kind]
@@ -72,22 +73,36 @@ class Gate:
         """Whether the gate applies on a branch with these bit values."""
         return self.bit is None or bits.get(self.bit) == self.value
 
+    def on(self, qubits) -> Gate:
+        """This gate with each target q moved to ``qubits[q]``."""
+        return Gate(self.kind, [qubits[q] for q in self.targets], self.matrix, self.bit, self.value)
+
 
 @dataclass(frozen=True)
 class Measure:
     qubit: int
     bit: str  # classical bit name
 
+    @property
+    def targets(self) -> tuple:
+        return (self.qubit,)
+
+    def on(self, qubits) -> Measure:
+        """This measurement moved to qubit ``qubits[self.qubit]``."""
+        return Measure(qubits[self.qubit], self.bit)
+
 
 class Circuit:
     """Ordered list of gates, each with an optional classical control, and
-    one-qubit measurements."""
+    one-qubit measurements.  ``measured`` maps each bit name, in
+    first-write order, to the qubit its last measurement reads."""
 
     def __init__(self, num_qubits: int, steps=()):
         if num_qubits < 1:
             raise ValueError("num_qubits must be >= 1")
         self.num_qubits = num_qubits
         self.steps: list = []
+        self.measured: dict = {}
         for step in steps:
             self.add(step)
 
@@ -97,15 +112,17 @@ class Circuit:
 
     # -- builders ----------------------------------------------------------
     def add(self, step):
-        if isinstance(step, Gate):
-            qubits = step.targets
-        elif isinstance(step, Measure):
-            qubits = (step.qubit,)
-        else:
+        """Append ``step`` after checking it against the steps before it."""
+        if not isinstance(step, (Gate, Measure)):
             raise TypeError(f"not a circuit step: {step!r}")
-        for q in qubits:
+        measures = isinstance(step, Measure)
+        if not measures and step.bit is not None and step.bit not in self.measured:
+            raise ValueError(f"classical bit {step.bit!r} read before it is written")
+        for q in step.targets:
             if not 0 <= q < self.num_qubits:
                 raise ValueError(f"qubit {q} out of range")
+        if measures:
+            self.measured[step.bit] = step.qubit
         self.steps.append(step)
         return self
 
@@ -158,15 +175,7 @@ class Circuit:
     # -- bookkeeping -------------------------------------------------------
     def classical_bits(self) -> list:
         """Bit names in first-write order."""
-        return list(dict.fromkeys(s.bit for s in self.steps if isinstance(s, Measure)))
-
-    def validate(self):
-        written = set()
-        for step in self.steps:
-            if isinstance(step, Measure):
-                written.add(step.bit)
-            elif step.bit is not None and step.bit not in written:
-                raise ValueError(f"classical bit {step.bit!r} read before it is written")
+        return list(self.measured)
 
 
 @dataclass(frozen=True)
@@ -178,7 +187,6 @@ class BranchEntry:
 
 @dataclass(frozen=True)
 class BranchDistribution:
-    bit_names: tuple
     entries: tuple  # of BranchEntry, lexicographic by bits
 
     def probabilities(self) -> dict:
@@ -195,7 +203,8 @@ PRUNE = 1e-12  # measurement outcomes of at most this weight are dropped
 
 def walk(c: Circuit, state, apply, skip, project, settle) -> list:
     """Run ``c`` branch by branch from ``state``; the one step loop of
-    both engines.
+    both engines.  ``c`` was checked as it was built, so ``walk`` trusts
+    it: every control reads a bit that an earlier measurement wrote.
 
     The caller supplies the physics: ``apply(state, gate)`` and
     ``skip(state, gate)`` (a gate whose control does not fire) return
@@ -205,7 +214,6 @@ def walk(c: Circuit, state, apply, skip, project, settle) -> list:
     Returns (bits by name, probability, state) per branch, in fork order:
     each measurement splits every branch into outcome 0, then 1.
     """
-    c.validate()
     branches = [({}, 1.0, state)]
     for step in c.steps:
         if isinstance(step, Measure):
@@ -248,13 +256,12 @@ def run_exact(c: Circuit, initial: StateVector | None = None) -> BranchDistribut
         project=_project,
         settle=lambda post, p: StateVector(c.num_qubits, (post / np.sqrt(p)).reshape(-1)),
     )
-    names = c.classical_bits()
     entries = [
-        BranchEntry("".join(str(bits[b]) for b in names), p, psi)
+        BranchEntry("".join(str(bits[b]) for b in c.measured), p, psi)
         for bits, p, psi in branches
     ]
     entries.sort(key=lambda e: e.bits)
-    return BranchDistribution(tuple(names), tuple(entries))
+    return BranchDistribution(tuple(entries))
 
 
 def sample_distribution(dist: dict, shots: int, seed: int) -> dict:
@@ -315,7 +322,6 @@ def from_text(text: str) -> Circuit:
     steps = []  # (line number, step)
     num_qubits = None
     max_qubit = -1
-    written = set()
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -336,11 +342,9 @@ def from_text(text: str) -> Circuit:
             q = parse_int(toks[1], line_no)
             max_qubit = max(max_qubit, q)
             steps.append((line_no, Measure(q, toks[3])))
-            written.add(toks[3])
             continue
         if head not in GATE_ARITY:
             raise CircuitParseError(line_no, f"unknown gate {toks[0]!r}")
-        arity = GATE_ARITY[head]
         cond = None
         body = toks[1:]
         if "if" in [t.lower() for t in body]:
@@ -349,22 +353,16 @@ def from_text(text: str) -> Circuit:
                 raise CircuitParseError(line_no, "usage: <gate> <targets> if <bit>")
             cond = body[i + 1]
             body = body[:i]
-        if len(body) != arity:
-            raise CircuitParseError(
-                line_no, f"{head} takes {arity} target(s), got {len(body)}"
-            )
         targets = tuple(parse_int(t, line_no) for t in body)
-        max_qubit = max(max_qubit, *targets)
         try:
             steps.append((line_no, Gate(head, targets, bit=cond)))
         except ValueError as exc:
             raise CircuitParseError(line_no, str(exc)) from None
-        if cond is not None and cond not in written:
-            raise CircuitParseError(line_no, f"classical bit {cond!r} read before it is written")
+        max_qubit = max(max_qubit, *targets)
 
     if max_qubit < 0 and num_qubits is None:
         raise CircuitParseError(1, "empty circuit and no qubits header")
-    # The header may follow the steps, so qubit range is checked here.
+    # The header may follow the steps, so ``add`` checks each step here.
     c = Circuit(num_qubits if num_qubits is not None else max_qubit + 1)
     for line_no, step in steps:
         try:

@@ -85,6 +85,8 @@ class ExperimentConfig:
             raise ValueError("shots must be >= 1")
         if self.m < 1:
             raise ValueError("m must be >= 1")
+        if self.reps < 0:
+            raise ValueError("reps must be >= 0")
 
     def duration_config(self) -> DurationConfig:
         return DurationConfig(**self.durations)
@@ -257,6 +259,8 @@ def cmd_run(config: ExperimentConfig) -> dict:
 
 
 def cmd_tomography(config: ExperimentConfig, exact: bool = False) -> dict:
+    if exact and config.noise is not None:
+        raise ValueError("exact tomography is noiseless; it takes no calibration")
     ideal = experiments.ideal_output_state()
     nm = _noise_model(config)
     if exact:
@@ -429,7 +433,7 @@ def main(argv=None) -> int:
             doc = cmd_compare(load_config(args))
         else:  # pragma: no cover
             parser.error(f"unknown command {args.command}")
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -12,13 +12,13 @@ with derived seeds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
 from .channels import NoiseModel, noisy_distribution
-from .circuit import Circuit, Gate, sample_distribution
+from .circuit import Circuit, sample_distribution
 from .protocols import (
     EXPERIMENT_OUTPUT_BITS,
     EXPERIMENT_RECEIVER_QUBITS,
@@ -86,12 +86,10 @@ def _tail_circuit(rotations: str):
 def _light_cone(c: Circuit, receivers):
     """``c`` on only the qubits it touches, renumbered with the receivers
     as 0 and 1, and the tuple of its old qubit for each new one."""
-    touched = {q for s in c.steps for q in (s.targets if isinstance(s, Gate) else [s.qubit])}
+    touched = {q for s in c.steps for q in s.targets}
     active = (*receivers, *sorted(touched - set(receivers)))
     new = {q: i for i, q in enumerate(active)}
-    steps = [replace(s, targets=[new[q] for q in s.targets]) if isinstance(s, Gate)
-             else replace(s, qubit=new[s.qubit]) for s in c.steps]
-    return Circuit(len(active), steps), active
+    return Circuit(len(active), [s.on(new) for s in c.steps]), active
 
 
 @dataclass(frozen=True)

@@ -164,6 +164,15 @@ def expand_ghz_class(q: StateVector, record: InversionRecord) -> StateVector:
 
 # -- teleportation ------------------------------------------------------------
 
+def _branches(c: Circuit, fixed=None):
+    """(bits, probability, state of the unmeasured qubits) per branch of
+    ``c``: its ``run_exact`` state sliced at each measured qubit's value,
+    and at the values in ``fixed`` (qubit -> 0/1)."""
+    for e in run_exact(c).entries:
+        assign = {q: int(b) for q, b in zip(c.measured.values(), e.bits)}
+        yield e.bits, e.probability, project_qubits(e.state, {**assign, **(fixed or {})})
+
+
 def _corrections_for(bits: str, receiver: int, qubits) -> tuple:
     out = []
     b1, b2 = bits
@@ -186,14 +195,8 @@ def teleport_single(psi: StateVector) -> list:
     c.bell_pair(1, 2)
     c.bell_measure(0, 1, "b1", "b2")
     c.feed_forward("b2", "b1", (2,))
-    dist = run_exact(c)
-    branches = []
-    for e in dist.entries:
-        out = project_qubits(e.state, {0: int(e.bits[0]), 1: int(e.bits[1])})
-        branches.append(
-            TeleportBranch(e.bits, _corrections_for(e.bits, 1, (0,)), e.probability, out)
-        )
-    return branches
+    return [TeleportBranch(bits, _corrections_for(bits, 1, (0,)), p, out)
+            for bits, p, out in _branches(c)]
 
 
 def multi_output_teleport(
@@ -247,15 +250,10 @@ def teleport_two_qubit_general(psi: StateVector):
     c.bell_measure(1, 4, "b3", "b4")
     c.feed_forward("b2", "b1", (3,))
     c.feed_forward("b4", "b3", (5,))
-    dist = run_exact(c)
     branches = []
-    for e in dist.entries:
-        assign = {0: int(e.bits[0]), 2: int(e.bits[1]), 1: int(e.bits[2]), 4: int(e.bits[3])}
-        out = project_qubits(e.state, assign)  # remaining qubits (3, 5)
-        corrections = _corrections_for(e.bits[:2], 1, (0,)) + _corrections_for(
-            e.bits[2:], 2, (1,)
-        )
-        branches.append(TeleportBranch(e.bits, corrections, e.probability, out))
+    for bits, p, out in _branches(c):  # out: receiver qubits (3, 5)
+        corrections = _corrections_for(bits[:2], 1, (0,)) + _corrections_for(bits[2:], 2, (1,))
+        branches.append(TeleportBranch(bits, corrections, p, out))
     report = count_bell_resources(4)
     return branches, report
 
@@ -296,11 +294,9 @@ def cluster_channel_teleport(
     # where logical X is X(x)X and logical Z acts on either qubit.
     c.feed_forward("b2", "b1", (5,))
     c.feed_forward("b4", "b3", (6, 7))
-    dist = run_exact(c)
     branches = []
-    for e in dist.entries:
-        assign = {0: int(e.bits[0]), 3: int(e.bits[1]), 1: int(e.bits[2]), 4: int(e.bits[3]), 2: 0}
-        joint = project_qubits(e.state, assign)  # qubits (5, 6, 7)
+    # Qubit 2 holds chi_b's compressed ancilla, back in |0>.
+    for bits, p, joint in _branches(c, fixed={2: 0}):  # joint: qubits (5, 6, 7)
         bob1, bob2 = split_product(joint, [1, 2])
         out_a = expand_ghz_class(bob1, rec_a)
         # Receiver 2 holds alpha|00> + beta|11>; a final CNOT frees the
@@ -308,12 +304,8 @@ def cluster_channel_teleport(
         pair = apply_unitary(bob2, GATE_MATRICES["CNOT"], [0, 1])
         qb_out = project_qubits(pair, {1: 0})
         out_b = expand_ghz_class(qb_out, rec_b)
-        corrections = _corrections_for(e.bits[:2], 1, (0,)) + _corrections_for(
-            e.bits[2:], 2, (0, 1)
-        )
-        branches.append(
-            TeleportBranch(e.bits, corrections, e.probability, tensor(out_a, out_b))
-        )
+        corrections = _corrections_for(bits[:2], 1, (0,)) + _corrections_for(bits[2:], 2, (0, 1))
+        branches.append(TeleportBranch(bits, corrections, p, tensor(out_a, out_b)))
     return branches
 
 

@@ -29,7 +29,7 @@ import logging
 from dataclasses import dataclass, field
 from itertools import permutations
 
-from .circuit import Circuit, Gate, Measure, parse_int
+from .circuit import Circuit, parse_int
 
 log = logging.getLogger(__name__)
 
@@ -142,9 +142,6 @@ def cost(routed: Circuit, graph: CouplingGraph | None = None) -> CostReport:
             level[q] = lvl
 
     for step in routed.steps:
-        if isinstance(step, Measure):
-            bump([step.qubit])
-            continue
         if len(step.targets) == 2:
             if graph is not None and not graph.has_edge(*step.targets):
                 raise ValueError(
@@ -170,9 +167,6 @@ def _route_with_layout(c: Circuit, g: CouplingGraph, initial: dict, dist: dict,
     routed = Circuit(g.num_physical)
     p2l = {p: l for l, p in l2p.items()}
     for step in c.steps:
-        if isinstance(step, Measure):
-            routed.add(Measure(l2p[step.qubit], step.bit))
-            continue
         if len(step.targets) == 2:
             a, b = step.targets
             while dist[l2p[b]][l2p[a]] > 1:
@@ -187,8 +181,7 @@ def _route_with_layout(c: Circuit, g: CouplingGraph, initial: dict, dist: dict,
                     l2p[la], p2l[nxt] = nxt, la
                 if ln is not None:
                     l2p[ln], p2l[pa] = pa, ln
-        phys = tuple(l2p[q] for q in step.targets)
-        routed.add(Gate(step.kind, phys, step.matrix, step.bit, step.value))
+        routed.add(step.on(l2p))
     return routed
 
 
@@ -209,7 +202,7 @@ def route(c: Circuit, g: CouplingGraph):
             f"{n_log} logical qubits exceed {g.num_physical} physical qubits"
         )
     dist = g.distances()
-    pairs = [s.targets for s in c.steps if isinstance(s, Gate) and len(s.targets) == 2]
+    pairs = [s.targets for s in c.steps if len(s.targets) == 2]
     floor = cost(c).cnot_count
     candidates, enumerated = [], 0
     for phys in permutations(range(g.num_physical), n_log):

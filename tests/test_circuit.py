@@ -142,9 +142,8 @@ def test_repeated_measure_is_idempotent():
 
 def test_classical_bit_read_before_write():
     c = Circuit(1)
-    c.c_if("X", (0,), "nope")
-    with pytest.raises(ValueError):
-        run_exact(c)
+    with pytest.raises(ValueError, match="classical bit 'nope' read before it is written"):
+        c.c_if("X", (0,), "nope")
 
 
 def test_text_roundtrip():
@@ -203,8 +202,10 @@ def test_parse_duplicate_targets_reports_line():
         ("qubits 2\nCNOT 0 1 if c\n", 2, "classical bit 'c' read before it is written"),
         ("qubits 2\nH 0 if c\nM 0 -> c\n", 2, "classical bit 'c' read before it is written"),
         ("H 0\nqubits 0\n", 2, "num_qubits must be >= 1"),
+        ("qubits 2\nX 5\nX 0 if c\n", 2, "qubit 5 out of range"),
     ],
-    ids=["range", "range_before_header", "unwritten", "written_later", "no_qubits"],
+    ids=["range", "range_before_header", "unwritten", "written_later", "no_qubits",
+         "first_bad_line"],
 )
 def test_parse_range_and_unwritten_bit_errors_report_their_line(text, line, message):
     with pytest.raises(CircuitParseError) as exc:

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 import warnings
@@ -297,9 +298,12 @@ def test_compare_command(tmp_path):
     assert doc["resources"]["two_bell"]["channel_qubits"] == 4
 
 
-def test_compare_rejects_calibration(capsys):
-    # compare is noiseless; a calibration used to be accepted and ignored.
-    assert main(["compare", "--calibration", "builtin"]) == 1
+@pytest.mark.parametrize(
+    "argv", [["compare"], ["tomography", "--exact"]], ids=["compare", "tomography_exact"]
+)
+def test_compare_rejects_calibration(capsys, argv):
+    # Both are noiseless; a calibration used to be accepted and ignored.
+    assert main(argv + ["--calibration", "builtin"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "calibration" in err
 
@@ -365,6 +369,7 @@ def test_unknown_config_key_rejected(tmp_path, capsys, data, key):
         ({"noise": 5}, "noise must be a calibration path"),
         ({"durations": {"cnot_ns": "5"}, "noise": "builtin"}, "durations.cnot_ns must be a finite"),
         ({"durations": {"readout_ns": float("nan")}}, "durations.readout_ns must be a finite"),
+        ({"reps": -1}, "reps must be >= 0"),
     ],
 )
 def test_wrong_typed_config_value_rejected(tmp_path, capsys, data, message):
@@ -373,6 +378,26 @@ def test_wrong_typed_config_value_rejected(tmp_path, capsys, data, message):
     assert main(["run", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
+
+
+def test_state_too_large_to_allocate_ends_in_error(tmp_path):
+    """m = 20 asks for a 2**41-amplitude joint state (32 TiB): numpy's
+    MemoryError ends in ``error:``.  The child's address-space limit makes
+    the allocation fail even on a system that overcommits memory."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"m": 20}))
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    limit = 16 * 2 ** 30 if hard == resource.RLIM_INFINITY else min(16 * 2 ** 30, hard)
+    src = str(Path(twobell.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "twobell", "run", "--config", str(cfg)],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, hard)),
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("scheme", ["cluster5", "general_two_qubit"])

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from twobell import transpile
 from twobell.channels import ideal_noise_model, noisy_distribution
-from twobell.circuit import Circuit, Gate, Measure, run_exact
+from twobell.circuit import Circuit, Gate, Measure, from_text, run_exact, to_text
 from twobell.protocols import experiment_circuit
 from twobell.transpile import (
     CostReport,
@@ -343,11 +343,11 @@ ROUTED_AGREEMENT_GRAPHS = {
 
 
 @st.composite
-def measured_circuits(draw):
+def measured_circuits(draw, control_values=st.integers(0, 1)):
     """Up to 5 logical qubits, mostly 5 so that layouts reach the far
     qubits of the graph: one- and two-qubit gates on any qubits,
-    mid-circuit measurements, gates controlled on either bit value, and a
-    final measurement."""
+    mid-circuit measurements, gates controlled on a bit value drawn from
+    ``control_values`` (default either), and a final measurement."""
     n = draw(st.sampled_from([1, 2, 3, 4, 5, 5, 5, 5]))
     kinds = ["H", "X", "Z", "S"] + (["CNOT", "CNOT", "SWAP"] if n > 1 else [])
 
@@ -363,10 +363,21 @@ def measured_circuits(draw):
             bits.append(draw(st.sampled_from(["m0", "m1"])))
             c.measure(draw(st.integers(0, n - 1)), bits[-1])
         elif step == "control" and bits:
-            c.add(replace(gate(), bit=draw(st.sampled_from(bits)), value=draw(st.integers(0, 1))))
+            c.add(replace(gate(), bit=draw(st.sampled_from(bits)), value=draw(control_values)))
         else:
             c.add(gate())
     return c.measure(draw(st.integers(0, n - 1)), "out")
+
+
+@settings(max_examples=60)
+@given(c=measured_circuits(control_values=st.just(1)))
+def test_text_round_trip_keeps_every_step_and_measured_bit(c):
+    """Controls on value 1 have a text form, so ``from_text`` gives back
+    the same qubit count, steps and bit -> qubit map, in the same order."""
+    back = from_text(to_text(c))
+    assert back.num_qubits == c.num_qubits
+    assert back.steps == c.steps
+    assert list(back.measured.items()) == list(c.measured.items())
 
 
 @pytest.mark.parametrize("graph", sorted(ROUTED_AGREEMENT_GRAPHS))
