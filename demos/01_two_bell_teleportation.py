@@ -2,9 +2,9 @@
 
 A state of the form alpha|x> + beta|x_bar> (x_bar = bitwise complement)
 carries only two unknown amplitudes no matter how many qubits it spans.
-A CNOT ladder compresses it to a single qubit plus a classical inversion
-record, so teleporting one m-qubit and one (m+1)-qubit state of this
-family costs exactly two Bell pairs.
+A CNOT ladder compresses it to a single qubit, and the same gates run
+backwards rebuild it at the receiver, so teleporting one m-qubit and one
+(m+1)-qubit state of this family costs exactly two Bell pairs.
 """
 
 import numpy as np

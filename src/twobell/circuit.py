@@ -3,11 +3,12 @@
 Measurement never samples here: ``walk``, the one step loop of both
 engines, makes one ``project(state, qubit)`` call per branch and
 measurement, forks one branch per outcome and carries exact probabilities;
-``run_exact`` runs it on state vectors, so per-branch claims can be
-verified directly.  Shot noise only enters through ``sample_counts``,
-which draws from the exact distribution with a seeded numpy PCG64
-generator (``np.random.default_rng(seed)``), making counts
-bit-reproducible for a fixed seed.
+``run_exact`` runs it on raw amplitude arrays with ``qstate.apply_matrix``,
+the kernel the noise engine also uses, and checks each returned state
+once, so per-branch claims can be verified directly.  Shot noise only
+enters through ``sample_counts``, which draws from the exact distribution
+with a seeded numpy PCG64 generator (``np.random.default_rng(seed)``),
+making counts bit-reproducible for a fixed seed.
 
 Text format (one step per line, ``#`` starts a comment):
 
@@ -28,7 +29,8 @@ classical control (apply only when ``bit`` reads ``value``), and a
 ``targets`` and move to other qubits with ``on``.  A circuit is checked
 as each step is added (qubit range, and every control bit written by an
 earlier measurement), and records in ``measured`` the qubit that each
-bit reads; ``walk`` and every other reader trust it.
+bit reads; ``walk`` and every other reader trust it, and no gate is
+checked again when the circuit runs.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import GATE_MATRICES, StateVector, apply_unitary, basis_state, _check_unitary
+from .qstate import GATE_MATRICES, StateVector, apply_matrix, basis_state, _check_unitary
 
 GATE_ARITY = {"H": 1, "X": 1, "Y": 1, "Z": 1, "S": 1, "CNOT": 2, "SWAP": 2}
 
@@ -230,8 +232,7 @@ def walk(c: Circuit, state, apply, skip, project, settle) -> list:
     return branches
 
 
-def _project(psi: StateVector, qubit: int):
-    t = psi.amplitudes.reshape([2] * psi.num_qubits)
+def _project(t: np.ndarray, qubit: int):
     for outcome in (0, 1):
         idx = (slice(None),) * qubit + (outcome,)
         post = np.zeros_like(t)
@@ -244,21 +245,23 @@ def run_exact(c: Circuit, initial: StateVector | None = None) -> BranchDistribut
 
     Branches with probability below 1e-12 are dropped; output is ordered
     lexicographically by classical bit values (first-write bit order).
+    Only the returned states are checked; ``c`` was checked as it was built.
     """
-    state = initial if initial is not None else basis_state(c.num_qubits, 0)
-    if state.num_qubits != c.num_qubits:
+    n = c.num_qubits
+    state = initial if initial is not None else basis_state(n, 0)
+    if state.num_qubits != n:
         raise ValueError("initial state qubit count does not match circuit")
     branches = walk(
         c,
-        state,
-        apply=lambda psi, g: apply_unitary(psi, g.unitary(), g.targets),
-        skip=lambda psi, g: psi,
+        state.amplitudes.reshape([2] * n),
+        apply=lambda t, g: apply_matrix(t, g.unitary(), g.targets, n),
+        skip=lambda t, g: t,
         project=_project,
-        settle=lambda post, p: StateVector(c.num_qubits, (post / np.sqrt(p)).reshape(-1)),
+        settle=lambda post, p: post / np.sqrt(p),
     )
     entries = [
-        BranchEntry("".join(str(bits[b]) for b in c.measured), p, psi)
-        for bits, p, psi in branches
+        BranchEntry("".join(str(bits[b]) for b in c.measured), p, StateVector(n, t))
+        for bits, p, t in branches
     ]
     entries.sort(key=lambda e: e.bits)
     return BranchDistribution(tuple(entries))

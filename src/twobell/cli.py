@@ -36,6 +36,8 @@ from .transpile import casablanca_topology, load_coupling_graph, route
 SCHEMA_VERSION = 1
 CLASSICAL_LIMIT = 2.0 / 3.0
 DEFAULT_SHOTS = 8192
+MAX_SHOTS = 2 ** 63 - 1  # numpy's multinomial takes a signed 64-bit count
+MAX_M = 8  # the run document grows 4x per step of m: ~105 MB at m = 8
 
 SCHEMES = ("two_bell", "cluster5", "general_two_qubit")
 INPUT_KEYS = ("x", "alpha", "beta")
@@ -83,8 +85,14 @@ class ExperimentConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
+        if self.shots > MAX_SHOTS:
+            raise ValueError("shots must be <= 2**63 - 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.m < 1:
             raise ValueError("m must be >= 1")
+        if self.m > MAX_M:
+            raise ValueError(f"m must be <= {MAX_M}")
         if self.reps < 0:
             raise ValueError("reps must be >= 0")
 

@@ -18,7 +18,7 @@ from math import ceil, log2
 
 import numpy as np
 
-from .circuit import Circuit, run_exact
+from .circuit import Circuit, Gate, run_exact
 from .qstate import (
     GATE_MATRICES,
     NORM_ATOL,
@@ -110,56 +110,42 @@ def prepare_cluster5() -> StateVector:
 # -- compression of generalized Bell-type states -----------------------------
 
 
-@dataclass(frozen=True)
-class InversionRecord:
-    """How to undo the CNOT-ladder compression: which tail qubits were
-    flipped and whether the head qubit was relabeled with an X."""
-
-    n: int
-    head_flip: bool
-    tail_flips: tuple  # qubit indices in 1..n-1
-
-
 def compress_ghz_class(s: GeneralizedBellTypeState):
     """Reduce alpha|x> + beta|x-bar> to (alpha|0> + beta|1>) on one qubit.
 
-    CNOT ladder from qubit 0, X on tail qubits left at 1, and an X on the
-    head if bit 0 of x is set.  Returns the compressed qubit and the
-    record ``expand_ghz_class`` needs to invert the reduction.
+    The compression is one circuit: a CNOT ladder from qubit 0 to qubits
+    n-1 down to 1, an X on each tail qubit left at 1 (descending), and an
+    X on the head if bit 0 of x is set.  Returns the compressed qubit and
+    that circuit, which ``expand_ghz_class`` runs backwards.
     """
     n = s.n
     bits = [(s.x >> (n - 1 - q)) & 1 for q in range(n)]
-    head_flip = bits[0] == 1
-    tail_flips = tuple(q for q in range(1, n) if bits[q] ^ bits[0])
-    psi = s.to_statevector()
-    for q in range(1, n):
-        psi = apply_unitary(psi, GATE_MATRICES["CNOT"], [0, q])
-    for q in tail_flips:
-        psi = apply_unitary(psi, GATE_MATRICES["X"], [q])
-    if head_flip:
-        psi = apply_unitary(psi, GATE_MATRICES["X"], [0])
+    compression = Circuit(n)
+    for q in range(n - 1, 0, -1):
+        compression.cnot(0, q)
+    for q in range(n - 1, 0, -1):
+        if bits[q] ^ bits[0]:
+            compression.x(q)
+    if bits[0]:
+        compression.x(0)
+    psi = run_exact(compression, s.to_statevector()).entries[0].state
     if n > 1:
-        compressed = project_qubits(psi, {q: 0 for q in range(1, n)})
-    else:
-        compressed = psi
-    return compressed, InversionRecord(n, head_flip, tail_flips)
+        psi = project_qubits(psi, {q: 0 for q in range(1, n)})
+    return psi, compression
 
 
-def expand_ghz_class(q: StateVector, record: InversionRecord) -> StateVector:
-    """Invert ``compress_ghz_class``: rebuild the n-qubit state from the
+def expand_ghz_class(q: StateVector, compression: Circuit) -> StateVector:
+    """Invert ``compress_ghz_class``: run its compression backwards on the
     teleported single qubit and fresh |0> ancillas."""
     if q.num_qubits != 1:
         raise ValueError("expand takes a single-qubit state")
-    if record.n < 1 or any(not 1 <= t < record.n for t in record.tail_flips):
-        raise ValueError("malformed inversion record")
-    psi = q if record.n == 1 else tensor(q, basis_state(record.n - 1, 0))
-    if record.head_flip:
-        psi = apply_unitary(psi, GATE_MATRICES["X"], [0])
-    for t in record.tail_flips:
-        psi = apply_unitary(psi, GATE_MATRICES["X"], [t])
-    for t in range(1, record.n):
-        psi = apply_unitary(psi, GATE_MATRICES["CNOT"], [0, t])
-    return psi
+    # X and CNOT are their own inverses, so the reversed steps undo them.
+    if any(not isinstance(g, Gate) or g.kind not in ("X", "CNOT") or g.bit is not None
+           for g in compression.steps):
+        raise ValueError("not a compression: only unconditional X and CNOT gates invert")
+    n = compression.num_qubits
+    psi = q if n == 1 else tensor(q, basis_state(n - 1, 0))
+    return run_exact(Circuit(n, reversed(compression.steps)), psi).entries[0].state
 
 
 # -- teleportation ------------------------------------------------------------
@@ -212,10 +198,10 @@ def multi_output_teleport(
     """
     if chi_b.n != chi_a.n + 1:
         raise ValueError("chi_b must have exactly one more qubit than chi_a")
-    qa, rec_a = compress_ghz_class(chi_a)
-    qb, rec_b = compress_ghz_class(chi_b)
-    outs_a = [(ba, expand_ghz_class(ba.output, rec_a)) for ba in teleport_single(qa)]
-    outs_b = [(bb, expand_ghz_class(bb.output, rec_b)) for bb in teleport_single(qb)]
+    qa, comp_a = compress_ghz_class(chi_a)
+    qb, comp_b = compress_ghz_class(chi_b)
+    outs_a = [(ba, expand_ghz_class(ba.output, comp_a)) for ba in teleport_single(qa)]
+    outs_b = [(bb, expand_ghz_class(bb.output, comp_b)) for bb in teleport_single(qb)]
     branches = []
     for ba, out_a in outs_a:
         for bb, out_b in outs_b:
@@ -271,8 +257,8 @@ def cluster_channel_teleport(
     """
     if chi_a.n != 1 or chi_b.n != 2:
         raise ValueError("cluster baseline is defined for m = 1")
-    qa, rec_a = compress_ghz_class(chi_a)
-    _, rec_b = compress_ghz_class(chi_b)
+    _, comp_a = compress_ghz_class(chi_a)
+    _, comp_b = compress_ghz_class(chi_b)
 
     # Register: 0 = chi_a, (1, 2) = chi_b, 3..7 = cluster qubits 1..5.
     c = Circuit(8)
@@ -280,13 +266,10 @@ def cluster_channel_teleport(
     c.custom(prep_unitary(chi_b.to_statevector().amplitudes), [1, 2])
     c.custom(prep_unitary(prepare_cluster5().amplitudes), [3, 4, 5, 6, 7])
     # Alice's local compressions.
-    if rec_a.head_flip:
-        c.x(0)
-    c.cnot(1, 2)
-    for t in rec_b.tail_flips:
-        c.x(1 + t)
-    if rec_b.head_flip:
-        c.x(1)
+    for g in comp_a.steps:
+        c.add(g.on((0,)))
+    for g in comp_b.steps:
+        c.add(g.on((1, 2)))
     # Bell measurements against the cluster qubits Alice keeps.
     c.bell_measure(0, 3, "b1", "b2")
     c.bell_measure(1, 4, "b3", "b4")
@@ -298,12 +281,12 @@ def cluster_channel_teleport(
     # Qubit 2 holds chi_b's compressed ancilla, back in |0>.
     for bits, p, joint in _branches(c, fixed={2: 0}):  # joint: qubits (5, 6, 7)
         bob1, bob2 = split_product(joint, [1, 2])
-        out_a = expand_ghz_class(bob1, rec_a)
+        out_a = expand_ghz_class(bob1, comp_a)
         # Receiver 2 holds alpha|00> + beta|11>; a final CNOT frees the
-        # compressed qubit, then the record rebuilds chi_b.
+        # compressed qubit, then the compression run backwards rebuilds chi_b.
         pair = apply_unitary(bob2, GATE_MATRICES["CNOT"], [0, 1])
         qb_out = project_qubits(pair, {1: 0})
-        out_b = expand_ghz_class(qb_out, rec_b)
+        out_b = expand_ghz_class(qb_out, comp_b)
         corrections = _corrections_for(bits[:2], 1, (0,)) + _corrections_for(bits[2:], 2, (0, 1))
         branches.append(TeleportBranch(bits, corrections, p, tensor(out_a, out_b)))
     return branches

@@ -169,13 +169,8 @@ def apply_unitary(state: StateVector, u, targets) -> StateVector:
     """
     n = state.num_qubits
     targets = _check_targets(targets, n)
-    k = len(targets)
-    u = _check_unitary(u, k)
-    psi = state.amplitudes.reshape([2] * n)
-    psi = np.moveaxis(psi, targets, range(k))
-    psi = (u @ psi.reshape(2 ** k, -1)).reshape([2] * n)
-    psi = np.moveaxis(psi, range(k), targets)
-    return StateVector(n, psi.reshape(-1))
+    u = _check_unitary(u, len(targets))
+    return StateVector(n, apply_matrix(state.amplitudes, u, targets, n))
 
 
 def superop(kraus) -> np.ndarray:
@@ -186,21 +181,27 @@ def superop(kraus) -> np.ndarray:
 
 
 @cache
-def _superop_axes(targets: tuple, n: int):
-    """rho's tensor axes, the targets' row and column axes first; and the inverse."""
-    order = [*targets, *(n + q for q in targets)]
-    order += [a for a in range(2 * n) if a not in order]
+def _axes(targets: tuple, n: int):
+    """The axis order of an n-axis tensor with ``targets`` first; and its inverse."""
+    order = [*targets, *(a for a in range(n) if a not in targets)]
     return tuple(order), tuple(np.argsort(order))
+
+
+def apply_matrix(a: np.ndarray, m: np.ndarray, targets, n: int) -> np.ndarray:
+    """Apply ``m`` to the listed axes of ``a``, read as an n-axis tensor of
+    2s (no validation): the target axes move to the front, one matmul, and
+    the axes move back.  The one kernel of both engines."""
+    order, inverse = _axes(tuple(targets), n)
+    t = a.reshape([2] * n).transpose(order)
+    t = (m @ t.reshape(m.shape[1], -1)).reshape(t.shape)
+    return t.transpose(inverse).reshape(a.shape)
 
 
 def apply_superop(rho: np.ndarray, s: np.ndarray, targets, num_qubits: int) -> np.ndarray:
     """Apply a k-qubit channel, given by its 4^k x 4^k superoperator, to
-    the listed target qubits of a raw 2^n x 2^n rho (no validation): the
-    row and column axes of the targets move to the front, then one matmul."""
-    order, inverse = _superop_axes(tuple(targets), num_qubits)
-    t = rho.reshape([2] * (2 * num_qubits)).transpose(order)
-    t = (s @ t.reshape(s.shape[1], -1)).reshape(t.shape)
-    return t.transpose(inverse).reshape(rho.shape)
+    the listed target qubits of a raw 2^n x 2^n rho (no validation): one
+    ``apply_matrix`` on the targets' row and column axes."""
+    return apply_matrix(rho, s, [*targets, *(num_qubits + q for q in targets)], 2 * num_qubits)
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:

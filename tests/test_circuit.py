@@ -10,6 +10,7 @@ from twobell.circuit import (
     sample_counts,
     to_text,
 )
+from twobell import qstate
 from twobell.protocols import experiment_circuit
 from twobell.qstate import StateVector, partial_trace, to_density
 
@@ -38,6 +39,21 @@ def test_experiment_circuit_16_uniform_branches():
         assert e.probability == pytest.approx(1 / 16, abs=1e-10)
         marginal = partial_trace(to_density(e.state), {2, 5})
         assert np.max(np.abs(marginal.entries - target.entries)) < 1e-10
+
+
+def test_run_exact_trusts_the_built_circuit(monkeypatch):
+    """Gates and qubit ranges are checked as the circuit is built, so
+    running it re-checks no gate matrix and no target list."""
+    c = experiment_circuit()
+    calls = []
+
+    def counted(real):
+        return lambda *args: calls.append(real.__name__) or real(*args)
+
+    monkeypatch.setattr(qstate, "_check_unitary", counted(qstate._check_unitary))
+    monkeypatch.setattr(qstate, "_check_targets", counted(qstate._check_targets))
+    assert len(run_exact(c).entries) == 64
+    assert calls == []
 
 
 def test_deterministic_circuit_counts():

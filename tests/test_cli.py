@@ -22,6 +22,10 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 GOLDEN_RUNS = {
     "run_two_bell_m2": ["run", "--config", GOLDEN / "two_bell_m2.config.json",
                         "--shots", "1024", "--seed", "3"],
+    # Its output amplitudes hold signed zeros (-0.0) that depend on the
+    # order in which the compression's gates run.
+    "run_two_bell_m3": ["run", "--config", GOLDEN / "two_bell_m3.config.json",
+                        "--seed", "241937442"],
     "run_cluster5": ["run", "--config", GOLDEN / "cluster5.config.json"],
     "run_general_two_qubit": ["run", "--config", GOLDEN / "general_two_qubit.config.json"],
     "compare": ["compare", "--config", GOLDEN / "compare.config.json"],
@@ -370,6 +374,9 @@ def test_unknown_config_key_rejected(tmp_path, capsys, data, key):
         ({"durations": {"cnot_ns": "5"}, "noise": "builtin"}, "durations.cnot_ns must be a finite"),
         ({"durations": {"readout_ns": float("nan")}}, "durations.readout_ns must be a finite"),
         ({"reps": -1}, "reps must be >= 0"),
+        ({"m": 9}, "m must be <= 8"),
+        ({"shots": 2 ** 63}, "shots must be <= 2**63 - 1"),
+        ({"seed": -1}, "seed must be >= 0"),
     ],
 )
 def test_wrong_typed_config_value_rejected(tmp_path, capsys, data, message):

@@ -90,32 +90,42 @@ def test_prepare_bell():
 # -- compression ---------------------------------------------------------------
 
 
+def steps(compression):
+    return [(g.kind, g.targets) for g in compression.steps]
+
+
 def test_compress_ghz_class_eq5():
     s = GeneralizedBellTypeState(2, 0, 0.6, 0.8j)
-    q, record = compress_ghz_class(s)
+    q, compression = compress_ghz_class(s)
     assert np.allclose(q.amplitudes, [0.6, 0.8j])
-    assert not record.head_flip and record.tail_flips == ()
+    assert steps(compression) == [("CNOT", (0, 1))]
 
 
 def test_compress_identity_case():
     s = GeneralizedBellTypeState(1, 0, 0.6, 0.8)
-    q, record = compress_ghz_class(s)
+    q, compression = compress_ghz_class(s)
     assert np.allclose(q.amplitudes, [0.6, 0.8])
-    assert not record.head_flip and record.tail_flips == ()
+    assert steps(compression) == []
 
 
 def test_compress_x_equals_1():
     # alpha|01> + beta|10>: CNOT then X on qubit 1.
     s = GeneralizedBellTypeState(2, 1, 0.6, 0.8)
-    q, record = compress_ghz_class(s)
+    q, compression = compress_ghz_class(s)
     assert np.allclose(q.amplitudes, [0.6, 0.8])
-    assert record.tail_flips == (1,)
-    assert not record.head_flip
+    assert steps(compression) == [("CNOT", (0, 1)), ("X", (1,))]
+
+
+def test_compress_ladder_descends_then_flips_tail_then_head():
+    # x = 101: the ladder runs from the last qubit down, the tail qubit
+    # left at 1 (qubit 1, since bit 0 is set) flips, then the head.
+    _, compression = compress_ghz_class(GeneralizedBellTypeState(3, 0b101, 0.6, 0.8))
+    assert steps(compression) == [("CNOT", (0, 2)), ("CNOT", (0, 1)), ("X", (1,)), ("X", (0,))]
 
 
 def test_expand_with_empty_record_is_identity():
-    q, record = compress_ghz_class(GeneralizedBellTypeState(1, 0, SQ2, SQ2))
-    out = expand_ghz_class(q, record)
+    q, compression = compress_ghz_class(GeneralizedBellTypeState(1, 0, SQ2, SQ2))
+    out = expand_ghz_class(q, compression)
     assert np.allclose(out.amplitudes, q.amplitudes)
 
 
@@ -125,16 +135,18 @@ def test_roundtrip_all_x():
         for x in range(2 ** n):
             a, b = random_pair(rng)
             s = GeneralizedBellTypeState(n, x, a, b)
-            q, record = compress_ghz_class(s)
-            back = expand_ghz_class(q, record)
+            q, compression = compress_ghz_class(s)
+            back = expand_ghz_class(q, compression)
             assert np.max(np.abs(back.amplitudes - s.to_statevector().amplitudes)) < 1e-12
 
 
 def test_expand_rejects_malformed_record():
-    from twobell.protocols import InversionRecord
-
-    with pytest.raises(ValueError):
-        expand_ghz_class(plus_state(), InversionRecord(2, False, (5,)))
+    """Only a circuit of unconditional X and CNOT gates undoes itself when
+    reversed; anything else is not a compression."""
+    with pytest.raises(ValueError, match="not a compression"):
+        expand_ghz_class(plus_state(), Circuit(2).cnot(0, 1).h(1))
+    with pytest.raises(ValueError, match="not a compression"):
+        expand_ghz_class(plus_state(), Circuit(2).measure(1, "m").c_if("X", (0,), "m"))
 
 
 # -- teleportation -------------------------------------------------------------
