@@ -3,6 +3,8 @@
 Subcommands: ``run``, ``tomography``, ``stats``, ``route``, ``compare``.
 Every command emits one JSON document (schema_version 1) to stdout or
 ``--out``; documents are byte-identical for the same config and seed.
+The document is written by ``_dumps``, whose text is byte-identical to
+``json.dumps(doc, indent=2, sort_keys=True)``.
 Fidelities are reported in percent at the CLI surface.
 """
 
@@ -10,6 +12,8 @@ from __future__ import annotations
 
 import argparse
 import csv as _csv
+import functools
+import itertools
 import json
 import sys
 import warnings
@@ -170,7 +174,8 @@ def _noise_model(config: ExperimentConfig):
 
 
 def _state_doc(state) -> list:
-    return [[float(a.real), float(a.imag)] for a in state.amplitudes]
+    """[re, im] per amplitude; the same floats, signed zeros included."""
+    return np.ascontiguousarray(state.amplitudes).view(float).reshape(-1, 2).tolist()
 
 
 def _branch_docs(branches, ideal):
@@ -375,6 +380,55 @@ def _write_histogram_csv(doc: dict, path: str):
             writer.writerow([outcome, hist[outcome]])
 
 
+def _block(items: list, depth: int, brackets: str = "[]") -> str:
+    """A nonempty JSON list or object at nesting ``depth``, one item a line."""
+    pad = "\n" + "  " * depth
+    return brackets[0] + pad + "  " + ("," + pad + "  ").join(items) + pad + brackets[1]
+
+
+@functools.lru_cache(maxsize=32)  # list lengths vary with the input
+def _grid_template(rows: int, cols: int, depth: int) -> str:
+    """The text of a float list (``rows`` = 0) or a rows x cols grid at
+    nesting ``depth``, with one ``%r`` per float."""
+    row = _block(["%r"] * cols, depth + 1 if rows else depth)
+    return _block([row] * rows, depth) if rows else row
+
+
+def _float_grid(v: list, depth: int) -> str | None:
+    """``v`` formatted in one ``%`` call when it is a list of floats or of
+    equal-length lists of floats; None otherwise."""
+    rows, cols, flat = 0, len(v), v
+    if type(v[0]) is list:
+        if {*map(type, v)} != {list} or len({*map(len, v)}) != 1:
+            return None
+        rows, cols, flat = len(v), len(v[0]), [*itertools.chain.from_iterable(v)]
+    if {*map(type, flat)} != {float}:
+        return None
+    text = _grid_template(rows, cols, depth) % tuple(flat)
+    # repr spells nan and inf, which JSON writes as NaN and Infinity.
+    return None if "n" in text else text
+
+
+def _dumps(value, depth: int = 0) -> str:
+    """The text of ``json.dumps(value, indent=2, sort_keys=True)``, with
+    float lists and grids formatted in one call.  Keys must be str."""
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        items = [json.dumps(k) + ": " + _dumps(value[k], depth + 1) for k in sorted(value)]
+        return _block(items, depth, "{}")
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        text = _float_grid(value, depth) if type(value) is list else None
+        return text or _block([_dumps(x, depth + 1) for x in value], depth)
+    return json.dumps(value)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twobell",
@@ -441,16 +495,16 @@ def main(argv=None) -> int:
             doc = cmd_compare(load_config(args))
         else:  # pragma: no cover
             parser.error(f"unknown command {args.command}")
+        text = _dumps(doc) + "\n"
+        out = getattr(args, "out", None)
+        if out:
+            with open(out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (ValueError, OSError, json.JSONDecodeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

@@ -1,4 +1,8 @@
+import argparse
+import contextlib
+import io
 import json
+import math
 import os
 import resource
 import subprocess
@@ -6,7 +10,10 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import twobell
 from twobell import cli, experiments
@@ -436,3 +443,152 @@ def test_packaged_data_files_exist():
         if l.strip() and not l.startswith("#")
     ]
     assert len(lines) == 10
+
+
+@pytest.mark.parametrize("command", ["run", "stats"])
+@pytest.mark.parametrize("target", ["missing_dir", "directory"])
+def test_unwritable_out_path_ends_in_error(tmp_path, capsys, command, target):
+    out = tmp_path / "missing" / "x.json" if target == "missing_dir" else tmp_path
+    assert main([command, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+
+
+# JSON values as the CLI's documents hold them, plus the cases the
+# writer's float-grid fast path must hand back to the generic path.
+_floats = st.floats() | st.sampled_from([-0.0, math.nan, math.inf, -math.inf])
+
+
+def _lists_and_grids(elements):
+    return st.lists(elements) | st.integers(0, 3).flatmap(
+        lambda cols: st.lists(st.lists(elements, min_size=cols, max_size=cols), max_size=4)
+    )
+
+
+# Float lists and grids, pure and with one kind of intruder each.
+_float_lists = st.one_of(
+    [
+        _lists_and_grids(elements)
+        for elements in (
+            _floats,
+            _floats | st.booleans(),
+            _floats | st.integers(),
+            _floats | _floats.map(np.float64),
+        )
+    ]
+)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | _floats | _floats.map(np.float64)
+    | st.text() | _float_lists,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300)
+@given(_json_values)
+def test_dumps_equals_json_dumps(value):
+    assert cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("key", [1, 1.5, None, True, ("a",)])
+def test_dumps_rejects_keys_that_are_not_str(key):
+    with pytest.raises(TypeError):
+        cli._dumps({"a": {key: 1.0}})
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_run_document_equals_json_dumps(tmp_path, capsys, m):
+    rng = np.random.default_rng(m)
+
+    def bell_input(n):
+        a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
+        norm = math.hypot(abs(a), abs(b))
+        return {"x": int(rng.integers(2 ** n)),
+                "alpha": [a.real / norm, a.imag / norm], "beta": [b.real / norm, b.imag / norm]}
+
+    data = {"m": m, "input_a": bell_input(m), "input_b": bell_input(m + 1), "seed": 17}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    assert main(["run", "--config", str(cfg)]) == 0
+    doc = cli.cmd_run(cli.ExperimentConfig(**data))
+    assert capsys.readouterr().out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["run", "--config", str(GOLDEN / "two_bell_m2.config.json")], ["tomography", "--exact"]],
+    ids=["run_two_bell_m2", "tomography_exact"],
+)
+def test_document_is_not_written_by_the_python_json_encoder(monkeypatch, capsys, argv):
+    """json.dumps with an indent runs the pure-Python encoder; the writer
+    must not fall back to it."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("pure-Python JSON encoder used")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["schema_version"] == 1
+
+
+def test_parser_is_built_once(monkeypatch, capsys):
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert main(["tomography", "--exact"]) == 0
+    assert main(["compare"]) == 0
+    assert built.count("twobell") <= 1
+
+
+_wrong = st.sampled_from([None, "x", 1.5, [], [1], -1, -2.5])
+_bell_field = st.fixed_dictionaries(
+    {},
+    optional={
+        "x": st.integers(0, 3) | _wrong,
+        "alpha": st.sampled_from([[0.6, 0.0], 0.6]) | _wrong,
+        "beta": st.sampled_from([[0.0, 0.8], 0.8]) | _wrong,
+    },
+)
+_configs = st.fixed_dictionaries(
+    {},
+    optional={
+        "scheme": st.sampled_from(cli.SCHEMES) | _wrong,
+        "m": st.integers(1, 3) | _wrong,
+        "input_a": _bell_field | _wrong,
+        "input_b": _bell_field | _wrong,
+        "coefficients": st.sampled_from([None, [[0.5, 0.0]] * 4, [1, 0, 0, 0]]) | _wrong,
+        "shots": st.integers(1, 64) | _wrong,
+        "seed": st.integers(0, 2 ** 32) | _wrong,
+        "noise": st.sampled_from([None, "builtin"]) | _wrong,
+        "durations": st.dictionaries(
+            st.sampled_from(["single_qubit_gate_ns", "cnot_ns", "readout_ns"]),
+            st.floats(1.0, 2000.0) | _wrong,
+        ) | _wrong,
+        "reps": st.integers(0, 2) | _wrong,
+        "workers": st.integers(1, 4) | _wrong,
+    },
+)
+
+
+@settings(max_examples=150)
+@given(_configs)
+def test_any_config_runs_or_ends_in_error(tmp_path_factory, data):
+    cfg = tmp_path_factory.mktemp("config") / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main(["run", "--config", str(cfg)])
+    assert code in (0, 1)
+    if code == 1:
+        assert err.getvalue().startswith("error:")
+        assert out.getvalue() == ""
