@@ -11,7 +11,7 @@ import numpy as np
 
 from twobell import (
     GeneralizedBellTypeState,
-    count_bell_resources,
+    ResourceReport,
     multi_output_teleport,
 )
 from twobell.qstate import tensor, to_density
@@ -43,4 +43,4 @@ print(f"worst branch fidelity vs the intended joint state: {worst:.12f}")
 # ceil(log2 n) Bell pairs.
 for n in (1, 2, 4, 8, 16):
     print(f"n = {n:2d} unknown amplitudes -> "
-          f"{count_bell_resources(n).bell_pairs} Bell pairs")
+          f"{ResourceReport(n).bell_pairs} Bell pairs")

@@ -23,7 +23,7 @@ for r in records:
 nm = build_noise_model(records)
 
 layout, routed, receivers, report = routed_experiment()
-print("\nlayout (logical -> physical):", layout.mapping)
+print("\nlayout (logical -> physical):", layout)
 print("cost:", report)
 
 # One pass through the noise engine: the routed circuit plus the nine

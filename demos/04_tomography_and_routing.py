@@ -30,5 +30,5 @@ print("\ncoupling edges:", sorted(tuple(sorted(e)) for e in graph.edges))
 triangle = Circuit(3).cnot(0, 1).cnot(1, 2).cnot(0, 2)
 layout, routed, report = route(triangle, graph)
 print("\ntriangle interactions:", report)
-print("layout:", layout.mapping)
+print("layout:", layout)
 print(to_text(routed))

@@ -10,11 +10,9 @@ from .protocols import (
     TeleportBranch,
     cluster_channel_teleport,
     compress_ghz_class,
-    count_bell_resources,
     expand_ghz_class,
     experiment_circuit,
     multi_output_teleport,
-    prepare_bell,
     prepare_cluster5,
     teleport_single,
     teleport_two_qubit_general,
@@ -45,6 +43,6 @@ from .tomography import (
     reconstruct,
     trace_distance,
 )
-from .transpile import CouplingGraph, CostReport, Layout, casablanca_topology, cost, route
+from .transpile import CouplingGraph, CostReport, casablanca_topology, cost, route
 
 __version__ = "0.1.0"

@@ -246,14 +246,10 @@ def build_noise_model(records, durations: DurationConfig | None = None) -> Noise
     t1 = {r.qubit: r.t1_us * 1000.0 for r in records}
     t2 = {r.qubit: r.t2_us * 1000.0 for r in records}
     x_depol = {r.qubit: depolarizing_strength(r.pauli_x_error, 1) for r in records}
-    cnot_depol = {}
-    for r in records:
-        for nb, err in r.cnot_errors.items():
-            cnot_depol[frozenset((r.qubit, nb))] = depolarizing_strength(err, 2)
-    confusion = {}
-    for r in records:
-        e = r.readout_error
-        confusion[r.qubit] = np.array([[1 - e, e], [e, 1 - e]])
+    cnot_depol = {frozenset((r.qubit, nb)): depolarizing_strength(err, 2)
+                  for r in records for nb, err in r.cnot_errors.items()}
+    confusion = {r.qubit: np.array([[1 - r.readout_error, r.readout_error],
+                                    [r.readout_error, 1 - r.readout_error]]) for r in records}
     return NoiseModel(t1, t2, x_depol, cnot_depol, confusion, durations)
 
 

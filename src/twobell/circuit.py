@@ -20,11 +20,10 @@ Text format (one step per line, ``#`` starts a comment):
 
 Gate names: H X Y Z S CNOT SWAP.  ``M q -> name`` measures one qubit
 into a named classical bit.  ``<gate> <targets> if <bit>`` applies the
-gate when the named bit reads 1.  CUSTOM gates and controls on any
-other bit value have no text form.
+gate when the named bit reads 1.  CUSTOM gates have no text form.
 
 A circuit is a list of two kinds of step: a ``Gate``, which may carry a
-classical control (apply only when ``bit`` reads ``value``), and a
+classical control (apply only when ``bit`` reads 1), and a
 ``Measure`` of one qubit into one named bit.  Both report their qubits as
 ``targets`` and move to other qubits with ``on``.  A circuit is checked
 as each step is added (qubit range, and every control bit written by an
@@ -41,7 +40,7 @@ import numpy as np
 
 from .qstate import GATE_MATRICES, StateVector, apply_matrix, basis_state, _check_unitary
 
-GATE_ARITY = {"H": 1, "X": 1, "Y": 1, "Z": 1, "S": 1, "CNOT": 2, "SWAP": 2}
+GATE_ARITY = {kind: len(u).bit_length() - 1 for kind, u in GATE_MATRICES.items()}
 
 
 @dataclass(frozen=True)
@@ -49,8 +48,7 @@ class Gate:
     kind: str
     targets: tuple
     matrix: np.ndarray | None = None  # CUSTOM only
-    bit: str | None = None  # classical control; None applies unconditionally
-    value: int = 1
+    bit: str | None = None  # classical control: apply when it reads 1; None always
 
     def __post_init__(self):
         object.__setattr__(self, "targets", tuple(self.targets))
@@ -73,11 +71,11 @@ class Gate:
 
     def fires(self, bits: dict) -> bool:
         """Whether the gate applies on a branch with these bit values."""
-        return self.bit is None or bits.get(self.bit) == self.value
+        return self.bit is None or bits.get(self.bit) == 1
 
     def on(self, qubits) -> Gate:
         """This gate with each target q moved to ``qubits[q]``."""
-        return Gate(self.kind, [qubits[q] for q in self.targets], self.matrix, self.bit, self.value)
+        return Gate(self.kind, [qubits[q] for q in self.targets], self.matrix, self.bit)
 
 
 @dataclass(frozen=True)
@@ -146,8 +144,8 @@ class Circuit:
     def measure(self, qubit, bit):
         return self.add(Measure(qubit, bit))
 
-    def c_if(self, kind, targets, bit, value=1):
-        return self.add(Gate(kind, tuple(targets), bit=bit, value=value))
+    def c_if(self, kind, targets, bit):
+        return self.add(Gate(kind, tuple(targets), bit=bit))
 
     def bell_measure(self, q1, q2, bit1, bit2):
         """CNOT(q1->q2), H(q1), then measure q1 -> bit1 and q2 -> bit2.
@@ -173,11 +171,6 @@ class Circuit:
         for q in receivers:
             self.c_if("X", (q,), x_bit)
         return self.c_if("Z", (receivers[0],), z_bit)
-
-    # -- bookkeeping -------------------------------------------------------
-    def classical_bits(self) -> list:
-        """Bit names in first-write order."""
-        return list(self.measured)
 
 
 @dataclass(frozen=True)
@@ -306,8 +299,6 @@ def to_text(c: Circuit) -> str:
             raise ValueError("CUSTOM gates have no text form")
         line = f"{step.kind} {' '.join(map(str, step.targets))}"
         if step.bit is not None:
-            if step.value != 1:
-                raise ValueError(f"controls on bit value {step.value} have no text form")
             line += f" if {step.bit}"
         lines.append(line)
     return "\n".join(lines) + "\n"

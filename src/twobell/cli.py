@@ -72,7 +72,7 @@ class ExperimentConfig:
     def __post_init__(self):
         _check_keys(self.durations, [f.name for f in fields(DurationConfig)], "durations")
         for name, value in self.durations.items():
-            if not (_is_number(value) and abs(value) <= sys.float_info.max):
+            if not _is_finite(value):
                 raise ValueError(f"durations.{name} must be a finite number, got {value!r}")
         _check_keys(self.input_a, INPUT_KEYS, "input_a")
         _check_keys(self.input_b, INPUT_KEYS, "input_b")
@@ -100,9 +100,6 @@ class ExperimentConfig:
         if self.reps < 0:
             raise ValueError("reps must be >= 0")
 
-    def duration_config(self) -> DurationConfig:
-        return DurationConfig(**self.durations)
-
 
 def _check_keys(data, names, label: str):
     if not isinstance(data, dict):
@@ -116,20 +113,24 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
+def _is_finite(value) -> bool:
+    """An int or float that is neither NaN nor beyond the float range."""
+    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
 
 
 def _complex(value) -> complex:
-    """A number, or an [re, im] pair of numbers."""
+    """A finite number, or an [re, im] pair of them."""
     parts = value if isinstance(value, list) and len(value) == 2 else [value]
-    if not all(_is_number(v) for v in parts):
-        raise ValueError(f"expected a number or [re, im], got {value!r}")
+    if not all(_is_finite(v) for v in parts):
+        raise ValueError(f"expected a finite number or [re, im], got {value!r}")
     return complex(*parts)
 
 
 def _normalized(coeffs, label):
-    norm = np.sqrt(sum(abs(c) ** 2 for c in coeffs))
+    try:
+        norm = np.sqrt(sum(abs(c) ** 2 for c in coeffs))
+    except OverflowError:  # finite parts whose squares overflow a float
+        norm = float("inf")
     if abs(norm - 1.0) > 1e-6:
         raise ValueError(f"{label}: coefficients are not normalized (norm {norm})")
     if abs(norm - 1.0) > 1e-10:
@@ -152,7 +153,10 @@ def load_config(args) -> ExperimentConfig:
     data = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except RecursionError:
+                raise ValueError(f"{args.config}: JSON nested too deeply") from None
     _check_keys(data, [f.name for f in fields(ExperimentConfig)], "config")
     for key in ("shots", "seed", "reps", "workers"):
         value = getattr(args, key, None)
@@ -170,7 +174,7 @@ def _noise_model(config: ExperimentConfig):
         return None
     path = packaged_calibration_path() if config.noise == "builtin" else config.noise
     records = load_calibration(path)
-    return build_noise_model(records, config.duration_config())
+    return build_noise_model(records, DurationConfig(**config.durations))
 
 
 def _state_doc(state) -> list:
@@ -236,10 +240,9 @@ def cmd_run(config: ExperimentConfig) -> dict:
         qb, _ = compress_ghz_class(chi_b)
         circuit = experiment_circuit(qa, qb)
         counts = sample_counts(circuit, config.shots, config.seed)
-        names = circuit.classical_bits()
         doc["ideal"] = {
             "histogram": experiments.marginal_counts(
-                counts, names, protocols.EXPERIMENT_OUTPUT_BITS
+                counts, circuit.measured, protocols.EXPERIMENT_OUTPUT_BITS
             ),
             "fidelity_percent": 100.0,
         }
@@ -332,7 +335,7 @@ def cmd_route(circuit_path, graph_path=None) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "route",
-        "layout": {str(l): p for l, p in sorted(layout.mapping.items())},
+        "layout": {str(l): p for l, p in sorted(layout.items())},
         "cost": {
             "cnot_count": report.cnot_count,
             "swap_count": report.swap_count,
@@ -349,11 +352,8 @@ def cmd_compare(config: ExperimentConfig) -> dict:
     chi_b = _bell_type_state(config.input_b, 2, "input_b")
     two_bell, report = multi_output_teleport(chi_a, chi_b)
     cluster = cluster_channel_teleport(chi_a, chi_b)
-    by_bits = {b.outcome_bits: b for b in cluster}
-    worst = 1.0
-    for b in two_bell:
-        other = by_bits[b.outcome_bits]
-        worst = min(worst, overlap(b.output, other.output))
+    by_bits = {b.outcome_bits: b.output for b in cluster}
+    worst = min([1.0] + [overlap(b.output, by_bits[b.outcome_bits]) for b in two_bell])
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "compare",

@@ -55,7 +55,7 @@ def routed_experiment():
     (layout, routed circuit, receiver physical qubits, cost report)."""
     logical = experiment_circuit(measure_outputs=False)
     layout, routed, report = route(logical, casablanca_topology())
-    receivers = tuple(layout.mapping[q] for q in EXPERIMENT_RECEIVER_QUBITS)
+    receivers = tuple(layout[q] for q in EXPERIMENT_RECEIVER_QUBITS)
     return layout, routed, receivers, report
 
 

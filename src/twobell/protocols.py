@@ -87,16 +87,7 @@ class ResourceReport:
         return 2 * self.bell_pairs
 
 
-count_bell_resources = ResourceReport
-
-
 # -- state constructors ------------------------------------------------------
-
-
-def prepare_bell() -> StateVector:
-    """|phi+> = (|00> + |11>) / sqrt(2)."""
-    s = 1 / np.sqrt(2)
-    return StateVector(2, np.array([s, 0, 0, s], dtype=complex))
 
 
 def prepare_cluster5() -> StateVector:
@@ -216,8 +207,7 @@ def multi_output_teleport(
                 )
             )
     branches.sort(key=lambda b: b.outcome_bits)
-    report = count_bell_resources(4)
-    return branches, report
+    return branches, ResourceReport(4)
 
 
 def teleport_two_qubit_general(psi: StateVector):
@@ -240,8 +230,7 @@ def teleport_two_qubit_general(psi: StateVector):
     for bits, p, out in _branches(c):  # out: receiver qubits (3, 5)
         corrections = _corrections_for(bits[:2], 1, (0,)) + _corrections_for(bits[2:], 2, (1,))
         branches.append(TeleportBranch(bits, corrections, p, out))
-    report = count_bell_resources(4)
-    return branches, report
+    return branches, ResourceReport(4)
 
 
 def cluster_channel_teleport(

@@ -165,4 +165,8 @@ def fidelity_stats(values) -> FidelityStats:
     if len(values) < 2:
         raise ValueError("need >= 2 values")
     arr = np.array(values)
-    return FidelityStats(values, float(arr.mean()), float(arr.std(ddof=1)))
+    with np.errstate(over="raise"):
+        try:
+            return FidelityStats(values, float(arr.mean()), float(arr.std(ddof=1)))
+        except FloatingPointError:
+            raise ValueError("values too large: their mean or spread overflows") from None

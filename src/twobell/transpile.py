@@ -64,6 +64,8 @@ class CouplingGraph:
 
     def __post_init__(self):
         edges = frozenset(frozenset(e) for e in self.edges)
+        if self.num_physical > len(edges) + 1:  # N nodes need N - 1 edges; checked before allocating
+            raise ValueError("coupling graph must be connected")
         adj = {q: set() for q in range(self.num_physical)}
         for e in edges:
             if len(e) != 2 or any(not 0 <= q < self.num_physical for q in e):
@@ -111,16 +113,6 @@ def load_coupling_graph(path) -> CouplingGraph:
     if not edges:
         raise ValueError("empty graph file")
     return CouplingGraph(max_node + 1, frozenset(edges))
-
-
-@dataclass(frozen=True)
-class Layout:
-    mapping: dict  # logical -> physical
-
-    def __post_init__(self):
-        vals = list(self.mapping.values())
-        if len(set(vals)) != len(vals):
-            raise ValueError("layout must be injective")
 
 
 @dataclass(frozen=True)
@@ -188,8 +180,8 @@ def _route_with_layout(c: Circuit, g: CouplingGraph, initial: dict, dist: dict,
 def route(c: Circuit, g: CouplingGraph):
     """Map and route a logical circuit onto the coupling graph.
 
-    Returns (layout, routed circuit, cost report) for the layout that
-    minimizes CNOT count, ties broken by depth then lexicographic
+    Returns ({logical: physical} layout, routed circuit, cost report)
+    minimizing CNOT count, ties broken by depth then lexicographic
     layout: the optimum of an exhaustive search over injective layouts.
     Only the first layout that needs no SWAP is routed, if one exists;
     otherwise layouts are routed in order of their lower bound (see the
@@ -228,7 +220,7 @@ def route(c: Circuit, g: CouplingGraph):
         report = cost(routed, g)
         key = (report.cnot_count, report.depth, phys)
         if best is None or key < best[0]:
-            best = (key, Layout(layout), routed, report)
+            best = (key, layout, routed, report)
     _, layout, routed, report = best
     log.debug(
         "route: %d layouts enumerated, %d routed (%d cut short), chose cnot_count=%d depth=%d",

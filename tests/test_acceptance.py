@@ -13,8 +13,8 @@ from twobell.cli import packaged_calibration_path, packaged_fidelities_path
 from twobell.experiments import noisy_experiment
 from twobell.protocols import (
     GeneralizedBellTypeState,
+    ResourceReport,
     cluster_channel_teleport,
-    count_bell_resources,
     experiment_circuit,
     multi_output_teleport,
 )
@@ -215,5 +215,5 @@ def test_criterion_8_routing_optimality():
 def test_criterion_9_resource_rule():
     with _Check(9, "Bell-pair count follows ceil(log2 n)", 1):
         for n in range(1, 17):
-            assert count_bell_resources(n).bell_pairs == int(np.ceil(np.log2(n)))
-        assert count_bell_resources(4).bell_pairs == 2
+            assert ResourceReport(n).bell_pairs == int(np.ceil(np.log2(n)))
+        assert ResourceReport(4).bell_pairs == 2

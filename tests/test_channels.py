@@ -362,7 +362,7 @@ def test_controlled_gate_takes_its_window_whether_or_not_it_fires(kind):
         final, _ = noisy_distribution(c, nm)
         return partial_trace(final, {2}).entries
 
-    skipped = spectator(replace(Gate(kind, targets), bit="c", value=1))
+    skipped = spectator(replace(Gate(kind, targets), bit="c"))
     fired = spectator(Gate(kind, targets))
     assert np.max(np.abs(skipped - fired)) < 1e-12
 
@@ -370,7 +370,7 @@ def test_controlled_gate_takes_its_window_whether_or_not_it_fires(kind):
 @st.composite
 def branching_circuits(draw):
     """Up to 4 qubits with mid-circuit measurements into a small pool of
-    bits, then a re-measured bit and controls on both of its values."""
+    bits, then a re-measured bit and a control on it."""
     n = draw(st.integers(1, 4))
     qubit = st.integers(0, n - 1)
     kinds = sorted(k for k, arity in GATE_ARITY.items() if arity <= n)
@@ -380,10 +380,8 @@ def branching_circuits(draw):
         targets = draw(st.permutations(range(n)))[: GATE_ARITY[kind]]
         return Gate(kind, tuple(targets))
 
-    def control(bit, value=None):
-        if value is None:
-            value = draw(st.integers(0, 1))
-        return replace(gate(), bit=bit, value=value)
+    def control(bit):
+        return replace(gate(), bit=bit)
 
     c = Circuit(n).h(draw(qubit)).measure(draw(qubit), "a")
     written = ["a"]
@@ -398,7 +396,7 @@ def branching_circuits(draw):
         else:
             c.add(control(draw(st.sampled_from(written))))
     c.measure(draw(qubit), "a")
-    c.add(control("a", 0)).add(control("a", 1))
+    c.add(control("a"))
     return c
 
 
@@ -453,7 +451,7 @@ def eager_noisy_distribution(c, nm):
     dist = {}
     for bits, p, _ in branches:
         recorded = {"": p}
-        for name in c.classical_bits():
+        for name in c.measured:
             conf = nm.confusion[read_by[name]]
             recorded = {rec + str(r): w * conf[r, bits[name]]
                         for rec, w in recorded.items() for r in (0, 1)}
@@ -723,7 +721,7 @@ def embedded_circuits(draw):
         kind = draw(st.sampled_from(kinds))
         targets = tuple(draw(st.permutations(range(k)))[: GATE_ARITY[kind]])
         bit = "a" if step == "control" else None
-        c.add(Gate(kind, targets, bit=bit, value=draw(st.integers(0, 1))))
+        c.add(Gate(kind, targets, bit=bit))
     return c.measure(draw(qubit), "b"), positions
 
 

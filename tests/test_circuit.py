@@ -169,13 +169,6 @@ def test_text_roundtrip():
     assert run_exact(c).probabilities() == pytest.approx(run_exact(back).probabilities())
 
 
-def test_to_text_rejects_control_on_zero():
-    c = Circuit(2).measure(0, "c").c_if("X", (1,), "c", value=0).measure(1, "o")
-    assert run_exact(c).probabilities() == pytest.approx({"01": 1.0})
-    with pytest.raises(ValueError, match="bit value 0"):
-        to_text(c)
-
-
 def test_remeasured_bit_keeps_every_shot():
     c = Circuit(1).h(0).measure(0, "c").h(0).measure(0, "c")
     assert run_exact(c).probabilities() == pytest.approx({"0": 0.5, "1": 0.5})
@@ -238,9 +231,9 @@ def test_parse_comments_and_header():
 def test_repr_lists_steps_and_replays():
     import twobell.circuit as circuit_module
 
-    c = Circuit(2).h(0).measure(0, "c").c_if("X", (1,), "c", value=0).measure(1, "o")
+    c = Circuit(2).h(0).measure(0, "c").c_if("X", (1,), "c").measure(1, "o")
     text = repr(c)
-    assert text.startswith("Circuit(2, [") and "value=0" in text
+    assert text.startswith("Circuit(2, [") and "bit='c'" in text
     back = eval(text, vars(circuit_module))
     assert back.num_qubits == c.num_qubits and back.steps == c.steps
     assert run_exact(back).probabilities() == run_exact(c).probabilities()

@@ -235,6 +235,16 @@ def test_stats_single_value_errors(tmp_path, capsys):
     assert "2 values" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("values", ["1e308\n1e308\n", "1e200\n-1e200\n"], ids=["mean", "spread"])
+def test_stats_whose_mean_or_spread_overflows_end_in_error(tmp_path, capsys, values):
+    p = tmp_path / "values.txt"
+    p.write_text(values)
+    assert main(["stats", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: values too large: their mean or spread overflows\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "80.1.2"])
 def test_stats_rejects_values_that_are_not_finite_numbers(tmp_path, capsys, text):
     p = tmp_path / "values.txt"
@@ -273,6 +283,17 @@ def test_route_graph_with_non_integer_node_names_its_line(tmp_path, capsys):
     graph.write_text("0 1\n1 x\n")
     assert main(["route", str(circ), "--graph", str(graph)]) == 1
     assert capsys.readouterr().err == "error: line 2: expected integer, got 'x'\n"
+
+
+def test_graph_with_a_far_node_ends_in_error_before_allocating_it(tmp_path, capsys):
+    """A connected graph on N nodes has at least N - 1 edges, so two edges
+    cannot reach node 10**20; the graph is rejected without building it."""
+    circ = tmp_path / "circ.txt"
+    circ.write_text("qubits 2\nCNOT 0 1\n")
+    graph = tmp_path / "g.txt"
+    graph.write_text(f"0 1\n1 {10 ** 20}\n")
+    assert main(["route", str(circ), "--graph", str(graph)]) == 1
+    assert capsys.readouterr().err == "error: coupling graph must be connected\n"
 
 
 def test_route_duplicate_target_names_its_line(tmp_path, capsys):
@@ -384,6 +405,9 @@ def test_unknown_config_key_rejected(tmp_path, capsys, data, key):
         ({"m": 9}, "m must be <= 8"),
         ({"shots": 2 ** 63}, "shots must be <= 2**63 - 1"),
         ({"seed": -1}, "seed must be >= 0"),
+        ({"input_a": {"alpha": math.nan, "beta": 0}}, "expected a finite number"),
+        ({"input_b": {"alpha": [0, -math.inf], "beta": 0}}, "expected a finite number"),
+        ({"input_a": {"alpha": [1e308, 1e308], "beta": [0, 0]}}, "not normalized (norm inf)"),
     ],
 )
 def test_wrong_typed_config_value_rejected(tmp_path, capsys, data, message):
@@ -392,6 +416,15 @@ def test_wrong_typed_config_value_rejected(tmp_path, capsys, data, message):
     assert main(["run", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
+
+
+def test_deeply_nested_config_ends_in_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[" * 100_000)
+    assert main(["run", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {cfg}: JSON nested too deeply\n"
+    assert captured.out == ""
 
 
 def test_state_too_large_to_allocate_ends_in_error(tmp_path):
@@ -550,12 +583,14 @@ def test_parser_is_built_once(monkeypatch, capsys):
 
 
 _wrong = st.sampled_from([None, "x", 1.5, [], [1], -1, -2.5])
+# Amplitudes that are not finite, or whose squares overflow a float.
+_not_finite = st.sampled_from([math.nan, math.inf, [0.0, -math.inf], [1e308, 1e308], 1e308])
 _bell_field = st.fixed_dictionaries(
     {},
     optional={
         "x": st.integers(0, 3) | _wrong,
-        "alpha": st.sampled_from([[0.6, 0.0], 0.6]) | _wrong,
-        "beta": st.sampled_from([[0.0, 0.8], 0.8]) | _wrong,
+        "alpha": st.sampled_from([[0.6, 0.0], 0.6]) | _wrong | _not_finite,
+        "beta": st.sampled_from([[0.0, 0.8], 0.8]) | _wrong | _not_finite,
     },
 )
 _configs = st.fixed_dictionaries(
@@ -565,7 +600,8 @@ _configs = st.fixed_dictionaries(
         "m": st.integers(1, 3) | _wrong,
         "input_a": _bell_field | _wrong,
         "input_b": _bell_field | _wrong,
-        "coefficients": st.sampled_from([None, [[0.5, 0.0]] * 4, [1, 0, 0, 0]]) | _wrong,
+        "coefficients": st.sampled_from([None, [[0.5, 0.0]] * 4, [1, 0, 0, 0], [math.nan] * 4,
+                                         [[1e308, 1e308], 0, 0, 0]]) | _wrong,
         "shots": st.integers(1, 64) | _wrong,
         "seed": st.integers(0, 2 ** 32) | _wrong,
         "noise": st.sampled_from([None, "builtin"]) | _wrong,
@@ -579,16 +615,122 @@ _configs = st.fixed_dictionaries(
 )
 
 
+def assert_runs_or_ends_in_error(argv):
+    """``main(argv)`` in-process exits 0, or exits 1 with stderr that
+    starts with ``error:`` and empty stdout.  A warning would print on
+    stderr ahead of the error, so an exit 1 allows none, and no run may
+    raise a RuntimeWarning or DeprecationWarning."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([str(a) for a in argv])
+    assert code in (0, 1)
+    messages = [f"{w.category.__name__}: {w.message}" for w in caught]
+    assert not any(issubclass(w.category, (RuntimeWarning, DeprecationWarning)) for w in caught), messages
+    if code == 1:
+        assert messages == []
+        assert err.getvalue().startswith("error:")
+        assert out.getvalue() == ""
+
+
 @settings(max_examples=150)
 @given(_configs)
 def test_any_config_runs_or_ends_in_error(tmp_path_factory, data):
     cfg = tmp_path_factory.mktemp("config") / "cfg.json"
     cfg.write_text(json.dumps(data))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        code = main(["run", "--config", str(cfg)])
-    assert code in (0, 1)
-    if code == 1:
-        assert err.getvalue().startswith("error:")
-        assert out.getvalue() == ""
+    assert_runs_or_ends_in_error(["run", "--config", cfg])
+
+
+_amplitude = st.sampled_from([[0.6, 0.0], 0.6, [0.0, 0.8], 0.8]) | _not_finite | _wrong
+_input = st.fixed_dictionaries({}, optional={"alpha": _amplitude, "beta": _amplitude})
+
+
+@settings(max_examples=60)
+@given(st.fixed_dictionaries(
+    {"scheme": st.sampled_from(["two_bell", "general_two_qubit"])},
+    optional={"input_a": _input, "input_b": _input,
+              "coefficients": st.lists(_amplitude, min_size=4, max_size=4)},
+))
+def test_any_amplitudes_run_or_end_in_error(tmp_path_factory, data):
+    """The config property above with only the amplitude fields drawn, so
+    that most examples reach the amplitude checks."""
+    cfg = tmp_path_factory.mktemp("config") / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    assert_runs_or_ends_in_error(["run", "--config", cfg])
+
+
+# -- mutations of the text input formats --------------------------------------
+
+_token = st.sampled_from(
+    ["", "H", "X", "CNOT", "SWAP", "CUSTOM", "M", "->", "if", "qubits", "#", "0", "1", "3", "6",
+     "7", "8", "-1", "99999999999999999999", "1.5", "1e308", "-1e308", "nan", "inf", "m0", "a"]
+) | st.floats().map(repr) | st.text(max_size=3)
+
+
+@st.composite
+def mutated(draw, text):
+    """``text`` after one to three edits, each on a token or a line:
+    replace, delete or insert a token, or delete or repeat a line."""
+    lines = [line.split(" ") for line in text.splitlines()]
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines)))
+        edit = draw(st.sampled_from(["replace", "delete", "insert", "drop_line", "repeat_line"]))
+        if i == len(lines):
+            lines.append([draw(_token)])
+        elif edit == "drop_line":
+            del lines[i]
+        elif edit == "repeat_line":
+            lines.insert(i, list(lines[i]))
+        elif edit == "insert" or not lines[i]:
+            lines[i].insert(draw(st.integers(0, len(lines[i]))), draw(_token))
+        else:
+            j = draw(st.integers(0, len(lines[i]) - 1))
+            if edit == "replace":
+                lines[i][j] = draw(_token)
+            else:
+                del lines[i][j]
+    return "\n".join(" ".join(tokens) for tokens in lines) + "\n"
+
+
+def _write(tmp_path_factory, name, text):
+    path = tmp_path_factory.mktemp("input") / name
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+@settings(max_examples=40, deadline=None)
+@given(text=mutated((GOLDEN / "route_default.circuit.txt").read_text()))
+def test_any_circuit_text_routes_or_ends_in_error(tmp_path_factory, text):
+    assert_runs_or_ends_in_error(["route", _write(tmp_path_factory, "circ.txt", text)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(text=mutated((GOLDEN / "ring6.graph.txt").read_text()))
+def test_any_graph_text_routes_or_ends_in_error(tmp_path_factory, text):
+    graph = _write(tmp_path_factory, "graph.txt", text)
+    assert_runs_or_ends_in_error(["route", GOLDEN / "route_ring.circuit.txt", "--graph", graph])
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=mutated(packaged_fidelities_path().read_text()))
+def test_any_stats_values_run_or_end_in_error(tmp_path_factory, text):
+    assert_runs_or_ends_in_error(["stats", _write(tmp_path_factory, "values.txt", text)])
+
+
+@st.composite
+def calibration_with_one_cell_changed(draw):
+    rows = [row.split(",") for row in packaged_calibration_path().read_text().splitlines()]
+    row = draw(st.sampled_from(rows))
+    row[draw(st.integers(0, len(row) - 1))] = draw(
+        st.sampled_from(["cx0_1:0.5", "cx0_9:0.1", "cx1_1:0.1", "cx0_1:2", "cx0_1", ";", "5e-324"])
+        | _token
+    )
+    return "\n".join(",".join(r) for r in rows) + "\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(text=calibration_with_one_cell_changed())
+def test_any_calibration_cell_runs_or_ends_in_error(tmp_path_factory, text):
+    cal = _write(tmp_path_factory, "cal.csv", text)
+    assert_runs_or_ends_in_error(["run", "--calibration", cal, "--reps", "1", "--shots", "64"])

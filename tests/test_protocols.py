@@ -7,10 +7,8 @@ from twobell.protocols import (
     ResourceReport,
     cluster_channel_teleport,
     compress_ghz_class,
-    count_bell_resources,
     expand_ghz_class,
     multi_output_teleport,
-    prepare_bell,
     prepare_cluster5,
     teleport_single,
     teleport_two_qubit_general,
@@ -77,14 +75,6 @@ def test_cluster5_support_and_norm():
 def test_cluster5_first_two_qubits_maximally_mixed():
     red = partial_trace(to_density(prepare_cluster5()), {0, 1})
     assert np.allclose(red.entries, np.eye(4) / 4, atol=1e-12)
-
-
-def test_prepare_bell():
-    assert np.allclose(prepare_bell().amplitudes, [SQ2, 0, 0, SQ2])
-    double = tensor(prepare_bell(), prepare_bell())
-    assert set(np.flatnonzero(double.amplitudes)) == {0, 3, 12, 15}
-    red = partial_trace(to_density(prepare_bell()), {0})
-    assert np.allclose(red.entries, np.eye(2) / 2)
 
 
 # -- compression ---------------------------------------------------------------
@@ -212,7 +202,7 @@ def test_multi_output_plus_case():
     branches, report = multi_output_teleport(chi_a, chi_b)
     ideal = tensor(chi_a.to_statevector(), chi_b.to_statevector())
     assert_all_branches_match(branches, ideal, count=16, prob=1 / 16)
-    assert report == count_bell_resources(4)
+    assert report == ResourceReport(4)
 
 
 def test_multi_output_basis_case():
@@ -298,11 +288,11 @@ def test_two_qubit_general_random():
 
 
 def test_count_bell_resources():
-    assert count_bell_resources(4).bell_pairs == 2
-    assert count_bell_resources(1).bell_pairs == 0
-    assert count_bell_resources(5).bell_pairs == 3
+    assert ResourceReport(4).bell_pairs == 2
+    assert ResourceReport(1).bell_pairs == 0
+    assert ResourceReport(5).bell_pairs == 3
     with pytest.raises(ValueError):
-        count_bell_resources(0)
+        ResourceReport(0)
 
 
 def test_resource_report_invariants():
