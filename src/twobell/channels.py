@@ -46,6 +46,8 @@ CSV_HEADER = ["qubit", "t1_us", "t2_us", "freq_ghz", "readout_err", "x_err", "cn
 
 @dataclass(frozen=True)
 class CalibrationRecord:
+    """One qubit's row of a calibration table, fields in column order."""
+
     qubit: int
     t1_us: float
     t2_us: float
@@ -54,31 +56,37 @@ class CalibrationRecord:
     pauli_x_error: float
     cnot_errors: dict  # neighbor qubit -> error
 
-    def __post_init__(self):
-        if not (self.t1_us > 0 and self.t2_us > 0):  # also rejects NaN
-            raise ValueError(
-                f"qubit {self.qubit}: T1 and T2 must be positive, got {self.t1_us}, {self.t2_us}"
-            )
-        if self.t2_us > 2 * self.t1_us + 1e-6:
-            raise ValueError("T2 must not exceed 2*T1")
-        for p in [self.readout_error, self.pauli_x_error, *self.cnot_errors.values()]:
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"probability {p} out of [0, 1]")
-
 
 @dataclass(frozen=True)
 class DurationConfig:
+    """Gate and readout durations in ns; a config's are checked positive as it is read."""
+
     single_qubit_gate_ns: float = 35.5
     cnot_ns: float = 300.0
     readout_ns: float = 1500.0
 
-    def __post_init__(self):
-        if min(self.single_qubit_gate_ns, self.cnot_ns, self.readout_ns) <= 0:
-            raise ValueError("durations must be positive")
-
 
 class CalibrationError(ValueError):
     pass
+
+
+def _positive(text: str) -> float:
+    value = float(text)
+    if not value > 0:  # also rejects NaN
+        raise ValueError(f"expected a positive number, got {value}")
+    return value
+
+
+def _probability(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"probability {value} out of [0, 1]")
+    return value
+
+
+# The parser of each column's cells but cnot_errs'; a bad cell raises ValueError.
+_CELL_PARSERS = {"qubit": int, "t1_us": _positive, "t2_us": _positive, "freq_ghz": float,
+                 "readout_err": _probability, "x_err": _probability}
 
 
 def _parse_cnot_tokens(raw: str, row_qubit: int) -> dict:
@@ -92,65 +100,59 @@ def _parse_cnot_tokens(raw: str, row_qubit: int) -> dict:
             name, value = token.split(":")
             if not name.startswith("cx"):
                 raise ValueError
-            i, j = name[2:].split("_")
-            i, j = int(i), int(j)
-            err = float(value)
+            i, j = map(int, name[2:].split("_"))
         except ValueError:
             raise CalibrationError(f"unparsable CNOT token {token!r}") from None
         if row_qubit not in (i, j):
             raise CalibrationError(
                 f"CNOT token {token!r} does not involve qubit {row_qubit}"
             )
-        out[j if i == row_qubit else i] = err
+        out[j if i == row_qubit else i] = _probability(value)
     return out
 
 
 def load_calibration(path) -> list:
     """Read calibration records from CSV (see CSV_HEADER for the format).
 
+    Each cell is checked as it is read; a bad one is reported as
+    ``line N, <column>: ...``, and a second row for a qubit is an error.
     CNOT entries are completed symmetrically: cx0_1 under qubit 0 also
     registers under qubit 1.  T2 > 2*T1 is clamped with a warning.
     """
+    records, lines = {}, {}  # by qubit: its record, and the line of its row
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != CSV_HEADER:
-            raise CalibrationError(
-                f"bad header: expected {','.join(CSV_HEADER)}, got {reader.fieldnames}"
-            )
-        rows = list(reader)
-    if not rows:
+        header = reader.fieldnames = [f.strip() for f in reader.fieldnames or []]
+        if header != CSV_HEADER:
+            raise CalibrationError(f"line 1: bad header; expected {','.join(CSV_HEADER)}")
+        for row in reader:
+            line = reader.line_num
+            if None in row or None in row.values():
+                raise CalibrationError(f"line {line}: expected {len(CSV_HEADER)} cells")
+            cells = {}
+            try:
+                for column, parse in _CELL_PARSERS.items():
+                    cells[column] = parse(row[column])
+                column = "cnot_errs"
+                cells[column] = _parse_cnot_tokens(row[column], cells["qubit"])
+            except ValueError as exc:
+                raise CalibrationError(f"line {line}, {column}: {exc}") from None
+            q, t1, t2 = cells["qubit"], cells["t1_us"], cells["t2_us"]
+            if q in lines:
+                raise CalibrationError(f"line {line}: qubit {q} repeats line {lines[q]}")
+            if t2 > 2 * t1:
+                warnings.warn(f"qubit {q}: T2={t2} > 2*T1={2 * t1}, clamping")
+                cells["t2_us"] = 2 * t1
+            lines[q], records[q] = line, CalibrationRecord(*cells.values())
+    if not records:
         raise CalibrationError("no records")
 
-    parsed = []
-    for row in rows:
-        if any(row[k] is None for k in CSV_HEADER):
-            raise CalibrationError(f"missing column in row {row}")
-        q = int(row["qubit"])
-        t1 = float(row["t1_us"])
-        t2 = float(row["t2_us"])
-        # A non-positive or NaN T1 is left for CalibrationRecord to reject unclamped.
-        if t1 > 0 and t2 > 2 * t1:
-            warnings.warn(f"qubit {q}: T2={t2} > 2*T1={2 * t1}, clamping")
-            t2 = 2 * t1
-        parsed.append(
-            dict(
-                qubit=q,
-                t1_us=t1,
-                t2_us=t2,
-                frequency_ghz=float(row["freq_ghz"]),
-                readout_error=float(row["readout_err"]),
-                pauli_x_error=float(row["x_err"]),
-                cnot_errors=_parse_cnot_tokens(row["cnot_errs"], q),
-            )
-        )
-
     # Symmetric completion across rows.
-    by_qubit = {p["qubit"]: p for p in parsed}
-    for p in parsed:
-        for nb, err in p["cnot_errors"].items():
-            if nb in by_qubit:
-                by_qubit[nb]["cnot_errors"].setdefault(p["qubit"], err)
-    return [CalibrationRecord(**p) for p in parsed]
+    for r in records.values():
+        for nb, err in r.cnot_errors.items():
+            if nb in records:
+                records[nb].cnot_errors.setdefault(r.qubit, err)
+    return list(records.values())
 
 
 # -- Kraus constructors ------------------------------------------------------

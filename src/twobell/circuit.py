@@ -304,6 +304,14 @@ def to_text(c: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
+def numbered_lines(lines):
+    """(line number, text) of each line not blank once its ``#`` comment is cut."""
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield line_no, line
+
+
 def parse_int(tok: str, line_no: int) -> int:
     """``int(tok)``, or a ``line N: expected integer`` error for a text file."""
     try:
@@ -315,12 +323,8 @@ def parse_int(tok: str, line_no: int) -> int:
 def from_text(text: str) -> Circuit:
     steps = []  # (line number, step)
     num_qubits = None
-    max_qubit = -1
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line_no, line in numbered_lines(text.splitlines()):
         toks = line.split()
         head = toks[0].upper()
         if head == "QUBITS":
@@ -333,9 +337,7 @@ def from_text(text: str) -> Circuit:
         if head == "M":
             if len(toks) != 4 or toks[2] != "->":
                 raise CircuitParseError(line_no, "usage: M <qubit> -> <bit>")
-            q = parse_int(toks[1], line_no)
-            max_qubit = max(max_qubit, q)
-            steps.append((line_no, Measure(q, toks[3])))
+            steps.append((line_no, Measure(parse_int(toks[1], line_no), toks[3])))
             continue
         if head not in GATE_ARITY:
             raise CircuitParseError(line_no, f"unknown gate {toks[0]!r}")
@@ -352,8 +354,8 @@ def from_text(text: str) -> Circuit:
             steps.append((line_no, Gate(head, targets, bit=cond)))
         except ValueError as exc:
             raise CircuitParseError(line_no, str(exc)) from None
-        max_qubit = max(max_qubit, *targets)
 
+    max_qubit = max((q for _, step in steps for q in step.targets), default=-1)
     if max_qubit < 0 and num_qubits is None:
         raise CircuitParseError(1, "empty circuit and no qubits header")
     # The header may follow the steps, so ``add`` checks each step here.

@@ -6,6 +6,10 @@ Every command emits one JSON document (schema_version 1) to stdout or
 The document is written by ``_dumps``, whose text is byte-identical to
 ``json.dumps(doc, indent=2, sort_keys=True)``.
 Fidelities are reported in percent at the CLI surface.
+
+A config is checked once, by ``ExperimentConfig``, and each error names
+its JSON path (``input_a.alpha: …``).  ``tomography`` and the noisy run
+take only inputs that compress to |+>; ``compare`` is defined for m = 1.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 
 from . import experiments, protocols
 from .channels import DurationConfig, build_noise_model, load_calibration
-from .circuit import from_text, sample_counts, to_text
+from .circuit import from_text, numbered_lines, sample_counts, to_text
 from .protocols import (
     GeneralizedBellTypeState,
     cluster_channel_teleport,
@@ -45,6 +49,10 @@ MAX_M = 8  # the run document grows 4x per step of m: ~105 MB at m = 8
 
 SCHEMES = ("two_bell", "cluster5", "general_two_qubit")
 INPUT_KEYS = ("x", "alpha", "beta")
+INF = float("inf")
+# Each integer field's inclusive bounds.  workers is ignored, so any integer does.
+INT_BOUNDS = {"m": (1, MAX_M), "shots": (1, MAX_SHOTS), "seed": (0, INF), "reps": (0, INF),
+              "workers": (-INF, INF)}
 
 
 def packaged_calibration_path():
@@ -57,6 +65,9 @@ def packaged_fidelities_path():
 
 @dataclass
 class ExperimentConfig:
+    """The config's JSON fields, each checked whatever the command, with its
+    JSON path in every error, and the values the commands read, built once."""
+
     scheme: str = "two_bell"
     m: int = 1
     input_a: dict = field(default_factory=lambda: {"x": 0})
@@ -68,45 +79,41 @@ class ExperimentConfig:
     durations: dict = field(default_factory=dict)
     reps: int = 1
     workers: int = 1  # ignored; accepted so that older configs still load
+    chi_a: GeneralizedBellTypeState = field(init=False, repr=False, compare=False)
+    chi_b: GeneralizedBellTypeState = field(init=False, repr=False, compare=False)
+    general_input: StateVector = field(init=False, repr=False, compare=False)
+    duration_config: DurationConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name, (low, high) in INT_BOUNDS.items():
+            value = getattr(self, name)
+            if not (_is_int(value) and low <= value <= high):
+                raise ValueError(f"{name}: expected an integer in [{low}, {high}], got {value!r}")
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"scheme: expected one of {', '.join(SCHEMES)}, got {self.scheme!r}")
+        if self.noise is not None and not isinstance(self.noise, str):
+            raise ValueError(f"noise: expected a calibration path or 'builtin', got {self.noise!r}")
         _check_keys(self.durations, [f.name for f in fields(DurationConfig)], "durations")
         for name, value in self.durations.items():
-            if not _is_finite(value):
-                raise ValueError(f"durations.{name} must be a finite number, got {value!r}")
-        _check_keys(self.input_a, INPUT_KEYS, "input_a")
-        _check_keys(self.input_b, INPUT_KEYS, "input_b")
-        for name in ("m", "shots", "seed", "reps", "workers"):
-            if not _is_int(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.coefficients is not None and (
-            not isinstance(self.coefficients, list) or len(self.coefficients) != 4
-        ):
-            raise ValueError("coefficients must be a list of 4 amplitudes")
-        if self.noise is not None and not isinstance(self.noise, str):
-            raise ValueError(f"noise must be a calibration path or 'builtin', got {self.noise!r}")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
-        if self.shots < 1:
-            raise ValueError("shots must be >= 1")
-        if self.shots > MAX_SHOTS:
-            raise ValueError("shots must be <= 2**63 - 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
-        if self.m > MAX_M:
-            raise ValueError(f"m must be <= {MAX_M}")
-        if self.reps < 0:
-            raise ValueError("reps must be >= 0")
+            if not (_is_finite(value) and value > 0):
+                raise ValueError(f"durations.{name}: expected a positive number, got {value!r}")
+        self.duration_config = DurationConfig(**self.durations)
+        self.chi_a = _bell_type_state(self.input_a, self.m, "input_a")
+        self.chi_b = _bell_type_state(self.input_b, self.m + 1, "input_b")
+        coeffs = self.coefficients
+        if coeffs is not None and not (isinstance(coeffs, list) and len(coeffs) == 4):
+            raise ValueError(f"coefficients: expected a list of 4 amplitudes, got {coeffs!r}")
+        coeffs = [_complex(c, f"coefficients[{i}]")
+                  for i, c in enumerate(coeffs or [[1, 0], [0, 0], [0, 0], [0, 0]])]
+        self.general_input = StateVector(2, np.array(_normalized(coeffs, "coefficients"), complex))
 
 
-def _check_keys(data, names, label: str):
+def _check_keys(data, names, path: str):
     if not isinstance(data, dict):
-        raise ValueError(f"{label} must be a JSON object")
+        raise ValueError(f"{path}: expected a JSON object")
     unknown = sorted(set(data) - set(names))
     if unknown:
-        raise ValueError(f"unknown {label} key(s): {', '.join(unknown)}")
+        raise ValueError(f"{path}: unknown key(s) {', '.join(unknown)}; expected {', '.join(names)}")
 
 
 def _is_int(value) -> bool:
@@ -118,35 +125,34 @@ def _is_finite(value) -> bool:
     return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
 
 
-def _complex(value) -> complex:
+def _complex(value, path: str) -> complex:
     """A finite number, or an [re, im] pair of them."""
     parts = value if isinstance(value, list) and len(value) == 2 else [value]
     if not all(_is_finite(v) for v in parts):
-        raise ValueError(f"expected a finite number or [re, im], got {value!r}")
+        raise ValueError(f"{path}: expected a finite number or [re, im], got {value!r}")
     return complex(*parts)
 
 
-def _normalized(coeffs, label):
+def _normalized(coeffs, path):
     try:
         norm = np.sqrt(sum(abs(c) ** 2 for c in coeffs))
     except OverflowError:  # finite parts whose squares overflow a float
-        norm = float("inf")
+        norm = INF
     if abs(norm - 1.0) > 1e-6:
-        raise ValueError(f"{label}: coefficients are not normalized (norm {norm})")
+        raise ValueError(f"{path}: amplitudes are not normalized (norm {norm})")
     if abs(norm - 1.0) > 1e-10:
-        warnings.warn(f"{label}: renormalizing coefficients (norm {norm})")
+        warnings.warn(f"{path}: renormalizing amplitudes (norm {norm})")
     return [c / norm for c in coeffs]
 
 
-def _bell_type_state(fields: dict, n: int, label: str) -> GeneralizedBellTypeState:
-    default = 1 / np.sqrt(2)
-    alpha = _complex(fields.get("alpha", [default, 0.0]))
-    beta = _complex(fields.get("beta", [default, 0.0]))
-    alpha, beta = _normalized([alpha, beta], label)
-    x = fields.get("x", 0)
-    if not _is_int(x):
-        raise ValueError(f"{label}: x must be an integer, got {x!r}")
-    return GeneralizedBellTypeState(n, x, alpha, beta)
+def _bell_type_state(data, n: int, path: str) -> GeneralizedBellTypeState:
+    _check_keys(data, INPUT_KEYS, path)
+    x = data.get("x", 0)
+    if not (_is_int(x) and 0 <= x < 2 ** n):
+        raise ValueError(f"{path}.x: expected an integer in [0, {2 ** n - 1}], got {x!r}")
+    default = [1 / np.sqrt(2), 0.0]
+    amplitudes = [_complex(data.get(k, default), f"{path}.{k}") for k in ("alpha", "beta")]
+    return GeneralizedBellTypeState(n, x, *_normalized(amplitudes, path))
 
 
 def load_config(args) -> ExperimentConfig:
@@ -157,15 +163,13 @@ def load_config(args) -> ExperimentConfig:
                 data = json.load(fh)
             except RecursionError:
                 raise ValueError(f"{args.config}: JSON nested too deeply") from None
-    _check_keys(data, [f.name for f in fields(ExperimentConfig)], "config")
-    for key in ("shots", "seed", "reps", "workers"):
-        value = getattr(args, key, None)
-        if value is not None:
-            data[key] = value
-    if getattr(args, "calibration", None) is not None:
-        data["noise"] = args.calibration
-    if getattr(args, "scheme", None) is not None:
-        data["scheme"] = args.scheme
+            except ValueError as exc:  # not JSON, or not UTF-8
+                raise ValueError(f"{args.config}: {exc}") from None
+    _check_keys(data, [f.name for f in fields(ExperimentConfig) if f.init], args.config)
+    for flag in ("shots", "seed", "reps", "workers", "calibration", "scheme"):
+        value = getattr(args, flag, None)
+        if value is not None:  # a flag overrides the config; --calibration sets noise
+            data["noise" if flag == "calibration" else flag] = value
     return ExperimentConfig(**data)
 
 
@@ -173,8 +177,16 @@ def _noise_model(config: ExperimentConfig):
     if config.noise is None:
         return None
     path = packaged_calibration_path() if config.noise == "builtin" else config.noise
-    records = load_calibration(path)
-    return build_noise_model(records, DurationConfig(**config.durations))
+    return build_noise_model(load_calibration(path), config.duration_config)
+
+
+def _check_plus_inputs(config: ExperimentConfig, command: str):
+    """Tomography and the noisy run simulate the routed two_bell |+>,|+> experiment only."""
+    if config.scheme != "two_bell":
+        raise ValueError(f"scheme: {command} is defined for two_bell, not {config.scheme}")
+    for path, chi in (("input_a", config.chi_a), ("input_b", config.chi_b)):
+        if overlap(plus_state(), compress_ghz_class(chi)[0]) < 1 - 1e-9:
+            raise ValueError(f"{path}: does not compress to |+>, the only input {command} takes")
 
 
 def _state_doc(state) -> list:
@@ -200,24 +212,18 @@ def _branch_docs(branches, ideal):
 
 
 def cmd_run(config: ExperimentConfig) -> dict:
-    if config.noise is not None and config.scheme != "two_bell":
-        raise ValueError(f"the noisy run is defined for the two_bell scheme, not {config.scheme}")
+    if config.noise is not None:
+        _check_plus_inputs(config, "the noisy run")
     report = None
     if config.scheme == "general_two_qubit":
-        coeffs = config.coefficients or [[1, 0], [0, 0], [0, 0], [0, 0]]
-        coeffs = _normalized([_complex(c) for c in coeffs], "coefficients")
-        ideal = StateVector(2, np.array(coeffs, dtype=complex))
+        ideal = config.general_input
         branches, report = teleport_two_qubit_general(ideal)
     else:
-        chi_a = _bell_type_state(config.input_a, config.m, "input_a")
-        chi_b = _bell_type_state(config.input_b, config.m + 1, "input_b")
-        ideal = tensor(chi_a.to_statevector(), chi_b.to_statevector())
+        ideal = tensor(config.chi_a.to_statevector(), config.chi_b.to_statevector())
         if config.scheme == "cluster5":
-            if config.m != 1:
-                raise ValueError("the cluster5 baseline is defined for m = 1")
-            branches = cluster_channel_teleport(chi_a, chi_b)
+            branches = cluster_channel_teleport(config.chi_a, config.chi_b)
         else:
-            branches, report = multi_output_teleport(chi_a, chi_b)
+            branches, report = multi_output_teleport(config.chi_a, config.chi_b)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "run",
@@ -236,8 +242,8 @@ def cmd_run(config: ExperimentConfig) -> dict:
         doc["resources"] = {"channel_qubits": 5, "channel": "five_qubit_cluster"}
 
     if config.scheme == "two_bell":
-        qa, _ = compress_ghz_class(chi_a)
-        qb, _ = compress_ghz_class(chi_b)
+        qa, _ = compress_ghz_class(config.chi_a)
+        qb, _ = compress_ghz_class(config.chi_b)
         circuit = experiment_circuit(qa, qb)
         counts = sample_counts(circuit, config.shots, config.seed)
         doc["ideal"] = {
@@ -248,10 +254,6 @@ def cmd_run(config: ExperimentConfig) -> dict:
         }
         nm = _noise_model(config)
         if nm is not None:
-            # The noisy run simulates the routed |+>,|+> experiment only.
-            for label, q in (("input_a", qa), ("input_b", qb)):
-                if overlap(plus_state(), q) < 1 - 1e-9:
-                    raise ValueError(f"{label} does not compress to |+>, the noisy run's input")
             exp = experiments.noisy_experiment(nm)
             fid_det = exp.deterministic_fidelity()
             noisy_doc = {
@@ -276,7 +278,8 @@ def cmd_run(config: ExperimentConfig) -> dict:
 
 def cmd_tomography(config: ExperimentConfig, exact: bool = False) -> dict:
     if exact and config.noise is not None:
-        raise ValueError("exact tomography is noiseless; it takes no calibration")
+        raise ValueError("noise: exact tomography is noiseless; it takes no calibration")
+    _check_plus_inputs(config, "tomography")
     ideal = experiments.ideal_output_state()
     nm = _noise_model(config)
     if exact:
@@ -304,10 +307,7 @@ def cmd_tomography(config: ExperimentConfig, exact: bool = False) -> dict:
 def cmd_stats(values_path) -> dict:
     values = []
     with open(values_path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for line_no, line in numbered_lines(fh):
             try:
                 value = float(line)
                 if not np.isfinite(value):
@@ -347,11 +347,9 @@ def cmd_route(circuit_path, graph_path=None) -> dict:
 
 def cmd_compare(config: ExperimentConfig) -> dict:
     if config.noise is not None:
-        raise ValueError("compare is a noiseless comparison; it takes no calibration")
-    chi_a = _bell_type_state(config.input_a, 1, "input_a")
-    chi_b = _bell_type_state(config.input_b, 2, "input_b")
-    two_bell, report = multi_output_teleport(chi_a, chi_b)
-    cluster = cluster_channel_teleport(chi_a, chi_b)
+        raise ValueError("noise: compare is a noiseless comparison; it takes no calibration")
+    two_bell, report = multi_output_teleport(config.chi_a, config.chi_b)
+    cluster = cluster_channel_teleport(config.chi_a, config.chi_b)
     by_bits = {b.outcome_bits: b.output for b in cluster}
     worst = min([1.0] + [overlap(b.output, by_bits[b.outcome_bits]) for b in two_bell])
     return {

@@ -245,7 +245,7 @@ def cluster_channel_teleport(
     Bell measurements; every branch then admits local Pauli corrections.
     """
     if chi_a.n != 1 or chi_b.n != 2:
-        raise ValueError("cluster baseline is defined for m = 1")
+        raise ValueError("m: the cluster baseline is defined for m = 1")
     _, comp_a = compress_ghz_class(chi_a)
     _, comp_b = compress_ghz_class(chi_b)
 

@@ -110,6 +110,25 @@ def test_bad_header_rejected(tmp_path):
         load_calibration(p)
 
 
+def test_header_with_spaces_reads_like_the_packaged_table(tmp_path):
+    """The header check strips each name, so rows are keyed by the
+    stripped names too."""
+    lines = packaged_calibration_path().read_text().splitlines()
+    p = tmp_path / "cal.csv"
+    p.write_text("\n".join([lines[0].replace(",", ", ")] + lines[1:]) + "\n")
+    assert load_calibration(p) == table_records()
+
+
+def test_row_with_more_cells_than_the_header_rejected(tmp_path):
+    p = tmp_path / "cal.csv"
+    p.write_text(
+        "qubit,t1_us,t2_us,freq_ghz,readout_err,x_err,cnot_errs\n"
+        "0,100,100,5,0.01,0.001,,0.5\n"
+    )
+    with pytest.raises(CalibrationError, match="^line 2: expected 7 cells$"):
+        load_calibration(p)
+
+
 def test_bad_cnot_token_rejected(tmp_path):
     p = tmp_path / "cal.csv"
     p.write_text(

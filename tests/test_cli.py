@@ -1,9 +1,11 @@
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -285,6 +287,18 @@ def test_route_graph_with_non_integer_node_names_its_line(tmp_path, capsys):
     assert capsys.readouterr().err == "error: line 2: expected integer, got 'x'\n"
 
 
+@pytest.mark.parametrize("edge", ["0 0", "0 -1"], ids=["self_loop", "negative_node"])
+def test_graph_edge_without_two_distinct_nodes_names_its_line(tmp_path, capsys, edge):
+    circ = tmp_path / "circ.txt"
+    circ.write_text("qubits 2\nCNOT 0 1\n")
+    graph = tmp_path / "g.txt"
+    graph.write_text(f"0 1\n{edge}\n")
+    assert main(["route", str(circ), "--graph", str(graph)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: line 2: expected two distinct nodes >= 0, got '{edge}'\n"
+    assert captured.out == ""
+
+
 def test_graph_with_a_far_node_ends_in_error_before_allocating_it(tmp_path, capsys):
     """A connected graph on N nodes has at least N - 1 edges, so two edges
     cannot reach node 10**20; the graph is rejected without building it."""
@@ -350,7 +364,8 @@ def test_nan_coherence_time_in_calibration_rejected(tmp_path, capsys, column):
     csv_path.write_text("\n".join(rows) + "\n")
     assert main(["run", "--calibration", str(csv_path), "--reps", "2"]) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: qubit 0: T1 and T2 must be positive")
+    name = rows[0].split(",")[column]
+    assert captured.err == f"error: line 2, {name}: expected a positive number, got nan\n"
     assert captured.out == ""
 
 
@@ -365,7 +380,44 @@ def test_negative_t1_rejected_before_t2_is_clamped(tmp_path, capsys):
         warnings.simplefilter("always")
         assert main(["run", "--calibration", str(csv_path), "--reps", "2"]) == 1
     assert caught == []
-    assert capsys.readouterr().err.startswith("error: qubit 0: T1 and T2 must be positive, got -5.0,")
+    captured = capsys.readouterr()
+    assert captured.err == "error: line 2, t1_us: expected a positive number, got -5.0\n"
+    assert captured.out == ""
+
+
+def test_calibration_row_that_repeats_a_qubit_rejected(tmp_path, capsys):
+    """A second row for qubit 1 must not override the first one silently."""
+    text = packaged_calibration_path().read_text() + "1,20,10,4.76,1.56e-2,1.56e-4,cx1_0:1.105e-2\n"
+    csv_path = tmp_path / "cal.csv"
+    csv_path.write_text(text)
+    assert main(["run", "--calibration", str(csv_path), "--reps", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: line 9: qubit 1 repeats line 3\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "column, cell, message",
+    [
+        (0, "x", "qubit: invalid literal for int() with base 10: 'x'"),
+        (4, "abc", "readout_err: could not convert string to float: 'abc'"),
+        (5, "1.5", "x_err: probability 1.5 out of [0, 1]"),
+        (6, "cx2_1:2", "cnot_errs: probability 2.0 out of [0, 1]"),
+        (6, "cx0_1:0.1", "cnot_errs: CNOT token 'cx0_1:0.1' does not involve qubit 2"),
+    ],
+    ids=["qubit", "readout_err", "x_err", "cnot_errs_probability", "cnot_errs_other_qubit"],
+)
+def test_bad_calibration_cell_names_its_line_and_column(tmp_path, capsys, column, cell, message):
+    rows = packaged_calibration_path().read_text().splitlines()
+    fields = rows[3].split(",")  # qubit 2, on line 4
+    fields[column] = cell
+    rows[3] = ",".join(fields)
+    csv_path = tmp_path / "cal.csv"
+    csv_path.write_text("\n".join(rows) + "\n")
+    assert main(["run", "--calibration", str(csv_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: line 4, {message}\n"
+    assert captured.out == ""
 
 
 def test_bad_calibration_path_exits_nonzero(tmp_path, capsys):
@@ -373,49 +425,85 @@ def test_bad_calibration_path_exits_nonzero(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "data, key",
-    [
-        ({"shotz": 5}, "shotz"),
-        ({"durations": {"cnot": 5}, "noise": "builtin"}, "cnot"),
-        ({"input_a": {"y": 3}}, "input_a key(s): y"),
-    ],
-)
-def test_unknown_config_key_rejected(tmp_path, capsys, data, key):
+def _config_cases(cases):
+    """pytest params from (id, data, message) rows.  The ids name the rule
+    each case breaks, so they stay fixed when the message text changes."""
+    return [pytest.param(data, message, id=case_id) for case_id, data, message in cases]
+
+
+@pytest.mark.parametrize("data, message", _config_cases([
+    ("data0-shotz", {"shotz": 5}, "{cfg}: unknown key(s) shotz; expected scheme, m, input_a, "
+                                  "input_b, coefficients, shots, seed, noise, durations, reps, workers"),
+    ("data1-cnot", {"durations": {"cnot": 5}, "noise": "builtin"},
+     "durations: unknown key(s) cnot; expected single_qubit_gate_ns, cnot_ns, readout_ns"),
+    ("data2-input_a key(s): y", {"input_a": {"y": 3}},
+     "input_a: unknown key(s) y; expected x, alpha, beta"),
+]))
+def test_unknown_config_key_rejected(tmp_path, capsys, data, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(data))
     assert main(["run", "--config", str(cfg)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and key in err
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message.format(cfg=cfg)}\n"
+    assert captured.out == ""
 
 
-@pytest.mark.parametrize(
-    "data, message",
-    [
-        ({"shots": "5"}, "shots must be an integer"),
-        ({"m": 1.5}, "m must be an integer"),
-        ({"reps": True}, "reps must be an integer"),
-        ({"scheme": "general_two_qubit", "coefficients": [[1, 0]]}, "4 amplitudes"),
-        ({"input_b": {"alpha": None}}, "[re, im]"),
-        ({"input_a": {"x": "1"}}, "x must be an integer"),
-        ({"noise": 5}, "noise must be a calibration path"),
-        ({"durations": {"cnot_ns": "5"}, "noise": "builtin"}, "durations.cnot_ns must be a finite"),
-        ({"durations": {"readout_ns": float("nan")}}, "durations.readout_ns must be a finite"),
-        ({"reps": -1}, "reps must be >= 0"),
-        ({"m": 9}, "m must be <= 8"),
-        ({"shots": 2 ** 63}, "shots must be <= 2**63 - 1"),
-        ({"seed": -1}, "seed must be >= 0"),
-        ({"input_a": {"alpha": math.nan, "beta": 0}}, "expected a finite number"),
-        ({"input_b": {"alpha": [0, -math.inf], "beta": 0}}, "expected a finite number"),
-        ({"input_a": {"alpha": [1e308, 1e308], "beta": [0, 0]}}, "not normalized (norm inf)"),
-    ],
-)
+@pytest.mark.parametrize("data, message", _config_cases([
+    ("data0-shots must be an integer", {"shots": "5"},
+     "shots: expected an integer in [1, 9223372036854775807], got '5'"),
+    ("data1-m must be an integer", {"m": 1.5}, "m: expected an integer in [1, 8], got 1.5"),
+    ("data2-reps must be an integer", {"reps": True}, "reps: expected an integer in [0, inf], got True"),
+    ("data3-4 amplitudes", {"scheme": "general_two_qubit", "coefficients": [[1, 0]]},
+     "coefficients: expected a list of 4 amplitudes, got [[1, 0]]"),
+    ("data4-[re, im]", {"input_b": {"alpha": None}},
+     "input_b.alpha: expected a finite number or [re, im], got None"),
+    ("data5-x must be an integer", {"input_a": {"x": "1"}},
+     "input_a.x: expected an integer in [0, 1], got '1'"),
+    ("data6-noise must be a calibration path", {"noise": 5},
+     "noise: expected a calibration path or 'builtin', got 5"),
+    ("data7-durations.cnot_ns must be a finite", {"durations": {"cnot_ns": "5"}, "noise": "builtin"},
+     "durations.cnot_ns: expected a positive number, got '5'"),
+    ("data8-durations.readout_ns must be a finite", {"durations": {"readout_ns": float("nan")}},
+     "durations.readout_ns: expected a positive number, got nan"),
+    ("data9-reps must be >= 0", {"reps": -1}, "reps: expected an integer in [0, inf], got -1"),
+    ("data10-m must be <= 8", {"m": 9}, "m: expected an integer in [1, 8], got 9"),
+    ("data11-shots must be <= 2**63 - 1", {"shots": 2 ** 63},
+     "shots: expected an integer in [1, 9223372036854775807], got 9223372036854775808"),
+    ("data12-seed must be >= 0", {"seed": -1}, "seed: expected an integer in [0, inf], got -1"),
+    ("data13-expected a finite number", {"input_a": {"alpha": math.nan, "beta": 0}},
+     "input_a.alpha: expected a finite number or [re, im], got nan"),
+    ("data14-expected a finite number", {"input_b": {"alpha": [0, -math.inf], "beta": 0}},
+     "input_b.alpha: expected a finite number or [re, im], got [0, -inf]"),
+    ("data15-not normalized (norm inf)", {"input_a": {"alpha": [1e308, 1e308], "beta": [0, 0]}},
+     "input_a: amplitudes are not normalized (norm inf)"),
+    # Fields that the command does not read are checked too.
+    ("durations must be positive", {"durations": {"cnot_ns": -1}},
+     "durations.cnot_ns: expected a positive number, got -1"),
+    ("durations must be positive with a calibration", {"durations": {"cnot_ns": -1}, "noise": "builtin"},
+     "durations.cnot_ns: expected a positive number, got -1"),
+    ("coefficients checked under two_bell", {"coefficients": [0, [1, 0], math.inf, 0]},
+     "coefficients[2]: expected a finite number or [re, im], got inf"),
+    ("x must fit n = m + 1 qubits", {"m": 2, "input_b": {"x": 8}},
+     "input_b.x: expected an integer in [0, 7], got 8"),
+]))
 def test_wrong_typed_config_value_rejected(tmp_path, capsys, data, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(data))
     assert main(["run", "--config", str(cfg)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and message in err
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def test_config_that_is_not_json_names_its_file(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{")
+    assert main(["run", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: {cfg}: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)\n"
+    )
+    assert captured.out == ""
 
 
 def test_deeply_nested_config_ends_in_error(tmp_path, capsys):
@@ -460,6 +548,42 @@ def test_noisy_run_rejects_inputs_other_than_plus(tmp_path, capsys):
     assert main(["run", "--config", str(cfg), "--calibration", "builtin"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "input_b" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["tomography"], ["tomography", "--exact"], ["tomography", "--calibration", "builtin"]],
+    ids=["ideal_sampled", "exact", "noisy"],
+)
+def test_tomography_rejects_inputs_other_than_plus(tmp_path, capsys, argv):
+    """Tomography reconstructs the routed |+>,|+> experiment, so it may not
+    report that state's fidelity for other inputs."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"input_a": {"alpha": [0.6, 0], "beta": [0.8, 0]}}))
+    assert main(argv + ["--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: input_a: does not compress to |+>, the only input tomography takes\n"
+    assert captured.out == ""
+
+
+def test_tomography_rejects_other_schemes(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scheme": "cluster5"}))
+    assert main(["tomography", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: scheme: tomography is defined for two_bell, not cluster5\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["compare"], ["run", "--scheme", "cluster5"]])
+def test_cluster_baseline_rejects_m_other_than_1(tmp_path, capsys, argv):
+    """compare builds its states with n = m and m + 1, as run does."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"m": 3}))
+    assert main(argv + ["--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: m: the cluster baseline is defined for m = 1\n"
+    assert captured.out == ""
 
 
 def test_unnormalized_config_rejected(tmp_path, capsys):
@@ -615,11 +739,12 @@ _configs = st.fixed_dictionaries(
 )
 
 
-def assert_runs_or_ends_in_error(argv):
-    """``main(argv)`` in-process exits 0, or exits 1 with stderr that
-    starts with ``error:`` and empty stdout.  A warning would print on
-    stderr ahead of the error, so an exit 1 allows none, and no run may
-    raise a RuntimeWarning or DeprecationWarning."""
+def assert_runs_or_ends_in_error(argv, place: str):
+    """``main(argv)`` in-process exits 0, or exits 1 with empty stdout and
+    stderr ``error: <message>``, where ``place`` (a regex) matches the start
+    of the message: the error names where the input is wrong.  A warning
+    would print on stderr ahead of the error, so an exit 1 allows none,
+    and no run may raise a RuntimeWarning or DeprecationWarning."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings(record=True) as caught:
@@ -630,16 +755,26 @@ def assert_runs_or_ends_in_error(argv):
     assert not any(issubclass(w.category, (RuntimeWarning, DeprecationWarning)) for w in caught), messages
     if code == 1:
         assert messages == []
-        assert err.getvalue().startswith("error:")
+        assert err.getvalue().startswith("error: ")
+        assert re.match(place, err.getvalue()[len("error: "):]), err.getvalue()
         assert out.getvalue() == ""
 
 
-@settings(max_examples=150)
-@given(_configs)
-def test_any_config_runs_or_ends_in_error(tmp_path_factory, data):
+_CONFIG_FIELDS = "|".join(f.name for f in dataclasses.fields(cli.ExperimentConfig) if f.init)
+
+
+def config_place(cfg) -> str:
+    """A config error starts with a JSON path (``m``, ``input_a.alpha``,
+    ``coefficients[2]``) or the config file; an OSError names its file."""
+    return rf"(?:{_CONFIG_FIELDS})(?:\.\w+|\[\d+\])?: |{re.escape(str(cfg))}: |\[Errno \d+\] .*: '"
+
+
+@settings(max_examples=200)
+@given(_configs, st.sampled_from(["run", "tomography", "compare"]))
+def test_any_config_runs_or_ends_in_error(tmp_path_factory, data, command):
     cfg = tmp_path_factory.mktemp("config") / "cfg.json"
     cfg.write_text(json.dumps(data))
-    assert_runs_or_ends_in_error(["run", "--config", cfg])
+    assert_runs_or_ends_in_error([command, "--config", cfg], config_place(cfg))
 
 
 _amplitude = st.sampled_from([[0.6, 0.0], 0.6, [0.0, 0.8], 0.8]) | _not_finite | _wrong
@@ -657,7 +792,7 @@ def test_any_amplitudes_run_or_end_in_error(tmp_path_factory, data):
     that most examples reach the amplitude checks."""
     cfg = tmp_path_factory.mktemp("config") / "cfg.json"
     cfg.write_text(json.dumps(data))
-    assert_runs_or_ends_in_error(["run", "--config", cfg])
+    assert_runs_or_ends_in_error(["run", "--config", cfg], config_place(cfg))
 
 
 # -- mutations of the text input formats --------------------------------------
@@ -702,20 +837,26 @@ def _write(tmp_path_factory, name, text):
 @settings(max_examples=40, deadline=None)
 @given(text=mutated((GOLDEN / "route_default.circuit.txt").read_text()))
 def test_any_circuit_text_routes_or_ends_in_error(tmp_path_factory, text):
-    assert_runs_or_ends_in_error(["route", _write(tmp_path_factory, "circ.txt", text)])
+    assert_runs_or_ends_in_error(["route", _write(tmp_path_factory, "circ.txt", text)],
+                                 r"line \d+: |\d+ logical qubits exceed \d+ physical")
 
 
 @settings(max_examples=40, deadline=None)
 @given(text=mutated((GOLDEN / "ring6.graph.txt").read_text()))
 def test_any_graph_text_routes_or_ends_in_error(tmp_path_factory, text):
     graph = _write(tmp_path_factory, "graph.txt", text)
-    assert_runs_or_ends_in_error(["route", GOLDEN / "route_ring.circuit.txt", "--graph", graph])
+    assert_runs_or_ends_in_error(
+        ["route", GOLDEN / "route_ring.circuit.txt", "--graph", graph],
+        # The last three name the whole file: no line is at fault alone.
+        r"line \d+: |empty graph file|coupling graph must be connected|\d+ logical qubits exceed",
+    )
 
 
 @settings(max_examples=100, deadline=None)
 @given(text=mutated(packaged_fidelities_path().read_text()))
 def test_any_stats_values_run_or_end_in_error(tmp_path_factory, text):
-    assert_runs_or_ends_in_error(["stats", _write(tmp_path_factory, "values.txt", text)])
+    assert_runs_or_ends_in_error(["stats", _write(tmp_path_factory, "values.txt", text)],
+                                 r"line \d+: |need >= 2 values|values too large")
 
 
 @st.composite
@@ -733,4 +874,5 @@ def calibration_with_one_cell_changed(draw):
 @given(text=calibration_with_one_cell_changed())
 def test_any_calibration_cell_runs_or_ends_in_error(tmp_path_factory, text):
     cal = _write(tmp_path_factory, "cal.csv", text)
-    assert_runs_or_ends_in_error(["run", "--calibration", cal, "--reps", "1", "--shots", "64"])
+    assert_runs_or_ends_in_error(["run", "--calibration", cal, "--reps", "1", "--shots", "64"],
+                                 r"line \d+[:,] |no (?:CNOT )?calibration for qubit")
