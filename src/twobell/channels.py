@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Circuit, Gate, sample_distribution, walk
+from .circuit import Circuit, Gate, read_lines, sample_distribution, walk
 from .qstate import (GATE_MATRICES, PAULI, DensityMatrix, apply_superop, pauli_labels,
                      pauli_operator, superop)
 
@@ -115,35 +115,35 @@ def load_calibration(path) -> list:
     """Read calibration records from CSV (see CSV_HEADER for the format).
 
     Each cell is checked as it is read; a bad one is reported as
-    ``line N, <column>: ...``, and a second row for a qubit is an error.
+    ``line N, <column>: ...``, a line that is not UTF-8 as ``line N: not
+    UTF-8 text``, and a second row for a qubit is an error.
     CNOT entries are completed symmetrically: cx0_1 under qubit 0 also
     registers under qubit 1.  T2 > 2*T1 is clamped with a warning.
     """
     records, lines = {}, {}  # by qubit: its record, and the line of its row
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames = [f.strip() for f in reader.fieldnames or []]
-        if header != CSV_HEADER:
-            raise CalibrationError(f"line 1: bad header; expected {','.join(CSV_HEADER)}")
-        for row in reader:
-            line = reader.line_num
-            if None in row or None in row.values():
-                raise CalibrationError(f"line {line}: expected {len(CSV_HEADER)} cells")
-            cells = {}
-            try:
-                for column, parse in _CELL_PARSERS.items():
-                    cells[column] = parse(row[column])
-                column = "cnot_errs"
-                cells[column] = _parse_cnot_tokens(row[column], cells["qubit"])
-            except ValueError as exc:
-                raise CalibrationError(f"line {line}, {column}: {exc}") from None
-            q, t1, t2 = cells["qubit"], cells["t1_us"], cells["t2_us"]
-            if q in lines:
-                raise CalibrationError(f"line {line}: qubit {q} repeats line {lines[q]}")
-            if t2 > 2 * t1:
-                warnings.warn(f"qubit {q}: T2={t2} > 2*T1={2 * t1}, clamping")
-                cells["t2_us"] = 2 * t1
-            lines[q], records[q] = line, CalibrationRecord(*cells.values())
+    reader = csv.DictReader(read_lines(path, newline=""))
+    header = reader.fieldnames = [f.strip() for f in reader.fieldnames or []]
+    if header != CSV_HEADER:
+        raise CalibrationError(f"line 1: bad header; expected {','.join(CSV_HEADER)}")
+    for row in reader:
+        line = reader.line_num
+        if None in row or None in row.values():
+            raise CalibrationError(f"line {line}: expected {len(CSV_HEADER)} cells")
+        cells = {}
+        try:
+            for column, parse in _CELL_PARSERS.items():
+                cells[column] = parse(row[column])
+            column = "cnot_errs"
+            cells[column] = _parse_cnot_tokens(row[column], cells["qubit"])
+        except ValueError as exc:
+            raise CalibrationError(f"line {line}, {column}: {exc}") from None
+        q, t1, t2 = cells["qubit"], cells["t1_us"], cells["t2_us"]
+        if q in lines:
+            raise CalibrationError(f"line {line}: qubit {q} repeats line {lines[q]}")
+        if t2 > 2 * t1:
+            warnings.warn(f"qubit {q}: T2={t2} > 2*T1={2 * t1}, clamping")
+            cells["t2_us"] = 2 * t1
+        lines[q], records[q] = line, CalibrationRecord(*cells.values())
     if not records:
         raise CalibrationError("no records")
 
@@ -267,10 +267,10 @@ def noisy_distribution(c: Circuit, nm: NoiseModel, initial_rho: np.ndarray | Non
     """Exact outcome distribution over classical bits after readout
     confusion, plus the pre-readout final density matrix of all n qubits.
 
-    The circuit runs through ``circuit.walk`` with one density matrix per
-    branch: every gate adds its noise channel and idles the other qubits, a
-    gate whose control does not fire idles every qubit for its window,
-    and each kept measurement outcome idles every qubit for the readout.
+    The circuit runs through ``circuit.walk`` on a list of (density matrix,
+    owed idle times), one per branch: every gate adds its noise channel and
+    idles the other qubits, a gate whose control does not fire idles every
+    qubit for its window, and each kept outcome idles every qubit for the readout.
     An idle only adds to the time a qubit owes, which it pays as one idle
     channel just before its next gate or projection, or at the end.
     Circuit qubit i takes the T1, T2, gate errors and readout confusion
@@ -317,27 +317,29 @@ def noisy_distribution(c: Circuit, nm: NoiseModel, initial_rho: np.ndarray | Non
             rho = apply_superop(rho, noise, targets, n)
         return rho, idle(owed, window(gate), paid=targets)
 
-    def project(state, qubit):
-        rho, owed = pay(*state, [qubit]), idle(state[1], 0.0, paid=[qubit])
-        for projector in _PROJECTORS:
-            sub = apply_superop(rho, projector, [qubit], n)
-            yield float(np.trace(sub).real), (sub, owed)
+    def project(states, qubit):
+        paid = [(pay(rho, owed, [qubit]), idle(owed, 0.0, paid=[qubit])) for rho, owed in states]
+        posts = [(apply_superop(rho, p, [qubit], n), owed) for rho, owed in paid for p in _PROJECTORS]
+        traces = [float(np.trace(sub).real) for sub, _ in posts]
+        return list(zip(traces[::2], traces[1::2])), posts
 
     if initial_rho is None:
         rho0 = np.zeros((2 ** n, 2 ** n), dtype=complex)
         rho0[0, 0] = 1.0
     else:
         rho0 = np.array(initial_rho, dtype=complex)
-    branches = walk(
+    rows, states = walk(
         c,
-        (rho0, (0.0,) * n),
-        apply=apply_gate,
-        skip=lambda state, gate: (state[0], idle(state[1], window(gate))),
+        [(rho0, (0.0,) * n)],
+        apply=lambda states, gate, fires: [
+            apply_gate(s, gate) if f else (s[0], idle(s[1], window(gate)))
+            for s, f in zip(states, fires)],
         project=project,
-        settle=lambda post, w: (post[0] / w, idle(post[1], dur.readout_ns)),
+        settle=lambda posts, kept, weights: [
+            (posts[i][0] / w, idle(posts[i][1], dur.readout_ns)) for i, w in zip(kept, weights)],
     )
     dist = {}
-    for bits, p, _ in branches:
+    for bits, p in rows:
         # Convolve each recorded bit with the confusion matrix of the qubit it reads.
         recorded = [("", p)]
         for name, qubit in c.measured.items():
@@ -352,7 +354,7 @@ def noisy_distribution(c: Circuit, nm: NoiseModel, initial_rho: np.ndarray | Non
         for rec, q in recorded:
             dist[rec] = dist.get(rec, 0.0) + q
     owing = {}  # owed times -> merged rho of the branches that owe them, paid once
-    for _, p, (rho, owed) in branches:
+    for (_, p), (rho, owed) in zip(rows, states):
         owing[owed] = owing.get(owed, 0.0) + p * rho
     final = sum(pay(rho, owed, range(n)) for owed, rho in owing.items())
     final_dm = DensityMatrix(n, 0.5 * (final + final.conj().T))

@@ -1,14 +1,13 @@
 """Gate-level circuits with exact branch-enumerating execution.
 
 Measurement never samples here: ``walk``, the one step loop of both
-engines, makes one ``project(state, qubit)`` call per branch and
-measurement, forks one branch per outcome and carries exact probabilities;
-``run_exact`` runs it on raw amplitude arrays with ``qstate.apply_matrix``,
-the kernel the noise engine also uses, and checks each returned state
-once, so per-branch claims can be verified directly.  Shot noise only
-enters through ``sample_counts``, which draws from the exact distribution
-with a seeded numpy PCG64 generator (``np.random.default_rng(seed)``),
-making counts bit-reproducible for a fixed seed.
+engines, carries every live branch as one row of a stack, forks each row
+per outcome and keeps exact probabilities; ``run_exact`` stacks raw
+amplitudes and makes one ``qstate.apply_matrix`` call (the noise engine's
+kernel too) per gate, whatever the branch count, and checks each returned
+state once.  Shot noise only enters through ``sample_counts``, which
+draws from the walk's exact distribution with a seeded numpy PCG64
+generator (``np.random.default_rng(seed)``), bit-reproducible per seed.
 
 Text format (one step per line, ``#`` starts a comment):
 
@@ -187,50 +186,77 @@ class BranchDistribution:
     def probabilities(self) -> dict:
         """Outcome -> probability; branches that end with the same bits
         (a bit written more than once) are summed."""
-        out = {}
-        for e in self.entries:
-            out[e.bits] = out.get(e.bits, 0.0) + e.probability
-        return out
+        return _summed((e.bits, e.probability) for e in self.entries)
+
+
+def _summed(outcomes) -> dict:
+    """Outcome -> the sum of its probabilities, added in the given order."""
+    out = {}
+    for bits, p in outcomes:
+        out[bits] = out.get(bits, 0.0) + p
+    return out
 
 
 PRUNE = 1e-12  # measurement outcomes of at most this weight are dropped
 
 
-def walk(c: Circuit, state, apply, skip, project, settle) -> list:
-    """Run ``c`` branch by branch from ``state``; the one step loop of
-    both engines.  ``c`` was checked as it was built, so ``walk`` trusts
-    it: every control reads a bit that an earlier measurement wrote.
-
-    The caller supplies the physics: ``apply(state, gate)`` and
-    ``skip(state, gate)`` (a gate whose control does not fire) return
-    the next state; ``project(state, qubit)`` yields the weight and the
-    unnormalized post state of outcome 0, then of outcome 1, and
-    ``settle(post, weight)`` normalizes those whose weight exceeds ``PRUNE``.
-    Returns (bits by name, probability, state) per branch, in fork order:
-    each measurement splits every branch into outcome 0, then 1.
+def walk(c: Circuit, states, apply, project, settle):
+    """Run ``c`` on all live branches at once: a stack of rows, first the
+    one row ``states``; the one step loop of both engines, trusting ``c``
+    as built.  ``walk`` owns each row's bits and probability, ``PRUNE`` and
+    the fork order (a measurement splits each row into outcome 0, then 1);
+    the engine owns the stack.  ``apply(states, gate, fires)`` returns the
+    next stack, ``fires[i]`` saying whether row i's control reads 1 (true
+    without one); ``project(states, qubit)`` returns each row's weights of
+    outcomes 0 and 1 (rows x 2) and the unnormalized posts in fork order;
+    ``settle(posts, kept, weights)`` returns the posts at indices ``kept``
+    (weight above ``PRUNE``), each normalized by its weight.  Returns
+    [(bits by name, probability)] per row, and the stack.
     """
-    branches = [({}, 1.0, state)]
+    rows = [({}, 1.0)]
     for step in c.steps:
         if isinstance(step, Measure):
-            branches = [
-                ({**bits, step.bit: outcome}, p * w, settle(post, w))
-                for bits, p, s in branches
-                for outcome, (w, post) in enumerate(project(s, step.qubit)) if w > PRUNE
-            ]
+            weights, posts = project(states, step.qubit)
+            forks = [(2 * i + outcome, {**bits, step.bit: outcome}, p, w)
+                     for i, ((bits, p), ws) in enumerate(zip(rows, weights))
+                     for outcome, w in enumerate(ws) if w > PRUNE]
+            states = settle(posts, [f[0] for f in forks], [f[3] for f in forks])
+            rows = [(bits, p * w) for _, bits, p, w in forks]
         else:
-            branches = [
-                (bits, p, (apply if step.fires(bits) else skip)(s, step))
-                for bits, p, s in branches
-            ]
-    return branches
+            states = apply(states, step, [step.fires(bits) for bits, _ in rows])
+    return rows, states
 
 
-def _project(t: np.ndarray, qubit: int):
+def _project(states: np.ndarray, qubit: int):
+    """Each row's weights of ``qubit`` reading 0 and 1, each a contiguous
+    |amp|^2 sum, and the rows with the other value zeroed, in fork order."""
+    rows = len(states)
+    t = states.reshape(rows, 2 ** qubit, 2, -1)
+    posts = np.zeros((rows, 2, *t.shape[1:]), dtype=complex)
+    weights = np.empty((rows, 2))
     for outcome in (0, 1):
-        idx = (slice(None),) * qubit + (outcome,)
-        post = np.zeros_like(t)
-        post[idx] = t[idx]
-        yield float(np.sum(np.abs(t[idx]) ** 2)), post
+        weights[:, outcome] = (np.abs(t[:, :, outcome]) ** 2).reshape(rows, -1).sum(axis=1)
+        posts[:, outcome, :, outcome] = t[:, :, outcome]
+    return weights.tolist(), posts.reshape(2 * rows, -1)
+
+
+def _exact_walk(c: Circuit, initial: StateVector | None):
+    """``walk`` on a (branches, 2^n) amplitude stack: [(bit string, probability)], stack."""
+    n = c.num_qubits
+    state = initial if initial is not None else basis_state(n, 0)
+    if state.num_qubits != n:
+        raise ValueError("initial state qubit count does not match circuit")
+
+    def apply(states, gate, fires):
+        if all(fires):
+            return apply_matrix(states, gate.unitary(), gate.targets, n)
+        out = states.copy()  # the kernel runs on the rows that fire only
+        out[fires] = apply_matrix(states[fires], gate.unitary(), gate.targets, n)
+        return out
+
+    rows, states = walk(c, state.amplitudes.reshape(1, -1), apply, _project,
+                        lambda posts, kept, weights: posts[kept] / np.sqrt(weights)[:, None])
+    return [("".join(str(bits[b]) for b in c.measured), p) for bits, p in rows], states
 
 
 def run_exact(c: Circuit, initial: StateVector | None = None) -> BranchDistribution:
@@ -238,24 +264,9 @@ def run_exact(c: Circuit, initial: StateVector | None = None) -> BranchDistribut
 
     Branches with probability below 1e-12 are dropped; output is ordered
     lexicographically by classical bit values (first-write bit order).
-    Only the returned states are checked; ``c`` was checked as it was built.
-    """
-    n = c.num_qubits
-    state = initial if initial is not None else basis_state(n, 0)
-    if state.num_qubits != n:
-        raise ValueError("initial state qubit count does not match circuit")
-    branches = walk(
-        c,
-        state.amplitudes.reshape([2] * n),
-        apply=lambda t, g: apply_matrix(t, g.unitary(), g.targets, n),
-        skip=lambda t, g: t,
-        project=_project,
-        settle=lambda post, p: post / np.sqrt(p),
-    )
-    entries = [
-        BranchEntry("".join(str(bits[b]) for b in c.measured), p, StateVector(n, t))
-        for bits, p, t in branches
-    ]
+    Only the returned states are checked; ``c`` was checked as it was built."""
+    rows, states = _exact_walk(c, initial)
+    entries = [BranchEntry(bits, p, StateVector(c.num_qubits, t)) for (bits, p), t in zip(rows, states)]
     entries.sort(key=lambda e: e.bits)
     return BranchDistribution(tuple(entries))
 
@@ -276,8 +287,9 @@ def sample_counts(c: Circuit, shots: int, seed: int) -> dict:
     """Multinomial shot sampling over the exact branch distribution.
 
     Reproducible: uses numpy's PCG64 generator seeded with ``seed``.
+    The probabilities come straight from the walk; no state is built.
     """
-    return sample_distribution(run_exact(c).probabilities(), shots, seed)
+    return sample_distribution(_summed(_exact_walk(c, None)[0]), shots, seed)
 
 
 # -- text serialization -----------------------------------------------------
@@ -302,6 +314,16 @@ def to_text(c: Circuit) -> str:
             line += f" if {step.bit}"
         lines.append(line)
     return "\n".join(lines) + "\n"
+
+
+def read_lines(path, newline=None):
+    """The lines of UTF-8 text file ``path``; one with a byte that is not
+    UTF-8 (read as a lone surrogate) ends in ``line N: not UTF-8 text``."""
+    with open(path, encoding="utf-8", errors="surrogateescape", newline=newline) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.isascii() and line.encode(errors="ignore").decode() != line:
+                raise CircuitParseError(line_no, "not UTF-8 text")
+            yield line
 
 
 def numbered_lines(lines):

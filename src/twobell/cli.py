@@ -28,7 +28,7 @@ import numpy as np
 
 from . import experiments, protocols
 from .channels import DurationConfig, build_noise_model, load_calibration
-from .circuit import from_text, numbered_lines, sample_counts, to_text
+from .circuit import from_text, numbered_lines, read_lines, sample_counts, to_text
 from .protocols import (
     GeneralizedBellTypeState,
     cluster_channel_teleport,
@@ -50,6 +50,7 @@ MAX_M = 8  # the run document grows 4x per step of m: ~105 MB at m = 8
 SCHEMES = ("two_bell", "cluster5", "general_two_qubit")
 INPUT_KEYS = ("x", "alpha", "beta")
 INF = float("inf")
+_encode_str = json.encoder.encode_basestring_ascii  # json.dumps' own str writer
 # Each integer field's inclusive bounds.  workers is ignored, so any integer does.
 INT_BOUNDS = {"m": (1, MAX_M), "shots": (1, MAX_SHOTS), "seed": (0, INF), "reps": (0, INF),
               "workers": (-INF, INF)}
@@ -177,7 +178,11 @@ def _noise_model(config: ExperimentConfig):
     if config.noise is None:
         return None
     path = packaged_calibration_path() if config.noise == "builtin" else config.noise
-    return build_noise_model(load_calibration(path), config.duration_config)
+    try:
+        records = load_calibration(path)
+    except OSError as exc:
+        raise ValueError(f"noise: {exc}") from None
+    return build_noise_model(records, config.duration_config)
 
 
 def _check_plus_inputs(config: ExperimentConfig, command: str):
@@ -306,15 +311,14 @@ def cmd_tomography(config: ExperimentConfig, exact: bool = False) -> dict:
 
 def cmd_stats(values_path) -> dict:
     values = []
-    with open(values_path) as fh:
-        for line_no, line in numbered_lines(fh):
-            try:
-                value = float(line)
-                if not np.isfinite(value):
-                    raise ValueError
-            except ValueError:
-                raise ValueError(f"line {line_no}: expected a finite number, got {line!r}") from None
-            values.append(value)
+    for line_no, line in numbered_lines(read_lines(values_path)):
+        try:
+            value = float(line)
+            if not np.isfinite(value):
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"line {line_no}: expected a finite number, got {line!r}") from None
+        values.append(value)
     if len(values) < 2:
         raise ValueError("need >= 2 values")
     stats = fidelity_stats(values)
@@ -328,8 +332,7 @@ def cmd_stats(values_path) -> dict:
 
 
 def cmd_route(circuit_path, graph_path=None) -> dict:
-    with open(circuit_path) as fh:
-        circuit = from_text(fh.read())
+    circuit = from_text("".join(read_lines(circuit_path)))
     graph = load_coupling_graph(graph_path) if graph_path else casablanca_topology()
     layout, routed, report = route(circuit, graph)
     return {
@@ -416,14 +419,18 @@ def _dumps(value, depth: int = 0) -> str:
         for key in value:
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-        items = [json.dumps(k) + ": " + _dumps(value[k], depth + 1) for k in sorted(value)]
+        items = [_encode_str(k) + ": " + _dumps(value[k], depth + 1) for k in sorted(value)]
         return _block(items, depth, "{}")
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         text = _float_grid(value, depth) if type(value) is list else None
         return text or _block([_dumps(x, depth + 1) for x in value], depth)
-    return json.dumps(value)
+    if type(value) is str:
+        return _encode_str(value)
+    if type(value) in (int, float) and abs(value) < INF:
+        return type(value).__repr__(value)
+    return json.dumps(value)  # bool, None, NaN, infinities, numpy scalars, subclasses
 
 
 @functools.cache

@@ -134,7 +134,7 @@ def plus_state() -> StateVector:
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Kronecker product; a's qubits become the leading (most significant) ones."""
-    return StateVector(a.num_qubits + b.num_qubits, np.kron(a.amplitudes, b.amplitudes))
+    return StateVector(a.num_qubits + b.num_qubits, np.outer(a.amplitudes, b.amplitudes).reshape(-1))
 
 
 def to_density(psi: StateVector) -> DensityMatrix:
@@ -182,18 +182,18 @@ def superop(kraus) -> np.ndarray:
 
 @cache
 def _axes(targets: tuple, n: int):
-    """The axis order of an n-axis tensor with ``targets`` first; and its inverse."""
-    order = [*targets, *(a for a in range(n) if a not in targets)]
+    """The axis order of a stack of n-axis tensors with ``targets`` first; and its inverse."""
+    order = [0, *(1 + q for q in targets), *(1 + a for a in range(n) if a not in targets)]
     return tuple(order), tuple(np.argsort(order))
 
 
 def apply_matrix(a: np.ndarray, m: np.ndarray, targets, n: int) -> np.ndarray:
-    """Apply ``m`` to the listed axes of ``a``, read as an n-axis tensor of
-    2s (no validation): the target axes move to the front, one matmul, and
-    the axes move back.  The one kernel of both engines."""
+    """Apply ``m`` to the listed axes of ``a``, read as a stack of n-axis
+    tensors of 2s (no validation): target axes to the front, one stacked
+    matmul (each tensor's the same as alone), axes back.  The one kernel of both engines."""
     order, inverse = _axes(tuple(targets), n)
-    t = a.reshape([2] * n).transpose(order)
-    t = (m @ t.reshape(m.shape[1], -1)).reshape(t.shape)
+    t = a.reshape(-1, *[2] * n).transpose(order)
+    t = (m @ t.reshape(len(t), len(m), 2 ** n // len(m))).reshape(t.shape)
     return t.transpose(inverse).reshape(a.shape)
 
 

@@ -29,7 +29,7 @@ import logging
 from dataclasses import dataclass, field
 from itertools import permutations
 
-from .circuit import Circuit, CircuitParseError, numbered_lines, parse_int
+from .circuit import Circuit, CircuitParseError, numbered_lines, parse_int, read_lines
 
 log = logging.getLogger(__name__)
 
@@ -98,15 +98,14 @@ def casablanca_topology() -> CouplingGraph:
 def load_coupling_graph(path) -> CouplingGraph:
     """Edge-list text file, one ``u v`` pair per line; # starts a comment."""
     edges = set()
-    with open(path) as fh:
-        for line_no, line in numbered_lines(fh):
-            parts = line.split()
-            if len(parts) != 2:
-                raise CircuitParseError(line_no, f"expected 'u v', got {line!r}")
-            u, v = (parse_int(tok, line_no) for tok in parts)
-            if u == v or min(u, v) < 0:
-                raise CircuitParseError(line_no, f"expected two distinct nodes >= 0, got {line!r}")
-            edges.add(frozenset((u, v)))
+    for line_no, line in numbered_lines(read_lines(path)):
+        parts = line.split()
+        if len(parts) != 2:
+            raise CircuitParseError(line_no, f"expected 'u v', got {line!r}")
+        u, v = (parse_int(tok, line_no) for tok in parts)
+        if u == v or min(u, v) < 0:
+            raise CircuitParseError(line_no, f"expected two distinct nodes >= 0, got {line!r}")
+        edges.add(frozenset((u, v)))
     if not edges:
         raise ValueError("empty graph file")
     return CouplingGraph(max(map(max, edges)) + 1, frozenset(edges))

@@ -457,18 +457,25 @@ def eager_noisy_distribution(c, nm):
             rho = apply_superop(rho, nm.channel(build, *gate.targets), gate.targets, n)
         return idle_all(rho, window(gate), busy=gate.targets)
 
-    def project(rho, qubit):
-        for outcome in (0, 1):
-            sub = apply_superop(rho, superop([np.diag(np.eye(2)[outcome])]), [qubit], n)
-            yield np.trace(sub).real, sub
+    def step(rhos, gate, fires):
+        return [apply(rho, gate) if f else idle_all(rho, window(gate))
+                for rho, f in zip(rhos, fires)]
+
+    def project(rhos, qubit):
+        posts = [apply_superop(rho, superop([np.diag(np.eye(2)[outcome])]), [qubit], n)
+                 for rho in rhos for outcome in (0, 1)]
+        weights = [[np.trace(sub).real for sub in posts[i:i + 2]] for i in range(0, len(posts), 2)]
+        return weights, posts
+
+    def settle(posts, kept, weights):
+        return [idle_all(posts[i] / w, dur.readout_ns) for i, w in zip(kept, weights)]
 
     rho0 = np.zeros((2 ** n, 2 ** n), dtype=complex)
     rho0[0, 0] = 1.0
-    branches = walk(c, rho0, apply, lambda rho, gate: idle_all(rho, window(gate)), project,
-                    lambda sub, w: idle_all(sub / w, dur.readout_ns))
+    rows, rhos = walk(c, [rho0], step, project, settle)
     read_by = {s.bit: s.qubit for s in c.steps if isinstance(s, Measure)}
     dist = {}
-    for bits, p, _ in branches:
+    for bits, p in rows:
         recorded = {"": p}
         for name in c.measured:
             conf = nm.confusion[read_by[name]]
@@ -476,7 +483,7 @@ def eager_noisy_distribution(c, nm):
                         for rec, w in recorded.items() for r in (0, 1)}
         for rec, w in recorded.items():
             dist[rec] = dist.get(rec, 0.0) + w
-    return dist, sum(p * rho for _, p, rho in branches)
+    return dist, sum(p * rho for (_, p), rho in zip(rows, rhos))
 
 
 @settings(max_examples=40, deadline=None)
@@ -651,17 +658,18 @@ def test_rho_stays_valid_after_every_step_of_routed_paper_circuit(nm):
     real_walk = channels.walk
     checked = []
 
-    def checked_walk(c, state, apply, skip, project, settle):
+    def checked_walk(c, states, apply, project, settle):
         def check(step):
             def run(*args):
-                state = step(*args)  # (rho, idle time each qubit owes)
-                assert_valid_rho(state[0])
-                checked.append(1)
-                return state
+                states = step(*args)  # (rho, idle time each qubit owes) per row
+                for rho, _ in states:
+                    assert_valid_rho(rho)
+                    checked.append(1)
+                return states
 
             return run
 
-        return real_walk(c, state, check(apply), check(skip), project, check(settle))
+        return real_walk(c, states, check(apply), project, check(settle))
 
     channels.walk = checked_walk
     try:

@@ -1,18 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from twobell import circuit, qstate
 from twobell.circuit import (
+    PRUNE,
     Circuit,
     CircuitParseError,
     Gate,
+    Measure,
     from_text,
     run_exact,
     sample_counts,
+    sample_distribution,
     to_text,
 )
-from twobell import qstate
 from twobell.protocols import experiment_circuit
-from twobell.qstate import StateVector, partial_trace, to_density
+from twobell.qstate import StateVector, basis_state, partial_trace, to_density
 
 SQ2 = 1 / np.sqrt(2)
 
@@ -237,3 +242,98 @@ def test_repr_lists_steps_and_replays():
     back = eval(text, vars(circuit_module))
     assert back.num_qubits == c.num_qubits and back.steps == c.steps
     assert run_exact(back).probabilities() == run_exact(c).probabilities()
+
+
+# -- the stacked walk against a per-branch walk --------------------------------
+
+
+def per_branch_run_exact(c):
+    """Reference: the branches as a Python list, one 2-D matmul or
+    projection per branch per step, each state kept in the memory layout
+    its last matmul left; (bits, probability, amplitudes) per branch,
+    sorted by bits."""
+    n = c.num_qubits
+    branches = [({}, 1.0, basis_state(n, 0).amplitudes.reshape([2] * n))]
+    for step in c.steps:
+        if isinstance(step, Measure):
+            forked = []
+            for bits, p, t in branches:
+                for outcome in (0, 1):
+                    idx = (slice(None),) * step.qubit + (outcome,)
+                    post = np.zeros_like(t)
+                    post[idx] = t[idx]
+                    # Like the stack, sum each weight in the slice's logical (C)
+                    # order: .reshape(-1) copies it in that order, whatever memory
+                    # order the last gate's transpose left, and keeps a one-qubit
+                    # square an array op (x * x, not a numpy scalar's libm pow).
+                    w = float(np.sum(np.abs(t[idx]).reshape(-1) ** 2))
+                    if w > PRUNE:
+                        forked.append(({**bits, step.bit: outcome}, p * w, post / np.sqrt(w)))
+            branches = forked
+            continue
+        for i, (bits, p, t) in enumerate(branches):
+            if step.fires(bits):
+                m, targets = step.unitary(), list(step.targets)
+                order = [*targets, *(a for a in range(n) if a not in targets)]
+                u = t.transpose(order)
+                u = (m @ u.reshape(m.shape[1], -1)).reshape(u.shape)
+                branches[i] = (bits, p, u.transpose(np.argsort(order)))
+    entries = [("".join(str(bits[b]) for b in c.measured), p, t.reshape(-1))
+               for bits, p, t in branches]
+    return sorted(entries, key=lambda e: e[0])
+
+
+@st.composite
+def measured_circuits(draw):
+    """Random gates, some under a control, and mid-circuit measurements.
+    The first measurement reads a fresh |0>, so its outcome 1 has weight 0
+    and is pruned; the second splits the walk into two rows before the
+    random steps; the last one writes the first's bit again."""
+    n = draw(st.integers(1, 6))
+    qubit = st.integers(0, n - 1)
+    first = draw(qubit)
+    c = Circuit(n).measure(0, "z").h(first).measure(first, "a")
+    kinds = ["H", "X", "Y", "Z", "S", "CUSTOM", "CUSTOM", "M", "M"] + ["CNOT", "SWAP"] * (n > 1)
+    measures = 0
+    for _ in range(draw(st.integers(1, 16))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "M":
+            if measures < 4:
+                measures += 1
+                c.measure(draw(qubit), draw(st.sampled_from(["a", "b", "z"])))
+            continue
+        size = 2 if kind in ("CNOT", "SWAP") else draw(st.integers(1, min(n, 2))) if kind == "CUSTOM" else 1
+        targets = draw(st.lists(qubit, min_size=size, max_size=size, unique=True))
+        matrix = None
+        if kind == "CUSTOM":  # generic entries, so a change in the order of products shows
+            rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+            d = 2 ** len(targets)
+            matrix = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+        bit = draw(st.sampled_from([None, *c.measured]))
+        c.add(Gate(kind, tuple(targets), matrix, bit))
+    return c.measure(draw(qubit), "z")
+
+
+@settings(max_examples=200, deadline=None)
+@given(measured_circuits())
+def test_stacked_walk_equals_per_branch_walk_bit_for_bit(c):
+    got = run_exact(c).entries
+    ref = per_branch_run_exact(c)
+    assert [e.bits for e in got] == [bits for bits, _, _ in ref]
+    for e, (_, p, amplitudes) in zip(got, ref):
+        assert e.probability == p
+        assert e.state.amplitudes.tobytes() == amplitudes.tobytes()
+    dist = {}
+    for bits, p, _ in ref:
+        dist[bits] = dist.get(bits, 0.0) + p
+    assert sample_counts(c, 1000, 7) == sample_distribution(dist, 1000, 7)
+
+
+def test_exact_walk_makes_one_kernel_call_per_gate_step(monkeypatch):
+    """The 64 branches of the experiment circuit share each gate's matmul."""
+    c = experiment_circuit()
+    calls = []
+    real = circuit.apply_matrix
+    monkeypatch.setattr(circuit, "apply_matrix", lambda *args: calls.append(1) or real(*args))
+    assert len(run_exact(c).entries) == 64
+    assert len(calls) == sum(isinstance(step, Gate) for step in c.steps)

@@ -35,6 +35,9 @@ GOLDEN_RUNS = {
     # order in which the compression's gates run.
     "run_two_bell_m3": ["run", "--config", GOLDEN / "two_bell_m3.config.json",
                         "--seed", "241937442"],
+    # m = 4, the largest run of the benchmark's mix: 16 branches of 512 amplitudes.
+    "run_two_bell_m4": ["run", "--config", GOLDEN / "two_bell_m4.config.json",
+                        "--seed", "1531772976"],
     "run_cluster5": ["run", "--config", GOLDEN / "cluster5.config.json"],
     "run_general_two_qubit": ["run", "--config", GOLDEN / "general_two_qubit.config.json"],
     "compare": ["compare", "--config", GOLDEN / "compare.config.json"],
@@ -296,6 +299,33 @@ def test_graph_edge_without_two_distinct_nodes_names_its_line(tmp_path, capsys, 
     assert main(["route", str(circ), "--graph", str(graph)]) == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: line 2: expected two distinct nodes >= 0, got '{edge}'\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("fmt", ["circuit", "graph", "stats", "calibration"])
+def test_text_file_that_is_not_utf8_names_its_line(tmp_path, capsys, fmt):
+    circ, bad = tmp_path / "circ.txt", tmp_path / "bad"
+    circ.write_text("qubits 2\nCNOT 0 1\n")
+    first_line = {"circuit": b"qubits 2\n", "graph": b"0 1\n", "stats": b"80.5\n",
+                  "calibration": packaged_calibration_path().read_bytes().splitlines(True)[0]}
+    bad.write_bytes(first_line[fmt] + b"1 \xff\n")
+    argv = {"circuit": ["route", str(bad)], "graph": ["route", str(circ), "--graph", str(bad)],
+            "stats": ["stats", str(bad)], "calibration": ["run", "--calibration", str(bad)]}
+    assert main(argv[fmt]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: line 2: not UTF-8 text\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["run", "--calibration"], ["tomography", "--calibration"],
+                                  ["run", "--config"]])
+def test_missing_calibration_file_names_the_noise_field(tmp_path, capsys, argv):
+    missing = tmp_path / "missing.csv"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"noise": str(missing)}))
+    assert main(argv + [str(cfg if argv[1] == "--config" else missing)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: noise: [Errno 2] No such file or directory: '{missing}'\n"
     assert captured.out == ""
 
 
