@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Circuit, Gate, read_lines, sample_distribution, walk
+from .circuit import Circuit, CircuitParseError, Gate, read_lines, sample_distribution, walk
 from .qstate import (GATE_MATRICES, PAULI, DensityMatrix, apply_superop, pauli_labels,
                      pauli_operator, superop)
 
@@ -121,29 +121,32 @@ def load_calibration(path) -> list:
     registers under qubit 1.  T2 > 2*T1 is clamped with a warning.
     """
     records, lines = {}, {}  # by qubit: its record, and the line of its row
-    reader = csv.DictReader(read_lines(path, newline=""))
-    header = reader.fieldnames = [f.strip() for f in reader.fieldnames or []]
-    if header != CSV_HEADER:
-        raise CalibrationError(f"line 1: bad header; expected {','.join(CSV_HEADER)}")
-    for row in reader:
-        line = reader.line_num
-        if None in row or None in row.values():
-            raise CalibrationError(f"line {line}: expected {len(CSV_HEADER)} cells")
-        cells = {}
-        try:
-            for column, parse in _CELL_PARSERS.items():
-                cells[column] = parse(row[column])
-            column = "cnot_errs"
-            cells[column] = _parse_cnot_tokens(row[column], cells["qubit"])
-        except ValueError as exc:
-            raise CalibrationError(f"line {line}, {column}: {exc}") from None
-        q, t1, t2 = cells["qubit"], cells["t1_us"], cells["t2_us"]
-        if q in lines:
-            raise CalibrationError(f"line {line}: qubit {q} repeats line {lines[q]}")
-        if t2 > 2 * t1:
-            warnings.warn(f"qubit {q}: T2={t2} > 2*T1={2 * t1}, clamping")
-            cells["t2_us"] = 2 * t1
-        lines[q], records[q] = line, CalibrationRecord(*cells.values())
+    try:
+        reader = csv.DictReader(read_lines(path))
+        header = reader.fieldnames = [f.strip() for f in reader.fieldnames or []]
+        if header != CSV_HEADER:
+            raise CalibrationError(f"line 1: bad header; expected {','.join(CSV_HEADER)}")
+        for row in reader:
+            line = reader.line_num
+            if None in row or None in row.values():
+                raise CalibrationError(f"line {line}: expected {len(CSV_HEADER)} cells")
+            cells = {}
+            try:
+                for column, parse in _CELL_PARSERS.items():
+                    cells[column] = parse(row[column])
+                column = "cnot_errs"
+                cells[column] = _parse_cnot_tokens(row[column], cells["qubit"])
+            except ValueError as exc:
+                raise CalibrationError(f"line {line}, {column}: {exc}") from None
+            q, t1, t2 = cells["qubit"], cells["t1_us"], cells["t2_us"]
+            if q in lines:
+                raise CalibrationError(f"line {line}: qubit {q} repeats line {lines[q]}")
+            if t2 > 2 * t1:
+                warnings.warn(f"qubit {q}: T2={t2} > 2*T1={2 * t1}, clamping")
+                cells["t2_us"] = 2 * t1
+            lines[q], records[q] = line, CalibrationRecord(*cells.values())
+    except CircuitParseError as exc:  # a line that is not UTF-8
+        raise CalibrationError(str(exc)) from None
     if not records:
         raise CalibrationError("no records")
 
@@ -317,27 +320,25 @@ def noisy_distribution(c: Circuit, nm: NoiseModel, initial_rho: np.ndarray | Non
             rho = apply_superop(rho, noise, targets, n)
         return rho, idle(owed, window(gate), paid=targets)
 
+    def apply(states, gate: Gate, fires):
+        return [apply_gate(s, gate) if f else (s[0], idle(s[1], window(gate)))
+                for s, f in zip(states, fires)]
+
     def project(states, qubit):
-        paid = [(pay(rho, owed, [qubit]), idle(owed, 0.0, paid=[qubit])) for rho, owed in states]
+        paid = ((pay(rho, owed, [qubit]), idle(owed, 0.0, paid=[qubit])) for rho, owed in states)
         posts = [(apply_superop(rho, p, [qubit], n), owed) for rho, owed in paid for p in _PROJECTORS]
         traces = [float(np.trace(sub).real) for sub, _ in posts]
         return list(zip(traces[::2], traces[1::2])), posts
+
+    def settle(posts, kept, weights):
+        return [(posts[i][0] / w, idle(posts[i][1], dur.readout_ns)) for i, w in zip(kept, weights)]
 
     if initial_rho is None:
         rho0 = np.zeros((2 ** n, 2 ** n), dtype=complex)
         rho0[0, 0] = 1.0
     else:
         rho0 = np.array(initial_rho, dtype=complex)
-    rows, states = walk(
-        c,
-        [(rho0, (0.0,) * n)],
-        apply=lambda states, gate, fires: [
-            apply_gate(s, gate) if f else (s[0], idle(s[1], window(gate)))
-            for s, f in zip(states, fires)],
-        project=project,
-        settle=lambda posts, kept, weights: [
-            (posts[i][0] / w, idle(posts[i][1], dur.readout_ns)) for i, w in zip(kept, weights)],
-    )
+    rows, states = walk(c, [(rho0, (0.0,) * n)], apply, project, settle)
     dist = {}
     for bits, p in rows:
         # Convolve each recorded bit with the confusion matrix of the qubit it reads.

@@ -211,16 +211,15 @@ def walk(c: Circuit, states, apply, project, settle):
     outcomes 0 and 1 (rows x 2) and the unnormalized posts in fork order;
     ``settle(posts, kept, weights)`` returns the posts at indices ``kept``
     (weight above ``PRUNE``), each normalized by its weight.  Returns
-    [(bits by name, probability)] per row, and the stack.
-    """
+    [(bits by name, probability)] per row, and the stack."""
     rows = [({}, 1.0)]
     for step in c.steps:
         if isinstance(step, Measure):
-            weights, posts = project(states, step.qubit)
+            weights, states = project(states, step.qubit)  # posts; the old rows are freed
             forks = [(2 * i + outcome, {**bits, step.bit: outcome}, p, w)
                      for i, ((bits, p), ws) in enumerate(zip(rows, weights))
                      for outcome, w in enumerate(ws) if w > PRUNE]
-            states = settle(posts, [f[0] for f in forks], [f[3] for f in forks])
+            states = settle(states, [f[0] for f in forks], [f[3] for f in forks])
             rows = [(bits, p * w) for _, bits, p, w in forks]
         else:
             states = apply(states, step, [step.fires(bits) for bits, _ in rows])
@@ -260,11 +259,11 @@ def _exact_walk(c: Circuit, initial: StateVector | None):
 
 
 def run_exact(c: Circuit, initial: StateVector | None = None) -> BranchDistribution:
-    """Execute exactly, forking one branch per measurement outcome.
-
-    Branches with probability below 1e-12 are dropped; output is ordered
-    lexicographically by classical bit values (first-write bit order).
-    Only the returned states are checked; ``c`` was checked as it was built."""
+    """Execute exactly, forking one branch per outcome: those of weight at most
+    ``PRUNE`` are dropped, the rest ordered by bits (first-write bit order).
+    Each weight is the |amp|^2 sum in logical (C) order; the per-branch walk
+    before the stacked one summed in memory order, so results may differ from
+    it in the last bit.  Only the returned states are checked, once."""
     rows, states = _exact_walk(c, initial)
     entries = [BranchEntry(bits, p, StateVector(c.num_qubits, t)) for (bits, p), t in zip(rows, states)]
     entries.sort(key=lambda e: e.bits)
@@ -316,10 +315,10 @@ def to_text(c: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_lines(path, newline=None):
-    """The lines of UTF-8 text file ``path``; one with a byte that is not
+def read_lines(path):
+    """The lines, ends kept, of UTF-8 text file ``path``; one with a byte not
     UTF-8 (read as a lone surrogate) ends in ``line N: not UTF-8 text``."""
-    with open(path, encoding="utf-8", errors="surrogateescape", newline=newline) as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.isascii() and line.encode(errors="ignore").decode() != line:
                 raise CircuitParseError(line_no, "not UTF-8 text")

@@ -129,6 +129,20 @@ def test_row_with_more_cells_than_the_header_rejected(tmp_path):
         load_calibration(p)
 
 
+def test_calibration_line_that_is_not_utf8_raises_calibration_error(tmp_path):
+    p = tmp_path / "cal.csv"
+    p.write_bytes(packaged_calibration_path().read_bytes().splitlines(True)[0] + b"1 \xff\n")
+    with pytest.raises(CalibrationError, match="^line 2: not UTF-8 text$"):
+        load_calibration(p)
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"])
+def test_calibration_with_crlf_or_cr_line_ends_reads_like_the_packaged_table(tmp_path, end):
+    p = tmp_path / "cal.csv"
+    p.write_bytes(end.join(packaged_calibration_path().read_text().splitlines()).encode() + b"\n")
+    assert load_calibration(p) == table_records()
+
+
 def test_bad_cnot_token_rejected(tmp_path):
     p = tmp_path / "cal.csv"
     p.write_text(

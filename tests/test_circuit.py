@@ -248,10 +248,13 @@ def test_repr_lists_steps_and_replays():
 
 
 def per_branch_run_exact(c):
-    """Reference: the branches as a Python list, one 2-D matmul or
-    projection per branch per step, each state kept in the memory layout
-    its last matmul left; (bits, probability, amplitudes) per branch,
-    sorted by bits."""
+    """Reference: the per-branch walk that the stacked walk replaced, the
+    branches as a Python list, one 2-D matmul or projection per branch per
+    step, each state kept in the memory layout its last matmul left;
+    (bits, probability, amplitudes) per branch, sorted by bits.  It differs
+    from that walk in one place only, the order of each weight's sum (see
+    below), so that walk's output may differ from ``run_exact``'s in the
+    last bit."""
     n = c.num_qubits
     branches = [({}, 1.0, basis_state(n, 0).amplitudes.reshape([2] * n))]
     for step in c.steps:

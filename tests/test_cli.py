@@ -317,6 +317,24 @@ def test_text_file_that_is_not_utf8_names_its_line(tmp_path, capsys, fmt):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("end", ["\r\n", "\r"])
+def test_text_files_with_crlf_or_cr_line_ends_read_as_with_lf(tmp_path, capsys, end):
+    """Line numbers, and what each line holds, do not depend on the line end."""
+    texts = {"circ": "qubits 3\nCNOT 0 1\n# comment\nSWAP 1 2\n", "graph": "0 1\n1 2\n",
+             "values": "80.5\n# comment\n81.25\n79\n", "bad": "0 1\n\n1 x\n"}
+    runs = [["route", "circ", "--graph", "graph"], ["stats", "values"],
+            ["route", "circ", "--graph", "bad"]]
+    outputs = {}
+    for sep in ("\n", end):
+        for name, text in texts.items():
+            (tmp_path / name).write_bytes(text.replace("\n", sep).encode())
+        outputs[sep] = [(main([str(tmp_path / a) if a in texts else a for a in argv]),
+                         *capsys.readouterr()) for argv in runs]
+    assert outputs[end] == outputs["\n"]
+    assert [code for code, _, _ in outputs[end]] == [0, 0, 1]
+    assert outputs[end][2][2] == "error: line 3: expected integer, got 'x'\n"
+
+
 @pytest.mark.parametrize("argv", [["run", "--calibration"], ["tomography", "--calibration"],
                                   ["run", "--config"]])
 def test_missing_calibration_file_names_the_noise_field(tmp_path, capsys, argv):
