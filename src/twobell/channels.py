@@ -37,7 +37,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Circuit, CircuitParseError, Gate, read_lines, sample_distribution, walk
+from .circuit import (Circuit, CircuitParseError, Gate, read_lines, sample_distribution, walk,
+                      _summed)
 from .qstate import (GATE_MATRICES, PAULI, DensityMatrix, apply_superop, pauli_labels,
                      pauli_operator, superop)
 
@@ -339,7 +340,7 @@ def noisy_distribution(c: Circuit, nm: NoiseModel, initial_rho: np.ndarray | Non
     else:
         rho0 = np.array(initial_rho, dtype=complex)
     rows, states = walk(c, [(rho0, (0.0,) * n)], apply, project, settle)
-    dist = {}
+    readings = []
     for bits, p in rows:
         # Convolve each recorded bit with the confusion matrix of the qubit it reads.
         recorded = [("", p)]
@@ -352,11 +353,10 @@ def noisy_distribution(c: Circuit, nm: NoiseModel, initial_rho: np.ndarray | Non
                 for r in (0, 1)
                 if conf[r, true_bit] > 0
             ]
-        for rec, q in recorded:
-            dist[rec] = dist.get(rec, 0.0) + q
-    owing = {}  # owed times -> merged rho of the branches that owe them, paid once
-    for (_, p), (rho, owed) in zip(rows, states):
-        owing[owed] = owing.get(owed, 0.0) + p * rho
+        readings += recorded
+    dist = _summed(readings)
+    # owed times -> merged rho of the branches that owe them, paid once
+    owing = _summed((owed, p * rho) for (_, p), (rho, owed) in zip(rows, states))
     final = sum(pay(rho, owed, range(n)) for owed, rho in owing.items())
     final_dm = DensityMatrix(n, 0.5 * (final + final.conj().T))
     return final_dm, dist

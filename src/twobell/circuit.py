@@ -33,6 +33,7 @@ checked again when the circuit runs.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,13 +165,6 @@ class Circuit:
         """H(a), then CNOT(a->b): |phi+> on (a, b) from |00>."""
         return self.h(a).cnot(a, b)
 
-    def feed_forward(self, x_bit, z_bit, receivers):
-        """Teleportation corrections: X on every receiver qubit if x_bit
-        reads 1, then Z on the first if z_bit reads 1."""
-        for q in receivers:
-            self.c_if("X", (q,), x_bit)
-        return self.c_if("Z", (receivers[0],), z_bit)
-
 
 @dataclass(frozen=True)
 class BranchEntry:
@@ -189,11 +183,12 @@ class BranchDistribution:
         return _summed((e.bits, e.probability) for e in self.entries)
 
 
-def _summed(outcomes) -> dict:
-    """Outcome -> the sum of its probabilities, added in the given order."""
+def _summed(pairs) -> dict:
+    """Key -> the sum of its values, added in the given order from int 0,
+    so that integer counts stay ``int``."""
     out = {}
-    for bits, p in outcomes:
-        out[bits] = out.get(bits, 0.0) + p
+    for key, value in pairs:
+        out[key] = out.get(key, 0) + value
     return out
 
 
@@ -345,7 +340,8 @@ def from_text(text: str) -> Circuit:
     steps = []  # (line number, step)
     num_qubits = None
 
-    for line_no, line in numbered_lines(text.splitlines()):
+    # Lines end at \n, \r\n or \r only, as ``read_lines`` reads a file.
+    for line_no, line in numbered_lines(io.StringIO(text, newline="")):
         toks = line.split()
         head = toks[0].upper()
         if head == "QUBITS":

@@ -18,7 +18,7 @@ from functools import cache
 import numpy as np
 
 from .channels import NoiseModel, noisy_distribution
-from .circuit import Circuit, sample_distribution
+from .circuit import Circuit, sample_distribution, _summed
 from .protocols import (
     EXPERIMENT_OUTPUT_BITS,
     EXPERIMENT_RECEIVER_QUBITS,
@@ -60,12 +60,9 @@ def routed_experiment():
 
 
 def marginal_counts(counts: dict, bit_names, wanted) -> dict:
+    """``counts`` over the bits ``bit_names``, summed onto the bits ``wanted``."""
     positions = [list(bit_names).index(b) for b in wanted]
-    out = {}
-    for bits, k in counts.items():
-        key = "".join(bits[p] for p in positions)
-        out[key] = out.get(key, 0) + k
-    return out
+    return _summed(("".join(bits[p] for p in positions), k) for bits, k in counts.items())
 
 
 def ideal_output_state() -> StateVector:

@@ -8,12 +8,15 @@ derives its Bell-pair and channel-qubit counts from n unknown coefficients.
 
 Correction convention: a Bell measurement (CNOT then H, reading bits
 (b1, b2)) maps outcomes to receiver Paulis 00 -> I, 01 -> X, 10 -> Z,
-11 -> Z.X (X applied first); ``Circuit.feed_forward`` emits them.
+11 -> Z.X (X applied first).  ``_corrections`` is that one table: the leg
+builder ``_teleport`` emits it as controlled gates, and each
+``TeleportBranch.corrections`` reports it for the branch's bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import ceil, log2
 
 import numpy as np
@@ -98,6 +101,14 @@ def prepare_cluster5() -> StateVector:
     return StateVector(5, amps)
 
 
+@cache
+def _cluster5_prep() -> np.ndarray:
+    """The cluster channel's preparation unitary, built once, read-only."""
+    u = prep_unitary(prepare_cluster5().amplitudes)
+    u.setflags(write=False)
+    return u
+
+
 # -- compression of generalized Bell-type states -----------------------------
 
 
@@ -150,14 +161,35 @@ def _branches(c: Circuit, fixed=None):
         yield e.bits, e.probability, project_qubits(e.state, {**assign, **(fixed or {})})
 
 
-def _corrections_for(bits: str, receiver: int, qubits) -> tuple:
-    out = []
-    b1, b2 = bits
-    if b2 == "1":
-        out.extend((receiver, "X", q) for q in qubits)
-    if b1 == "1":
-        out.append((receiver, "Z", qubits[0]))
-    return tuple(out)
+def _corrections(z, x, qubits) -> tuple:
+    """One leg's corrections as (pauli, qubit, bit), in order: X on every
+    receiver qubit if bit x reads 1, then Z on the first if bit z does.
+    The bits are names in a circuit and values ("0"/"1") in a report."""
+    return (*(("X", q, x) for q in qubits), ("Z", qubits[0], z))
+
+
+def _reported(bits: str, qubit_sets) -> tuple:
+    """(receiver, pauli, qubit) of each correction that a branch with outcome
+    ``bits`` applies; receiver i + 1 reads bits 2i, 2i + 1 on ``qubit_sets[i]``."""
+    return tuple((r, pauli, q) for r, qubits in enumerate(qubit_sets, start=1)
+                 for pauli, q, bit in _corrections(*bits[2 * r - 2:2 * r], qubits) if bit == "1")
+
+
+def _teleport(c: Circuit, legs, shared: bool = False) -> Circuit:
+    """Append one standard teleportation per leg (source, sender, receivers):
+    a Bell pair (sender, receivers[0]) per leg unless the channel is
+    ``shared``, then each leg's Bell measurement of (source, sender) into
+    bits b1 .. b2k, then each leg's ``_corrections`` as controlled gates."""
+    bits = [(f"b{2 * i + 1}", f"b{2 * i + 2}") for i in range(len(legs))]
+    if not shared:
+        for _, sender, receivers in legs:
+            c.bell_pair(sender, receivers[0])
+    for (source, sender, _), (z, x) in zip(legs, bits):
+        c.bell_measure(source, sender, z, x)
+    for (_, _, receivers), (z, x) in zip(legs, bits):
+        for pauli, q, bit in _corrections(z, x, receivers):
+            c.c_if(pauli, (q,), bit)
+    return c
 
 
 def teleport_single(psi: StateVector) -> list:
@@ -167,13 +199,9 @@ def teleport_single(psi: StateVector) -> list:
     """
     if psi.num_qubits != 1:
         raise ValueError("teleport_single takes a single-qubit state")
-    c = Circuit(3)
-    c.custom(prep_unitary(psi.amplitudes), [0])
-    c.bell_pair(1, 2)
-    c.bell_measure(0, 1, "b1", "b2")
-    c.feed_forward("b2", "b1", (2,))
-    return [TeleportBranch(bits, _corrections_for(bits, 1, (0,)), p, out)
-            for bits, p, out in _branches(c)]
+    c = Circuit(3).custom(prep_unitary(psi.amplitudes), [0])
+    return [TeleportBranch(bits, _reported(bits, [(0,)]), p, out)
+            for bits, p, out in _branches(_teleport(c, [(0, 1, (2,))]))]
 
 
 def multi_output_teleport(
@@ -193,19 +221,13 @@ def multi_output_teleport(
     qb, comp_b = compress_ghz_class(chi_b)
     outs_a = [(ba, expand_ghz_class(ba.output, comp_a)) for ba in teleport_single(qa)]
     outs_b = [(bb, expand_ghz_class(bb.output, comp_b)) for bb in teleport_single(qb)]
+    qubit_sets = (range(chi_a.n), range(chi_b.n))
     branches = []
     for ba, out_a in outs_a:
         for bb, out_b in outs_b:
-            corrections = _corrections_for(ba.outcome_bits, 1, tuple(range(chi_a.n)))
-            corrections += _corrections_for(bb.outcome_bits, 2, tuple(range(chi_b.n)))
-            branches.append(
-                TeleportBranch(
-                    ba.outcome_bits + bb.outcome_bits,
-                    corrections,
-                    ba.probability * bb.probability,
-                    tensor(out_a, out_b),
-                )
-            )
+            bits = ba.outcome_bits + bb.outcome_bits
+            branches.append(TeleportBranch(bits, _reported(bits, qubit_sets),
+                                           ba.probability * bb.probability, tensor(out_a, out_b)))
     branches.sort(key=lambda b: b.outcome_bits)
     return branches, ResourceReport(4)
 
@@ -219,17 +241,10 @@ def teleport_two_qubit_general(psi: StateVector):
     """
     if psi.num_qubits != 2:
         raise ValueError("teleport_two_qubit_general takes a two-qubit state")
-    c = Circuit(6)
-    c.custom(prep_unitary(psi.amplitudes), [0, 1])
-    c.bell_pair(2, 3).bell_pair(4, 5)
-    c.bell_measure(0, 2, "b1", "b2")
-    c.bell_measure(1, 4, "b3", "b4")
-    c.feed_forward("b2", "b1", (3,))
-    c.feed_forward("b4", "b3", (5,))
-    branches = []
-    for bits, p, out in _branches(c):  # out: receiver qubits (3, 5)
-        corrections = _corrections_for(bits[:2], 1, (0,)) + _corrections_for(bits[2:], 2, (1,))
-        branches.append(TeleportBranch(bits, corrections, p, out))
+    c = Circuit(6).custom(prep_unitary(psi.amplitudes), [0, 1])
+    _teleport(c, [(0, 2, (3,)), (1, 4, (5,))])
+    branches = [TeleportBranch(bits, _reported(bits, [(0,), (1,)]), p, out)
+                for bits, p, out in _branches(c)]  # out: receiver qubits (3, 5)
     return branches, ResourceReport(4)
 
 
@@ -253,19 +268,16 @@ def cluster_channel_teleport(
     c = Circuit(8)
     c.custom(prep_unitary(chi_a.to_statevector().amplitudes), [0])
     c.custom(prep_unitary(chi_b.to_statevector().amplitudes), [1, 2])
-    c.custom(prep_unitary(prepare_cluster5().amplitudes), [3, 4, 5, 6, 7])
+    c.custom(_cluster5_prep(), [3, 4, 5, 6, 7])
     # Alice's local compressions.
     for g in comp_a.steps:
         c.add(g.on((0,)))
     for g in comp_b.steps:
         c.add(g.on((1, 2)))
-    # Bell measurements against the cluster qubits Alice keeps.
-    c.bell_measure(0, 3, "b1", "b2")
-    c.bell_measure(1, 4, "b3", "b4")
-    # Receiver 1 on cluster qubit 3; receiver 2 on the (4, 5) code pair,
-    # where logical X is X(x)X and logical Z acts on either qubit.
-    c.feed_forward("b2", "b1", (5,))
-    c.feed_forward("b4", "b3", (6, 7))
+    # Bell measurements against the cluster qubits Alice keeps.  Receiver 1
+    # is on cluster qubit 3; receiver 2 on the (4, 5) code pair, where
+    # logical X is X(x)X and logical Z acts on either qubit.
+    _teleport(c, [(0, 3, (5,)), (1, 4, (6, 7))], shared=True)
     branches = []
     # Qubit 2 holds chi_b's compressed ancilla, back in |0>.
     for bits, p, joint in _branches(c, fixed={2: 0}):  # joint: qubits (5, 6, 7)
@@ -276,12 +288,16 @@ def cluster_channel_teleport(
         pair = apply_unitary(bob2, GATE_MATRICES["CNOT"], [0, 1])
         qb_out = project_qubits(pair, {1: 0})
         out_b = expand_ghz_class(qb_out, comp_b)
-        corrections = _corrections_for(bits[:2], 1, (0,)) + _corrections_for(bits[2:], 2, (0, 1))
+        corrections = _reported(bits, [(0,), (0, 1)])
         branches.append(TeleportBranch(bits, corrections, p, tensor(out_a, out_b)))
     return branches
 
 
 # -- the experiment circuit ---------------------------------------------------
+
+EXPERIMENT_LEGS = ((0, 1, (2,)), (3, 4, (5,)))  # (source, sender, receivers)
+EXPERIMENT_RECEIVER_QUBITS = tuple(receivers[0] for _, _, receivers in EXPERIMENT_LEGS)
+EXPERIMENT_OUTPUT_BITS = ("out1", "out2")
 
 
 def experiment_circuit(
@@ -297,24 +313,13 @@ def experiment_circuit(
     classical bits out1, out2.
     """
     c = Circuit(6)
-    if input_a is None:
-        c.h(0)
-    else:
-        c.custom(prep_unitary(input_a.amplitudes), [0])
-    if input_b is None:
-        c.h(3)
-    else:
-        c.custom(prep_unitary(input_b.amplitudes), [3])
-    c.bell_pair(1, 2).bell_pair(4, 5)
-    c.bell_measure(0, 1, "b1", "b2")
-    c.bell_measure(3, 4, "b3", "b4")
-    c.feed_forward("b2", "b1", (2,))
-    c.feed_forward("b4", "b3", (5,))
+    for (source, _, _), psi in zip(EXPERIMENT_LEGS, (input_a, input_b)):
+        if psi is None:
+            c.h(source)
+        else:
+            c.custom(prep_unitary(psi.amplitudes), [source])
+    _teleport(c, EXPERIMENT_LEGS)
     if measure_outputs:
-        c.measure(2, "out1")
-        c.measure(5, "out2")
+        for q, bit in zip(EXPERIMENT_RECEIVER_QUBITS, EXPERIMENT_OUTPUT_BITS):
+            c.measure(q, bit)
     return c
-
-
-EXPERIMENT_RECEIVER_QUBITS = (2, 5)
-EXPERIMENT_OUTPUT_BITS = ("out1", "out2")

@@ -693,6 +693,13 @@ def test_rho_stays_valid_after_every_step_of_routed_paper_circuit(nm):
     assert len(checked) > len(routed.steps)
 
 
+def test_marginal_counts_sums_onto_the_wanted_bits_as_ints():
+    counts = {"000": 5, "010": 4, "011": 2, "101": 3, "110": 1}
+    out = experiments.marginal_counts(counts, ("a", "b", "c"), ("c", "a"))
+    assert out == {"00": 9, "10": 2, "11": 3, "01": 1}
+    assert all(type(k) is int for k in out.values())
+
+
 def test_noisy_experiment_builds_each_channel_once(monkeypatch):
     nm = build_noise_model(table_records())
     builds, depth = [], [0]

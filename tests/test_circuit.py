@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,6 +47,15 @@ def test_experiment_circuit_16_uniform_branches():
         assert e.probability == pytest.approx(1 / 16, abs=1e-10)
         marginal = partial_trace(to_density(e.state), {2, 5})
         assert np.max(np.abs(marginal.entries - target.entries)) < 1e-10
+
+
+def test_benchmark_experiment_text_is_the_experiment_circuit():
+    """The router benchmark's copy of the experiment circuit is the text of
+    the circuit itself, step for step."""
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py").read_text()
+    [text] = [ast.literal_eval(node.value) for node in ast.parse(source).body
+              if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "EXPERIMENT_TEXT"]
+    assert text == to_text(experiment_circuit(measure_outputs=False))
 
 
 def test_run_exact_trusts_the_built_circuit(monkeypatch):

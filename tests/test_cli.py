@@ -335,6 +335,18 @@ def test_text_files_with_crlf_or_cr_line_ends_read_as_with_lf(tmp_path, capsys, 
     assert outputs[end][2][2] == "error: line 3: expected integer, got 'x'\n"
 
 
+@pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_circuit_lines_end_only_at_line_ends(tmp_path, capsys, sep):
+    """A separator that ``str.splitlines`` breaks at, but a file's lines do
+    not, is whitespace inside its line, so errors name the file's line."""
+    circ = tmp_path / "circ.txt"
+    circ.write_text(f"H{sep}0\nFOO 0\n", encoding="utf-8")
+    assert main(["route", str(circ)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: line 2: unknown gate 'FOO'\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("argv", [["run", "--calibration"], ["tomography", "--calibration"],
                                   ["run", "--config"]])
 def test_missing_calibration_file_names_the_noise_field(tmp_path, capsys, argv):

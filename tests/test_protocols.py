@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from twobell import protocols
 from twobell.circuit import Circuit, run_exact
 from twobell.protocols import (
     GeneralizedBellTypeState,
@@ -183,14 +184,17 @@ def test_correction_table_is_the_unique_fix():
         "Z": np.array([[1, 0], [0, -1]]),
         "ZX": np.array([[0, 1], [-1, 0]]),
     }
-    table = {"00": "I", "01": "X", "10": "Z", "11": "ZX"}
     ideal = to_density(psi)
     for e in dist.entries:
+        # The table's Paulis for these bits, named as a product (last applied first).
+        corrections = protocols._corrections(e.bits[0], e.bits[1], (2,))
+        applied = [pauli for pauli, _, bit in corrections if bit == "1"]
+        table = "".join(reversed(applied)) or "I"
         bob = project_qubits(e.state, {0: int(e.bits[0]), 1: int(e.bits[1])})
         for name, mat in paulis.items():
             fixed = StateVector(1, (mat @ bob.amplitudes) / np.linalg.norm(mat @ bob.amplitudes))
             fid = pure_fidelity(fixed, ideal)
-            if name == table[e.bits]:
+            if name == table:
                 assert fid == pytest.approx(1.0, abs=1e-10)
             else:
                 assert fid < 1 - 1e-6
@@ -257,6 +261,23 @@ def test_cluster_teleport_basis_case():
     chi_b = GeneralizedBellTypeState(2, 0, 1, 0)
     branches = cluster_channel_teleport(chi_a, chi_b)
     assert_all_branches_match(branches, tensor(chi_a.to_statevector(), chi_b.to_statevector()))
+
+
+def test_cluster_preparation_unitary_is_built_once(monkeypatch):
+    sizes = []
+
+    def counted(target):
+        sizes.append(len(target))
+        return prep_unitary(target)
+
+    monkeypatch.setattr(protocols, "prep_unitary", counted)
+    protocols._cluster5_prep.cache_clear()
+    chi_a = GeneralizedBellTypeState(1, 1, SQ2, SQ2)
+    chi_b = GeneralizedBellTypeState(2, 1, 0.6, 0.8j)
+    for _ in range(2):
+        cluster_channel_teleport(chi_a, chi_b)
+    assert sizes.count(32) == 1
+    assert not protocols._cluster5_prep().flags.writeable
 
 
 def test_cluster_teleport_rejects_wrong_m():
