@@ -197,17 +197,18 @@ PRUNE = 1e-12  # measurement outcomes of at most this weight are dropped
 
 def walk(c: Circuit, states, apply, project, settle):
     """Run ``c`` on all live branches at once: a stack of rows, first the
-    one row ``states``; the one step loop of both engines, trusting ``c``
-    as built.  ``walk`` owns each row's bits and probability, ``PRUNE`` and
-    the fork order (a measurement splits each row into outcome 0, then 1);
-    the engine owns the stack.  ``apply(states, gate, fires)`` returns the
-    next stack, ``fires[i]`` saying whether row i's control reads 1 (true
-    without one); ``project(states, qubit)`` returns each row's weights of
-    outcomes 0 and 1 (rows x 2) and the unnormalized posts in fork order;
+    rows of ``states``, each with no bits and probability 1; the one step
+    loop of both engines, trusting ``c`` as built.  ``walk`` owns each
+    row's bits and probability, ``PRUNE`` and the fork order (a measurement
+    splits each row into outcome 0, then 1); the engine owns the stack.
+    ``apply(states, gate, fires)`` returns the next stack, ``fires[i]``
+    saying whether row i's control reads 1 (true without one);
+    ``project(states, qubit)`` returns each row's weights of outcomes 0 and
+    1 (rows x 2) and the unnormalized posts in fork order;
     ``settle(posts, kept, weights)`` returns the posts at indices ``kept``
     (weight above ``PRUNE``), each normalized by its weight.  Returns
     [(bits by name, probability)] per row, and the stack."""
-    rows = [({}, 1.0)]
+    rows = [({}, 1.0)] * len(states)
     for step in c.steps:
         if isinstance(step, Measure):
             weights, states = project(states, step.qubit)  # posts; the old rows are freed
@@ -234,11 +235,13 @@ def _project(states: np.ndarray, qubit: int):
     return weights.tolist(), posts.reshape(2 * rows, -1)
 
 
-def _exact_walk(c: Circuit, initial: StateVector | None):
-    """``walk`` on a (branches, 2^n) amplitude stack: [(bit string, probability)], stack."""
+def exact_walk(c: Circuit, initial: np.ndarray | None = None):
+    """``walk`` on a (branches, 2^n) amplitude stack, from the rows of the
+    checked (rows, 2^n) stack ``initial`` (default one row, |0...0>):
+    [(bit string, probability)] per row in fork order, and the stack."""
     n = c.num_qubits
-    state = initial if initial is not None else basis_state(n, 0)
-    if state.num_qubits != n:
+    states = basis_state(n, 0).amplitudes[None] if initial is None else initial
+    if states.shape[1] != 2 ** n:
         raise ValueError("initial state qubit count does not match circuit")
 
     def apply(states, gate, fires):
@@ -248,7 +251,7 @@ def _exact_walk(c: Circuit, initial: StateVector | None):
         out[fires] = apply_matrix(states[fires], gate.unitary(), gate.targets, n)
         return out
 
-    rows, states = walk(c, state.amplitudes.reshape(1, -1), apply, _project,
+    rows, states = walk(c, states, apply, _project,
                         lambda posts, kept, weights: posts[kept] / np.sqrt(weights)[:, None])
     return [("".join(str(bits[b]) for b in c.measured), p) for bits, p in rows], states
 
@@ -259,7 +262,7 @@ def run_exact(c: Circuit, initial: StateVector | None = None) -> BranchDistribut
     Each weight is the |amp|^2 sum in logical (C) order; the per-branch walk
     before the stacked one summed in memory order, so results may differ from
     it in the last bit.  Only the returned states are checked, once."""
-    rows, states = _exact_walk(c, initial)
+    rows, states = exact_walk(c, None if initial is None else initial.amplitudes[None])
     entries = [BranchEntry(bits, p, StateVector(c.num_qubits, t)) for (bits, p), t in zip(rows, states)]
     entries.sort(key=lambda e: e.bits)
     return BranchDistribution(tuple(entries))
@@ -283,7 +286,7 @@ def sample_counts(c: Circuit, shots: int, seed: int) -> dict:
     Reproducible: uses numpy's PCG64 generator seeded with ``seed``.
     The probabilities come straight from the walk; no state is built.
     """
-    return sample_distribution(_summed(_exact_walk(c, None)[0]), shots, seed)
+    return sample_distribution(_summed(exact_walk(c)[0]), shots, seed)
 
 
 # -- text serialization -----------------------------------------------------

@@ -6,6 +6,10 @@ Inputs are ``GeneralizedBellTypeState`` values, or a 2-qubit
 ``StateVector`` for the general two-qubit scheme.  ``ResourceReport``
 derives its Bell-pair and channel-qubit counts from n unknown coefficients.
 
+Every scheme post-processes its walk's stack of branches (one amplitude
+row each) with one array operation and one check per step for all rows,
+and builds a ``StateVector`` for each returned branch only.
+
 Correction convention: a Bell measurement (CNOT then H, reading bits
 (b1, b2)) maps outcomes to receiver Paulis 00 -> I, 01 -> X, 10 -> Z,
 11 -> Z.X (X applied first).  ``_corrections`` is that one table: the leg
@@ -21,17 +25,19 @@ from math import ceil, log2
 
 import numpy as np
 
-from .circuit import Circuit, Gate, run_exact
+from .circuit import Circuit, Gate, exact_walk, run_exact
 from .qstate import (
     GATE_MATRICES,
     NORM_ATOL,
     StateVector,
-    apply_unitary,
+    apply_unitary_rows,
     basis_state,
+    checked_rows,
+    kron_rows,
     prep_unitary,
     project_qubits,
-    split_product,
-    tensor,
+    project_rows,
+    split_rows,
 )
 
 
@@ -112,14 +118,10 @@ def _cluster5_prep() -> np.ndarray:
 # -- compression of generalized Bell-type states -----------------------------
 
 
-def compress_ghz_class(s: GeneralizedBellTypeState):
-    """Reduce alpha|x> + beta|x-bar> to (alpha|0> + beta|1>) on one qubit.
-
-    The compression is one circuit: a CNOT ladder from qubit 0 to qubits
-    n-1 down to 1, an X on each tail qubit left at 1 (descending), and an
-    X on the head if bit 0 of x is set.  Returns the compressed qubit and
-    that circuit, which ``expand_ghz_class`` runs backwards.
-    """
+def _compression(s: GeneralizedBellTypeState) -> Circuit:
+    """The compression of ``s`` as one circuit: a CNOT ladder from qubit 0
+    to qubits n-1 down to 1, an X on each tail qubit left at 1
+    (descending), and an X on the head if bit 0 of x is set."""
     n = s.n
     bits = [(s.x >> (n - 1 - q)) & 1 for q in range(n)]
     compression = Circuit(n)
@@ -130,35 +132,63 @@ def compress_ghz_class(s: GeneralizedBellTypeState):
             compression.x(q)
     if bits[0]:
         compression.x(0)
+    return compression
+
+
+def compress_ghz_class(s: GeneralizedBellTypeState):
+    """Reduce alpha|x> + beta|x-bar> to (alpha|0> + beta|1>) on one qubit
+    by running ``_compression(s)``.  Returns the compressed qubit and that
+    circuit, which ``expand_ghz_class`` runs backwards."""
+    compression = _compression(s)
     psi = run_exact(compression, s.to_statevector()).entries[0].state
-    if n > 1:
-        psi = project_qubits(psi, {q: 0 for q in range(1, n)})
+    if s.n > 1:
+        psi = project_qubits(psi, {q: 0 for q in range(1, s.n)})
     return psi, compression
 
 
-def expand_ghz_class(q: StateVector, compression: Circuit) -> StateVector:
-    """Invert ``compress_ghz_class``: run its compression backwards on the
-    teleported single qubit and fresh |0> ancillas."""
-    if q.num_qubits != 1:
-        raise ValueError("expand takes a single-qubit state")
+def expand_rows(rows: np.ndarray, compression: Circuit) -> np.ndarray:
+    """Invert ``compress_ghz_class`` on a stack of teleported single qubits:
+    each row with fresh |0> ancillas, then one walk of the compression run
+    backwards over all rows; a checked stack."""
     # X and CNOT are their own inverses, so the reversed steps undo them.
     if any(not isinstance(g, Gate) or g.kind not in ("X", "CNOT") or g.bit is not None
            for g in compression.steps):
         raise ValueError("not a compression: only unconditional X and CNOT gates invert")
     n = compression.num_qubits
-    psi = q if n == 1 else tensor(q, basis_state(n - 1, 0))
-    return run_exact(Circuit(n, reversed(compression.steps)), psi).entries[0].state
+    if n > 1:
+        rows = checked_rows(kron_rows(rows, basis_state(n - 1, 0).amplitudes))
+    return checked_rows(exact_walk(Circuit(n, reversed(compression.steps)), rows)[1])
+
+
+def expand_ghz_class(q: StateVector, compression: Circuit) -> StateVector:
+    """``expand_rows`` on one teleported single qubit."""
+    if q.num_qubits != 1:
+        raise ValueError("expand takes a single-qubit state")
+    return StateVector(compression.num_qubits, expand_rows(q.amplitudes[None], compression)[0])
 
 
 # -- teleportation ------------------------------------------------------------
 
 def _branches(c: Circuit, fixed=None):
-    """(bits, probability, state of the unmeasured qubits) per branch of
-    ``c``: its ``run_exact`` state sliced at each measured qubit's value,
-    and at the values in ``fixed`` (qubit -> 0/1)."""
-    for e in run_exact(c).entries:
-        assign = {q: int(b) for q, b in zip(c.measured.values(), e.bits)}
-        yield e.bits, e.probability, project_qubits(e.state, {**assign, **(fixed or {})})
+    """``c``'s branches in bit order as (bits, probabilities, outputs): its
+    walk's stack sliced, row by row, at each measured qubit's value and at
+    the values in ``fixed`` (qubit -> 0/1), one checked stack of the
+    remaining qubits."""
+    rows, states = exact_walk(c)
+    order = sorted(range(len(rows)), key=lambda i: rows[i][0])
+    bits = [rows[i][0] for i in order]
+    fixed = fixed or {}
+    values = [[*map(int, b), *fixed.values()] for b in bits]
+    outputs = project_rows(checked_rows(states[order]), c.num_qubits,
+                           [*c.measured.values(), *fixed], values)
+    return bits, [rows[i][1] for i in order], outputs
+
+
+def _teleport_branches(bits, probabilities, outputs, qubit_sets) -> list:
+    """One ``TeleportBranch`` per row of the checked stack ``outputs``."""
+    n = outputs.shape[1].bit_length() - 1
+    return [TeleportBranch(b, _reported(b, qubit_sets), p, StateVector(n, out))
+            for b, p, out in zip(bits, probabilities, outputs)]
 
 
 def _corrections(z, x, qubits) -> tuple:
@@ -192,44 +222,47 @@ def _teleport(c: Circuit, legs, shared: bool = False) -> Circuit:
     return c
 
 
-def teleport_single(psi: StateVector) -> list:
-    """Standard one-qubit teleportation over |phi+>, all four branches.
-
-    Qubit layout: 0 = input, (1, 2) = Bell pair, receiver holds 2.
-    """
+def _teleported(psi: StateVector):
+    """Standard one-qubit teleportation over |phi+>, all four branches, as
+    ``_branches`` of its circuit.  Qubit layout: 0 = input, (1, 2) = Bell
+    pair, receiver holds 2."""
     if psi.num_qubits != 1:
         raise ValueError("teleport_single takes a single-qubit state")
     c = Circuit(3).custom(prep_unitary(psi.amplitudes), [0])
-    return [TeleportBranch(bits, _reported(bits, [(0,)]), p, out)
-            for bits, p, out in _branches(_teleport(c, [(0, 1, (2,))]))]
+    return _branches(_teleport(c, [(0, 1, (2,))]))
+
+
+def teleport_single(psi: StateVector) -> list:
+    """Standard one-qubit teleportation over |phi+>, all four branches."""
+    return _teleport_branches(*_teleported(psi), [(0,)])
 
 
 def multi_output_teleport(
-    chi_a: GeneralizedBellTypeState, chi_b: GeneralizedBellTypeState
+    chi_a: GeneralizedBellTypeState, chi_b: GeneralizedBellTypeState, compressed=None
 ):
     """Teleport an m-qubit and an (m+1)-qubit generalized Bell-type state
     to two receivers over exactly two Bell pairs.
 
-    Both inputs are compressed to single qubits, sent through independent
-    standard teleportations, and re-expanded at the receivers.  Returns
-    (branches, resource report); the joint output of every branch is
-    chi_a (x) chi_b.
+    Both inputs are compressed to single qubits (``compressed``, their
+    ``compress_ghz_class`` results, spares a caller that has them making
+    them again), sent through independent standard teleportations, and
+    re-expanded at the receivers, each leg's four branches as one stack.
+    Returns (branches in bit order, resource report); the joint output of
+    every branch is chi_a (x) chi_b.
     """
     if chi_b.n != chi_a.n + 1:
         raise ValueError("chi_b must have exactly one more qubit than chi_a")
-    qa, comp_a = compress_ghz_class(chi_a)
-    qb, comp_b = compress_ghz_class(chi_b)
-    outs_a = [(ba, expand_ghz_class(ba.output, comp_a)) for ba in teleport_single(qa)]
-    outs_b = [(bb, expand_ghz_class(bb.output, comp_b)) for bb in teleport_single(qb)]
+    legs = []
+    for q, compression in compressed or map(compress_ghz_class, (chi_a, chi_b)):
+        bits, probabilities, outputs = _teleported(q)
+        legs.append((bits, probabilities, expand_rows(outputs, compression)))
+    (bits_a, p_a, out_a), (bits_b, p_b, out_b) = legs
+    # Each leg is in bit order, so leg a major, leg b minor is too.
+    outputs = kron_rows(out_a[:, None], out_b[None]).reshape(len(out_a) * len(out_b), -1)
+    bits = [ba + bb for ba in bits_a for bb in bits_b]
+    probabilities = [pa * pb for pa in p_a for pb in p_b]
     qubit_sets = (range(chi_a.n), range(chi_b.n))
-    branches = []
-    for ba, out_a in outs_a:
-        for bb, out_b in outs_b:
-            bits = ba.outcome_bits + bb.outcome_bits
-            branches.append(TeleportBranch(bits, _reported(bits, qubit_sets),
-                                           ba.probability * bb.probability, tensor(out_a, out_b)))
-    branches.sort(key=lambda b: b.outcome_bits)
-    return branches, ResourceReport(4)
+    return _teleport_branches(bits, probabilities, outputs, qubit_sets), ResourceReport(4)
 
 
 def teleport_two_qubit_general(psi: StateVector):
@@ -243,9 +276,8 @@ def teleport_two_qubit_general(psi: StateVector):
         raise ValueError("teleport_two_qubit_general takes a two-qubit state")
     c = Circuit(6).custom(prep_unitary(psi.amplitudes), [0, 1])
     _teleport(c, [(0, 2, (3,)), (1, 4, (5,))])
-    branches = [TeleportBranch(bits, _reported(bits, [(0,), (1,)]), p, out)
-                for bits, p, out in _branches(c)]  # out: receiver qubits (3, 5)
-    return branches, ResourceReport(4)
+    # Outputs: receiver qubits (3, 5).
+    return _teleport_branches(*_branches(c), [(0,), (1,)]), ResourceReport(4)
 
 
 def cluster_channel_teleport(
@@ -257,12 +289,12 @@ def cluster_channel_teleport(
     The channel is exactly the five-qubit cluster state; its qubit 3 goes
     to receiver 1 and qubits 4, 5 to receiver 2.  Alice compresses her
     inputs locally, which turns her entangled-basis measurement into two
-    Bell measurements; every branch then admits local Pauli corrections.
+    Bell measurements; every branch then admits local Pauli corrections,
+    and the receivers' steps run once over all branches' stack.
     """
     if chi_a.n != 1 or chi_b.n != 2:
         raise ValueError("m: the cluster baseline is defined for m = 1")
-    _, comp_a = compress_ghz_class(chi_a)
-    _, comp_b = compress_ghz_class(chi_b)
+    comp_a, comp_b = _compression(chi_a), _compression(chi_b)  # circuits only
 
     # Register: 0 = chi_a, (1, 2) = chi_b, 3..7 = cluster qubits 1..5.
     c = Circuit(8)
@@ -278,19 +310,15 @@ def cluster_channel_teleport(
     # is on cluster qubit 3; receiver 2 on the (4, 5) code pair, where
     # logical X is X(x)X and logical Z acts on either qubit.
     _teleport(c, [(0, 3, (5,)), (1, 4, (6, 7))], shared=True)
-    branches = []
     # Qubit 2 holds chi_b's compressed ancilla, back in |0>.
-    for bits, p, joint in _branches(c, fixed={2: 0}):  # joint: qubits (5, 6, 7)
-        bob1, bob2 = split_product(joint, [1, 2])
-        out_a = expand_ghz_class(bob1, comp_a)
-        # Receiver 2 holds alpha|00> + beta|11>; a final CNOT frees the
-        # compressed qubit, then the compression run backwards rebuilds chi_b.
-        pair = apply_unitary(bob2, GATE_MATRICES["CNOT"], [0, 1])
-        qb_out = project_qubits(pair, {1: 0})
-        out_b = expand_ghz_class(qb_out, comp_b)
-        corrections = _reported(bits, [(0,), (0, 1)])
-        branches.append(TeleportBranch(bits, corrections, p, tensor(out_a, out_b)))
-    return branches
+    bits, probabilities, joint = _branches(c, fixed={2: 0})  # joint: qubits (5, 6, 7)
+    bob1, bob2 = split_rows(joint, [1, 2])
+    # Receiver 2 holds alpha|00> + beta|11>; a final CNOT frees the
+    # compressed qubit, then the compression run backwards rebuilds chi_b.
+    pair = apply_unitary_rows(bob2, GATE_MATRICES["CNOT"], [0, 1], 2)
+    qb_out = project_rows(pair, 2, [1], [[0]] * len(pair))
+    outputs = kron_rows(expand_rows(bob1, comp_a), expand_rows(qb_out, comp_b))
+    return _teleport_branches(bits, probabilities, outputs, [(0,), (0, 1)])
 
 
 # -- the experiment circuit ---------------------------------------------------

@@ -78,9 +78,7 @@ class StateVector:
             raise ValueError(
                 f"expected {2 ** self.num_qubits} amplitudes, got {amps.shape[0]}"
             )
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_ATOL:
-            raise ValueError(f"state not normalized: |psi| = {norm}")
+        checked_rows(amps)
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -117,6 +115,18 @@ class DensityMatrix:
         return 2 ** self.num_qubits
 
 
+def checked_rows(a: np.ndarray) -> np.ndarray:
+    """``a``, once each of its rows (the last axis) has norm 1 within
+    ``NORM_ATOL``: the one normalization rule of a state and of a stack of
+    states.  A row's norm is the square root of its |amp|^2 sum, so the rule
+    bounds the sum itself (a NaN fails)."""
+    lo, hi = (1.0 - NORM_ATOL) ** 2, (1.0 + NORM_ATOL) ** 2
+    for total in np.vecdot(a, a).real.reshape(-1).tolist():
+        if not lo <= total <= hi:
+            raise ValueError(f"state not normalized: |psi| = {np.sqrt(total)}")
+    return a
+
+
 def basis_state(num_qubits: int, index: int) -> StateVector:
     """|index> in the computational basis (qubit 0 = MSB of index)."""
     amps = np.zeros(2 ** num_qubits, dtype=complex)
@@ -132,9 +142,17 @@ def plus_state() -> StateVector:
     return single_qubit_state(1 / np.sqrt(2), 1 / np.sqrt(2))
 
 
+def kron_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The Kronecker product of each row of ``a`` with the matching row of
+    ``b`` (stacks that broadcast; a's qubits lead): one ``np.multiply``, the
+    ufunc ``np.outer`` calls, so each row's bits are np.outer's."""
+    out = np.multiply(a[..., :, None], b[..., None, :])
+    return out.reshape(*out.shape[:-2], -1)
+
+
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Kronecker product; a's qubits become the leading (most significant) ones."""
-    return StateVector(a.num_qubits + b.num_qubits, np.outer(a.amplitudes, b.amplitudes).reshape(-1))
+    return StateVector(a.num_qubits + b.num_qubits, kron_rows(a.amplitudes, b.amplitudes))
 
 
 def to_density(psi: StateVector) -> DensityMatrix:
@@ -162,15 +180,19 @@ def _check_unitary(u, k):
     return u
 
 
-def apply_unitary(state: StateVector, u, targets) -> StateVector:
-    """Apply a k-qubit unitary to the listed target qubits of a pure state.
-
-    targets[0] addresses the most significant index bit of ``u``.
-    """
-    n = state.num_qubits
+def apply_unitary_rows(states: np.ndarray, u, targets, n: int) -> np.ndarray:
+    """Apply a k-qubit unitary to the listed target qubits of each row of a
+    stack of n-qubit states, checking targets, unitary and rows once each.
+    targets[0] addresses the most significant index bit of ``u``."""
     targets = _check_targets(targets, n)
     u = _check_unitary(u, len(targets))
-    return StateVector(n, apply_matrix(state.amplitudes, u, targets, n))
+    return checked_rows(apply_matrix(states, u, targets, n))
+
+
+def apply_unitary(state: StateVector, u, targets) -> StateVector:
+    """``apply_unitary_rows`` on one pure state."""
+    n = state.num_qubits
+    return StateVector(n, apply_unitary_rows(state.amplitudes, u, targets, n))
 
 
 def superop(kraus) -> np.ndarray:
@@ -227,52 +249,64 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     return DensityMatrix(len(keep), t.reshape(d, d))
 
 
-def project_qubits(state: StateVector, assignments: dict) -> StateVector:
-    """Slice a pure state at fixed computational values of some qubits.
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Each row's ``np.linalg.norm``, one call per row: a norm reduced along
+    an axis sums in another order and may differ in the last bit."""
+    return np.array([np.linalg.norm(r) for r in rows])
 
-    ``assignments`` maps qubit -> 0/1.  The remaining qubits (ascending
-    order) form the returned state, renormalized.  Raises if the slice
-    has (numerically) zero weight.
-    """
-    n = state.num_qubits
-    idx = [slice(None)] * n
-    for q, b in assignments.items():
+
+def project_rows(states: np.ndarray, n: int, qubits, values) -> np.ndarray:
+    """Slice row i of a (rows, 2^n) stack at ``qubits[j]`` reading
+    ``values[i][j]`` (0/1).  Returns each row's remaining qubits (ascending
+    order) renormalized, as one checked stack; raises if any slice has
+    (numerically) zero weight."""
+    idx = [np.arange(len(states)), *[slice(None)] * n]
+    for q, v in zip(qubits, np.array(values, dtype=int).reshape(len(states), -1).T):
         if not 0 <= q < n:
             raise ValueError(f"qubit {q} out of range")
-        idx[q] = b
-    sub = state.amplitudes.reshape([2] * n)[tuple(idx)].reshape(-1)
-    norm = np.linalg.norm(sub)
-    if norm < 1e-9:
+        idx[1 + q] = v
+    sub = states.reshape(-1, *[2] * n)[tuple(idx)].reshape(len(states), -1)
+    norms = _row_norms(sub)
+    if np.min(norms) < 1e-9:
         raise ValueError("projection has zero weight")
-    return StateVector(n - len(assignments), sub / norm)
+    return checked_rows(sub / norms[:, None])
+
+
+def project_qubits(state: StateVector, assignments: dict) -> StateVector:
+    """``project_rows`` on one pure state; ``assignments`` maps qubit -> 0/1."""
+    n = state.num_qubits
+    rows = project_rows(state.amplitudes[None], n, list(assignments), [list(assignments.values())])
+    return StateVector(n - len(assignments), rows[0])
+
+
+def split_rows(states: np.ndarray, sizes) -> list:
+    """Split every row of a stack of product states into factor stacks with
+    the given qubit counts, one pass per cut for all rows; each factor stack
+    is checked.  Raises ValueError if any row is not (numerically) a product
+    across the requested cut(s).  Factor global phases are not meaningful."""
+    if 2 ** sum(sizes) != states.shape[-1]:
+        raise ValueError("sizes must sum to num_qubits")
+    rows = np.arange(len(states))
+    factors = []
+    rest = states
+    for size in sizes[:-1]:
+        m = rest.reshape(len(rest), 2 ** size, -1)
+        a = m[rows, :, np.argmax(np.linalg.norm(m, axis=1), axis=1)]
+        a = a / _row_norms(a)[:, None]
+        peak = np.argmax(np.abs(a), axis=1)
+        b = m[rows, peak, :] / a[rows, peak][:, None]
+        b = b / _row_norms(b)[:, None]
+        if np.max(np.abs(m - kron_rows(a, b).reshape(m.shape))) > 1e-8:
+            raise ValueError("state is not a product across the requested cut")
+        factors.append(checked_rows(a))
+        rest = b
+    factors.append(checked_rows(rest))
+    return factors
 
 
 def split_product(state: StateVector, sizes) -> list[StateVector]:
-    """Split a product state into factors with the given qubit counts.
-
-    Raises ValueError if the state is not (numerically) a product across
-    the requested cut(s).  Factor global phases are not meaningful.
-    """
-    if sum(sizes) != state.num_qubits:
-        raise ValueError("sizes must sum to num_qubits")
-    factors = []
-    rest = state.amplitudes
-    remaining = state.num_qubits
-    for size in sizes[:-1]:
-        m = rest.reshape(2 ** size, -1)
-        col = int(np.argmax(np.linalg.norm(m, axis=0)))
-        a = m[:, col]
-        a = a / np.linalg.norm(a)
-        row = int(np.argmax(np.abs(a)))
-        b = m[row, :] / a[row]
-        b = b / np.linalg.norm(b)
-        if np.max(np.abs(m - np.outer(a, b))) > 1e-8:
-            raise ValueError("state is not a product across the requested cut")
-        factors.append(StateVector(size, a))
-        rest = b
-        remaining -= size
-    factors.append(StateVector(remaining, rest))
-    return factors
+    """``split_rows`` on one state: its factors with the given qubit counts."""
+    return [StateVector(size, f[0]) for size, f in zip(sizes, split_rows(state.amplitudes[None], sizes))]
 
 
 def hermitian_sqrt(m) -> np.ndarray:

@@ -29,6 +29,9 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 # Document name -> the command line that prints it.  Each document was
 # written with ``python -m twobell <argv> --out tests/golden/<name>.json``.
 GOLDEN_RUNS = {
+    # The paper's own m, with x != 0 and complex alpha, beta.
+    "run_two_bell_m1": ["run", "--config", GOLDEN / "two_bell_m1.config.json",
+                        "--seed", "90211"],
     "run_two_bell_m2": ["run", "--config", GOLDEN / "two_bell_m2.config.json",
                         "--shots", "1024", "--seed", "3"],
     # Its output amplitudes hold signed zeros (-0.0) that depend on the
@@ -137,6 +140,22 @@ def test_paper_run_matches_reference_document(capsys):
 def test_exact_run_matches_golden_document(name, capsys):
     assert main([str(arg) for arg in GOLDEN_RUNS[name]]) == 0
     assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
+
+
+@pytest.mark.parametrize("argv", [["run"], ["run", "--calibration", "builtin", "--reps", "0"]])
+def test_run_compresses_each_input_once(argv, monkeypatch, capsys):
+    """One compression per input serves the |+> check, the teleportation and the histogram."""
+    calls = []
+    real = twobell.protocols.compress_ghz_class
+
+    def counted(chi):
+        calls.append(chi.n)
+        return real(chi)
+
+    monkeypatch.setattr(cli, "compress_ghz_class", counted)
+    monkeypatch.setattr(twobell.protocols, "compress_ghz_class", counted)
+    assert main(argv) == 0
+    assert calls == [1, 2]
 
 
 def test_run_builds_no_density_matrix(tmp_path, monkeypatch):

@@ -1,11 +1,16 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from twobell import protocols
+from twobell import circuit, protocols
 from twobell.circuit import Circuit, run_exact
 from twobell.protocols import (
     GeneralizedBellTypeState,
     ResourceReport,
+    TeleportBranch,
     cluster_channel_teleport,
     compress_ghz_class,
     expand_ghz_class,
@@ -15,7 +20,10 @@ from twobell.protocols import (
     teleport_two_qubit_general,
 )
 from twobell.qstate import (
+    GATE_MATRICES,
     StateVector,
+    apply_matrix,
+    basis_state,
     partial_trace,
     plus_state,
     prep_unitary,
@@ -329,3 +337,182 @@ def test_two_qubit_general_rejects_other_widths():
     for n in (1, 3):
         with pytest.raises(ValueError, match="two-qubit"):
             teleport_two_qubit_general(StateVector(n, [1] + [0] * (2 ** n - 1)))
+
+
+# -- the stacked protocols against the per-branch ones --------------------------
+# Reference: the protocols as they ran before they took the walk's stack, one
+# projection, product split, expansion walk and np.outer per branch, each
+# intermediate state a checked ``StateVector``.
+
+
+def per_branch_project(state, assignments):
+    n = state.num_qubits
+    idx = [slice(None)] * n
+    for q, b in assignments.items():
+        idx[q] = b
+    sub = state.amplitudes.reshape([2] * n)[tuple(idx)].reshape(-1)
+    return StateVector(n - len(assignments), sub / np.linalg.norm(sub))
+
+
+def per_branch_split(state, size):
+    """The factors of ``state`` across the cut after its first ``size`` qubits."""
+    m = state.amplitudes.reshape(2 ** size, -1)
+    a = m[:, int(np.argmax(np.linalg.norm(m, axis=0)))]
+    a = a / np.linalg.norm(a)
+    row = int(np.argmax(np.abs(a)))
+    b = m[row, :] / a[row]
+    assert np.max(np.abs(m - np.outer(a, b / np.linalg.norm(b)))) <= 1e-8
+    return StateVector(size, a), StateVector(state.num_qubits - size, b / np.linalg.norm(b))
+
+
+def per_branch_tensor(a, b):
+    return StateVector(a.num_qubits + b.num_qubits, np.outer(a.amplitudes, b.amplitudes).reshape(-1))
+
+
+def per_branch_compress(s):
+    _, compression = compress_ghz_class(s)  # the circuit; its qubit is made again here
+    psi = run_exact(compression, s.to_statevector()).entries[0].state
+    return (psi if s.n == 1 else per_branch_project(psi, {q: 0 for q in range(1, s.n)})), compression
+
+
+def per_branch_expand(q, compression):
+    n = compression.num_qubits
+    psi = q if n == 1 else per_branch_tensor(q, basis_state(n - 1, 0))
+    return run_exact(Circuit(n, reversed(compression.steps)), psi).entries[0].state
+
+
+def per_branch_branches(c, fixed=None):
+    for e in run_exact(c).entries:
+        assign = {q: int(b) for q, b in zip(c.measured.values(), e.bits)}
+        yield e.bits, e.probability, per_branch_project(e.state, {**assign, **(fixed or {})})
+
+
+def per_branch_multi_output(chi_a, chi_b):
+    legs = []
+    for chi in (chi_a, chi_b):
+        q, compression = per_branch_compress(chi)
+        c = protocols._teleport(Circuit(3).custom(prep_unitary(q.amplitudes), [0]), [(0, 1, (2,))])
+        legs.append([(bits, p, per_branch_expand(out, compression))
+                     for bits, p, out in per_branch_branches(c)])
+    qubit_sets = (range(chi_a.n), range(chi_b.n))
+    branches = [TeleportBranch(ba + bb, protocols._reported(ba + bb, qubit_sets), pa * pb,
+                               per_branch_tensor(out_a, out_b))
+                for ba, pa, out_a in legs[0] for bb, pb, out_b in legs[1]]
+    return sorted(branches, key=lambda b: b.outcome_bits)
+
+
+def per_branch_two_qubit_general(psi):
+    c = Circuit(6).custom(prep_unitary(psi.amplitudes), [0, 1])
+    protocols._teleport(c, [(0, 2, (3,)), (1, 4, (5,))])
+    return [TeleportBranch(bits, protocols._reported(bits, [(0,), (1,)]), p, out)
+            for bits, p, out in per_branch_branches(c)]
+
+
+def per_branch_cluster(chi_a, chi_b):
+    _, comp_a = compress_ghz_class(chi_a)
+    _, comp_b = compress_ghz_class(chi_b)
+    c = Circuit(8)
+    c.custom(prep_unitary(chi_a.to_statevector().amplitudes), [0])
+    c.custom(prep_unitary(chi_b.to_statevector().amplitudes), [1, 2])
+    c.custom(protocols._cluster5_prep(), [3, 4, 5, 6, 7])
+    for g in comp_a.steps:
+        c.add(g.on((0,)))
+    for g in comp_b.steps:
+        c.add(g.on((1, 2)))
+    protocols._teleport(c, [(0, 3, (5,)), (1, 4, (6, 7))], shared=True)
+    branches = []
+    for bits, p, joint in per_branch_branches(c, fixed={2: 0}):
+        bob1, bob2 = per_branch_split(joint, 1)
+        out_a = per_branch_expand(bob1, comp_a)
+        pair = StateVector(2, apply_matrix(bob2.amplitudes, GATE_MATRICES["CNOT"], [0, 1], 2))
+        out_b = per_branch_expand(per_branch_project(pair, {1: 0}), comp_b)
+        branches.append(TeleportBranch(bits, protocols._reported(bits, [(0,), (0, 1)]), p,
+                                       per_branch_tensor(out_a, out_b)))
+    return branches
+
+
+# A component: any float in [-1, 1], or a signed zero.
+components = st.one_of(st.floats(-1, 1), st.sampled_from([0.0, -0.0]))
+
+
+def unit_complex(draw, count, zero_from=None):
+    """``count`` complex numbers of total norm 1 (signs of zero kept); those
+    from index ``zero_from`` on are signed zeros."""
+    parts = [draw(components) for _ in range(2 * count)]
+    if zero_from is not None:
+        parts[2 * zero_from:] = [draw(st.sampled_from([0.0, -0.0])) for _ in parts[2 * zero_from:]]
+    norm = float(np.sqrt(sum(x * x for x in parts)))
+    assume(norm > 0.1)
+    return [complex(parts[2 * i] / norm, parts[2 * i + 1] / norm) for i in range(count)]
+
+
+@st.composite
+def bell_type_states(draw, n):
+    """alpha|x> + beta|x-bar> with random x and complex alpha, beta; beta = 0 now and then."""
+    alpha, beta = unit_complex(draw, 2, zero_from=1 if draw(st.booleans()) else None)
+    return GeneralizedBellTypeState(n, draw(st.integers(0, 2 ** n - 1)), alpha, beta)
+
+
+def assert_same_branches(run, reference):
+    """``run()`` returns ``reference()``'s branches bit for bit, or raises
+    the same ValueError: a valid input with an amplitude near 1e-8 makes
+    ``prep_unitary``'s Gram-Schmidt fail the unitarity check in both."""
+    try:
+        ref = reference()
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            run()
+        return
+    got = run()
+    assert [b.outcome_bits for b in got] == [b.outcome_bits for b in ref]
+    for g, r in zip(got, ref):
+        assert g.probability == r.probability
+        assert g.corrections == r.corrections
+        assert g.output.num_qubits == r.output.num_qubits
+        assert g.output.amplitudes.tobytes() == r.output.amplitudes.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.integers(1, 4), data=st.data())
+def test_stacked_two_bell_equals_per_branch_reference_bit_for_bit(m, data):
+    chi_a, chi_b = data.draw(bell_type_states(m)), data.draw(bell_type_states(m + 1))
+    assert_same_branches(lambda: multi_output_teleport(chi_a, chi_b)[0],
+                         lambda: per_branch_multi_output(chi_a, chi_b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(bell_type_states(1), bell_type_states(2))
+def test_stacked_cluster5_equals_per_branch_reference_bit_for_bit(chi_a, chi_b):
+    assert_same_branches(lambda: cluster_channel_teleport(chi_a, chi_b),
+                         lambda: per_branch_cluster(chi_a, chi_b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_stacked_two_qubit_general_equals_per_branch_reference_bit_for_bit(data):
+    psi = StateVector(2, unit_complex(data.draw, 4))
+    assert_same_branches(lambda: teleport_two_qubit_general(psi)[0],
+                         lambda: per_branch_two_qubit_general(psi))
+
+
+def test_protocols_walk_once_per_leg_and_per_expansion(monkeypatch):
+    """(qubits, initial rows) of each walk: every leg's branches are expanded
+    as one stack, not one walk per branch."""
+    walks = []
+    real = circuit.walk
+
+    def counted(c, states, *rest):
+        walks.append((c.num_qubits, len(states)))
+        return real(c, states, *rest)
+
+    monkeypatch.setattr(circuit, "walk", counted)
+    chi_a = GeneralizedBellTypeState(1, 1, 0.6, 0.8j)
+    chi_b = GeneralizedBellTypeState(2, 2, SQ2, -SQ2 * 1j)
+    multi_output_teleport(chi_a, chi_b)
+    # Per leg: its compression, its 3-qubit teleportation, one expansion of 4 rows.
+    assert walks == [(1, 1), (3, 1), (1, 4), (2, 1), (3, 1), (2, 4)]
+    walks.clear()
+    cluster_channel_teleport(chi_a, chi_b)
+    # The 8-qubit circuit, then one expansion of 16 rows per receiver; the
+    # compressions run inside it, so their qubits are never computed alone.
+    assert walks == [(8, 1), (1, 16), (2, 16)]

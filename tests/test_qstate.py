@@ -11,6 +11,7 @@ from twobell.qstate import (
     apply_superop,
     apply_unitary,
     basis_state,
+    checked_rows,
     hermitian_sqrt,
     partial_trace,
     pauli_operator,
@@ -44,6 +45,20 @@ def random_unitary(dim, rng):
 def test_statevector_rejects_unnormalized():
     with pytest.raises(ValueError):
         StateVector(1, [1.0, 1.0])
+
+
+def test_one_normalization_rule_for_states_and_stacks():
+    """A state and every row of a stack pass or fail by the same rule, with
+    the same error text; a NaN amplitude fails it."""
+    with pytest.raises(ValueError, match=r"^state not normalized: \|psi\| = 1.4142135623730951$"):
+        StateVector(1, [1.0, 1.0])
+    with pytest.raises(ValueError, match=r"^state not normalized: \|psi\| = nan$"):
+        StateVector(1, [np.nan, 0.0])
+    rows = np.array([[1, 0], [SQ2, SQ2 * 1j], [0.6, 0.8]], dtype=complex)
+    assert checked_rows(rows) is rows
+    rows[1, 1] *= 1 + 1e-9
+    with pytest.raises(ValueError, match="state not normalized"):
+        checked_rows(rows)
 
 
 def test_bit_ordering_qubit0_is_msb():
