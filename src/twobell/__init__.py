@@ -10,11 +10,9 @@ from .protocols import (
     TeleportBranch,
     cluster_channel_teleport,
     compress_ghz_class,
-    expand_ghz_class,
     experiment_circuit,
     multi_output_teleport,
     prepare_cluster5,
-    teleport_single,
     teleport_two_qubit_general,
 )
 from .qstate import (

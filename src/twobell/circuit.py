@@ -259,9 +259,8 @@ def exact_walk(c: Circuit, initial: np.ndarray | None = None):
 def run_exact(c: Circuit, initial: StateVector | None = None) -> BranchDistribution:
     """Execute exactly, forking one branch per outcome: those of weight at most
     ``PRUNE`` are dropped, the rest ordered by bits (first-write bit order).
-    Each weight is the |amp|^2 sum in logical (C) order; the per-branch walk
-    before the stacked one summed in memory order, so results may differ from
-    it in the last bit.  Only the returned states are checked, once."""
+    Each weight is the |amp|^2 sum in logical (C) order.  Only the returned
+    states are checked, once."""
     rows, states = exact_walk(c, None if initial is None else initial.amplitudes[None])
     entries = [BranchEntry(bits, p, StateVector(c.num_qubits, t)) for (bits, p), t in zip(rows, states)]
     entries.sort(key=lambda e: e.bits)

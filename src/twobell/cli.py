@@ -191,7 +191,7 @@ def _check_plus_inputs(config: ExperimentConfig, command: str) -> list:
     if config.scheme != "two_bell":
         raise ValueError(f"scheme: {command} is defined for two_bell, not {config.scheme}")
     compressed = [compress_ghz_class(chi) for chi in (config.chi_a, config.chi_b)]
-    for path, (q, _) in zip(("input_a", "input_b"), compressed):
+    for path, q in zip(("input_a", "input_b"), compressed):
         if overlap(plus_state(), q) < 1 - 1e-9:
             raise ValueError(f"{path}: does not compress to |+>, the only input {command} takes")
     return compressed
@@ -251,7 +251,7 @@ def cmd_run(config: ExperimentConfig) -> dict:
         doc["resources"] = {"channel_qubits": 5, "channel": "five_qubit_cluster"}
 
     if config.scheme == "two_bell":
-        circuit = experiment_circuit(*(q for q, _ in compressed))
+        circuit = experiment_circuit(*compressed)
         counts = sample_counts(circuit, config.shots, config.seed)
         doc["ideal"] = {
             "histogram": experiments.marginal_counts(

@@ -8,7 +8,10 @@ derives its Bell-pair and channel-qubit counts from n unknown coefficients.
 
 Every scheme post-processes its walk's stack of branches (one amplitude
 row each) with one array operation and one check per step for all rows,
-and builds a ``StateVector`` for each returned branch only.
+and builds a ``StateVector`` for each returned branch only.  An input's
+compression is one circuit, ``_compression``: ``compress_ghz_class`` runs
+it and returns the compressed qubit, and ``expand_rows`` takes the input
+state and runs its compression backwards over a stack.
 
 Correction convention: a Bell measurement (CNOT then H, reading bits
 (b1, b2)) maps outcomes to receiver Paulis 00 -> I, 01 -> X, 10 -> Z,
@@ -25,7 +28,7 @@ from math import ceil, log2
 
 import numpy as np
 
-from .circuit import Circuit, Gate, exact_walk, run_exact
+from .circuit import Circuit, exact_walk, run_exact
 from .qstate import (
     GATE_MATRICES,
     NORM_ATOL,
@@ -35,7 +38,6 @@ from .qstate import (
     checked_rows,
     kron_rows,
     prep_unitary,
-    project_qubits,
     project_rows,
     split_rows,
 )
@@ -135,36 +137,24 @@ def _compression(s: GeneralizedBellTypeState) -> Circuit:
     return compression
 
 
-def compress_ghz_class(s: GeneralizedBellTypeState):
+def compress_ghz_class(s: GeneralizedBellTypeState) -> StateVector:
     """Reduce alpha|x> + beta|x-bar> to (alpha|0> + beta|1>) on one qubit
-    by running ``_compression(s)``.  Returns the compressed qubit and that
-    circuit, which ``expand_ghz_class`` runs backwards."""
-    compression = _compression(s)
-    psi = run_exact(compression, s.to_statevector()).entries[0].state
+    by running ``_compression(s)``: the compressed qubit."""
+    psi = run_exact(_compression(s), s.to_statevector()).entries[0].state
+    if s.n == 1:
+        return psi
+    rows = project_rows(psi.amplitudes[None], s.n, range(1, s.n), [[0] * (s.n - 1)])
+    return StateVector(1, rows[0])
+
+
+def expand_rows(rows: np.ndarray, s: GeneralizedBellTypeState) -> np.ndarray:
+    """Invert ``compress_ghz_class(s)`` on a stack of teleported single
+    qubits: each row with fresh |0> ancillas, then one walk of
+    ``_compression(s)`` run backwards over all rows; a checked stack."""
     if s.n > 1:
-        psi = project_qubits(psi, {q: 0 for q in range(1, s.n)})
-    return psi, compression
-
-
-def expand_rows(rows: np.ndarray, compression: Circuit) -> np.ndarray:
-    """Invert ``compress_ghz_class`` on a stack of teleported single qubits:
-    each row with fresh |0> ancillas, then one walk of the compression run
-    backwards over all rows; a checked stack."""
+        rows = checked_rows(kron_rows(rows, basis_state(s.n - 1, 0).amplitudes))
     # X and CNOT are their own inverses, so the reversed steps undo them.
-    if any(not isinstance(g, Gate) or g.kind not in ("X", "CNOT") or g.bit is not None
-           for g in compression.steps):
-        raise ValueError("not a compression: only unconditional X and CNOT gates invert")
-    n = compression.num_qubits
-    if n > 1:
-        rows = checked_rows(kron_rows(rows, basis_state(n - 1, 0).amplitudes))
-    return checked_rows(exact_walk(Circuit(n, reversed(compression.steps)), rows)[1])
-
-
-def expand_ghz_class(q: StateVector, compression: Circuit) -> StateVector:
-    """``expand_rows`` on one teleported single qubit."""
-    if q.num_qubits != 1:
-        raise ValueError("expand takes a single-qubit state")
-    return StateVector(compression.num_qubits, expand_rows(q.amplitudes[None], compression)[0])
+    return checked_rows(exact_walk(Circuit(s.n, reversed(_compression(s).steps)), rows)[1])
 
 
 # -- teleportation ------------------------------------------------------------
@@ -227,14 +217,9 @@ def _teleported(psi: StateVector):
     ``_branches`` of its circuit.  Qubit layout: 0 = input, (1, 2) = Bell
     pair, receiver holds 2."""
     if psi.num_qubits != 1:
-        raise ValueError("teleport_single takes a single-qubit state")
+        raise ValueError("one-qubit teleportation takes a single-qubit state")
     c = Circuit(3).custom(prep_unitary(psi.amplitudes), [0])
     return _branches(_teleport(c, [(0, 1, (2,))]))
-
-
-def teleport_single(psi: StateVector) -> list:
-    """Standard one-qubit teleportation over |phi+>, all four branches."""
-    return _teleport_branches(*_teleported(psi), [(0,)])
 
 
 def multi_output_teleport(
@@ -244,7 +229,7 @@ def multi_output_teleport(
     to two receivers over exactly two Bell pairs.
 
     Both inputs are compressed to single qubits (``compressed``, their
-    ``compress_ghz_class`` results, spares a caller that has them making
+    ``compress_ghz_class`` qubits, spares a caller that has them making
     them again), sent through independent standard teleportations, and
     re-expanded at the receivers, each leg's four branches as one stack.
     Returns (branches in bit order, resource report); the joint output of
@@ -253,9 +238,9 @@ def multi_output_teleport(
     if chi_b.n != chi_a.n + 1:
         raise ValueError("chi_b must have exactly one more qubit than chi_a")
     legs = []
-    for q, compression in compressed or map(compress_ghz_class, (chi_a, chi_b)):
+    for chi, q in zip((chi_a, chi_b), compressed or map(compress_ghz_class, (chi_a, chi_b))):
         bits, probabilities, outputs = _teleported(q)
-        legs.append((bits, probabilities, expand_rows(outputs, compression)))
+        legs.append((bits, probabilities, expand_rows(outputs, chi)))
     (bits_a, p_a, out_a), (bits_b, p_b, out_b) = legs
     # Each leg is in bit order, so leg a major, leg b minor is too.
     outputs = kron_rows(out_a[:, None], out_b[None]).reshape(len(out_a) * len(out_b), -1)
@@ -294,17 +279,15 @@ def cluster_channel_teleport(
     """
     if chi_a.n != 1 or chi_b.n != 2:
         raise ValueError("m: the cluster baseline is defined for m = 1")
-    comp_a, comp_b = _compression(chi_a), _compression(chi_b)  # circuits only
-
     # Register: 0 = chi_a, (1, 2) = chi_b, 3..7 = cluster qubits 1..5.
     c = Circuit(8)
     c.custom(prep_unitary(chi_a.to_statevector().amplitudes), [0])
     c.custom(prep_unitary(chi_b.to_statevector().amplitudes), [1, 2])
     c.custom(_cluster5_prep(), [3, 4, 5, 6, 7])
     # Alice's local compressions.
-    for g in comp_a.steps:
+    for g in _compression(chi_a).steps:
         c.add(g.on((0,)))
-    for g in comp_b.steps:
+    for g in _compression(chi_b).steps:
         c.add(g.on((1, 2)))
     # Bell measurements against the cluster qubits Alice keeps.  Receiver 1
     # is on cluster qubit 3; receiver 2 on the (4, 5) code pair, where
@@ -317,7 +300,7 @@ def cluster_channel_teleport(
     # compressed qubit, then the compression run backwards rebuilds chi_b.
     pair = apply_unitary_rows(bob2, GATE_MATRICES["CNOT"], [0, 1], 2)
     qb_out = project_rows(pair, 2, [1], [[0]] * len(pair))
-    outputs = kron_rows(expand_rows(bob1, comp_a), expand_rows(qb_out, comp_b))
+    outputs = kron_rows(expand_rows(bob1, chi_a), expand_rows(qb_out, chi_b))
     return _teleport_branches(bits, probabilities, outputs, [(0,), (0, 1)])
 
 

@@ -272,13 +272,6 @@ def project_rows(states: np.ndarray, n: int, qubits, values) -> np.ndarray:
     return checked_rows(sub / norms[:, None])
 
 
-def project_qubits(state: StateVector, assignments: dict) -> StateVector:
-    """``project_rows`` on one pure state; ``assignments`` maps qubit -> 0/1."""
-    n = state.num_qubits
-    rows = project_rows(state.amplitudes[None], n, list(assignments), [list(assignments.values())])
-    return StateVector(n - len(assignments), rows[0])
-
-
 def split_rows(states: np.ndarray, sizes) -> list:
     """Split every row of a stack of product states into factor stacks with
     the given qubit counts, one pass per cut for all rows; each factor stack
@@ -304,11 +297,6 @@ def split_rows(states: np.ndarray, sizes) -> list:
     return factors
 
 
-def split_product(state: StateVector, sizes) -> list[StateVector]:
-    """``split_rows`` on one state: its factors with the given qubit counts."""
-    return [StateVector(size, f[0]) for size, f in zip(sizes, split_rows(state.amplitudes[None], sizes))]
-
-
 def hermitian_sqrt(m) -> np.ndarray:
     """Principal square root of a Hermitian PSD matrix.
 
@@ -326,10 +314,10 @@ def hermitian_sqrt(m) -> np.ndarray:
 
 
 def prep_unitary(target: np.ndarray) -> np.ndarray:
-    """A unitary whose first column is ``target`` (maps |0...0> to it).
-
-    Completed by Gram-Schmidt against the standard basis; deterministic.
-    """
+    """A unitary whose first column is ``target`` (maps |0...0> to it), by
+    Gram-Schmidt against the standard basis; deterministic.  A residual of
+    norm <= 1e-4 is rounding error and skipped: a span of k < d would leave
+    sum dist(e_i, span)^2 = d - k >= 1, but that sum is <= d * 1e-8 < 1."""
     v = _as_complex(target).reshape(-1)
     d = v.shape[0]
     v = v / np.linalg.norm(v)
@@ -340,7 +328,7 @@ def prep_unitary(target: np.ndarray) -> np.ndarray:
         for c in cols:
             e = e - c * np.vdot(c, e)
         norm = np.linalg.norm(e)
-        if norm > 1e-8:
+        if norm > 1e-4:
             cols.append(e / norm)
         if len(cols) == d:
             break

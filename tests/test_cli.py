@@ -423,6 +423,31 @@ def test_compare_command(tmp_path):
     assert doc["resources"]["two_bell"]["channel_qubits"] == 4
 
 
+# A valid input with an amplitude near 1e-8, which once failed the
+# unitarity check of the state preparation.
+NEAR_DEGENERATE = {
+    "input_a": {"x": 1, "alpha": [0.6, 0.0], "beta": [0.0, 0.8]},
+    "input_b": {"x": 0, "alpha": [0, 0.9999999999999998], "beta": [0, 2e-8]},
+}
+
+
+@pytest.mark.parametrize("argv", [["run", "--scheme", "two_bell"], ["run", "--scheme", "cluster5"],
+                                  ["compare"]], ids=["two_bell", "cluster5", "compare"])
+def test_near_degenerate_input_runs(tmp_path, argv):
+    config = tmp_path / "near_degenerate.json"
+    config.write_text(json.dumps(NEAR_DEGENERATE))
+    code, out = run_cli([*argv, "--config", str(config)], tmp_path)
+    assert code == 0
+    doc = load(out)
+    if argv[0] == "compare":
+        assert doc["equivalent"] is True
+        assert doc["min_branch_fidelity"] == pytest.approx(1.0, abs=1e-9)
+    else:
+        assert len(doc["branches"]) == 16
+        for b in doc["branches"]:
+            assert b["fidelity_vs_ideal"] == pytest.approx(1.0, abs=1e-9)
+
+
 @pytest.mark.parametrize(
     "argv", [["compare"], ["tomography", "--exact"]], ids=["compare", "tomography_exact"]
 )
