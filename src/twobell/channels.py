@@ -213,11 +213,13 @@ class NoiseModel:
         return self._superops[key]
 
     def idle_kraus(self, qubit: int, duration_ns: float) -> np.ndarray:
-        """Amplitude damping then dephasing over the given duration."""
+        """Amplitude damping then dephasing over the given duration.  A zero
+        rate (infinite T1, or T2 = 2*T1) applies none, even over an infinite
+        duration, where 0 * inf and inf / inf would be NaN."""
         t1, t2 = self.t1_ns[qubit], self.t2_ns[qubit]
-        p_amp = 1.0 - np.exp(-duration_ns / t1)
+        p_amp = 0.0 if t1 == np.inf else 1.0 - np.exp(-duration_ns / t1)
         rate_phi = max(0.0, 1.0 / t2 - 1.0 / (2.0 * t1))
-        p_flip = 0.5 * (1.0 - np.exp(-rate_phi * duration_ns))
+        p_flip = 0.0 if rate_phi == 0 else 0.5 * (1.0 - np.exp(-rate_phi * duration_ns))
         return superop(phase_flip_kraus(p_flip)) @ superop(amplitude_damping_kraus(p_amp))
 
     def single_gate_kraus(self, qubit: int) -> np.ndarray:

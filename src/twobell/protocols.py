@@ -23,7 +23,6 @@ builder ``_teleport`` emits it as controlled gates, and each
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from math import ceil, log2
 
 import numpy as np
@@ -101,20 +100,16 @@ class ResourceReport:
 # -- state constructors ------------------------------------------------------
 
 
+def _cluster5(c: Circuit, q) -> Circuit:
+    """Append the cluster channel's preparation on qubits q: Bell(q1, q3) (x)
+    GHZ(q2, q4, q5), H (x) H as one gate of entries +-1/2, exact."""
+    c.custom(np.kron([[1, 1], [1, -1]], [[1, 1], [1, -1]]) / 2, [q[0], q[1]])
+    return c.cnot(q[0], q[2]).cnot(q[1], q[3]).cnot(q[1], q[4])
+
+
 def prepare_cluster5() -> StateVector:
     """The five-qubit cluster channel (|00000>+|01011>+|10100>+|11111>)/2."""
-    amps = np.zeros(32, dtype=complex)
-    for idx in (0b00000, 0b01011, 0b10100, 0b11111):
-        amps[idx] = 0.5
-    return StateVector(5, amps)
-
-
-@cache
-def _cluster5_prep() -> np.ndarray:
-    """The cluster channel's preparation unitary, built once, read-only."""
-    u = prep_unitary(prepare_cluster5().amplitudes)
-    u.setflags(write=False)
-    return u
+    return run_exact(_cluster5(Circuit(5), range(5))).entries[0].state
 
 
 # -- compression of generalized Bell-type states -----------------------------
@@ -159,12 +154,16 @@ def expand_rows(rows: np.ndarray, s: GeneralizedBellTypeState) -> np.ndarray:
 
 # -- teleportation ------------------------------------------------------------
 
-def _branches(c: Circuit, fixed=None):
+def _branches(c: Circuit, psi: StateVector | None = None, fixed=None):
     """``c``'s branches in bit order as (bits, probabilities, outputs): its
-    walk's stack sliced, row by row, at each measured qubit's value and at
-    the values in ``fixed`` (qubit -> 0/1), one checked stack of the
-    remaining qubits."""
-    rows, states = exact_walk(c)
+    walk from psi / |psi| (x) |0...0> (``prep_unitary(psi)``'s first column;
+    default |0...0>) sliced, row by row, at each measured qubit's value and
+    at ``fixed``'s values (qubit -> 0/1), one checked stack of the rest."""
+    start = None
+    if psi is not None:
+        ancillas = basis_state(c.num_qubits - psi.num_qubits, 0).amplitudes
+        start = kron_rows(psi.amplitudes / np.linalg.norm(psi.amplitudes), ancillas)[None]
+    rows, states = exact_walk(c, start)
     order = sorted(range(len(rows)), key=lambda i: rows[i][0])
     bits = [rows[i][0] for i in order]
     fixed = fixed or {}
@@ -218,8 +217,7 @@ def _teleported(psi: StateVector):
     pair, receiver holds 2."""
     if psi.num_qubits != 1:
         raise ValueError("one-qubit teleportation takes a single-qubit state")
-    c = Circuit(3).custom(prep_unitary(psi.amplitudes), [0])
-    return _branches(_teleport(c, [(0, 1, (2,))]))
+    return _branches(_teleport(Circuit(3), [(0, 1, (2,))]), psi)
 
 
 def multi_output_teleport(
@@ -259,10 +257,9 @@ def teleport_two_qubit_general(psi: StateVector):
     """
     if psi.num_qubits != 2:
         raise ValueError("teleport_two_qubit_general takes a two-qubit state")
-    c = Circuit(6).custom(prep_unitary(psi.amplitudes), [0, 1])
-    _teleport(c, [(0, 2, (3,)), (1, 4, (5,))])
+    c = _teleport(Circuit(6), [(0, 2, (3,)), (1, 4, (5,))])
     # Outputs: receiver qubits (3, 5).
-    return _teleport_branches(*_branches(c), [(0,), (1,)]), ResourceReport(4)
+    return _teleport_branches(*_branches(c, psi), [(0,), (1,)]), ResourceReport(4)
 
 
 def cluster_channel_teleport(
@@ -279,11 +276,12 @@ def cluster_channel_teleport(
     """
     if chi_a.n != 1 or chi_b.n != 2:
         raise ValueError("m: the cluster baseline is defined for m = 1")
-    # Register: 0 = chi_a, (1, 2) = chi_b, 3..7 = cluster qubits 1..5.
+    # Register: 0 = chi_a, (1, 2) = chi_b, 3..7 = cluster qubits 1..5, all
+    # made by gates: a start state would round subnormal amplitudes apart.
     c = Circuit(8)
     c.custom(prep_unitary(chi_a.to_statevector().amplitudes), [0])
     c.custom(prep_unitary(chi_b.to_statevector().amplitudes), [1, 2])
-    c.custom(_cluster5_prep(), [3, 4, 5, 6, 7])
+    _cluster5(c, [3, 4, 5, 6, 7])
     # Alice's local compressions.
     for g in _compression(chi_a).steps:
         c.add(g.on((0,)))
@@ -295,7 +293,7 @@ def cluster_channel_teleport(
     _teleport(c, [(0, 3, (5,)), (1, 4, (6, 7))], shared=True)
     # Qubit 2 holds chi_b's compressed ancilla, back in |0>.
     bits, probabilities, joint = _branches(c, fixed={2: 0})  # joint: qubits (5, 6, 7)
-    bob1, bob2 = split_rows(joint, [1, 2])
+    bob1, bob2 = split_rows(joint, 1)
     # Receiver 2 holds alpha|00> + beta|11>; a final CNOT frees the
     # compressed qubit, then the compression run backwards rebuilds chi_b.
     pair = apply_unitary_rows(bob2, GATE_MATRICES["CNOT"], [0, 1], 2)

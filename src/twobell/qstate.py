@@ -101,6 +101,8 @@ class DensityMatrix:
         m = _as_complex(self.entries)
         if m.shape != (d, d):
             raise ValueError(f"expected {d}x{d} matrix, got {m.shape}")
+        if not np.isfinite(m).all():  # NaN would pass every comparison below
+            raise ValueError("matrix has an entry that is not finite")
         if np.max(np.abs(m - m.conj().T)) > HERM_ATOL:
             raise ValueError("matrix is not Hermitian")
         if abs(np.trace(m).real - 1.0) > NORM_ATOL:
@@ -272,29 +274,23 @@ def project_rows(states: np.ndarray, n: int, qubits, values) -> np.ndarray:
     return checked_rows(sub / norms[:, None])
 
 
-def split_rows(states: np.ndarray, sizes) -> list:
-    """Split every row of a stack of product states into factor stacks with
-    the given qubit counts, one pass per cut for all rows; each factor stack
-    is checked.  Raises ValueError if any row is not (numerically) a product
-    across the requested cut(s).  Factor global phases are not meaningful."""
-    if 2 ** sum(sizes) != states.shape[-1]:
-        raise ValueError("sizes must sum to num_qubits")
+def split_rows(states: np.ndarray, size: int) -> tuple:
+    """Split every row of a stack of product states after its first ``size``
+    qubits, one pass for all rows: the two checked factor stacks.  Raises
+    ValueError if any row is not (numerically) a product across the cut.
+    Factor global phases are not meaningful."""
+    if not 2 <= 2 ** size < states.shape[-1]:
+        raise ValueError("size must leave qubits on both sides of the cut")
     rows = np.arange(len(states))
-    factors = []
-    rest = states
-    for size in sizes[:-1]:
-        m = rest.reshape(len(rest), 2 ** size, -1)
-        a = m[rows, :, np.argmax(np.linalg.norm(m, axis=1), axis=1)]
-        a = a / _row_norms(a)[:, None]
-        peak = np.argmax(np.abs(a), axis=1)
-        b = m[rows, peak, :] / a[rows, peak][:, None]
-        b = b / _row_norms(b)[:, None]
-        if np.max(np.abs(m - kron_rows(a, b).reshape(m.shape))) > 1e-8:
-            raise ValueError("state is not a product across the requested cut")
-        factors.append(checked_rows(a))
-        rest = b
-    factors.append(checked_rows(rest))
-    return factors
+    m = states.reshape(len(states), 2 ** size, -1)
+    a = m[rows, :, np.argmax(np.linalg.norm(m, axis=1), axis=1)]
+    a = a / _row_norms(a)[:, None]
+    peak = np.argmax(np.abs(a), axis=1)
+    b = m[rows, peak, :] / a[rows, peak][:, None]
+    b = b / _row_norms(b)[:, None]
+    if np.max(np.abs(m - kron_rows(a, b).reshape(m.shape))) > 1e-8:
+        raise ValueError("state is not a product across the requested cut")
+    return checked_rows(a), checked_rows(b)
 
 
 def hermitian_sqrt(m) -> np.ndarray:

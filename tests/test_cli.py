@@ -489,6 +489,30 @@ def test_negative_t1_rejected_before_t2_is_clamped(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["run", "tomography"])
+@pytest.mark.parametrize("column, cell", [(2, lambda t1: repr(2 * float(t1))), (1, lambda t1: "inf")],
+                         ids=["t2_clamped", "t1_infinite"])
+def test_no_decay_rate_over_infinite_idle_time_runs(tmp_path, capsys, command, column, cell):
+    """T2 = 2*T1 (the loader's clamp) gives no dephasing, and an infinite T1
+    no damping; two readouts of 1e308 ns owe a qubit an infinite idle time.
+    Rate 0 over time inf used to make every branch NaN."""
+    rows = packaged_calibration_path().read_text().splitlines()
+    for i in range(1, len(rows)):
+        fields = rows[i].split(",")
+        fields[column] = cell(fields[1])
+        rows[i] = ",".join(fields)
+    (tmp_path / "cal.csv").write_text("\n".join(rows) + "\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"noise": str(tmp_path / "cal.csv"), "durations": {"readout_ns": 1e308}}))
+    assert main([command, "--config", str(cfg)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    if command == "run":
+        # Fully damped to |00>, or fully dephased: either way 1/4 against |++>.
+        assert doc["noisy"]["fidelity_percent_deterministic"] == 25.0
+    else:
+        assert 0 <= doc["fidelity_percent"] <= 100
+
+
 def test_calibration_row_that_repeats_a_qubit_rejected(tmp_path, capsys):
     """A second row for qubit 1 must not override the first one silently."""
     text = packaged_calibration_path().read_text() + "1,20,10,4.76,1.56e-2,1.56e-4,cx1_0:1.105e-2\n"
@@ -821,6 +845,13 @@ _bell_field = st.fixed_dictionaries(
         "beta": st.sampled_from([[0.0, 0.8], 0.8]) | _wrong | _not_finite,
     },
 )
+# T2 = 2*T1 on every qubit (no dephasing); a duration near the float
+# maximum overflows a qubit's idle time to inf.
+_noise = st.sampled_from([None, "builtin", str(GOLDEN / "clamped.calibration.csv")])
+_durations = st.dictionaries(
+    st.sampled_from(["single_qubit_gate_ns", "cnot_ns", "readout_ns"]),
+    st.floats(1.0, 2000.0) | st.floats(1.0, sys.float_info.max) | _wrong,
+)
 _configs = st.fixed_dictionaries(
     {},
     optional={
@@ -832,11 +863,8 @@ _configs = st.fixed_dictionaries(
                                          [[1e308, 1e308], 0, 0, 0]]) | _wrong,
         "shots": st.integers(1, 64) | _wrong,
         "seed": st.integers(0, 2 ** 32) | _wrong,
-        "noise": st.sampled_from([None, "builtin"]) | _wrong,
-        "durations": st.dictionaries(
-            st.sampled_from(["single_qubit_gate_ns", "cnot_ns", "readout_ns"]),
-            st.floats(1.0, 2000.0) | _wrong,
-        ) | _wrong,
+        "noise": _noise | _wrong,
+        "durations": _durations | _wrong,
         "reps": st.integers(0, 2) | _wrong,
         "workers": st.integers(1, 4) | _wrong,
     },
@@ -876,6 +904,17 @@ def config_place(cfg) -> str:
 @settings(max_examples=200)
 @given(_configs, st.sampled_from(["run", "tomography", "compare"]))
 def test_any_config_runs_or_ends_in_error(tmp_path_factory, data, command):
+    cfg = tmp_path_factory.mktemp("config") / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    assert_runs_or_ends_in_error([command, "--config", cfg], config_place(cfg))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.fixed_dictionaries({"noise": _noise, "durations": _durations}),
+       st.sampled_from(["run", "tomography"]))
+def test_any_noise_config_runs_or_ends_in_error(tmp_path_factory, data, command):
+    """The config property above with only the noise fields drawn, so that
+    most examples reach the noise engine, at durations up to the float maximum."""
     cfg = tmp_path_factory.mktemp("config") / "cfg.json"
     cfg.write_text(json.dumps(data))
     assert_runs_or_ends_in_error([command, "--config", cfg], config_place(cfg))

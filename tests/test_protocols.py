@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from twobell import circuit, protocols
@@ -76,11 +76,40 @@ def test_cluster5_support_and_norm():
     psi = prepare_cluster5()
     assert abs(np.linalg.norm(psi.amplitudes) - 1) < 1e-12
     assert set(np.flatnonzero(psi.amplitudes)) == {0, 11, 20, 31}
+    # Exactly 1/2, so the channel scales the cluster scheme's amplitudes exactly.
+    assert set(psi.amplitudes[[0, 11, 20, 31]]) == {0.5}
 
 
 def test_cluster5_first_two_qubits_maximally_mixed():
     red = partial_trace(to_density(prepare_cluster5()), {0, 1})
     assert np.allclose(red.entries, np.eye(4) / 4, atol=1e-12)
+
+
+def ebits(amplitudes, qubits):
+    """Entanglement entropy (log2) of the listed qubits against the rest,
+    from the singular values of the reshaped amplitudes."""
+    n = int(np.log2(len(amplitudes)))
+    order = [*qubits, *(q for q in range(n) if q not in qubits)]
+    m = amplitudes.reshape([2] * n).transpose(order).reshape(2 ** len(qubits), -1)
+    p = np.linalg.svd(m, compute_uv=False) ** 2
+    p = p[p > 1e-15]
+    return float(-np.sum(p * np.log2(p)))
+
+
+def test_cluster5_is_a_bell_pair_and_a_ghz3():
+    """The comment's claim: the five-qubit cluster channel is exactly
+    Bell(q1, q3) (x) GHZ(q2, q4, q5), the entanglement of two Bell pairs."""
+    bell = np.array([1, 0, 0, 1]) * SQ2
+    ghz = np.array([1, 0, 0, 0, 0, 0, 0, 1]) * SQ2
+    # Axes (q1, q3, q2, q4, q5) to (q1, q2, q3, q4, q5).
+    product = np.multiply.outer(bell, ghz).reshape([2] * 5).transpose(0, 2, 1, 3, 4).reshape(-1)
+    cluster = prepare_cluster5().amplitudes
+    assert np.max(np.abs(cluster - product)) <= 1e-15
+    alice, receiver_1, receiver_2 = (ebits(cluster, qs) for qs in ([0, 1], [2], [3, 4]))
+    assert alice == pytest.approx(2.0, abs=1e-12)
+    assert receiver_1 == pytest.approx(1.0, abs=1e-12)
+    assert receiver_2 == pytest.approx(1.0, abs=1e-12)
+    assert round(alice) == round(receiver_1 + receiver_2) == ResourceReport(4).bell_pairs
 
 
 # -- compression ---------------------------------------------------------------
@@ -262,23 +291,6 @@ def test_cluster_teleport_basis_case():
     assert_all_branches_match(branches, tensor(chi_a.to_statevector(), chi_b.to_statevector()))
 
 
-def test_cluster_preparation_unitary_is_built_once(monkeypatch):
-    sizes = []
-
-    def counted(target):
-        sizes.append(len(target))
-        return prep_unitary(target)
-
-    monkeypatch.setattr(protocols, "prep_unitary", counted)
-    protocols._cluster5_prep.cache_clear()
-    chi_a = GeneralizedBellTypeState(1, 1, SQ2, SQ2)
-    chi_b = GeneralizedBellTypeState(2, 1, 0.6, 0.8j)
-    for _ in range(2):
-        cluster_channel_teleport(chi_a, chi_b)
-    assert sizes.count(32) == 1
-    assert not protocols._cluster5_prep().flags.writeable
-
-
 def test_cluster_teleport_rejects_wrong_m():
     with pytest.raises(ValueError):
         cluster_channel_teleport(
@@ -333,7 +345,10 @@ def test_two_qubit_general_rejects_other_widths():
 # -- the stacked protocols against the per-branch ones --------------------------
 # Reference: the protocols as they ran before they took the walk's stack, one
 # projection, product split, expansion walk and np.outer per branch, each
-# intermediate state a checked ``StateVector``.
+# intermediate state a checked ``StateVector``, and every input and the
+# cluster channel prepared by a ``prep_unitary`` gate from |0...0>.  The
+# legs and the general scheme now start their walks from their inputs, and
+# the cluster scheme prepares its channel by ``_cluster5``'s gates.
 
 
 def per_branch_project(state, assignments):
@@ -404,7 +419,7 @@ def per_branch_cluster(chi_a, chi_b):
     c = Circuit(8)
     c.custom(prep_unitary(chi_a.to_statevector().amplitudes), [0])
     c.custom(prep_unitary(chi_b.to_statevector().amplitudes), [1, 2])
-    c.custom(protocols._cluster5_prep(), [3, 4, 5, 6, 7])
+    c.custom(prep_unitary(prepare_cluster5().amplitudes), [3, 4, 5, 6, 7])
     for g in comp_a.steps:
         c.add(g.on((0,)))
     for g in comp_b.steps:
@@ -423,9 +438,11 @@ def per_branch_cluster(chi_a, chi_b):
 
 # A component: any float in [-1, 1], or a signed zero.
 components = st.one_of(st.floats(-1, 1), st.sampled_from([0.0, -0.0]))
-# A tiny +-10^u (u in [-9, -3]): beside O(1) components it makes an input
-# near-degenerate.
-tiny = st.builds(lambda sign, u: sign * 10.0 ** u, st.sampled_from([1.0, -1.0]), st.floats(-9, -3))
+# A tiny +-10^u: beside O(1) components, u in [-9, -3] makes an input
+# near-degenerate, and u in [-320, -309] is subnormal, where the products
+# with the channel's 0.5 amplitudes round.
+tiny = st.builds(lambda sign, u: sign * 10.0 ** u, st.sampled_from([1.0, -1.0]),
+                 st.floats(-9, -3) | st.floats(-320, -309))
 
 
 def unit_complex(draw, count, zero_from=None):
@@ -452,7 +469,8 @@ def bell_type_states(draw, n):
 def assert_same_branches(run, reference):
     """``run()`` returns ``reference()``'s branches bit for bit.  Both run on
     every drawn input, near-degenerate ones too: ``prep_unitary`` completes
-    its basis from residuals well above rounding error only."""
+    its basis from residuals well above rounding error only, and its first
+    column is the normalized input that the schemes start from."""
     ref, got = reference(), run()
     assert [b.outcome_bits for b in got] == [b.outcome_bits for b in ref]
     for g, r in zip(got, ref):
@@ -472,6 +490,10 @@ def test_stacked_two_bell_equals_per_branch_reference_bit_for_bit(m, data):
 
 @settings(max_examples=60, deadline=None)
 @given(bell_type_states(1), bell_type_states(2))
+# A subnormal amplitude: scaled by the channel's 1/2 before the inputs'
+# gates rather than after, as a start state would, its output rounds apart.
+@example(GeneralizedBellTypeState(1, 0, 1e-312, 1j),
+         GeneralizedBellTypeState(2, 0, 0.9999980000060001 + 0.0019999960000120004j, 0))
 def test_stacked_cluster5_equals_per_branch_reference_bit_for_bit(chi_a, chi_b):
     assert_same_branches(lambda: cluster_channel_teleport(chi_a, chi_b),
                          lambda: per_branch_cluster(chi_a, chi_b))
@@ -483,6 +505,26 @@ def test_stacked_two_qubit_general_equals_per_branch_reference_bit_for_bit(data)
     psi = StateVector(2, unit_complex(data.draw, 4))
     assert_same_branches(lambda: teleport_two_qubit_general(psi)[0],
                          lambda: per_branch_two_qubit_general(psi))
+
+
+# Signed zeros and +-0.6 in every real and imaginary part of alpha and beta,
+# normalized: 240 inputs, each sign of zero in every place.
+_GRID = [complex(re, im) for re in (0.0, -0.0, 0.6, -0.6) for im in (0.0, -0.0, 0.6, -0.6)]
+SIGNED_ZERO_GRID = [(a / np.sqrt(abs(a) ** 2 + abs(b) ** 2), b / np.sqrt(abs(a) ** 2 + abs(b) ** 2))
+                    for a in _GRID for b in _GRID if a or b]
+
+
+def test_signed_zero_grid_equals_per_branch_reference_bit_for_bit():
+    for i, (alpha, beta) in enumerate(SIGNED_ZERO_GRID):
+        chi_a = GeneralizedBellTypeState(1, i % 2, alpha, beta)
+        chi_b = GeneralizedBellTypeState(2, i % 4, beta, alpha)
+        psi = StateVector(2, [alpha, beta, -0.0, 0.0])
+        assert_same_branches(lambda: multi_output_teleport(chi_a, chi_b)[0],
+                             lambda: per_branch_multi_output(chi_a, chi_b))
+        assert_same_branches(lambda: cluster_channel_teleport(chi_a, chi_b),
+                             lambda: per_branch_cluster(chi_a, chi_b))
+        assert_same_branches(lambda: teleport_two_qubit_general(psi)[0],
+                             lambda: per_branch_two_qubit_general(psi))
 
 
 def test_protocols_walk_once_per_leg_and_per_expansion(monkeypatch):

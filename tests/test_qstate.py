@@ -212,6 +212,18 @@ def test_density_matrix_validation():
         DensityMatrix(1, np.eye(2))  # trace 2
 
 
+@pytest.mark.parametrize("entries", [
+    [[np.nan, 0], [0, np.nan]],
+    [[0.5, np.nan], [np.nan, 0.5]],
+    [[np.inf, 0], [0, 0.5]],
+    [[0.5, complex(0, np.inf)], [complex(0, -np.inf), 0.5]],
+], ids=["nan_diagonal", "nan_coherence", "inf_diagonal", "inf_coherence"])
+def test_density_matrix_rejects_entries_that_are_not_finite(entries):
+    # NaN makes every tolerance comparison false, so each check would pass.
+    with pytest.raises(ValueError, match="not finite"):
+        DensityMatrix(1, np.array(entries, dtype=complex))
+
+
 def test_project_qubits():
     bell = StateVector(2, [SQ2, 0, 0, SQ2])
     out = project_rows(bell.amplitudes[None], 2, [0], [[1]])
@@ -222,7 +234,7 @@ def test_split_product_roundtrip():
     rng = np.random.default_rng(9)
     a = random_state(1, rng)
     b = random_state(2, rng)
-    fa, fb = split_rows(tensor(a, b).amplitudes[None], [1, 2])
+    fa, fb = split_rows(tensor(a, b).amplitudes[None], 1)
     # Factors match up to phase.
     assert abs(abs(np.vdot(fa[0], a.amplitudes)) - 1) < 1e-9
     assert abs(abs(np.vdot(fb[0], b.amplitudes)) - 1) < 1e-9
@@ -231,7 +243,13 @@ def test_split_product_roundtrip():
 def test_split_product_rejects_entangled():
     bell = StateVector(2, [SQ2, 0, 0, SQ2])
     with pytest.raises(ValueError):
-        split_rows(bell.amplitudes[None], [1, 1])
+        split_rows(bell.amplitudes[None], 1)
+
+
+@pytest.mark.parametrize("size", [-1, 0, 2, 3])
+def test_split_rows_rejects_a_cut_outside_the_state(size):
+    with pytest.raises(ValueError, match="both sides"):
+        split_rows(basis_state(2, 0).amplitudes[None], size)
 
 
 def test_prep_unitary():
