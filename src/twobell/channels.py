@@ -37,12 +37,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import (Circuit, CircuitParseError, Gate, read_lines, sample_distribution, walk,
-                      _summed)
+from .circuit import (Circuit, CircuitParseError, Gate, read_lines, sample_distribution, summed,
+                      walk)
 from .qstate import (GATE_MATRICES, PAULI, DensityMatrix, apply_superop, pauli_labels,
                      pauli_operator, superop)
-
-CSV_HEADER = ["qubit", "t1_us", "t2_us", "freq_ghz", "readout_err", "x_err", "cnot_errs"]
 
 
 @dataclass(frozen=True)
@@ -88,6 +86,7 @@ def _probability(text: str) -> float:
 # The parser of each column's cells but cnot_errs'; a bad cell raises ValueError.
 _CELL_PARSERS = {"qubit": int, "t1_us": _positive, "t2_us": _positive, "freq_ghz": float,
                  "readout_err": _probability, "x_err": _probability}
+CSV_HEADER = [*_CELL_PARSERS, "cnot_errs"]
 
 
 def _parse_cnot_tokens(raw: str, row_qubit: int) -> dict:
@@ -356,9 +355,9 @@ def noisy_distribution(c: Circuit, nm: NoiseModel, initial_rho: np.ndarray | Non
                 if conf[r, true_bit] > 0
             ]
         readings += recorded
-    dist = _summed(readings)
+    dist = summed(readings)
     # owed times -> merged rho of the branches that owe them, paid once
-    owing = _summed((owed, p * rho) for (_, p), (rho, owed) in zip(rows, states))
+    owing = summed((owed, p * rho) for (_, p), (rho, owed) in zip(rows, states))
     final = sum(pay(rho, owed, range(n)) for owed, rho in owing.items())
     final_dm = DensityMatrix(n, 0.5 * (final + final.conj().T))
     return final_dm, dist

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import GATE_MATRICES, StateVector, apply_matrix, basis_state, _check_unitary
+from .qstate import GATE_MATRICES, StateVector, apply_matrix, basis_state, check_qubits, _check_unitary
 
 GATE_ARITY = {kind: len(u).bit_length() - 1 for kind, u in GATE_MATRICES.items()}
 
@@ -118,9 +118,7 @@ class Circuit:
         measures = isinstance(step, Measure)
         if not measures and step.bit is not None and step.bit not in self.measured:
             raise ValueError(f"classical bit {step.bit!r} read before it is written")
-        for q in step.targets:
-            if not 0 <= q < self.num_qubits:
-                raise ValueError(f"qubit {q} out of range")
+        check_qubits(step.targets, self.num_qubits)
         if measures:
             self.measured[step.bit] = step.qubit
         self.steps.append(step)
@@ -180,10 +178,10 @@ class BranchDistribution:
     def probabilities(self) -> dict:
         """Outcome -> probability; branches that end with the same bits
         (a bit written more than once) are summed."""
-        return _summed((e.bits, e.probability) for e in self.entries)
+        return summed((e.bits, e.probability) for e in self.entries)
 
 
-def _summed(pairs) -> dict:
+def summed(pairs) -> dict:
     """Key -> the sum of its values, added in the given order from int 0,
     so that integer counts stay ``int``."""
     out = {}
@@ -285,7 +283,7 @@ def sample_counts(c: Circuit, shots: int, seed: int) -> dict:
     Reproducible: uses numpy's PCG64 generator seeded with ``seed``.
     The probabilities come straight from the walk; no state is built.
     """
-    return sample_distribution(_summed(exact_walk(c)[0]), shots, seed)
+    return sample_distribution(summed(exact_walk(c)[0]), shots, seed)
 
 
 # -- text serialization -----------------------------------------------------

@@ -1,10 +1,10 @@
 """Command-line experiment runner.
 
 Subcommands: ``run``, ``tomography``, ``stats``, ``route``, ``compare``.
-Every command emits one JSON document (schema_version 1) to stdout or
-``--out``; documents are byte-identical for the same config and seed.
-The document is written by ``_dumps``, whose text is byte-identical to
-``json.dumps(doc, indent=2, sort_keys=True)``.
+Every command emits one JSON document to stdout or ``--out``, byte-identical
+for the same config and seed: ``main`` adds the envelope (``schema_version``
+and ``command``) to what ``cmd_<command>`` returns, and ``_dumps`` writes it,
+in text byte-identical to ``json.dumps(doc, indent=2, sort_keys=True)``.
 Fidelities are reported in percent at the CLI surface.
 
 A config is checked once, by ``ExperimentConfig``, and each error names
@@ -77,13 +77,12 @@ class ExperimentConfig:
     shots: int = DEFAULT_SHOTS
     seed: int = 0
     noise: str | None = None  # None or calibration CSV path
-    durations: dict = field(default_factory=dict)
+    durations: dict = field(default_factory=dict)  # DurationConfig fields
     reps: int = 1
     workers: int = 1  # ignored; accepted so that older configs still load
     chi_a: GeneralizedBellTypeState = field(init=False, repr=False, compare=False)
     chi_b: GeneralizedBellTypeState = field(init=False, repr=False, compare=False)
     general_input: StateVector = field(init=False, repr=False, compare=False)
-    duration_config: DurationConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name, (low, high) in INT_BOUNDS.items():
@@ -98,7 +97,6 @@ class ExperimentConfig:
         for name, value in self.durations.items():
             if not (_is_finite(value) and value > 0):
                 raise ValueError(f"durations.{name}: expected a positive number, got {value!r}")
-        self.duration_config = DurationConfig(**self.durations)
         self.chi_a = _bell_type_state(self.input_a, self.m, "input_a")
         self.chi_b = _bell_type_state(self.input_b, self.m + 1, "input_b")
         coeffs = self.coefficients
@@ -167,10 +165,10 @@ def load_config(args) -> ExperimentConfig:
             except ValueError as exc:  # not JSON, or not UTF-8
                 raise ValueError(f"{args.config}: {exc}") from None
     _check_keys(data, [f.name for f in fields(ExperimentConfig) if f.init], args.config)
-    for flag in ("shots", "seed", "reps", "workers", "calibration", "scheme"):
+    for flag in ("shots", "seed", "reps", "workers", "noise", "scheme"):
         value = getattr(args, flag, None)
-        if value is not None:  # a flag overrides the config; --calibration sets noise
-            data["noise" if flag == "calibration" else flag] = value
+        if value is not None:  # a flag overrides the config
+            data[flag] = value
     return ExperimentConfig(**data)
 
 
@@ -182,7 +180,7 @@ def _noise_model(config: ExperimentConfig):
         records = load_calibration(path)
     except OSError as exc:
         raise ValueError(f"noise: {exc}") from None
-    return build_noise_model(records, config.duration_config)
+    return build_noise_model(records, DurationConfig(**config.durations))
 
 
 def _check_plus_inputs(config: ExperimentConfig, command: str) -> list:
@@ -234,8 +232,6 @@ def cmd_run(config: ExperimentConfig) -> dict:
             compressed = compressed or [compress_ghz_class(chi) for chi in (config.chi_a, config.chi_b)]
             branches, report = multi_output_teleport(config.chi_a, config.chi_b, compressed)
     doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "run",
         "scheme": config.scheme,
         "shots": config.shots,
         "seed": config.seed,
@@ -248,7 +244,8 @@ def cmd_run(config: ExperimentConfig) -> dict:
             "unknown_coefficients": report.unknown_coefficients,
         }
     else:
-        doc["resources"] = {"channel_qubits": 5, "channel": "five_qubit_cluster"}
+        doc["resources"] = {"channel_qubits": protocols.CLUSTER_QUBITS,
+                            "channel": "five_qubit_cluster"}
 
     if config.scheme == "two_bell":
         circuit = experiment_circuit(*compressed)
@@ -289,16 +286,12 @@ def cmd_tomography(config: ExperimentConfig, exact: bool = False) -> dict:
     _check_plus_inputs(config, "tomography")
     ideal = experiments.ideal_output_state()
     nm = _noise_model(config)
-    if exact:
-        rho = tomography_from_state(ideal)
-    elif nm is None:
-        rho = tomography_from_state(ideal, shots=config.shots, seed=config.seed)
+    if nm is None:
+        rho = tomography_from_state(ideal, shots=None if exact else config.shots, seed=config.seed)
+        fid = fidelity(to_density(ideal), rho)
     else:
-        rho, _ = experiments.noisy_experiment(nm).tomography(config.shots, config.seed)
-    fid = fidelity(to_density(ideal), rho)
+        rho, fid = experiments.noisy_experiment(nm).tomography(config.shots, config.seed)
     return {
-        "schema_version": SCHEMA_VERSION,
-        "command": "tomography",
         "mode": "exact" if exact else ("ideal_sampled" if nm is None else "noisy"),
         "shots": None if exact else config.shots,
         "seed": config.seed,
@@ -325,8 +318,6 @@ def cmd_stats(values_path) -> dict:
         raise ValueError("need >= 2 values")
     stats = fidelity_stats(values)
     return {
-        "schema_version": SCHEMA_VERSION,
-        "command": "stats",
         "values": list(stats.values),
         "mean": round(stats.mean, 6),
         "sample_std": round(stats.sample_std, 6),
@@ -338,8 +329,6 @@ def cmd_route(circuit_path, graph_path=None) -> dict:
     graph = load_coupling_graph(graph_path) if graph_path else casablanca_topology()
     layout, routed, report = route(circuit, graph)
     return {
-        "schema_version": SCHEMA_VERSION,
-        "command": "route",
         "layout": {str(l): p for l, p in sorted(layout.items())},
         "cost": {
             "cnot_count": report.cnot_count,
@@ -358,8 +347,6 @@ def cmd_compare(config: ExperimentConfig) -> dict:
     by_bits = {b.outcome_bits: b.output for b in cluster}
     worst = min([1.0] + [overlap(b.output, by_bits[b.outcome_bits]) for b in two_bell])
     return {
-        "schema_version": SCHEMA_VERSION,
-        "command": "compare",
         "equivalent": bool(worst > 1 - 1e-10),
         "min_branch_fidelity": round(worst, 12),
         "resources": {
@@ -367,7 +354,7 @@ def cmd_compare(config: ExperimentConfig) -> dict:
                 "bell_pairs": report.bell_pairs,
                 "channel_qubits": report.channel_qubits,
             },
-            "cluster5": {"channel_qubits": 5},
+            "cluster5": {"channel_qubits": protocols.CLUSTER_QUBITS},
         },
     }
 
@@ -448,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--shots", type=int, help=f"default {DEFAULT_SHOTS}")
         p.add_argument("--seed", type=int)
         p.add_argument(
-            "--calibration",
+            "--calibration", dest="noise", metavar="CALIBRATION",
             help="calibration CSV path, or 'builtin' for the packaged table",
         )
         p.add_argument("--reps", type=int, help="repetitions for fidelity stats")
@@ -502,7 +489,7 @@ def main(argv=None) -> int:
             doc = cmd_compare(load_config(args))
         else:  # pragma: no cover
             parser.error(f"unknown command {args.command}")
-        text = _dumps(doc) + "\n"
+        text = _dumps({**doc, "schema_version": SCHEMA_VERSION, "command": args.command}) + "\n"
         out = getattr(args, "out", None)
         if out:
             with open(out, "w") as fh:

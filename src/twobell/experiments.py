@@ -18,7 +18,7 @@ from functools import cache
 import numpy as np
 
 from .channels import NoiseModel, noisy_distribution
-from .circuit import Circuit, sample_distribution, _summed
+from .circuit import Circuit, sample_distribution, summed
 from .protocols import (
     EXPERIMENT_OUTPUT_BITS,
     EXPERIMENT_RECEIVER_QUBITS,
@@ -33,14 +33,14 @@ from .qstate import (
     to_density,
 )
 from .tomography import (
-    _BASIS_ROTATION,
+    BASIS_ROTATION,
     expectations_from_settings,
     fidelity,
     pure_fidelity,
     reconstruct,
     settings,
 )
-from .transpile import casablanca_topology, route
+from .transpile import casablanca_topology, final_layout, route
 
 
 def child_seeds(seed: int, count: int) -> list:
@@ -52,17 +52,19 @@ def child_seeds(seed: int, count: int) -> list:
 def routed_experiment():
     """Route the |+>,|+> two-teleportation circuit (without output
     measurement) onto the device graph, once per process.  Returns
-    (layout, routed circuit, receiver physical qubits, cost report)."""
+    (initial layout, routed circuit, the physical qubits where the receivers
+    end, after the router's SWAPs, cost report)."""
     logical = experiment_circuit(measure_outputs=False)
     layout, routed, report = route(logical, casablanca_topology())
-    receivers = tuple(layout[q] for q in EXPERIMENT_RECEIVER_QUBITS)
+    final = final_layout(logical, layout, routed)
+    receivers = tuple(final[q] for q in EXPERIMENT_RECEIVER_QUBITS)
     return layout, routed, receivers, report
 
 
 def marginal_counts(counts: dict, bit_names, wanted) -> dict:
     """``counts`` over the bits ``bit_names``, summed onto the bits ``wanted``."""
     positions = [list(bit_names).index(b) for b in wanted]
-    return _summed(("".join(bits[p] for p in positions), k) for bits, k in counts.items())
+    return summed(("".join(bits[p] for p in positions), k) for bits, k in counts.items())
 
 
 def ideal_output_state() -> StateVector:
@@ -74,7 +76,7 @@ def _tail_circuit(rotations: str):
     c = Circuit(2)
     for q, axis in enumerate(rotations):
         if axis != "Z":
-            c.custom(_BASIS_ROTATION[axis], [q])
+            c.custom(BASIS_ROTATION[axis], [q])
     for q, bit in enumerate(EXPERIMENT_OUTPUT_BITS):
         c.measure(q, bit)
     return c

@@ -32,7 +32,7 @@ from .qstate import (
     GATE_MATRICES,
     NORM_ATOL,
     StateVector,
-    apply_unitary_rows,
+    apply_matrix,
     basis_state,
     checked_rows,
     kron_rows,
@@ -99,6 +99,8 @@ class ResourceReport:
 
 # -- state constructors ------------------------------------------------------
 
+CLUSTER_QUBITS = 5  # the cluster baseline's channel; two Bell pairs are 4 qubits
+
 
 def _cluster5(c: Circuit, q) -> Circuit:
     """Append the cluster channel's preparation on qubits q: Bell(q1, q3) (x)
@@ -109,7 +111,7 @@ def _cluster5(c: Circuit, q) -> Circuit:
 
 def prepare_cluster5() -> StateVector:
     """The five-qubit cluster channel (|00000>+|01011>+|10100>+|11111>)/2."""
-    return run_exact(_cluster5(Circuit(5), range(5))).entries[0].state
+    return run_exact(_cluster5(Circuit(CLUSTER_QUBITS), range(CLUSTER_QUBITS))).entries[0].state
 
 
 # -- compression of generalized Bell-type states -----------------------------
@@ -296,7 +298,7 @@ def cluster_channel_teleport(
     bob1, bob2 = split_rows(joint, 1)
     # Receiver 2 holds alpha|00> + beta|11>; a final CNOT frees the
     # compressed qubit, then the compression run backwards rebuilds chi_b.
-    pair = apply_unitary_rows(bob2, GATE_MATRICES["CNOT"], [0, 1], 2)
+    pair = apply_matrix(bob2, GATE_MATRICES["CNOT"], [0, 1], 2)
     qb_out = project_rows(pair, 2, [1], [[0]] * len(pair))
     outputs = kron_rows(expand_rows(bob1, chi_a), expand_rows(qb_out, chi_b))
     return _teleport_branches(bits, probabilities, outputs, [(0,), (0, 1)])

@@ -162,14 +162,20 @@ def to_density(psi: StateVector) -> DensityMatrix:
     return DensityMatrix(psi.num_qubits, np.outer(amps, amps.conj()))
 
 
+def check_qubits(qubits, n: int):
+    """``qubits`` (a sequence), once each indexes a qubit of an n-qubit
+    state: the one qubit-index rule of circuits and states."""
+    for q in qubits:
+        if not 0 <= q < n:
+            raise ValueError(f"qubit {q} out of range")
+    return qubits
+
+
 def _check_targets(targets, num_qubits):
     targets = list(targets)
     if len(set(targets)) != len(targets):
         raise ValueError(f"duplicate target qubits: {targets}")
-    for q in targets:
-        if not 0 <= q < num_qubits:
-            raise ValueError(f"target qubit {q} out of range for {num_qubits} qubits")
-    return targets
+    return check_qubits(targets, num_qubits)
 
 
 def _check_unitary(u, k):
@@ -182,19 +188,13 @@ def _check_unitary(u, k):
     return u
 
 
-def apply_unitary_rows(states: np.ndarray, u, targets, n: int) -> np.ndarray:
-    """Apply a k-qubit unitary to the listed target qubits of each row of a
-    stack of n-qubit states, checking targets, unitary and rows once each.
-    targets[0] addresses the most significant index bit of ``u``."""
-    targets = _check_targets(targets, n)
-    u = _check_unitary(u, len(targets))
-    return checked_rows(apply_matrix(states, u, targets, n))
-
-
 def apply_unitary(state: StateVector, u, targets) -> StateVector:
-    """``apply_unitary_rows`` on one pure state."""
+    """Apply a k-qubit unitary to the listed target qubits of a pure state,
+    checking targets and unitary first and the state once, as it is built.
+    targets[0] addresses the most significant index bit of ``u``."""
     n = state.num_qubits
-    return StateVector(n, apply_unitary_rows(state.amplitudes, u, targets, n))
+    targets = _check_targets(targets, n)
+    return StateVector(n, apply_matrix(state.amplitudes, _check_unitary(u, len(targets)), targets, n))
 
 
 def superop(kraus) -> np.ndarray:
@@ -237,9 +237,7 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     if not keep:
         raise ValueError("keep set must be nonempty")
     n = rho.num_qubits
-    for q in keep:
-        if not 0 <= q < n:
-            raise ValueError(f"qubit {q} out of range")
+    check_qubits(keep, n)
     t = rho.entries.reshape([2] * (2 * n))
     traced = [q for q in range(n) if q not in keep]
     # Trace the highest axes first so lower axis numbers stay valid.
@@ -263,9 +261,7 @@ def project_rows(states: np.ndarray, n: int, qubits, values) -> np.ndarray:
     order) renormalized, as one checked stack; raises if any slice has
     (numerically) zero weight."""
     idx = [np.arange(len(states)), *[slice(None)] * n]
-    for q, v in zip(qubits, np.array(values, dtype=int).reshape(len(states), -1).T):
-        if not 0 <= q < n:
-            raise ValueError(f"qubit {q} out of range")
+    for q, v in zip(check_qubits(qubits, n), np.array(values, dtype=int).reshape(len(states), -1).T):
         idx[1 + q] = v
     sub = states.reshape(-1, *[2] * n)[tuple(idx)].reshape(len(states), -1)
     norms = _row_norms(sub)

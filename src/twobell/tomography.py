@@ -16,7 +16,6 @@ import numpy as np
 
 from .qstate import (
     GATE_MATRICES,
-    PAULI,
     DensityMatrix,
     StateVector,
     apply_unitary,
@@ -26,13 +25,9 @@ from .qstate import (
     to_density,
 )
 
-# Rotation into the measurement basis: measure P by rotating then reading Z.
-_SDG = np.array([[1, 0], [0, -1j]], dtype=complex)
-_BASIS_ROTATION = {
-    "X": GATE_MATRICES["H"],
-    "Y": GATE_MATRICES["H"] @ _SDG,
-    "Z": PAULI["I"],
-}
+# Rotation into the measurement basis: measure X or Y by rotating then
+# reading Z (Y: S^dagger, then H).  Z is read as it stands.
+BASIS_ROTATION = {"X": GATE_MATRICES["H"], "Y": GATE_MATRICES["H"] @ GATE_MATRICES["S"].conj()}
 _TO_Z = str.maketrans("XY", "ZZ")
 
 
@@ -107,7 +102,8 @@ def sample_setting_counts(psi: StateVector, setting: str, shots: int, rng) -> di
     """Apply the per-qubit basis rotations so that a computational
     measurement reads out the requested Pauli setting, then draw shots."""
     for q, axis in enumerate(setting):
-        psi = apply_unitary(psi, _BASIS_ROTATION[axis], [q])
+        if axis != "Z":
+            psi = apply_unitary(psi, BASIS_ROTATION[axis], [q])
     draws = rng.multinomial(shots, np.abs(psi.amplitudes) ** 2)
     n = psi.num_qubits
     return {format(i, f"0{n}b"): int(k) for i, k in enumerate(draws) if k > 0}

@@ -173,6 +173,22 @@ def _route_with_layout(c: Circuit, g: CouplingGraph, initial: dict, dist: dict,
     return routed
 
 
+def final_layout(c: Circuit, layout: dict, routed: Circuit) -> dict:
+    """{logical: physical} at the end of ``routed``, which ``route`` made
+    from ``c`` under the initial ``layout``: the SWAPs it inserted, replayed
+    over ``layout``.  Each routed step is either ``c``'s next step on the
+    current positions or an inserted SWAP, which never sits on them."""
+    l2p, steps = dict(layout), iter(c.steps)
+    step = next(steps, None)
+    for s in routed.steps:
+        if step is not None and s.targets == tuple(l2p[q] for q in step.targets):
+            step = next(steps, None)
+            continue
+        a, b = s.targets
+        l2p = {l: b if p == a else a if p == b else p for l, p in l2p.items()}
+    return l2p
+
+
 def route(c: Circuit, g: CouplingGraph):
     """Map and route a logical circuit onto the coupling graph.
 

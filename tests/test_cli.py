@@ -799,7 +799,7 @@ def test_run_document_equals_json_dumps(tmp_path, capsys, m):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(data))
     assert main(["run", "--config", str(cfg)]) == 0
-    doc = cli.cmd_run(cli.ExperimentConfig(**data))
+    doc = {**cli.cmd_run(cli.ExperimentConfig(**data)), "schema_version": 1, "command": "run"}
     assert capsys.readouterr().out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 

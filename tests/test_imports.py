@@ -1,5 +1,6 @@
 """Every name a package module imports is read somewhere in that module,
-and every function the layer tracer wraps still exists.
+no module imports another package module's private (``_``-prefixed)
+name, and every function the layer tracer wraps still exists.
 
 No linter ships with the toolchain, so this walks each module's syntax
 tree: an imported name that no ``Name`` node reads is unused.
@@ -33,6 +34,12 @@ ALLOWED_UNUSED = {
     "as channels.sample_distribution; without the import those metrics read 0",
 }
 
+# (module, name) -> why the module imports another package module's private name.
+ALLOWED_PRIVATE = {
+    ("circuit", "_check_unitary"): "a CUSTOM gate is checked as it is built by the rule "
+    "qstate.apply_unitary uses; tests count calls to it as qstate._check_unitary",
+}
+
 
 def unused_imports(source: str) -> list:
     tree = ast.parse(source)
@@ -59,6 +66,29 @@ def test_unused_imports_are_found():
 def test_module_reads_every_name_it_imports(path):
     allowed = sorted(name for module, name in ALLOWED_UNUSED if module == path.stem)
     assert unused_imports(path.read_text()) == allowed
+
+
+def private_imports(source: str) -> list:
+    """The ``_``-prefixed names imported from a twobell module."""
+    return sorted(
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("twobell"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+
+
+def test_private_imports_are_found():
+    source = ("from __future__ import annotations\nfrom os import _exit\n"
+              "from .qstate import _a, b\nfrom twobell.circuit import _c as c\n")
+    assert private_imports(source) == ["_a", "_c"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_module_imports_no_private_name_of_another(path):
+    allowed = sorted(name for module, name in ALLOWED_PRIVATE if module == path.stem)
+    assert private_imports(path.read_text()) == allowed
 
 
 def test_tracer_targets_resolve():

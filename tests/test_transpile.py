@@ -7,15 +7,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twobell import transpile
+from twobell import experiments, transpile
 from twobell.channels import ideal_noise_model, noisy_distribution
 from twobell.circuit import Circuit, Gate, Measure, from_text, run_exact, to_text
 from twobell.protocols import experiment_circuit
+from twobell.qstate import partial_trace, to_density
 from twobell.transpile import (
     CostReport,
     CouplingGraph,
     casablanca_topology,
     cost,
+    final_layout,
     load_coupling_graph,
     route,
 )
@@ -300,6 +302,52 @@ def test_route_equals_exhaustive_search(graph, data):
     # The case is of the kind it was drawn as: SWAPs are needed exactly
     # when no layout embeds the circuit.
     assert (report.cnot_count == cost(c).cnot_count) == embeds
+
+
+def marginal(state, q):
+    return partial_trace(to_density(state), {q}).entries
+
+
+def test_final_layout_follows_the_inserted_swap():
+    """On the 3-node line this circuit routes with one SWAP, which moves
+    logical qubits 1 and 2: each reads as in the logical run at its final
+    position, and not at its initial one."""
+    c = from_text("X 2\nCNOT 0 1\nCNOT 1 2\nCNOT 2 0\n")
+    line = CouplingGraph(3, frozenset({frozenset((0, 1)), frozenset((1, 2))}))
+    layout, routed, report = route(c, line)
+    assert report.swap_count == 1 and layout == {0: 0, 1: 1, 2: 2}
+    final = final_layout(c, layout, routed)
+    assert final == {0: 0, 1: 2, 2: 1}
+    [logical], [physical] = run_exact(c).entries, run_exact(routed).entries
+    for q in range(3):
+        want = marginal(logical.state, q)
+        assert np.max(np.abs(marginal(physical.state, final[q]) - want)) < 1e-12
+        if q:
+            assert np.max(np.abs(marginal(physical.state, layout[q]) - want)) > 0.5
+
+
+def test_paper_receivers_are_read_where_the_route_leaves_them():
+    layout, routed, receivers, _ = experiments.routed_experiment()
+    logical = experiment_circuit(measure_outputs=False)
+    assert final_layout(logical, layout, routed) == layout
+    assert receivers == (2, 4)
+
+
+@pytest.mark.parametrize("graph", sorted(GRAPHS))
+@settings(max_examples=40)
+@given(data=st.data())
+def test_each_qubit_ends_at_its_final_layout_position(graph, data):
+    """Branch by branch, every logical qubit of the routed run reads as in
+    the logical run at its ``final_layout`` position: a SWAP the router
+    inserts moves a qubit, and a SWAP of the circuit's own does not."""
+    c, _ = data.draw(routing_cases(GRAPHS[graph]))
+    layout, routed, _ = route(c, GRAPHS[graph])
+    final = final_layout(c, layout, routed)
+    assert sorted(final) == list(range(c.num_qubits))
+    for want, got in zip(run_exact(c).entries, run_exact(routed).entries, strict=True):
+        assert want.bits == got.bits
+        for q, p in final.items():
+            assert np.max(np.abs(marginal(got.state, p) - marginal(want.state, q))) < 1e-9
 
 
 def test_routing_the_experiment_routes_one_layout(monkeypatch):
