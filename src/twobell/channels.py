@@ -26,7 +26,8 @@ below are typical for this device family and are overridable.
 Light cone: circuit qubit i takes the noise of calibrated qubit
 ``qubits[i]``, so a circuit can run on only the qubits that can change
 its output; idles are local, trace-preserving and fix |0><0|, so
-dropping the others is exact.
+dropping the others is exact.  For the same reason a circuit whose qubits
+fall into legs that nothing connects can run one leg at a time.
 """
 
 from __future__ import annotations
@@ -34,12 +35,13 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
-from .circuit import (Circuit, CircuitParseError, Gate, read_lines, sample_distribution, summed,
-                      walk)
-from .qstate import (GATE_MATRICES, PAULI, DensityMatrix, apply_superop, pauli_labels,
+from .circuit import (Circuit, CircuitParseError, Gate, Measure, read_lines, sample_distribution,
+                      step_qubits, summed, walk)
+from .qstate import (GATE_MATRICES, PAULI, DensityMatrix, apply_superop, check_qubits, pauli_labels,
                      pauli_operator, superop)
 
 
@@ -267,10 +269,22 @@ _PROJECTORS = (superop([np.diag([1.0, 0.0])]), superop([np.diag([0.0, 1.0])]))
 _GATE_SUPEROPS = {kind: superop([u]) for kind, u in GATE_MATRICES.items()}
 
 
+class _Wait:
+    """A step of another leg, in a leg's walk: it never fires, so every
+    qubit of the leg idles through its window of ``ns``."""
+
+    def __init__(self, ns: float):
+        self.ns = ns
+
+    def fires(self, bits) -> bool:
+        return False
+
+
 def noisy_distribution(c: Circuit, nm: NoiseModel, initial_rho: np.ndarray | None = None,
-                       qubits=None):
+                       qubits=None, leg=None):
     """Exact outcome distribution over classical bits after readout
-    confusion, plus the pre-readout final density matrix of all n qubits.
+    confusion, plus the pre-readout final density matrix of the qubits of
+    ``leg`` (default all n qubits, the one-leg case), in ``leg``'s order.
 
     The circuit runs through ``circuit.walk`` on a list of (density matrix,
     owed idle times), one per branch: every gate adds its noise channel and
@@ -280,6 +294,15 @@ def noisy_distribution(c: Circuit, nm: NoiseModel, initial_rho: np.ndarray | Non
     channel just before its next gate or projection, or at the end.
     Circuit qubit i takes the T1, T2, gate errors and readout confusion
     of calibrated qubit ``qubits[i]`` (default: of qubit i).
+
+    A leg is a set of qubits that no gate and no classical control connects
+    to the others (see ``circuit.legs``); one that a step crosses raises
+    ValueError naming the step.  Rho holds the leg's qubits only, from
+    ``initial_rho`` over them (default |0...0>), and the distribution reads
+    the leg's bits only.  Each step of another leg is an idle window of
+    that step's length for the leg's qubits, a measurement a readout
+    window with no fork.  From a product state the legs evolve as a
+    product, so this is the marginal of the whole circuit's run.
     """
     n = c.num_qubits
     if n > 7:
@@ -290,12 +313,17 @@ def noisy_distribution(c: Circuit, nm: NoiseModel, initial_rho: np.ndarray | Non
     missing = set(cal) - nm.qubits()
     if missing:
         raise CalibrationError(f"no calibration for qubit(s) {sorted(missing)}")
+    leg = tuple(range(n) if leg is None else check_qubits(leg, n))
+    local = {q: i for i, q in enumerate(leg)}  # circuit qubit -> its axis in rho
+    if not leg or len(local) != len(leg):
+        raise ValueError("a leg must name one or more distinct qubits")
+    k, cal = len(leg), tuple(cal[q] for q in leg)
     dur = nm.durations
 
     def pay(rho, owed, qs):
         for q in qs:
             if owed[q]:
-                rho = apply_superop(rho, nm.channel("idle_kraus", cal[q], owed[q]), [q], n)
+                rho = apply_superop(rho, nm.channel("idle_kraus", cal[q], owed[q]), [q], k)
         return rho
 
     def idle(owed, duration, paid=()):
@@ -305,49 +333,61 @@ def noisy_distribution(c: Circuit, nm: NoiseModel, initial_rho: np.ndarray | Non
     def repeats(gate: Gate):
         return 3 if gate.kind == "SWAP" else 1
 
-    def window(gate: Gate):
+    def window(gate):
         """Time the gate takes, whether or not its control fires."""
+        if isinstance(gate, _Wait):
+            return gate.ns
         one = dur.single_qubit_gate_ns if len(gate.targets) == 1 else dur.cnot_ns
         return repeats(gate) * one
 
     def apply_gate(state, gate: Gate):
         rho, owed = state
-        targets = list(gate.targets)
+        targets = [local[q] for q in gate.targets]
         rho = pay(rho, owed, targets)
         u = superop([gate.matrix]) if gate.kind == "CUSTOM" else _GATE_SUPEROPS[gate.kind]
-        rho = apply_superop(rho, u, targets, n)
+        rho = apply_superop(rho, u, targets, k)
         build = "single_gate_kraus" if len(targets) == 1 else "cnot_gate_kraus"
         noise = nm.channel(build, *(cal[q] for q in targets))
         for _ in range(repeats(gate)):
-            rho = apply_superop(rho, noise, targets, n)
+            rho = apply_superop(rho, noise, targets, k)
         return rho, idle(owed, window(gate), paid=targets)
 
-    def apply(states, gate: Gate, fires):
+    def apply(states, gate, fires):
         return [apply_gate(s, gate) if f else (s[0], idle(s[1], window(gate)))
                 for s, f in zip(states, fires)]
 
     def project(states, qubit):
-        paid = ((pay(rho, owed, [qubit]), idle(owed, 0.0, paid=[qubit])) for rho, owed in states)
-        posts = [(apply_superop(rho, p, [qubit], n), owed) for rho, owed in paid for p in _PROJECTORS]
+        q = local[qubit]
+        paid = ((pay(rho, owed, [q]), idle(owed, 0.0, paid=[q])) for rho, owed in states)
+        posts = [(apply_superop(rho, p, [q], k), owed) for rho, owed in paid for p in _PROJECTORS]
         traces = [float(np.trace(sub).real) for sub, _ in posts]
         return list(zip(traces[::2], traces[1::2])), posts
 
     def settle(posts, kept, weights):
         return [(posts[i][0] / w, idle(posts[i][1], dur.readout_ns)) for i, w in zip(kept, weights)]
 
+    steps = []
+    for i, (step, joined) in enumerate(step_qubits(c)):
+        inside = joined & local.keys()
+        if inside and inside != joined:
+            raise ValueError(f"step {i} ({step}) crosses the leg {leg}")
+        steps.append(step if inside else
+                     _Wait(dur.readout_ns if isinstance(step, Measure) else window(step)))
     if initial_rho is None:
-        rho0 = np.zeros((2 ** n, 2 ** n), dtype=complex)
+        rho0 = np.zeros((2 ** k, 2 ** k), dtype=complex)
         rho0[0, 0] = 1.0
     else:
         rho0 = np.array(initial_rho, dtype=complex)
-    rows, states = walk(c, [(rho0, (0.0,) * n)], apply, project, settle)
+    rows, states = walk(SimpleNamespace(steps=steps), [(rho0, (0.0,) * k)], apply, project, settle)
     readings = []
     for bits, p in rows:
-        # Convolve each recorded bit with the confusion matrix of the qubit it reads.
+        # Convolve each recorded bit of the leg with the confusion matrix of the qubit it reads.
         recorded = [("", p)]
         for name, qubit in c.measured.items():
+            if qubit not in local:
+                continue
             true_bit = bits[name]
-            conf = nm.confusion[cal[qubit]]
+            conf = nm.confusion[cal[local[qubit]]]
             recorded = [
                 (rec + str(r), q * conf[r, true_bit])
                 for rec, q in recorded
@@ -358,6 +398,6 @@ def noisy_distribution(c: Circuit, nm: NoiseModel, initial_rho: np.ndarray | Non
     dist = summed(readings)
     # owed times -> merged rho of the branches that owe them, paid once
     owing = summed((owed, p * rho) for (_, p), (rho, owed) in zip(rows, states))
-    final = sum(pay(rho, owed, range(n)) for owed, rho in owing.items())
-    final_dm = DensityMatrix(n, 0.5 * (final + final.conj().T))
+    final = sum(pay(rho, owed, range(k)) for owed, rho in owing.items())
+    final_dm = DensityMatrix(k, 0.5 * (final + final.conj().T))
     return final_dm, dist

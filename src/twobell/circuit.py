@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import GATE_MATRICES, StateVector, apply_matrix, basis_state, check_qubits, _check_unitary
+from .qstate import GATE_MATRICES, StateVector, apply_matrix, basis_state, check_qubits, check_unitary
 
 GATE_ARITY = {kind: len(u).bit_length() - 1 for kind, u in GATE_MATRICES.items()}
 
@@ -62,7 +62,7 @@ class Gate:
         if self.kind == "CUSTOM":
             if self.matrix is None:
                 raise ValueError("CUSTOM gate needs a matrix")
-            m = _check_unitary(self.matrix, len(self.targets))
+            m = check_unitary(self.matrix, len(self.targets))
             m.setflags(write=False)
             object.__setattr__(self, "matrix", m)
 
@@ -199,8 +199,10 @@ def walk(c: Circuit, states, apply, project, settle):
     loop of both engines, trusting ``c`` as built.  ``walk`` owns each
     row's bits and probability, ``PRUNE`` and the fork order (a measurement
     splits each row into outcome 0, then 1); the engine owns the stack.
-    ``apply(states, gate, fires)`` returns the next stack, ``fires[i]``
-    saying whether row i's control reads 1 (true without one);
+    It reads only ``c.steps``, and of a step that is not a ``Measure`` only
+    ``fires(bits)``, so an engine may walk a circuit's steps with steps of
+    its own among them.  ``apply(states, gate, fires)`` returns the next stack,
+    ``fires[i]`` saying whether row i's control reads 1 (true without one);
     ``project(states, qubit)`` returns each row's weights of outcomes 0 and
     1 (rows x 2) and the unnormalized posts in fork order;
     ``settle(posts, kept, weights)`` returns the posts at indices ``kept``
@@ -218,6 +220,31 @@ def walk(c: Circuit, states, apply, project, settle):
         else:
             states = apply(states, step, [step.fires(bits) for bits, _ in rows])
     return rows, states
+
+
+def step_qubits(c: Circuit):
+    """Each step of ``c`` with the set of qubits it joins: its targets, and
+    for a controlled gate also the qubit whose measurement last wrote its bit."""
+    writer = {}
+    for step in c.steps:
+        qubits = set(step.targets)
+        if isinstance(step, Measure):
+            writer[step.bit] = step.qubit
+        elif step.bit is not None:
+            qubits.add(writer[step.bit])
+        yield step, qubits
+
+
+def legs(c: Circuit) -> list:
+    """The legs of ``c``: the classes of the qubits its steps join
+    (``step_qubits``), each a sorted tuple, in order of their lowest qubit.
+    No gate or control connects two legs, so from a product state each
+    leg's qubits evolve on their own."""
+    leg = {q: {q} for q in range(c.num_qubits)}
+    for _, qubits in step_qubits(c):
+        joined = set().union(*(leg[q] for q in qubits))
+        leg.update(dict.fromkeys(joined, joined))
+    return sorted({tuple(sorted(s)) for s in leg.values()})
 
 
 def _project(states: np.ndarray, qubit: int):

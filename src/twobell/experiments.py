@@ -4,21 +4,21 @@ fidelity repetitions.
 
 ``noisy_experiment(nm)`` is the one way into the noisy run.  The noisy
 outcome distributions are deterministic given the model, so it runs the
-routed circuit and the nine tomography settings through the noise engine
-once; the histogram, the shot-free fidelity and every repetition are
-read from that one result, and repetitions only re-sample shot noise
-with derived seeds.
+routed circuit (one teleportation leg at a time) and the nine tomography
+settings through the noise engine once; the histogram, the shot-free
+fidelity and every repetition are read from that one result, and
+repetitions only re-sample shot noise with derived seeds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 
 import numpy as np
 
 from .channels import NoiseModel, noisy_distribution
-from .circuit import Circuit, sample_distribution, summed
+from .circuit import Circuit, legs, sample_distribution, summed
 from .protocols import (
     EXPERIMENT_OUTPUT_BITS,
     EXPERIMENT_RECEIVER_QUBITS,
@@ -138,13 +138,20 @@ def noisy_experiment(nm: NoiseModel) -> NoisyExperiment:
     """Run the routed experiment through the noise engine once, then the
     nine tomography tails from its post-correction state.  Only the light
     cone runs: the routed circuit on the qubits it touches (an untouched
-    qubit stays in |0>), receivers first, and the tails on the receivers'
-    marginal, which the other qubits' local idles cannot change.
+    qubit stays in |0>), receivers first, one leg at a time (the paper's
+    two teleportations), and the tails on the receivers' marginal, which
+    the other qubits' local idles cannot change.  A leg that holds no
+    receiver cannot change their state, so it does not run.
     """
     _, routed, receivers, _ = routed_experiment()
     compact, active = _light_cone(routed, receivers)
-    full, _ = noisy_distribution(compact, nm, qubits=active)
-    state = partial_trace(full, {0, 1})
+    parts = []  # each run leg's receiver marginal, in receiver order
+    for leg in legs(compact):
+        held = sum(q < len(receivers) for q in leg)  # receivers lead a sorted leg
+        if held:
+            rho, _ = noisy_distribution(compact, nm, qubits=active, leg=leg)
+            parts.append(partial_trace(rho, range(held)).entries)
+    state = DensityMatrix(len(receivers), reduce(np.kron, parts))
     setting_dists = {
         s: noisy_distribution(_tail_circuit(s), nm, state.entries, qubits=receivers)[1]
         for s in settings(2)

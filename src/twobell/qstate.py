@@ -178,7 +178,9 @@ def _check_targets(targets, num_qubits):
     return check_qubits(targets, num_qubits)
 
 
-def _check_unitary(u, k):
+def check_unitary(u, k):
+    """``u`` as a complex array, once it is a 2^k x 2^k unitary within 1e-10:
+    the one unitary rule of gates and states."""
     u = _as_complex(u)
     d = 2 ** k
     if u.shape != (d, d):
@@ -194,7 +196,7 @@ def apply_unitary(state: StateVector, u, targets) -> StateVector:
     targets[0] addresses the most significant index bit of ``u``."""
     n = state.num_qubits
     targets = _check_targets(targets, n)
-    return StateVector(n, apply_matrix(state.amplitudes, _check_unitary(u, len(targets)), targets, n))
+    return StateVector(n, apply_matrix(state.amplitudes, check_unitary(u, len(targets)), targets, n))
 
 
 def superop(kraus) -> np.ndarray:

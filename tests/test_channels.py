@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twobell import channels, experiments
+from twobell import channels, experiments, qstate
 from twobell.channels import (
     CalibrationError,
     CalibrationRecord,
@@ -25,6 +25,7 @@ from twobell.circuit import (
     Circuit,
     Gate,
     Measure,
+    legs,
     run_exact,
     sample_distribution,
     walk,
@@ -758,7 +759,7 @@ def test_noisy_experiment_apply_superop_calls(monkeypatch):
 
     monkeypatch.setattr(channels, "apply_superop", counted)
     experiments.noisy_experiment(build_noise_model(table_records()))
-    assert len(calls) == 350
+    assert len(calls) == 208
 
 
 # -- light cone -----------------------------------------------------------------
@@ -867,3 +868,122 @@ def test_qubit_map_must_name_one_distinct_qubit_each():
             noisy_distribution(c, nm, qubits=qubits)
     with pytest.raises(CalibrationError, match="no calibration"):
         noisy_distribution(c, nm, qubits=(1, 9))
+
+
+# -- legs -------------------------------------------------------------------------
+
+
+def paper_light_cone():
+    """The routed paper circuit on its light cone, and each compact qubit's physical one."""
+    _, routed, receivers, _ = experiments.routed_experiment()
+    return experiments._light_cone(routed, receivers)
+
+
+def assert_legs_give_the_joint_receiver_state(nm, atol):
+    """The experiment's receiver state, a product of its legs' marginals,
+    equals the marginal of the joint run over all light-cone qubits; so
+    does its fidelity with |+>|+>, F = F_A * F_B."""
+    compact, active = paper_light_cone()
+    joint, _ = noisy_distribution(compact, nm, qubits=active)
+    ref = partial_trace(joint, {0, 1})
+    state = noisy_experiment(nm).state
+    assert np.max(np.abs(state.entries - ref.entries)) < atol
+    f_a, f_b = (pure_fidelity(plus_state(), partial_trace(
+        noisy_distribution(compact, nm, qubits=active, leg=leg)[0], {0})) for leg in legs(compact))
+    assert abs(pure_fidelity(ideal_output_state(), ref) - f_a * f_b) < atol
+
+
+def test_paper_legs_give_the_joint_receiver_state():
+    assert legs(paper_light_cone()[0]) == [(0, 2, 3), (1, 4, 5)]
+    assert_legs_give_the_joint_receiver_state(build_noise_model(table_records()), 1e-14)
+
+
+@settings(max_examples=10, deadline=None)
+@given(calibrated_models())
+def test_paper_legs_give_the_joint_receiver_state_under_any_calibration(nm):
+    """``PRUNE`` drops an outcome by its weight conditional on the row,
+    which is the same in a leg's run and in the joint run (the rows are
+    products), so both prune the same outcomes unless a weight lies within
+    rounding of 1e-12; what is left is rounding, far below the bound."""
+    assert_legs_give_the_joint_receiver_state(nm, 1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(branching_circuits())
+def test_each_leg_runs_alone_as_in_the_whole_circuit(c):
+    """The whole run is the product of its legs' runs: each leg's rho is the
+    joint rho's marginal on it, their Kronecker product is the joint rho,
+    and the outcome distribution is the product of the legs'."""
+    nm = all_pairs_model()
+    full, dist = noisy_distribution(c, nm)
+    runs = [(leg, *noisy_distribution(c, nm, leg=leg)) for leg in legs(c)]
+    product, order = np.ones((1, 1)), []
+    outcomes = {(): 1.0}  # (bit name, value) pairs -> probability
+    for leg, rho, leg_dist in runs:
+        assert np.max(np.abs(rho.entries - partial_trace(full, leg).entries)) < 1e-12
+        product, order = np.kron(product, rho.entries), [*order, *leg]
+        names = [b for b, q in c.measured.items() if q in leg]
+        outcomes = {bits + tuple(zip(names, map(int, rec))): p * w
+                    for bits, p in outcomes.items() for rec, w in leg_dist.items()}
+    assert np.max(np.abs(in_ascending_order(product, order) - full.entries)) < 1e-12
+    joint = {"".join(str(dict(bits)[b]) for b in c.measured): p for bits, p in outcomes.items()}
+    assert set(joint) == set(dist)
+    for outcome, p in dist.items():
+        assert joint[outcome] == pytest.approx(p, abs=1e-12)
+
+
+def test_receivers_in_one_leg_are_read_from_it(monkeypatch):
+    """A SWAP of the two senders' qubits joins the legs, so the experiment
+    runs one leg and reads both receivers from it."""
+    layout, routed, receivers, report = experiments.routed_experiment()
+    joined = Circuit(routed.num_qubits, routed.steps).gate("SWAP", 1, 3)
+    monkeypatch.setattr(experiments, "routed_experiment", lambda: (layout, joined, receivers, report))
+    compact, active = paper_light_cone()
+    assert legs(compact) == [(0, 1, 2, 3, 4, 5)]
+    nm = build_noise_model(table_records())
+    ref = partial_trace(noisy_distribution(compact, nm, qubits=active)[0], {0, 1})
+    assert np.max(np.abs(noisy_experiment(nm).state.entries - ref.entries)) < 1e-14
+
+
+def test_a_leg_that_a_step_crosses_is_rejected():
+    nm = ideal_noise_model(3)
+    crossed = Circuit(3).h(0).cnot(0, 2)
+    with pytest.raises(ValueError, match=r"^step 1 \(Gate\(kind='CNOT'"):
+        noisy_distribution(crossed, nm, leg=(0, 1))
+    # The X on qubit 2 reads the bit that qubit 0's measurement wrote.
+    controlled = Circuit(3).h(0).measure(0, "a").c_if("X", [2], "a")
+    for leg in [(0, 1), (2,)]:
+        with pytest.raises(ValueError, match=r"^step 2 \(Gate\(kind='X'"):
+            noisy_distribution(controlled, nm, leg=leg)
+
+
+def test_paper_op_stays_below_the_blas_hand_off_size(monkeypatch, patch_bindings):
+    """The noisy experiment acts on a rho of at most 3 qubits, so every
+    kernel product has m*n*k < 2^16 and no density matrix beyond 3 qubits
+    is built.  OpenBLAS (0.3.31 here) hands a complex product of
+    m*n*k >= 2^16 to its worker thread, and a 64 x 64 ``eigvalsh`` too,
+    while a 16 x 16 x 128 product and a 32 x 32 ``eigvalsh`` stay on the
+    calling thread.  A hand-off costs CPU in every fresh op, and after the
+    machine has been idle a few seconds it stalls the op by 120-150 ms.
+    One 6-qubit rho of both legs gives 16 x 16 x 256 products and a
+    64 x 64 ``eigvalsh``; this pins the sizes, with no timing."""
+    rho_qubits, products, matrices = [], [], []
+    superop_kernel, matrix_kernel = qstate.apply_superop, qstate.apply_matrix
+
+    def superop_call(rho, s, targets, n):
+        rho_qubits.append(n)
+        return superop_kernel(rho, s, targets, n)
+
+    def matrix_call(a, m, targets, n):
+        products.append(len(m) * len(m) * (2 ** n // len(m)))
+        return matrix_kernel(a, m, targets, n)
+
+    patch_bindings(superop_kernel, superop_call)
+    patch_bindings(matrix_kernel, matrix_call)
+    post_init = qstate.DensityMatrix.__post_init__
+    monkeypatch.setattr(qstate.DensityMatrix, "__post_init__",
+                        lambda self: matrices.append(self.num_qubits) or post_init(self))
+    noisy_experiment(build_noise_model(table_records()))
+    assert rho_qubits and max(rho_qubits) <= 3
+    assert products and max(products) < 2 ** 16
+    assert matrices and max(matrices) <= 3

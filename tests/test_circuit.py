@@ -14,6 +14,7 @@ from twobell.circuit import (
     Gate,
     Measure,
     from_text,
+    legs,
     run_exact,
     sample_counts,
     sample_distribution,
@@ -58,19 +59,30 @@ def test_benchmark_experiment_text_is_the_experiment_circuit():
     assert text == to_text(experiment_circuit(measure_outputs=False))
 
 
-def test_run_exact_trusts_the_built_circuit(monkeypatch):
+def test_run_exact_trusts_the_built_circuit(patch_bindings):
     """Gates and qubit ranges are checked as the circuit is built, so
-    running it re-checks no gate matrix and no target list."""
+    running it re-checks no gate matrix and no target list, through any
+    module's binding of the two checks."""
     c = experiment_circuit()
     calls = []
 
     def counted(real):
         return lambda *args: calls.append(real.__name__) or real(*args)
 
-    monkeypatch.setattr(qstate, "_check_unitary", counted(qstate._check_unitary))
-    monkeypatch.setattr(qstate, "_check_targets", counted(qstate._check_targets))
+    patched = [p for real in (qstate.check_unitary, qstate._check_targets)
+               for p in patch_bindings(real, counted(real))]
+    assert ("twobell.circuit", "check_unitary") in patched
     assert len(run_exact(c).entries) == 64
     assert calls == []
+
+
+def test_legs_are_the_qubits_that_gates_and_controls_join():
+    c = Circuit(5).cnot(0, 2).measure(1, "a").c_if("X", [3], "a")
+    assert legs(c) == [(0, 2), (1, 3), (4,)]
+    # A control joins its gate to the qubit that last wrote its bit, here 4.
+    c.measure(4, "a").c_if("Z", [0], "a")
+    assert legs(c) == [(0, 2, 4), (1, 3)]
+    assert legs(c.gate("SWAP", 3, 4)) == [(0, 1, 2, 3, 4)]
 
 
 def test_deterministic_circuit_counts():

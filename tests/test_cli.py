@@ -185,8 +185,8 @@ def test_noisy_run_makes_one_noisy_pass(tmp_path, monkeypatch):
     monkeypatch.setattr(experiments, "noisy_distribution", counting)
     code, _ = run_cli(["run", "--calibration", "builtin", "--reps", "10"], tmp_path)
     assert code == 0
-    # One routed run plus the nine tomography tails.
-    assert len(calls) == 10
+    # One routed run per leg plus the nine tomography tails.
+    assert len(calls) == 11
 
 
 def test_run_csv_export(tmp_path):

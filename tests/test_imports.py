@@ -34,12 +34,6 @@ ALLOWED_UNUSED = {
     "as channels.sample_distribution; without the import those metrics read 0",
 }
 
-# (module, name) -> why the module imports another package module's private name.
-ALLOWED_PRIVATE = {
-    ("circuit", "_check_unitary"): "a CUSTOM gate is checked as it is built by the rule "
-    "qstate.apply_unitary uses; tests count calls to it as qstate._check_unitary",
-}
-
 
 def unused_imports(source: str) -> list:
     tree = ast.parse(source)
@@ -87,8 +81,7 @@ def test_private_imports_are_found():
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
 def test_module_imports_no_private_name_of_another(path):
-    allowed = sorted(name for module, name in ALLOWED_PRIVATE if module == path.stem)
-    assert private_imports(path.read_text()) == allowed
+    assert private_imports(path.read_text()) == []
 
 
 def test_tracer_targets_resolve():

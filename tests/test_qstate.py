@@ -16,7 +16,7 @@ from twobell.qstate import (
     partial_trace,
     pauli_operator,
     plus_state,
-    _check_unitary,
+    check_unitary,
     prep_unitary,
     project_rows,
     single_qubit_state,
@@ -279,7 +279,7 @@ def test_prep_unitary_is_unitary_near_degenerate_inputs(parts):
     column is the normalized input, bit for bit."""
     v = parts[:, 0] + 1j * parts[:, 1]
     u = prep_unitary(v)
-    _check_unitary(u, len(v).bit_length() - 1)
+    check_unitary(u, len(v).bit_length() - 1)
     assert u[:, 0].tobytes() == (v / np.linalg.norm(v)).tobytes()
 
 # -- superoperator kernel ---------------------------------------------------------
