@@ -23,11 +23,10 @@ pays it as one channel before its next gate or measurement, or at the end.
 Gate durations are not part of the calibration table; the defaults
 below are typical for this device family and are overridable.
 
-Light cone: circuit qubit i takes the noise of calibrated qubit
-``qubits[i]``, so a circuit can run on only the qubits that can change
-its output; idles are local, trace-preserving and fix |0><0|, so
-dropping the others is exact.  For the same reason a circuit whose qubits
-fall into legs that nothing connects can run one leg at a time.
+Legs: circuit qubit q takes the noise of calibrated qubit q.  Idles are
+local, trace-preserving and fix |0><0|, so a circuit whose qubits fall
+into legs that nothing connects can run one leg at a time, and a leg
+that cannot change the output need not run at all.
 """
 
 from __future__ import annotations
@@ -281,7 +280,7 @@ class _Wait:
 
 
 def noisy_distribution(c: Circuit, nm: NoiseModel, initial_rho: np.ndarray | None = None,
-                       qubits=None, leg=None):
+                       leg=None):
     """Exact outcome distribution over classical bits after readout
     confusion, plus the pre-readout final density matrix of the qubits of
     ``leg`` (default all n qubits, the one-leg case), in ``leg``'s order.
@@ -292,8 +291,8 @@ def noisy_distribution(c: Circuit, nm: NoiseModel, initial_rho: np.ndarray | Non
     qubit for its window, and each kept outcome idles every qubit for the readout.
     An idle only adds to the time a qubit owes, which it pays as one idle
     channel just before its next gate or projection, or at the end.
-    Circuit qubit i takes the T1, T2, gate errors and readout confusion
-    of calibrated qubit ``qubits[i]`` (default: of qubit i).
+    Circuit qubit q takes the T1, T2, gate errors and readout confusion
+    of calibrated qubit q; only the leg's qubits need a calibration.
 
     A leg is a set of qubits that no gate and no classical control connects
     to the others (see ``circuit.legs``); one that a step crosses raises
@@ -307,23 +306,19 @@ def noisy_distribution(c: Circuit, nm: NoiseModel, initial_rho: np.ndarray | Non
     n = c.num_qubits
     if n > 7:
         raise ValueError("noisy simulation is limited to 7 qubits")
-    cal = tuple(range(n) if qubits is None else qubits)
-    if len(cal) != n or len(set(cal)) != n:
-        raise ValueError(f"qubits must map each of the {n} circuit qubits to its own qubit")
-    missing = set(cal) - nm.qubits()
-    if missing:
-        raise CalibrationError(f"no calibration for qubit(s) {sorted(missing)}")
     leg = tuple(range(n) if leg is None else check_qubits(leg, n))
     local = {q: i for i, q in enumerate(leg)}  # circuit qubit -> its axis in rho
     if not leg or len(local) != len(leg):
         raise ValueError("a leg must name one or more distinct qubits")
-    k, cal = len(leg), tuple(cal[q] for q in leg)
-    dur = nm.durations
+    missing = local.keys() - nm.qubits()
+    if missing:
+        raise CalibrationError(f"no calibration for qubit(s) {sorted(missing)}")
+    k, dur = len(leg), nm.durations
 
-    def pay(rho, owed, qs):
-        for q in qs:
-            if owed[q]:
-                rho = apply_superop(rho, nm.channel("idle_kraus", cal[q], owed[q]), [q], k)
+    def pay(rho, owed, axes):
+        for a in axes:
+            if owed[a]:
+                rho = apply_superop(rho, nm.channel("idle_kraus", leg[a], owed[a]), [a], k)
         return rho
 
     def idle(owed, duration, paid=()):
@@ -347,7 +342,7 @@ def noisy_distribution(c: Circuit, nm: NoiseModel, initial_rho: np.ndarray | Non
         u = superop([gate.matrix]) if gate.kind == "CUSTOM" else _GATE_SUPEROPS[gate.kind]
         rho = apply_superop(rho, u, targets, k)
         build = "single_gate_kraus" if len(targets) == 1 else "cnot_gate_kraus"
-        noise = nm.channel(build, *(cal[q] for q in targets))
+        noise = nm.channel(build, *gate.targets)
         for _ in range(repeats(gate)):
             rho = apply_superop(rho, noise, targets, k)
         return rho, idle(owed, window(gate), paid=targets)
@@ -387,7 +382,7 @@ def noisy_distribution(c: Circuit, nm: NoiseModel, initial_rho: np.ndarray | Non
             if qubit not in local:
                 continue
             true_bit = bits[name]
-            conf = nm.confusion[cal[local[qubit]]]
+            conf = nm.confusion[qubit]
             recorded = [
                 (rec + str(r), q * conf[r, true_bit])
                 for rec, q in recorded

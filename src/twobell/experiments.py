@@ -71,24 +71,15 @@ def ideal_output_state() -> StateVector:
     return tensor(plus_state(), plus_state())
 
 
-def _tail_circuit(rotations: str):
-    """Rotate the two receivers (qubits 0, 1) into a setting and read them."""
-    c = Circuit(2)
-    for q, axis in enumerate(rotations):
+def _tail_circuit(rotations: str, receivers, n: int):
+    """Rotate the receivers of an n-qubit register into a setting and read them."""
+    c = Circuit(n)
+    for q, axis in zip(receivers, rotations):
         if axis != "Z":
             c.custom(BASIS_ROTATION[axis], [q])
-    for q, bit in enumerate(EXPERIMENT_OUTPUT_BITS):
+    for q, bit in zip(receivers, EXPERIMENT_OUTPUT_BITS):
         c.measure(q, bit)
     return c
-
-
-def _light_cone(c: Circuit, receivers):
-    """``c`` on only the qubits it touches, renumbered with the receivers
-    as 0 and 1, and the tuple of its old qubit for each new one."""
-    touched = {q for s in c.steps for q in s.targets}
-    active = (*receivers, *sorted(touched - set(receivers)))
-    new = {q: i for i, q in enumerate(active)}
-    return Circuit(len(active), [s.on(new) for s in c.steps]), active
 
 
 @dataclass(frozen=True)
@@ -136,24 +127,25 @@ class NoisyExperiment:
 
 def noisy_experiment(nm: NoiseModel) -> NoisyExperiment:
     """Run the routed experiment through the noise engine once, then the
-    nine tomography tails from its post-correction state.  Only the light
-    cone runs: the routed circuit on the qubits it touches (an untouched
-    qubit stays in |0>), receivers first, one leg at a time (the paper's
-    two teleportations), and the tails on the receivers' marginal, which
-    the other qubits' local idles cannot change.  A leg that holds no
-    receiver cannot change their state, so it does not run.
+    nine tomography tails from its post-correction state.  The routed
+    circuit runs one leg at a time (the paper's two teleportations), each
+    leg's receivers first, in receiver order; a leg that holds no receiver
+    (such as a qubit no step touches, which stays in |0>) cannot change
+    their state, so it does not run.  The tails run on the receivers'
+    marginal, which the other qubits' local idles cannot change.
     """
     _, routed, receivers, _ = routed_experiment()
-    compact, active = _light_cone(routed, receivers)
-    parts = []  # each run leg's receiver marginal, in receiver order
-    for leg in legs(compact):
-        held = sum(q < len(receivers) for q in leg)  # receivers lead a sorted leg
-        if held:
-            rho, _ = noisy_distribution(compact, nm, qubits=active, leg=leg)
-            parts.append(partial_trace(rho, range(held)).entries)
+    routed_legs, held = legs(routed), {}  # leg -> the receivers it holds, in receiver order
+    for r in receivers:
+        held.setdefault(next(leg for leg in routed_legs if r in leg), []).append(r)
+    parts = []  # each run leg's receiver marginal; for two receivers, in receiver order
+    for leg, mine in held.items():
+        rho, _ = noisy_distribution(routed, nm, leg=(*mine, *(q for q in leg if q not in mine)))
+        parts.append(partial_trace(rho, range(len(mine))).entries)
     state = DensityMatrix(len(receivers), reduce(np.kron, parts))
     setting_dists = {
-        s: noisy_distribution(_tail_circuit(s), nm, state.entries, qubits=receivers)[1]
+        s: noisy_distribution(_tail_circuit(s, receivers, routed.num_qubits), nm, state.entries,
+                              leg=receivers)[1]
         for s in settings(2)
     }
     return NoisyExperiment(state, receivers, setting_dists)

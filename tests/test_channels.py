@@ -336,6 +336,37 @@ def test_each_noisy_tomography_repetition_equals_its_linear_inversion():
     assert unclipped > 0
 
 
+def test_sampled_fidelity_spread_matches_its_closed_form():
+    """Unclipped, F = 1/4 + sum_s sum_o g_s(o) p_s(o) over the counts'
+    frequencies, with g from F = (1 + <XI> + <IX> + <XX>) / 4 and each of
+    <XI>, <IX> the mean of its three settings.  Each setting is an
+    independent multinomial, so the mean of F is the infinite-shot F and
+    var F = sum_s (sum_o g_s^2 p_s - (sum_o g_s p_s)^2) / shots.  Seeds
+    0-9, 40 repetitions each, fixed in advance: the 400 fidelities' mean
+    and sd lie within 4 standard errors of the closed form's, an SE of
+    sd / sqrt(400) for the mean and sd / sqrt(2 * 399) for the sd."""
+    shots, seeds, reps = 8192, range(10), 40
+    exp = noisy_experiment(build_noise_model(table_records()))
+
+    def g(setting, bits):
+        x0, x1 = (1 - 2 * int(b) for b in bits)
+        return ((setting[0] == "X") * x0 / 3 + (setting[1] == "X") * x1 / 3
+                + (setting == "XX") * x0 * x1) / 4
+
+    mean, var = 0.25, 0.0
+    for setting, dist in exp.setting_dists.items():
+        first = sum(g(setting, o) * p for o, p in dist.items())
+        mean += first
+        var += (sum(g(setting, o) ** 2 * p for o, p in dist.items()) - first ** 2) / shots
+    rho = reconstruct(expectations_from_settings(exp.setting_dists, 2), 2)
+    assert abs(mean - fidelity(to_density(ideal_output_state()), rho)) < 1e-12
+    sd = np.sqrt(var)
+    assert sd == pytest.approx(0.003053, abs=1e-6)
+    f = np.array([x for seed in seeds for x in exp.repetition_fidelities(shots, seed, reps)])
+    assert abs(f.mean() - mean) < 4 * sd / np.sqrt(len(f))
+    assert abs(f.std(ddof=1) - sd) < 4 * sd / np.sqrt(2 * (len(f) - 1))
+
+
 def test_x_then_readout_closed_form():
     (q0,) = [r for r in table_records() if r.qubit == 0]
     nm = build_noise_model([q0])
@@ -742,8 +773,8 @@ def test_noisy_experiment_builds_each_channel_once(monkeypatch):
 
         monkeypatch.setattr(NoiseModel, name, counted)
     experiments.noisy_experiment(nm)
-    # Qubit 6 is outside the light cone, so none of its idles is built;
-    # an idle channel is built for each distinct owed duration.
+    # Qubit 6's leg holds no receiver, so it does not run and none of its
+    # idles is built; an idle channel is built for each distinct owed duration.
     assert len(builds) == len(set(builds)) == 37
     experiments.noisy_experiment(nm)
     assert len(builds) == 37
@@ -762,7 +793,7 @@ def test_noisy_experiment_apply_superop_calls(monkeypatch):
     assert len(calls) == 208
 
 
-# -- light cone -----------------------------------------------------------------
+# -- part of the register ----------------------------------------------------
 
 
 def all_pairs_model():
@@ -798,12 +829,7 @@ def embedded_circuits(draw):
 
 def embed(c, positions):
     """``c`` on the 7-qubit register, its qubit i at ``positions[i]``."""
-    def place(step):
-        if isinstance(step, Gate):
-            return replace(step, targets=[positions[q] for q in step.targets])
-        return replace(step, qubit=positions[step.qubit])
-
-    return Circuit(7, [place(step) for step in c.steps])
+    return Circuit(7, [step.on(positions) for step in c.steps])
 
 
 def in_ascending_order(rho, positions):
@@ -816,85 +842,121 @@ def in_ascending_order(rho, positions):
 
 @settings(max_examples=30, deadline=None)
 @given(embedded_circuits())
-def test_compact_run_with_qubit_map_matches_full_width_run(case):
+def test_leg_run_matches_full_width_run(case):
+    """The circuit on the 7-qubit register, run on only its own qubits in
+    the drawn order, gives the full-width run's distribution and marginal."""
     c, positions = case
     nm = all_pairs_model()
-    compact, compact_dist = noisy_distribution(c, nm, qubits=positions)
-    full, full_dist = noisy_distribution(embed(c, positions), nm)
-    assert set(compact_dist) == set(full_dist)
+    wide = embed(c, positions)
+    part, part_dist = noisy_distribution(wide, nm, leg=positions)
+    full, full_dist = noisy_distribution(wide, nm)
+    assert set(part_dist) == set(full_dist)
     for outcome, p in full_dist.items():
-        assert compact_dist[outcome] == pytest.approx(p, abs=1e-12)
+        assert part_dist[outcome] == pytest.approx(p, abs=1e-12)
     marginal = partial_trace(full, set(positions)).entries
-    assert np.max(np.abs(in_ascending_order(compact.entries, positions) - marginal)) < 1e-12
+    assert np.max(np.abs(in_ascending_order(part.entries, positions) - marginal)) < 1e-12
 
 
-def test_noisy_experiment_matches_full_width_run():
+def assert_experiment_matches_full_width_run(nm):
     """The routed circuit and the nine tails on all 7 qubits give the
     experiment's receiver state and setting distributions."""
-    nm = build_noise_model(table_records())
     exp = noisy_experiment(nm)
     _, routed, receivers, _ = experiments.routed_experiment()
     full, _ = noisy_distribution(routed, nm)
     marginal = partial_trace(full, set(receivers)).entries
     assert np.max(np.abs(in_ascending_order(exp.state.entries, receivers) - marginal)) < 1e-12
     for setting, dist in exp.setting_dists.items():
-        tail = embed(experiments._tail_circuit(setting), receivers)
+        tail = experiments._tail_circuit(setting, receivers, routed.num_qubits)
         _, ref = noisy_distribution(tail, nm, initial_rho=full.entries)
         assert set(dist) == set(ref)
         for outcome, p in ref.items():
             assert dist[outcome] == pytest.approx(p, abs=1e-12)
+    return exp, marginal
+
+
+def test_noisy_experiment_matches_full_width_run():
+    assert_experiment_matches_full_width_run(build_noise_model(table_records()))
+
+
+def test_receivers_stay_in_receiver_order(monkeypatch):
+    """Receivers listed against the legs' physical order, (4, 2), keep
+    that order in the state and the settings."""
+    layout, routed, receivers, report = experiments.routed_experiment()
+    flipped = receivers[::-1]
+    assert flipped == (4, 2) and legs(routed)[:2] == [(0, 1, 2), (3, 4, 5)]
+    monkeypatch.setattr(experiments, "routed_experiment", lambda: (layout, routed, flipped, report))
+    exp, marginal = assert_experiment_matches_full_width_run(build_noise_model(table_records()))
+    # The two receivers' states differ, so the ascending order would fail above.
+    assert np.max(np.abs(exp.state.entries - marginal)) > 1e-3
 
 
 @pytest.mark.parametrize("q", range(7))
 def test_qubit_map_reads_the_calibrated_qubit(q):
+    """Circuit qubit q, run alone as its own leg, takes the noise of calibrated qubit q."""
     nm = build_noise_model(table_records())
     alone = NoiseModel(
         {0: nm.t1_ns[q]}, {0: nm.t2_ns[q]}, {0: nm.x_depol[q]}, {}, {0: nm.confusion[q]}
     )
     # H leaves a coherence that T1, T2 and the gate error shrink; the
     # readout of X adds the confusion.
-    for c in (Circuit(1).h(0), Circuit(1).x(0).measure(0, "c")):
-        mapped, mapped_dist = noisy_distribution(c, nm, qubits=(q,))
-        ref, ref_dist = noisy_distribution(c, alone)
+    for build in (lambda c, q: c.h(q), lambda c, q: c.x(q).measure(q, "c")):
+        mapped, mapped_dist = noisy_distribution(build(Circuit(7), q), nm, leg=(q,))
+        ref, ref_dist = noisy_distribution(build(Circuit(1), 0), alone)
         assert np.max(np.abs(mapped.entries - ref.entries)) < 1e-15
         assert mapped_dist == pytest.approx(ref_dist, abs=1e-15)
 
 
-def test_qubit_map_must_name_one_distinct_qubit_each():
-    nm = build_noise_model(table_records())
-    c = Circuit(2).cnot(0, 1)
-    for qubits in [(1,), (1, 1), (1, 2, 3)]:
-        with pytest.raises(ValueError, match="qubits must map"):
-            noisy_distribution(c, nm, qubits=qubits)
-    with pytest.raises(CalibrationError, match="no calibration"):
-        noisy_distribution(c, nm, qubits=(1, 9))
+def test_only_the_legs_qubits_need_a_calibration():
+    records = table_records()
+    nm = build_noise_model(records)
+    without_6 = build_noise_model([r for r in records if r.qubit != 6])
+    c = Circuit(7).h(0).cnot(0, 1).measure(1, "a").x(6)
+    rho, dist = noisy_distribution(c, without_6, leg=(1, 0))
+    ref, ref_dist = noisy_distribution(c, nm, leg=(1, 0))
+    assert np.array_equal(rho.entries, ref.entries) and dist == ref_dist
+    for leg in [None, (6,), (0, 1, 6)]:
+        with pytest.raises(CalibrationError, match=r"no calibration for qubit\(s\) \[6\]"):
+            noisy_distribution(Circuit(7).h(0), without_6, leg=leg)
+    for leg in [(), (1, 1)]:
+        with pytest.raises(ValueError, match="a leg must name one or more distinct qubits"):
+            noisy_distribution(c, nm, leg=leg)
 
 
 # -- legs -------------------------------------------------------------------------
 
 
-def paper_light_cone():
-    """The routed paper circuit on its light cone, and each compact qubit's physical one."""
+def receivers_first(qubits, receivers):
+    """``qubits`` with the receivers among them first, in receiver order."""
+    return (*(r for r in receivers if r in qubits), *(q for q in qubits if q not in receivers))
+
+
+def paper_run():
+    """The routed paper circuit, its receivers, and the qubits of the legs
+    that hold a receiver, receivers first."""
     _, routed, receivers, _ = experiments.routed_experiment()
-    return experiments._light_cone(routed, receivers)
+    held = [q for leg in legs(routed) if set(leg) & set(receivers) for q in leg]
+    return routed, receivers, receivers_first(held, receivers)
 
 
 def assert_legs_give_the_joint_receiver_state(nm, atol):
     """The experiment's receiver state, a product of its legs' marginals,
-    equals the marginal of the joint run over all light-cone qubits; so
+    equals the marginal of one joint run over the qubits of both legs; so
     does its fidelity with |+>|+>, F = F_A * F_B."""
-    compact, active = paper_light_cone()
-    joint, _ = noisy_distribution(compact, nm, qubits=active)
+    routed, receivers, qubits = paper_run()
+    joint, _ = noisy_distribution(routed, nm, leg=qubits)
     ref = partial_trace(joint, {0, 1})
     state = noisy_experiment(nm).state
     assert np.max(np.abs(state.entries - ref.entries)) < atol
-    f_a, f_b = (pure_fidelity(plus_state(), partial_trace(
-        noisy_distribution(compact, nm, qubits=active, leg=leg)[0], {0})) for leg in legs(compact))
+    f_a, f_b = (pure_fidelity(plus_state(), partial_trace(noisy_distribution(
+        routed, nm, leg=receivers_first(leg, (r,)))[0], {0}))
+        for r in receivers for leg in legs(routed) if r in leg)
     assert abs(pure_fidelity(ideal_output_state(), ref) - f_a * f_b) < atol
 
 
 def test_paper_legs_give_the_joint_receiver_state():
-    assert legs(paper_light_cone()[0]) == [(0, 2, 3), (1, 4, 5)]
+    routed, receivers, qubits = paper_run()
+    assert legs(routed) == [(0, 1, 2), (3, 4, 5), (6,)]
+    assert (receivers, qubits) == ((2, 4), (2, 4, 0, 1, 3, 5))
     assert_legs_give_the_joint_receiver_state(build_noise_model(table_records()), 1e-14)
 
 
@@ -938,10 +1000,9 @@ def test_receivers_in_one_leg_are_read_from_it(monkeypatch):
     layout, routed, receivers, report = experiments.routed_experiment()
     joined = Circuit(routed.num_qubits, routed.steps).gate("SWAP", 1, 3)
     monkeypatch.setattr(experiments, "routed_experiment", lambda: (layout, joined, receivers, report))
-    compact, active = paper_light_cone()
-    assert legs(compact) == [(0, 1, 2, 3, 4, 5)]
+    assert legs(joined) == [(0, 1, 2, 3, 4, 5), (6,)]
     nm = build_noise_model(table_records())
-    ref = partial_trace(noisy_distribution(compact, nm, qubits=active)[0], {0, 1})
+    ref = partial_trace(noisy_distribution(joined, nm, leg=paper_run()[2])[0], {0, 1})
     assert np.max(np.abs(noisy_experiment(nm).state.entries - ref.entries)) < 1e-14
 
 

@@ -50,8 +50,8 @@ GOLDEN_RUNS = {
     "route_ring": ["route", GOLDEN / "route_ring.circuit.txt",
                    "--graph", GOLDEN / "ring6.graph.txt"],
     # The noisy path, written by the engine that ran the routed circuit
-    # and the tomography tails on all 7 qubits: the light cone must not
-    # move them.
+    # and the tomography tails on all 7 qubits: running only the legs that
+    # hold a receiver must not move them.
     "run_noisy_seed7": ["run", "--calibration", "builtin", "--reps", "10", "--seed", "7"],
     "tomography_noisy_seed3": ["tomography", "--calibration", "builtin", "--seed", "3"],
 }
@@ -511,6 +511,21 @@ def test_no_decay_rate_over_infinite_idle_time_runs(tmp_path, capsys, command, c
         assert doc["noisy"]["fidelity_percent_deterministic"] == 25.0
     else:
         assert 0 <= doc["fidelity_percent"] <= 100
+
+
+def test_calibration_of_a_qubit_no_receiver_leg_holds_is_not_needed(tmp_path, capsys):
+    """Qubit 6 is a leg of its own that holds no receiver, so it never runs:
+    a calibration without its row and its cx5_6 token prints the same bytes."""
+    rows = packaged_calibration_path().read_text().splitlines()
+    assert rows[-1].startswith("6,") and rows[-2].endswith(";cx5_6:1.156e-2")
+    rows = rows[:-2] + [rows[-2].removesuffix(";cx5_6:1.156e-2")]
+    csv_path = tmp_path / "cal.csv"
+    csv_path.write_text("\n".join(rows) + "\n")
+    docs = []
+    for calibration in (str(csv_path), "builtin"):
+        assert main(["run", "--calibration", calibration, "--reps", "2"]) == 0
+        docs.append(capsys.readouterr().out)
+    assert docs[0] == docs[1]
 
 
 def test_calibration_row_that_repeats_a_qubit_rejected(tmp_path, capsys):

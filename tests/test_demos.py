@@ -1,4 +1,5 @@
-"""Every narrative script in ``demos/`` runs to completion."""
+"""Every narrative script in ``demos/`` runs to completion and prints its
+golden text, ``tests/golden/demo_<name>.txt``, byte for byte."""
 
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
@@ -22,3 +24,4 @@ def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=src if not path else os.pathsep.join((src, path)))
     proc = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / f"demo_{demo.stem}.txt").read_text()
