@@ -28,7 +28,7 @@ print("\ncoupling edges:", sorted(tuple(sorted(e)) for e in graph.edges))
 # A triangle of interactions cannot be embedded in this triangle-free
 # graph, so at least one SWAP (3 CNOTs) is required.
 triangle = Circuit(3).cnot(0, 1).cnot(1, 2).cnot(0, 2)
-layout, routed, report = route(triangle, graph)
+layout, routed, report, _ = route(triangle, graph)
 print("\ntriangle interactions:", report)
 print("layout:", layout)
 print(to_text(routed))

@@ -38,8 +38,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .circuit import (Circuit, CircuitParseError, Gate, Measure, read_lines, sample_distribution,
-                      step_qubits, summed, walk)
+from .circuit import (SWAP_CNOTS, Circuit, CircuitParseError, Gate, Measure, read_lines,
+                      sample_distribution, step_qubits, summed, walk)
 from .qstate import (GATE_MATRICES, PAULI, DensityMatrix, apply_superop, check_qubits, pauli_labels,
                      pauli_operator, superop)
 
@@ -324,9 +324,9 @@ def noisy_distribution(c: Circuit, nm: NoiseModel, initial_rho: np.ndarray | Non
     def idle(owed, duration, paid=()):
         return tuple(0.0 if q in paid else t + duration for q, t in enumerate(owed))
 
-    # A SWAP decomposes to 3 CNOTs on hardware: triple duration and error.
+    # A SWAP runs as SWAP_CNOTS CNOTs: that many times the duration and error.
     def repeats(gate: Gate):
-        return 3 if gate.kind == "SWAP" else 1
+        return SWAP_CNOTS if gate.kind == "SWAP" else 1
 
     def window(gate):
         """Time the gate takes, whether or not its control fires."""

@@ -38,9 +38,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import GATE_MATRICES, StateVector, apply_matrix, basis_state, check_qubits, check_unitary
+from .qstate import (GATE_MATRICES, StateVector, apply_matrix, basis_state, check_distinct,
+                     check_qubits, check_unitary)
 
 GATE_ARITY = {kind: len(u).bit_length() - 1 for kind, u in GATE_MATRICES.items()}
+SWAP_CNOTS = 3  # a SWAP decomposes to 3 CNOTs on hardware
 
 
 @dataclass(frozen=True)
@@ -57,8 +59,7 @@ class Gate:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         if len(self.targets) != arity:
             raise ValueError(f"{self.kind} takes {arity} target(s), got {len(self.targets)}")
-        if len(set(self.targets)) != len(self.targets):
-            raise ValueError(f"duplicate target qubits: {list(self.targets)}")
+        check_distinct(self.targets)
         if self.kind == "CUSTOM":
             if self.matrix is None:
                 raise ValueError("CUSTOM gate needs a matrix")
@@ -151,8 +152,6 @@ class Circuit:
         Outcome (b1, b2) names the Bell state of (q1, q2):
         00 -> phi+, 01 -> psi+, 10 -> phi-, 11 -> psi-.
         """
-        if q1 == q2:
-            raise ValueError("bell_measure needs two distinct qubits")
         self.cnot(q1, q2)
         self.h(q1)
         self.measure(q1, bit1)

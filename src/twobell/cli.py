@@ -37,8 +37,8 @@ from .protocols import (
     multi_output_teleport,
     teleport_two_qubit_general,
 )
-from .qstate import StateVector, plus_state, tensor, to_density
-from .tomography import fidelity, fidelity_stats, overlap, tomography_from_state
+from .qstate import StateVector, plus_state, tensor
+from .tomography import fidelity_stats, overlap, pure_fidelity, tomography_from_state
 from .transpile import casablanca_topology, load_coupling_graph, route
 
 SCHEMA_VERSION = 1
@@ -288,7 +288,7 @@ def cmd_tomography(config: ExperimentConfig, exact: bool = False) -> dict:
     nm = _noise_model(config)
     if nm is None:
         rho = tomography_from_state(ideal, shots=None if exact else config.shots, seed=config.seed)
-        fid = fidelity(to_density(ideal), rho)
+        fid = pure_fidelity(ideal, rho)
     else:
         rho, fid = experiments.noisy_experiment(nm).tomography(config.shots, config.seed)
     return {
@@ -327,7 +327,7 @@ def cmd_stats(values_path) -> dict:
 def cmd_route(circuit_path, graph_path=None) -> dict:
     circuit = from_text("".join(read_lines(circuit_path)))
     graph = load_coupling_graph(graph_path) if graph_path else casablanca_topology()
-    layout, routed, report = route(circuit, graph)
+    layout, routed, report, _ = route(circuit, graph)
     return {
         "layout": {str(l): p for l, p in sorted(layout.items())},
         "cost": {

@@ -30,17 +30,15 @@ from .qstate import (
     partial_trace,
     plus_state,
     tensor,
-    to_density,
 )
 from .tomography import (
     BASIS_ROTATION,
     expectations_from_settings,
-    fidelity,
     pure_fidelity,
     reconstruct,
     settings,
 )
-from .transpile import casablanca_topology, final_layout, route
+from .transpile import casablanca_topology, route
 
 
 def child_seeds(seed: int, count: int) -> list:
@@ -54,9 +52,8 @@ def routed_experiment():
     measurement) onto the device graph, once per process.  Returns
     (initial layout, routed circuit, the physical qubits where the receivers
     end, after the router's SWAPs, cost report)."""
-    logical = experiment_circuit(measure_outputs=False)
-    layout, routed, report = route(logical, casablanca_topology())
-    final = final_layout(logical, layout, routed)
+    layout, routed, report, final = route(experiment_circuit(measure_outputs=False),
+                                          casablanca_topology())
     receivers = tuple(final[q] for q in EXPERIMENT_RECEIVER_QUBITS)
     return layout, routed, receivers, report
 
@@ -117,7 +114,7 @@ class NoisyExperiment:
             for (setting, dist), s in zip(sorted(self.setting_dists.items()), seeds)
         }
         rho = reconstruct(expectations_from_settings(setting_counts, 2), 2)
-        return rho, fidelity(to_density(ideal_output_state()), rho)
+        return rho, pure_fidelity(ideal_output_state(), rho)
 
     def repetition_fidelities(self, shots: int, seed: int, reps: int) -> list:
         """Tomography fidelities for ``reps`` independently seeded

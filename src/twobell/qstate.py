@@ -171,11 +171,12 @@ def check_qubits(qubits, n: int):
     return qubits
 
 
-def _check_targets(targets, num_qubits):
-    targets = list(targets)
-    if len(set(targets)) != len(targets):
-        raise ValueError(f"duplicate target qubits: {targets}")
-    return check_qubits(targets, num_qubits)
+def check_distinct(qubits):
+    """``qubits`` (a sequence), once no qubit repeats: the one
+    distinct-targets rule of gates and states."""
+    if len(set(qubits)) != len(qubits):
+        raise ValueError(f"duplicate target qubits: {list(qubits)}")
+    return qubits
 
 
 def check_unitary(u, k):
@@ -195,7 +196,7 @@ def apply_unitary(state: StateVector, u, targets) -> StateVector:
     checking targets and unitary first and the state once, as it is built.
     targets[0] addresses the most significant index bit of ``u``."""
     n = state.num_qubits
-    targets = _check_targets(targets, n)
+    targets = check_qubits(check_distinct(list(targets)), n)
     return StateVector(n, apply_matrix(state.amplitudes, check_unitary(u, len(targets)), targets, n))
 
 

@@ -29,7 +29,7 @@ import logging
 from dataclasses import dataclass, field
 from itertools import permutations
 
-from .circuit import Circuit, CircuitParseError, numbered_lines, parse_int, read_lines
+from .circuit import SWAP_CNOTS, Circuit, CircuitParseError, numbered_lines, parse_int, read_lines
 
 log = logging.getLogger(__name__)
 
@@ -140,18 +140,19 @@ def cost(routed: Circuit, graph: CouplingGraph | None = None) -> CostReport:
             else:
                 cnots += 1
         bump(step.targets)
-    return CostReport(cnots + 3 * swaps, swaps, max(level.values(), default=0))
+    return CostReport(cnots + SWAP_CNOTS * swaps, swaps, max(level.values(), default=0))
 
 
-def _route_with_layout(c: Circuit, g: CouplingGraph, initial: dict, dist: dict,
+def _route_with_layout(c: Circuit, g: CouplingGraph, initial: dict,
                        max_swaps: float = float("inf")):
     """Greedy nearest-neighbor SWAP insertion for a fixed initial layout.
 
-    Returns None as soon as more than ``max_swaps`` SWAPs are needed.
+    Returns (routed circuit, {logical: physical} where it ends), or None
+    as soon as more than ``max_swaps`` SWAPs are needed.
     """
     l2p = dict(initial)
     swaps = 0
-    adj = g.adjacency()
+    adj, dist = g.adjacency(), g.distances()
     routed = Circuit(g.num_physical)
     p2l = {p: l for l, p in l2p.items()}
     for step in c.steps:
@@ -170,29 +171,14 @@ def _route_with_layout(c: Circuit, g: CouplingGraph, initial: dict, dist: dict,
                 if ln is not None:
                     l2p[ln], p2l[pa] = pa, ln
         routed.add(step.on(l2p))
-    return routed
-
-
-def final_layout(c: Circuit, layout: dict, routed: Circuit) -> dict:
-    """{logical: physical} at the end of ``routed``, which ``route`` made
-    from ``c`` under the initial ``layout``: the SWAPs it inserted, replayed
-    over ``layout``.  Each routed step is either ``c``'s next step on the
-    current positions or an inserted SWAP, which never sits on them."""
-    l2p, steps = dict(layout), iter(c.steps)
-    step = next(steps, None)
-    for s in routed.steps:
-        if step is not None and s.targets == tuple(l2p[q] for q in step.targets):
-            step = next(steps, None)
-            continue
-        a, b = s.targets
-        l2p = {l: b if p == a else a if p == b else p for l, p in l2p.items()}
-    return l2p
+    return routed, l2p
 
 
 def route(c: Circuit, g: CouplingGraph):
     """Map and route a logical circuit onto the coupling graph.
 
-    Returns ({logical: physical} layout, routed circuit, cost report)
+    Returns ({logical: physical} initial layout, routed circuit, cost
+    report, {logical: physical} final layout after the inserted SWAPs)
     minimizing CNOT count, ties broken by depth then lexicographic
     layout: the optimum of an exhaustive search over injective layouts.
     Only the first layout that needs no SWAP is routed, if one exists;
@@ -216,26 +202,27 @@ def route(c: Circuit, g: CouplingGraph):
         if hops == 1:
             candidates = [(floor, phys)]
             break
-        candidates.append((floor + 3 * (hops - 1), phys))
+        candidates.append((floor + SWAP_CNOTS * (hops - 1), phys))
     best, routed_count, cut_short = None, 0, 0
     for bound, phys in sorted(candidates):
         if best is not None and bound > best[0][0]:
             break
         routed_count += 1
         layout = dict(enumerate(phys))
-        # Every SWAP adds 3 to ``floor``: one SWAP past this budget loses.
-        budget = float("inf") if best is None else (best[0][0] - floor) // 3
-        routed = _route_with_layout(c, g, layout, dist, budget)
-        if routed is None:
+        # Every SWAP adds SWAP_CNOTS to ``floor``: one SWAP past this budget loses.
+        budget = float("inf") if best is None else (best[0][0] - floor) // SWAP_CNOTS
+        result = _route_with_layout(c, g, layout, budget)
+        if result is None:
             cut_short += 1
             continue
+        routed, final = result
         report = cost(routed, g)
         key = (report.cnot_count, report.depth, phys)
         if best is None or key < best[0]:
-            best = (key, layout, routed, report)
-    _, layout, routed, report = best
+            best = (key, layout, routed, report, final)
+    _, layout, routed, report, final = best
     log.debug(
         "route: %d layouts enumerated, %d routed (%d cut short), chose cnot_count=%d depth=%d",
         enumerated, routed_count, cut_short, report.cnot_count, report.depth,
     )
-    return layout, routed, report
+    return layout, routed, report, final

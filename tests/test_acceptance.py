@@ -190,7 +190,7 @@ def test_criterion_8_routing_optimality():
                 if getattr(s, "kind", None) == "CNOT"
             }
         )
-        _, _, report = route(circuit, g)
+        _, _, report, _ = route(circuit, g)
         assert report.swap_count == 0
         assert report.cnot_count == 4
         # Brute-force: an edge-respecting injective mapping exists, so 4 is
@@ -202,7 +202,7 @@ def test_criterion_8_routing_optimality():
         assert found
 
         triangle = Circuit(3).cnot(0, 1).cnot(1, 2).cnot(0, 2)
-        _, _, tri_report = route(triangle, g)
+        _, _, tri_report, _ = route(triangle, g)
         assert tri_report.swap_count >= 1
         # Triangle-free graph: brute force confirms no 0-SWAP mapping.
         tri_pairs = [(0, 1), (1, 2), (0, 2)]

@@ -69,9 +69,9 @@ def test_run_exact_trusts_the_built_circuit(patch_bindings):
     def counted(real):
         return lambda *args: calls.append(real.__name__) or real(*args)
 
-    patched = [p for real in (qstate.check_unitary, qstate._check_targets)
+    patched = [p for real in (qstate.check_unitary, qstate.check_distinct)
                for p in patch_bindings(real, counted(real))]
-    assert ("twobell.circuit", "check_unitary") in patched
+    assert {("twobell.circuit", "check_unitary"), ("twobell.circuit", "check_distinct")} <= set(patched)
     assert len(run_exact(c).entries) == 64
     assert calls == []
 
@@ -132,8 +132,11 @@ def test_bell_measure_on_00():
 
 
 def test_bell_measure_rejects_same_qubit():
-    with pytest.raises(ValueError):
-        Circuit(2).bell_measure(1, 1, "a", "b")
+    """Its CNOT raises the one distinct-targets error before any step is added."""
+    c = Circuit(2)
+    with pytest.raises(ValueError, match=r"duplicate target qubits: \[1, 1\]"):
+        c.bell_measure(1, 1, "a", "b")
+    assert c.steps == []
 
 
 def _random_circuit(rng, num_qubits, num_measure):

@@ -158,20 +158,45 @@ def test_run_compresses_each_input_once(argv, monkeypatch, capsys):
     assert calls == [1, 2]
 
 
-def test_run_builds_no_density_matrix(tmp_path, monkeypatch):
-    """Branch fidelities against a pure ideal are overlaps |<ideal|out>|^2."""
+def counted_calls(patch_bindings, *reals):
+    """Names of the calls to ``reals``, made through any module's binding."""
     calls = []
-    real = cli.to_density
 
-    def counting(psi):
-        calls.append(psi.num_qubits)
-        return real(psi)
+    def counting(real):
+        def wrapped(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+        return wrapped
 
-    monkeypatch.setattr(cli, "to_density", counting)
+    for real in reals:
+        patch_bindings(real, counting(real))
+    return calls
+
+
+def test_run_builds_no_density_matrix(tmp_path, patch_bindings):
+    """Branch fidelities against a pure ideal are overlaps |<ideal|out>|^2."""
+    calls = counted_calls(patch_bindings, twobell.qstate.to_density)
     code, out = run_cli(["run", "--scheme", "two_bell"], tmp_path)
     assert code == 0
     assert len(load(out)["branches"]) == 16
     assert calls == []
+
+
+@pytest.mark.parametrize("argv, density_matrices", [
+    (["run", "--calibration", "builtin", "--reps", "2"], 0),
+    (["tomography", "--calibration", "builtin"], 0),
+    (["tomography", "--shots", "1024"], 0),
+    # Exact tomography reads its expectations from the ideal's density matrix.
+    (["tomography", "--exact"], 1),
+], ids=["run_noisy", "tomography_noisy", "tomography_sampled", "tomography_exact"])
+def test_fidelity_against_the_pure_ideal_is_its_overlap(tmp_path, patch_bindings, argv,
+                                                       density_matrices):
+    """Every fidelity against the pure ideal |+>|+> is <ideal|rho|ideal>:
+    no Uhlmann fidelity, and no density matrix built for the ideal."""
+    calls = counted_calls(patch_bindings, twobell.qstate.to_density, twobell.tomography.fidelity)
+    code, _ = run_cli(argv, tmp_path)
+    assert code == 0
+    assert calls == ["to_density"] * density_matrices
 
 
 def test_noisy_run_makes_one_noisy_pass(tmp_path, monkeypatch):

@@ -10,14 +10,13 @@ from hypothesis import given, settings, strategies as st
 from twobell import experiments, transpile
 from twobell.channels import ideal_noise_model, noisy_distribution
 from twobell.circuit import Circuit, Gate, Measure, from_text, run_exact, to_text
-from twobell.protocols import experiment_circuit
+from twobell.protocols import EXPERIMENT_RECEIVER_QUBITS, experiment_circuit
 from twobell.qstate import partial_trace, to_density
 from twobell.transpile import (
     CostReport,
     CouplingGraph,
     casablanca_topology,
     cost,
-    final_layout,
     load_coupling_graph,
     route,
 )
@@ -90,8 +89,8 @@ def test_graph_rejects_disconnected():
 
 def test_route_on_large_graph_computes_only_the_hop_counts_it_reads():
     g = CouplingGraph(600, frozenset(frozenset((i, i + 1)) for i in range(599)))
-    layout, routed, report = route(Circuit(2).cnot(0, 1), g)
-    assert layout == {0: 0, 1: 1}
+    layout, routed, report, final = route(Circuit(2).cnot(0, 1), g)
+    assert layout == final == {0: 0, 1: 1}
     assert report == CostReport(1, 0, 1)
     # BFS sources: node 0 for the connectivity check, then the routed gate's.
     assert len(g.distances()) <= 2
@@ -138,7 +137,7 @@ def load_coupling_graph_from_edges():
 
 def test_single_cnot_zero_swaps():
     c = Circuit(2).cnot(0, 1)
-    _, routed, report = route(c, casablanca_topology())
+    _, routed, report, _ = route(c, casablanca_topology())
     assert report.swap_count == 0
     assert report.cnot_count == 1
 
@@ -146,21 +145,21 @@ def test_single_cnot_zero_swaps():
 def test_disjoint_chains_zero_swaps():
     # Interactions a-b, b-c and d-e, e-f: fits paths 0-1-2 and 4-5-6.
     c = Circuit(6).cnot(0, 1).cnot(1, 2).cnot(3, 4).cnot(4, 5)
-    _, routed, report = route(c, casablanca_topology())
+    _, routed, report, _ = route(c, casablanca_topology())
     assert report.swap_count == 0
     assert report.cnot_count == 4
 
 
 def test_experiment_circuit_routes_without_swaps():
     c = experiment_circuit(measure_outputs=False)
-    layout, routed, report = route(c, casablanca_topology())
+    layout, routed, report, _ = route(c, casablanca_topology())
     assert report.swap_count == 0
     assert report.cnot_count == 4
 
 
 def test_triangle_needs_a_swap():
     c = Circuit(3).cnot(0, 1).cnot(1, 2).cnot(0, 2)
-    _, routed, report = route(c, casablanca_topology())
+    _, routed, report, _ = route(c, casablanca_topology())
     assert report.swap_count >= 1
 
 
@@ -175,7 +174,7 @@ def test_routed_gates_lie_on_edges():
     rng = np.random.default_rng(41)
     for _ in range(5):
         c = _random_circuit(rng, 4, measured=0)
-        _, routed, _ = route(c, g)
+        _, routed, _, _ = route(c, g)
         for a, b in two_qubit_interactions(routed):
             assert g.has_edge(a, b)
 
@@ -198,7 +197,7 @@ def test_routed_circuit_semantically_equivalent():
     rng = np.random.default_rng(43)
     for _ in range(8):
         c = _random_circuit(rng, int(rng.integers(2, 5)), measured=3)
-        _, routed, _ = route(c, g)
+        _, routed, _, _ = route(c, g)
         expected = run_exact(c).probabilities()
         got = run_exact(routed).probabilities()
         for outcome in set(expected) | set(got):
@@ -212,7 +211,7 @@ def test_route_matches_brute_force_optimum():
     rng = np.random.default_rng(47)
     for _ in range(4):
         c = _random_circuit(rng, int(rng.integers(3, 6)), measured=0)
-        _, _, report = route(c, g)
+        _, _, report, _ = route(c, g)
         oracle = brute_force_min_cost(c, g)
         assert oracle is not None
         assert report.cnot_count <= oracle
@@ -240,17 +239,15 @@ GRAPHS = {
 def exhaustive_route(c: Circuit, g: CouplingGraph):
     """Reference: route and cost every injective layout, keep the least
     (cnot_count, depth, layout) key."""
-    dist = g.distances()
     best = None
     for phys in permutations(range(g.num_physical), c.num_qubits):
         layout = dict(enumerate(phys))
-        routed = transpile._route_with_layout(c, g, layout, dist)
+        routed, final = transpile._route_with_layout(c, g, layout)
         report = cost(routed, g)
         key = (report.cnot_count, report.depth, phys)
         if best is None or key < best[0]:
-            best = (key, layout, routed, report)
-    _, layout, routed, report = best
-    return layout, routed, report
+            best = (key, layout, routed, report, final)
+    return best[1:]
 
 
 @st.composite
@@ -294,11 +291,12 @@ def routing_cases(draw, g):
 def test_route_equals_exhaustive_search(graph, data):
     g = GRAPHS[graph]
     c, embeds = data.draw(routing_cases(g))
-    layout, routed, report = route(c, g)
-    ref_layout, ref_routed, ref_report = exhaustive_route(c, g)
+    layout, routed, report, final = route(c, g)
+    ref_layout, ref_routed, ref_report, ref_final = exhaustive_route(c, g)
     assert layout == ref_layout
     assert routed.steps == ref_routed.steps
     assert report == ref_report
+    assert final == ref_final
     # The case is of the kind it was drawn as: SWAPs are needed exactly
     # when no layout embeds the circuit.
     assert (report.cnot_count == cost(c).cnot_count) == embeds
@@ -308,15 +306,16 @@ def marginal(state, q):
     return partial_trace(to_density(state), {q}).entries
 
 
+LINE3 = CouplingGraph(3, frozenset({frozenset((0, 1)), frozenset((1, 2))}))
+
+
 def test_final_layout_follows_the_inserted_swap():
     """On the 3-node line this circuit routes with one SWAP, which moves
     logical qubits 1 and 2: each reads as in the logical run at its final
     position, and not at its initial one."""
     c = from_text("X 2\nCNOT 0 1\nCNOT 1 2\nCNOT 2 0\n")
-    line = CouplingGraph(3, frozenset({frozenset((0, 1)), frozenset((1, 2))}))
-    layout, routed, report = route(c, line)
+    layout, routed, report, final = route(c, LINE3)
     assert report.swap_count == 1 and layout == {0: 0, 1: 1, 2: 2}
-    final = final_layout(c, layout, routed)
     assert final == {0: 0, 1: 2, 2: 1}
     [logical], [physical] = run_exact(c).entries, run_exact(routed).entries
     for q in range(3):
@@ -326,11 +325,30 @@ def test_final_layout_follows_the_inserted_swap():
             assert np.max(np.abs(marginal(physical.state, layout[q]) - want)) > 0.5
 
 
+def test_only_the_routers_swaps_move_the_final_layout():
+    """On the 3-node line the circuit's own SWAP 0 1 runs after two SWAPs
+    the router inserts.  The final layout follows the router's two only:
+    a replay of all three SWAPs puts qubits where the logical run's states
+    are not."""
+    c = from_text("X 2\nCNOT 0 1\nCNOT 1 2\nCNOT 2 0\nSWAP 0 1\nH 0\n")
+    layout, routed, report, final = route(c, LINE3)
+    assert layout == {0: 0, 1: 1, 2: 2} and report.swap_count == 3
+    assert final == {0: 1, 1: 2, 2: 0}
+    every_swap = {0: 2, 1: 1, 2: 0}  # routed SWAPs (2 1), (0 1), (1 2) replayed over the layout
+    assert [s.targets for s in routed.steps if s.kind == "SWAP"] == [(2, 1), (0, 1), (1, 2)]
+    [logical], [physical] = run_exact(c).entries, run_exact(routed).entries
+    for q in range(3):
+        want = marginal(logical.state, q)
+        assert np.max(np.abs(marginal(physical.state, final[q]) - want)) < 1e-12
+        if q < 2:
+            assert np.max(np.abs(marginal(physical.state, every_swap[q]) - want)) > 0.4
+
+
 def test_paper_receivers_are_read_where_the_route_leaves_them():
-    layout, routed, receivers, _ = experiments.routed_experiment()
-    logical = experiment_circuit(measure_outputs=False)
-    assert final_layout(logical, layout, routed) == layout
-    assert receivers == (2, 4)
+    layout, _, receivers, _ = experiments.routed_experiment()
+    _, _, _, final = route(experiment_circuit(measure_outputs=False), casablanca_topology())
+    assert final == layout
+    assert receivers == tuple(final[q] for q in EXPERIMENT_RECEIVER_QUBITS) == (2, 4)
 
 
 @pytest.mark.parametrize("graph", sorted(GRAPHS))
@@ -338,11 +356,11 @@ def test_paper_receivers_are_read_where_the_route_leaves_them():
 @given(data=st.data())
 def test_each_qubit_ends_at_its_final_layout_position(graph, data):
     """Branch by branch, every logical qubit of the routed run reads as in
-    the logical run at its ``final_layout`` position: a SWAP the router
-    inserts moves a qubit, and a SWAP of the circuit's own does not."""
+    the logical run at its final layout position, which ``route``
+    returns: a SWAP the router inserts moves a qubit, and a SWAP of the
+    circuit's own does not."""
     c, _ = data.draw(routing_cases(GRAPHS[graph]))
-    layout, routed, _ = route(c, GRAPHS[graph])
-    final = final_layout(c, layout, routed)
+    _, routed, _, final = route(c, GRAPHS[graph])
     assert sorted(final) == list(range(c.num_qubits))
     for want, got in zip(run_exact(c).entries, run_exact(routed).entries, strict=True):
         assert want.bits == got.bits
@@ -359,7 +377,7 @@ def test_routing_the_experiment_routes_one_layout(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(transpile, "_route_with_layout", counted)
-    layout, _, _ = route(experiment_circuit(measure_outputs=False), casablanca_topology())
+    layout, _, _, _ = route(experiment_circuit(measure_outputs=False), casablanca_topology())
     assert calls == [layout]
 
 
@@ -427,7 +445,7 @@ def test_text_round_trip_keeps_every_step_and_measured_bit(c):
 def test_noiseless_routed_run_matches_exact_logical_run(graph, c):
     """Routing keeps the classical bit names, so the noiseless noise engine
     on the routed circuit gives the exact engine's distribution key by key."""
-    _, routed, _ = route(c, ROUTED_AGREEMENT_GRAPHS[graph])
+    _, routed, _, _ = route(c, ROUTED_AGREEMENT_GRAPHS[graph])
     exact = run_exact(c).probabilities()
     _, dist = noisy_distribution(routed, ideal_noise_model(7))
     for outcome in set(exact) | set(dist):
