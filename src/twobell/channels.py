@@ -33,8 +33,8 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,8 +44,7 @@ from .qstate import (GATE_MATRICES, PAULI, DensityMatrix, apply_superop, check_q
                      pauli_operator, superop)
 
 
-@dataclass(frozen=True)
-class CalibrationRecord:
+class CalibrationRecord(NamedTuple):
     """One qubit's row of a calibration table, fields in column order."""
 
     qubit: int
@@ -57,8 +56,7 @@ class CalibrationRecord:
     cnot_errors: dict  # neighbor qubit -> error
 
 
-@dataclass(frozen=True)
-class DurationConfig:
+class DurationConfig(NamedTuple):
     """Gate and readout durations in ns; a config's are checked positive as it is read."""
 
     single_qubit_gate_ns: float = 35.5
@@ -188,18 +186,20 @@ def depolarizing_strength(gate_error: float, num_qubits: int) -> float:
     return min(1.0, gate_error * (d + 1) / d)
 
 
-@dataclass(frozen=True)
 class NoiseModel:
-    """Immutable per-qubit noise parameters compiled from calibration."""
+    """Per-qubit noise parameters compiled from calibration, and the
+    superoperators built from them."""
 
-    t1_ns: dict
-    t2_ns: dict
-    x_depol: dict  # qubit -> depolarizing probability for 1q gates
-    cnot_depol: dict  # frozenset({a, b}) -> depolarizing probability
-    confusion: dict  # qubit -> 2x2 column-stochastic matrix, P(read r | true t)
-    durations: DurationConfig = field(default_factory=DurationConfig)
-    # (constructor name, *args) -> superoperator; filled by ``channel``.
-    _superops: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("t1_ns", "t2_ns", "x_depol", "cnot_depol", "confusion", "durations", "_superops")
+
+    def __init__(self, t1_ns: dict, t2_ns: dict, x_depol: dict, cnot_depol: dict, confusion: dict,
+                 durations: DurationConfig | None = None):
+        self.t1_ns, self.t2_ns = t1_ns, t2_ns
+        self.x_depol = x_depol  # qubit -> depolarizing probability for 1q gates
+        self.cnot_depol = cnot_depol  # frozenset({a, b}) -> depolarizing probability
+        self.confusion = confusion  # qubit -> 2x2 column-stochastic matrix, P(read r | true t)
+        self.durations = durations or DurationConfig()
+        self._superops = {}  # (constructor name, *args) -> superoperator; filled by ``channel``
 
     def qubits(self):
         return set(self.t1_ns)
@@ -245,12 +245,11 @@ def ideal_noise_model(num_qubits: int, durations: DurationConfig | None = None) 
         x_depol={q: 0.0 for q in qubits},
         cnot_depol={frozenset((a, b)): 0.0 for a in qubits for b in qubits if a < b},
         confusion={q: np.eye(2) for q in qubits},
-        durations=durations or DurationConfig(),
+        durations=durations,
     )
 
 
 def build_noise_model(records, durations: DurationConfig | None = None) -> NoiseModel:
-    durations = durations or DurationConfig()
     t1 = {r.qubit: r.t1_us * 1000.0 for r in records}
     t2 = {r.qubit: r.t2_us * 1000.0 for r in records}
     x_depol = {r.qubit: depolarizing_strength(r.pauli_x_error, 1) for r in records}

@@ -34,7 +34,7 @@ checked again when the circuit runs.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,27 +45,38 @@ GATE_ARITY = {kind: len(u).bit_length() - 1 for kind, u in GATE_MATRICES.items()
 SWAP_CNOTS = 3  # a SWAP decomposes to 3 CNOTs on hardware
 
 
-@dataclass(frozen=True)
 class Gate:
-    kind: str
-    targets: tuple
-    matrix: np.ndarray | None = None  # CUSTOM only
-    bit: str | None = None  # classical control: apply when it reads 1; None always
+    """A gate on ``targets``; ``matrix`` for CUSTOM only, a read-only copy of
+    the one given; ``bit`` a classical control: apply when it reads 1, None
+    always.  Its repr evaluates back to an equal gate (where numpy's
+    ``array`` is in scope, for a CUSTOM matrix)."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "targets", tuple(self.targets))
-        arity = len(self.targets) if self.kind == "CUSTOM" else GATE_ARITY.get(self.kind)
+    __slots__ = ("kind", "targets", "matrix", "bit")
+
+    def __init__(self, kind: str, targets, matrix=None, bit: str | None = None):
+        targets = tuple(targets)
+        arity = len(targets) if kind == "CUSTOM" else GATE_ARITY.get(kind)
         if arity is None:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        if len(self.targets) != arity:
-            raise ValueError(f"{self.kind} takes {arity} target(s), got {len(self.targets)}")
-        check_distinct(self.targets)
-        if self.kind == "CUSTOM":
-            if self.matrix is None:
+            raise ValueError(f"unknown gate kind {kind!r}")
+        if len(targets) != arity:
+            raise ValueError(f"{kind} takes {arity} target(s), got {len(targets)}")
+        check_distinct(targets)
+        if kind == "CUSTOM":
+            if matrix is None:
                 raise ValueError("CUSTOM gate needs a matrix")
-            m = check_unitary(self.matrix, len(self.targets))
-            m.setflags(write=False)
-            object.__setattr__(self, "matrix", m)
+            matrix = check_unitary(np.array(matrix, dtype=complex), len(targets))
+            matrix.setflags(write=False)
+        self.kind, self.targets, self.matrix, self.bit = kind, targets, matrix, bit
+
+    def __repr__(self):
+        return (f"Gate(kind={self.kind!r}, targets={self.targets!r}, matrix={self.matrix!r}, "
+                f"bit={self.bit!r})")
+
+    def __eq__(self, other):
+        if not isinstance(other, Gate):
+            return NotImplemented
+        same = (self.kind, self.targets, self.bit) == (other.kind, other.targets, other.bit)
+        return same and (self.matrix is other.matrix or np.array_equal(self.matrix, other.matrix))
 
     def unitary(self) -> np.ndarray:
         return self.matrix if self.kind == "CUSTOM" else GATE_MATRICES[self.kind]
@@ -79,8 +90,7 @@ class Gate:
         return Gate(self.kind, [qubits[q] for q in self.targets], self.matrix, self.bit)
 
 
-@dataclass(frozen=True)
-class Measure:
+class Measure(NamedTuple):
     qubit: int
     bit: str  # classical bit name
 
@@ -163,15 +173,13 @@ class Circuit:
         return self.h(a).cnot(a, b)
 
 
-@dataclass(frozen=True)
-class BranchEntry:
+class BranchEntry(NamedTuple):
     bits: str  # classical bit values in first-write order
     probability: float
     state: StateVector
 
 
-@dataclass(frozen=True)
-class BranchDistribution:
+class BranchDistribution(NamedTuple):
     entries: tuple  # of BranchEntry, lexicographic by bits
 
     def probabilities(self) -> dict:

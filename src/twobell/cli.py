@@ -21,7 +21,6 @@ import itertools
 import json
 import sys
 import warnings
-from dataclasses import dataclass, field, fields
 from importlib import resources
 
 import numpy as np
@@ -64,27 +63,22 @@ def packaged_fidelities_path():
     return resources.files("twobell.data") / "paper_fidelities.txt"
 
 
-@dataclass
+# The config's JSON keys, ``ExperimentConfig``'s parameters, in the order that errors list them.
+CONFIG_KEYS = ("scheme", "m", "input_a", "input_b", "coefficients", "shots", "seed", "noise",
+               "durations", "reps", "workers")
+
+
 class ExperimentConfig:
     """The config's JSON fields, each checked whatever the command, with its
-    JSON path in every error, and the values the commands read, built once."""
+    JSON path in every error, and the values the commands read, built once.
+    ``coefficients`` is read by general_two_qubit only, ``noise`` is None or a
+    calibration CSV path, and ``workers`` is ignored, accepted so that older
+    configs still load.  The dict defaults are only read, so sharing them is safe."""
 
-    scheme: str = "two_bell"
-    m: int = 1
-    input_a: dict = field(default_factory=lambda: {"x": 0})
-    input_b: dict = field(default_factory=lambda: {"x": 0})
-    coefficients: list | None = None  # general_two_qubit only
-    shots: int = DEFAULT_SHOTS
-    seed: int = 0
-    noise: str | None = None  # None or calibration CSV path
-    durations: dict = field(default_factory=dict)  # DurationConfig fields
-    reps: int = 1
-    workers: int = 1  # ignored; accepted so that older configs still load
-    chi_a: GeneralizedBellTypeState = field(init=False, repr=False, compare=False)
-    chi_b: GeneralizedBellTypeState = field(init=False, repr=False, compare=False)
-    general_input: StateVector = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
+    def __init__(self, scheme="two_bell", m=1, input_a={}, input_b={}, coefficients=None,
+                 shots=DEFAULT_SHOTS, seed=0, noise=None, durations={}, reps=1, workers=1):
+        self.scheme, self.m, self.shots, self.seed, self.noise = scheme, m, shots, seed, noise
+        self.durations, self.reps, self.workers = durations, reps, workers
         for name, (low, high) in INT_BOUNDS.items():
             value = getattr(self, name)
             if not (_is_int(value) and low <= value <= high):
@@ -93,17 +87,16 @@ class ExperimentConfig:
             raise ValueError(f"scheme: expected one of {', '.join(SCHEMES)}, got {self.scheme!r}")
         if self.noise is not None and not isinstance(self.noise, str):
             raise ValueError(f"noise: expected a calibration path or 'builtin', got {self.noise!r}")
-        _check_keys(self.durations, [f.name for f in fields(DurationConfig)], "durations")
+        _check_keys(self.durations, DurationConfig._fields, "durations")
         for name, value in self.durations.items():
             if not (_is_finite(value) and value > 0):
                 raise ValueError(f"durations.{name}: expected a positive number, got {value!r}")
-        self.chi_a = _bell_type_state(self.input_a, self.m, "input_a")
-        self.chi_b = _bell_type_state(self.input_b, self.m + 1, "input_b")
-        coeffs = self.coefficients
-        if coeffs is not None and not (isinstance(coeffs, list) and len(coeffs) == 4):
-            raise ValueError(f"coefficients: expected a list of 4 amplitudes, got {coeffs!r}")
+        self.chi_a = _bell_type_state(input_a, m, "input_a")
+        self.chi_b = _bell_type_state(input_b, m + 1, "input_b")
+        if coefficients is not None and not (isinstance(coefficients, list) and len(coefficients) == 4):
+            raise ValueError(f"coefficients: expected a list of 4 amplitudes, got {coefficients!r}")
         coeffs = [_complex(c, f"coefficients[{i}]")
-                  for i, c in enumerate(coeffs or [[1, 0], [0, 0], [0, 0], [0, 0]])]
+                  for i, c in enumerate(coefficients or [[1, 0], [0, 0], [0, 0], [0, 0]])]
         self.general_input = StateVector(2, np.array(_normalized(coeffs, "coefficients"), complex))
 
 
@@ -164,7 +157,7 @@ def load_config(args) -> ExperimentConfig:
                 raise ValueError(f"{args.config}: JSON nested too deeply") from None
             except ValueError as exc:  # not JSON, or not UTF-8
                 raise ValueError(f"{args.config}: {exc}") from None
-    _check_keys(data, [f.name for f in fields(ExperimentConfig) if f.init], args.config)
+    _check_keys(data, CONFIG_KEYS, args.config)
     for flag in ("shots", "seed", "reps", "workers", "noise", "scheme"):
         value = getattr(args, flag, None)
         if value is not None:  # a flag overrides the config

@@ -12,8 +12,8 @@ repetitions only re-sample shot noise with derived seeds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,8 +79,7 @@ def _tail_circuit(rotations: str, receivers, n: int):
     return c
 
 
-@dataclass(frozen=True)
-class NoisyExperiment:
+class NoisyExperiment(NamedTuple):
     """One noisy run of the routed experiment.
 
     ``state`` is the exact density matrix of the two ``receivers`` after

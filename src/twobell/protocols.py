@@ -22,8 +22,8 @@ builder ``_teleport`` emits it as controlled gates, and each
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import ceil, log2
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,22 +42,19 @@ from .qstate import (
 )
 
 
-@dataclass(frozen=True)
 class GeneralizedBellTypeState:
     """Symbolic alpha|x> + beta|x-bar> on n qubits (x-bar = bitwise complement)."""
 
-    n: int
-    x: int
-    alpha: complex
-    beta: complex
+    __slots__ = ("n", "x", "alpha", "beta")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, x: int, alpha: complex, beta: complex):
+        if n < 1:
             raise ValueError("n must be >= 1")
-        if not 0 <= self.x < 2 ** self.n:
-            raise ValueError(f"x={self.x} out of range for n={self.n}")
-        if abs(abs(self.alpha) ** 2 + abs(self.beta) ** 2 - 1.0) > NORM_ATOL:
+        if not 0 <= x < 2 ** n:
+            raise ValueError(f"x={x} out of range for n={n}")
+        if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > NORM_ATOL:
             raise ValueError("|alpha|^2 + |beta|^2 must be 1")
+        self.n, self.x, self.alpha, self.beta = n, x, alpha, beta
 
     @property
     def x_bar(self) -> int:
@@ -70,23 +67,27 @@ class GeneralizedBellTypeState:
         return StateVector(self.n, amps)
 
 
-@dataclass(frozen=True)
-class TeleportBranch:
+class TeleportBranch(NamedTuple):
     outcome_bits: str
     corrections: tuple  # of (receiver, pauli, qubit)
     probability: float
     output: StateVector
 
 
-@dataclass(frozen=True)
 class ResourceReport:
     """ceil(log2 n) Bell pairs for n unknown coefficients, two qubits each."""
 
-    unknown_coefficients: int
+    __slots__ = ("unknown_coefficients",)
 
-    def __post_init__(self):
-        if self.unknown_coefficients < 1:
+    def __init__(self, unknown_coefficients: int):
+        if unknown_coefficients < 1:
             raise ValueError("need at least one coefficient")
+        self.unknown_coefficients = unknown_coefficients
+
+    def __eq__(self, other):
+        if not isinstance(other, ResourceReport):
+            return NotImplemented
+        return self.unknown_coefficients == other.unknown_coefficients
 
     @property
     def bell_pairs(self) -> int:

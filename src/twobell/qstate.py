@@ -10,7 +10,6 @@ package share this convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import product
 
@@ -63,42 +62,37 @@ def _as_complex(a) -> np.ndarray:
     return np.asarray(a, dtype=complex)
 
 
-@dataclass(frozen=True)
 class StateVector:
-    """Normalized amplitude vector over ``num_qubits`` qubits."""
+    """Normalized amplitude vector over ``num_qubits`` qubits, a read-only
+    copy of the amplitudes it is given."""
 
-    num_qubits: int
-    amplitudes: np.ndarray
+    __slots__ = ("num_qubits", "amplitudes")
 
-    def __post_init__(self):
-        if self.num_qubits < 1:
+    def __init__(self, num_qubits: int, amplitudes):
+        if num_qubits < 1:
             raise ValueError("num_qubits must be >= 1")
-        amps = _as_complex(self.amplitudes).reshape(-1)
-        if amps.shape[0] != 2 ** self.num_qubits:
-            raise ValueError(
-                f"expected {2 ** self.num_qubits} amplitudes, got {amps.shape[0]}"
-            )
-        checked_rows(amps)
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
+        amps = np.array(amplitudes, dtype=complex).reshape(-1)
+        if amps.shape[0] != 2 ** num_qubits:
+            raise ValueError(f"expected {2 ** num_qubits} amplitudes, got {amps.shape[0]}")
+        checked_rows(amps).setflags(write=False)
+        self.num_qubits, self.amplitudes = num_qubits, amps
 
     @property
     def dim(self) -> int:
         return 2 ** self.num_qubits
 
 
-@dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, PSD, trace-one matrix over ``num_qubits`` qubits."""
+    """Hermitian, PSD, trace-one matrix over ``num_qubits`` qubits, a
+    read-only copy of the entries it is given."""
 
-    num_qubits: int
-    entries: np.ndarray
+    __slots__ = ("num_qubits", "entries")
 
-    def __post_init__(self):
-        if self.num_qubits < 1:
+    def __init__(self, num_qubits: int, entries):
+        if num_qubits < 1:
             raise ValueError("num_qubits must be >= 1")
-        d = 2 ** self.num_qubits
-        m = _as_complex(self.entries)
+        d = 2 ** num_qubits
+        m = np.array(entries, dtype=complex)
         if m.shape != (d, d):
             raise ValueError(f"expected {d}x{d} matrix, got {m.shape}")
         if not np.isfinite(m).all():  # NaN would pass every comparison below
@@ -110,7 +104,7 @@ class DensityMatrix:
         if np.min(np.linalg.eigvalsh(m)) < EIG_FLOOR:
             raise ValueError("matrix has a negative eigenvalue beyond tolerance")
         m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
+        self.num_qubits, self.entries = num_qubits, m
 
     @property
     def dim(self) -> int:

@@ -9,8 +9,8 @@ convention the reference 10-run data set would give ~2.937 instead of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -147,8 +147,7 @@ def tomography_from_state(
     return reconstruct(expectations_from_settings(counts, n), n)
 
 
-@dataclass(frozen=True)
-class FidelityStats:
+class FidelityStats(NamedTuple):
     values: tuple  # percentages
     mean: float
     sample_std: float

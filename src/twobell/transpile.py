@@ -25,13 +25,11 @@ from node 0 is also the connectivity check.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
+import sys
 from itertools import permutations
+from typing import NamedTuple
 
 from .circuit import SWAP_CNOTS, Circuit, CircuitParseError, numbered_lines, parse_int, read_lines
-
-log = logging.getLogger(__name__)
 
 
 class _HopCounts(dict):
@@ -56,26 +54,22 @@ class _HopCounts(dict):
         return row
 
 
-@dataclass(frozen=True)
 class CouplingGraph:
-    num_physical: int
-    edges: frozenset  # of frozenset pairs
-    _hops: _HopCounts = field(init=False, repr=False, compare=False)
+    __slots__ = ("num_physical", "edges", "_hops")
 
-    def __post_init__(self):
-        edges = frozenset(frozenset(e) for e in self.edges)
-        if self.num_physical > len(edges) + 1:  # N nodes need N - 1 edges; checked before allocating
+    def __init__(self, num_physical: int, edges):
+        edges = frozenset(frozenset(e) for e in edges)  # of frozenset pairs
+        if num_physical > len(edges) + 1:  # N nodes need N - 1 edges; checked before allocating
             raise ValueError("coupling graph must be connected")
-        adj = {q: set() for q in range(self.num_physical)}
+        adj = {q: set() for q in range(num_physical)}
         for e in edges:
-            if len(e) != 2 or any(not 0 <= q < self.num_physical for q in e):
+            if len(e) != 2 or any(not 0 <= q < num_physical for q in e):
                 raise ValueError(f"bad edge {set(e)}")
             a, b = e
             adj[a].add(b)
             adj[b].add(a)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "_hops", _HopCounts(adj))
-        if self.num_physical > 1 and len(self._hops[0]) != self.num_physical:
+        self.num_physical, self.edges, self._hops = num_physical, edges, _HopCounts(adj)
+        if num_physical > 1 and len(self._hops[0]) != num_physical:
             raise ValueError("coupling graph must be connected")
 
     def adjacency(self) -> dict:
@@ -111,8 +105,7 @@ def load_coupling_graph(path) -> CouplingGraph:
     return CouplingGraph(max(map(max, edges)) + 1, frozenset(edges))
 
 
-@dataclass(frozen=True)
-class CostReport:
+class CostReport(NamedTuple):
     cnot_count: int
     swap_count: int
     depth: int
@@ -184,7 +177,8 @@ def route(c: Circuit, g: CouplingGraph):
     Only the first layout that needs no SWAP is routed, if one exists;
     otherwise layouts are routed in order of their lower bound (see the
     module docstring) until it exceeds the best CNOT count found.
-    Logs the layouts enumerated and routed at DEBUG level.
+    Logs the layouts enumerated and routed at DEBUG level, if the process
+    has imported ``logging``: one that has not can have no handler for it.
     """
     n_log = c.num_qubits
     if n_log > g.num_physical:
@@ -221,8 +215,10 @@ def route(c: Circuit, g: CouplingGraph):
         if best is None or key < best[0]:
             best = (key, layout, routed, report, final)
     _, layout, routed, report, final = best
-    log.debug(
-        "route: %d layouts enumerated, %d routed (%d cut short), chose cnot_count=%d depth=%d",
-        enumerated, routed_count, cut_short, report.cnot_count, report.depth,
-    )
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger(__name__).debug(
+            "route: %d layouts enumerated, %d routed (%d cut short), chose cnot_count=%d depth=%d",
+            enumerated, routed_count, cut_short, report.cnot_count, report.depth,
+        )
     return layout, routed, report, final

@@ -1,4 +1,3 @@
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -303,9 +302,9 @@ def test_readout_only_tomography_closed_form():
     # Symmetric readout flips shrink <XI>, <IX> and <XX> of |++> by (1 - 2e)
     # per receiver, so infinite-shot tomography has fidelity (1 - e_a)(1 - e_b).
     base = build_noise_model(table_records())
-    nm = replace(base, t1_ns={q: np.inf for q in base.t1_ns}, t2_ns={q: np.inf for q in base.t2_ns},
-                 x_depol={q: 0.0 for q in base.x_depol},
-                 cnot_depol={pair: 0.0 for pair in base.cnot_depol})
+    nm = NoiseModel({q: np.inf for q in base.t1_ns}, {q: np.inf for q in base.t2_ns},
+                    {q: 0.0 for q in base.x_depol}, {pair: 0.0 for pair in base.cnot_depol},
+                    base.confusion, base.durations)
     run = noisy_experiment(nm)
     e_a, e_b = (nm.confusion[q][1, 0] for q in run.receivers)
     assert run.receivers == (2, 4) and (e_a, e_b) == (0.0085, 0.0306)
@@ -449,7 +448,7 @@ def test_controlled_gate_takes_its_window_whether_or_not_it_fires(kind):
         final, _ = noisy_distribution(c, nm)
         return partial_trace(final, {2}).entries
 
-    skipped = spectator(replace(Gate(kind, targets), bit="c"))
+    skipped = spectator(Gate(kind, targets, bit="c"))
     fired = spectator(Gate(kind, targets))
     assert np.max(np.abs(skipped - fired)) < 1e-12
 
@@ -468,7 +467,8 @@ def branching_circuits(draw):
         return Gate(kind, tuple(targets))
 
     def control(bit):
-        return replace(gate(), bit=bit)
+        g = gate()
+        return Gate(g.kind, g.targets, bit=bit)
 
     c = Circuit(n).h(draw(qubit)).measure(draw(qubit), "a")
     written = ["a"]
@@ -803,7 +803,7 @@ def all_pairs_model():
     pairs = {
         frozenset((a, b)): 0.01 + 0.001 * a + 0.0001 * b for a in range(7) for b in range(a + 1, 7)
     }
-    return replace(base, cnot_depol=pairs)
+    return NoiseModel(base.t1_ns, base.t2_ns, base.x_depol, pairs, base.confusion, base.durations)
 
 
 @st.composite
@@ -1041,9 +1041,9 @@ def test_paper_op_stays_below_the_blas_hand_off_size(monkeypatch, patch_bindings
 
     patch_bindings(superop_kernel, superop_call)
     patch_bindings(matrix_kernel, matrix_call)
-    post_init = qstate.DensityMatrix.__post_init__
-    monkeypatch.setattr(qstate.DensityMatrix, "__post_init__",
-                        lambda self: matrices.append(self.num_qubits) or post_init(self))
+    init = qstate.DensityMatrix.__init__
+    monkeypatch.setattr(qstate.DensityMatrix, "__init__",
+                        lambda self, n, entries: matrices.append(n) or init(self, n, entries))
     noisy_experiment(build_noise_model(table_records()))
     assert rho_qubits and max(rho_qubits) <= 3
     assert products and max(products) < 2 ** 16

@@ -1,6 +1,6 @@
 import argparse
 import contextlib
-import dataclasses
+import inspect
 import io
 import json
 import math
@@ -616,6 +616,11 @@ def test_unknown_config_key_rejected(tmp_path, capsys, data, message):
     assert captured.out == ""
 
 
+def test_config_keys_are_the_config_parameters():
+    """A config may hold exactly the keys that ``ExperimentConfig`` takes, listed in its order."""
+    assert cli.CONFIG_KEYS == tuple(inspect.signature(cli.ExperimentConfig).parameters)
+
+
 @pytest.mark.parametrize("data, message", _config_cases([
     ("data0-shots must be an integer", {"shots": "5"},
      "shots: expected an integer in [1, 9223372036854775807], got '5'"),
@@ -932,7 +937,7 @@ def assert_runs_or_ends_in_error(argv, place: str):
         assert out.getvalue() == ""
 
 
-_CONFIG_FIELDS = "|".join(f.name for f in dataclasses.fields(cli.ExperimentConfig) if f.init)
+_CONFIG_FIELDS = "|".join(cli.CONFIG_KEYS)
 
 
 def config_place(cfg) -> str:

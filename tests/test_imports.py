@@ -1,6 +1,7 @@
 """Every name a package module imports is read somewhere in that module,
 no module imports another package module's private (``_``-prefixed)
-name, and every function the layer tracer wraps still exists.
+name, every function the layer tracer wraps still exists, and a fresh
+process loads no stdlib module that only a record or log helper would need.
 
 No linter ships with the toolchain, so this walks each module's syntax
 tree: an imported name that no ``Name`` node reads is unused.
@@ -9,6 +10,9 @@ tree: an imported name that no ``Name`` node reads is unused.
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -96,3 +100,49 @@ def test_tracer_targets_resolve():
         if owner is None:
             dead.add((module, attr))
     assert dead == KNOWN_DEAD_TARGETS
+
+
+def run_python(code: str, *args) -> str:
+    """The stdout of ``python -c code args`` in a fresh process that imports
+    the package from this checkout; it must exit 0 and write no stderr."""
+    path = os.environ.get("PYTHONPATH")
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=src if not path else os.pathsep.join((src, path)))
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    return proc.stdout
+
+
+# Loaded by ``dataclasses`` (copy) and ``logging`` (string, traceback) only.
+UNUSED_STDLIB = ("dataclasses", "logging", "copy", "traceback", "string")
+
+
+def test_commands_load_no_record_or_log_helpers(tmp_path):
+    values = tmp_path / "values.txt"
+    values.write_text("80.1\n79.2\n81.5\n")
+    out = run_python(
+        "import sys\n"
+        "from twobell import cli\n"
+        "for argv in (['run', '--calibration', 'builtin', '--reps', '2'], ['route', sys.argv[1]],\n"
+        "             ['stats', sys.argv[2]]):\n"
+        "    assert cli.main([*argv, '--out', sys.argv[3]]) == 0, argv\n"
+        f"print(*sorted(m for m in {UNUSED_STDLIB!r} if m in sys.modules))\n",
+        ROOT / "tests" / "golden" / "route_default.circuit.txt", values, tmp_path / "doc.json",
+    )
+    assert out == "\n"
+
+
+def test_route_logs_when_logging_is_imported_after_the_package():
+    """``route`` looks for ``logging`` when it is called, not when
+    ``twobell.transpile`` is imported."""
+    out = run_python(
+        "import sys\n"
+        "from twobell.transpile import casablanca_topology, route\n"
+        "import logging\n"
+        "logging.basicConfig(level=logging.DEBUG, stream=sys.stdout)\n"
+        "from twobell.protocols import experiment_circuit\n"
+        "route(experiment_circuit(measure_outputs=False), casablanca_topology())\n"
+    )
+    assert out == ("DEBUG:twobell.transpile:route: 3 layouts enumerated, 1 routed (0 cut short), "
+                   "chose cnot_count=4 depth=5\n")

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from twobell.circuit import Gate
 from twobell.qstate import (
     PAULI,
     DensityMatrix,
@@ -73,6 +74,19 @@ def test_pauli_operator_is_one_read_only_array():
     assert pauli_operator("XY") is xy
     assert not xy.flags.writeable
     assert np.array_equal(xy, np.kron(PAULI["X"], PAULI["Y"]))
+
+
+@pytest.mark.parametrize("dtype", [complex, float])
+def test_records_copy_the_arrays_they_are_given(dtype):
+    """A record keeps a read-only copy of its array: the caller's array
+    stays writeable, and writing to it leaves the record as it was."""
+    a, rho, m = np.array([1, 0], dtype), np.array([[1, 0], [0, 0]], dtype), np.array(X, dtype)
+    for kept, given in ((StateVector(1, a).amplitudes, a), (DensityMatrix(1, rho).entries, rho),
+                        (Gate("CUSTOM", (0,), m).matrix, m)):
+        before = kept.copy()
+        assert given.flags.writeable and not kept.flags.writeable
+        given[0] = 5
+        assert np.array_equal(kept, before)
 
 
 def test_tensor_basis():

@@ -1,6 +1,5 @@
 import heapq
 import logging
-from dataclasses import replace
 from itertools import permutations
 
 import numpy as np
@@ -275,7 +274,8 @@ def routing_cases(draw, g):
             bits.append(f"c{draw(st.integers(0, 2))}")  # a bit may be measured twice
             steps.append(Measure(draw(st.integers(0, n - 1)), bits[-1]))
         elif kind.startswith("c") and bits:
-            steps.append(replace(gate(kind == "c2q"), bit=draw(st.sampled_from(bits))))
+            g = gate(kind == "c2q")
+            steps.append(Gate(g.kind, g.targets, bit=draw(st.sampled_from(bits))))
         else:
             steps.append(gate(kind in ("2q", "c2q")))
     if not embeds:
@@ -422,7 +422,8 @@ def measured_circuits(draw):
             bits.append(draw(st.sampled_from(["m0", "m1"])))
             c.measure(draw(st.integers(0, n - 1)), bits[-1])
         elif step == "control" and bits:
-            c.add(replace(gate(), bit=draw(st.sampled_from(bits))))
+            g = gate()
+            c.add(Gate(g.kind, g.targets, bit=draw(st.sampled_from(bits))))
         else:
             c.add(gate())
     return c.measure(draw(st.integers(0, n - 1)), "out")
