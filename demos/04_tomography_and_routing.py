@@ -8,8 +8,9 @@ coupling graph; the double-teleportation circuit fits without any SWAPs.
 
 import numpy as np
 
-from twobell.circuit import Circuit, to_text
+from twobell.circuit import Circuit
 from twobell.qstate import plus_state, tensor, to_density
+from twobell.textformat import to_text
 from twobell.tomography import fidelity, tomography_from_state, trace_distance
 from twobell.transpile import casablanca_topology, route
 

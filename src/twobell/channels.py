@@ -1,6 +1,7 @@
-"""Calibration-driven noise: CSV ingestion, Kraus channel construction,
-and density-matrix execution of circuits (``noisy_distribution``, which
-runs the branch walker ``circuit.walk`` on density matrices).
+"""Calibration-driven noise: Kraus channel construction from calibration
+records (``twobell.calibration`` reads them), and density-matrix execution
+of circuits (``noisy_distribution``, which runs the branch walker
+``circuit.walk`` on density matrices).
 
 The ``NoiseModel.*_kraus`` constructors build each channel's superoperator
 as the product S(second) @ S(first) of its stages'; ``NoiseModel.channel``
@@ -31,29 +32,15 @@ that cannot change the output need not run at all.
 
 from __future__ import annotations
 
-import csv
-import warnings
 from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
-from .circuit import (SWAP_CNOTS, Circuit, CircuitParseError, Gate, Measure, read_lines,
-                      sample_distribution, step_qubits, summed, walk)
+from .calibration import CalibrationError, load_calibration
+from .circuit import SWAP_CNOTS, Circuit, Gate, Measure, sample_distribution, step_qubits, summed, walk
 from .qstate import (GATE_MATRICES, PAULI, DensityMatrix, apply_superop, check_qubits, pauli_labels,
                      pauli_operator, superop)
-
-
-class CalibrationRecord(NamedTuple):
-    """One qubit's row of a calibration table, fields in column order."""
-
-    qubit: int
-    t1_us: float
-    t2_us: float
-    frequency_ghz: float
-    readout_error: float
-    pauli_x_error: float
-    cnot_errors: dict  # neighbor qubit -> error
 
 
 class DurationConfig(NamedTuple):
@@ -62,99 +49,6 @@ class DurationConfig(NamedTuple):
     single_qubit_gate_ns: float = 35.5
     cnot_ns: float = 300.0
     readout_ns: float = 1500.0
-
-
-class CalibrationError(ValueError):
-    pass
-
-
-def _positive(text: str) -> float:
-    value = float(text)
-    if not value > 0:  # also rejects NaN
-        raise ValueError(f"expected a positive number, got {value}")
-    return value
-
-
-def _probability(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"probability {value} out of [0, 1]")
-    return value
-
-
-# The parser of each column's cells but cnot_errs'; a bad cell raises ValueError.
-_CELL_PARSERS = {"qubit": int, "t1_us": _positive, "t2_us": _positive, "freq_ghz": float,
-                 "readout_err": _probability, "x_err": _probability}
-CSV_HEADER = [*_CELL_PARSERS, "cnot_errs"]
-
-
-def _parse_cnot_tokens(raw: str, row_qubit: int) -> dict:
-    out = {}
-    raw = raw.strip()
-    if not raw:
-        return out
-    for token in raw.split(";"):
-        token = token.strip()
-        try:
-            name, value = token.split(":")
-            if not name.startswith("cx"):
-                raise ValueError
-            i, j = map(int, name[2:].split("_"))
-        except ValueError:
-            raise CalibrationError(f"unparsable CNOT token {token!r}") from None
-        if row_qubit not in (i, j):
-            raise CalibrationError(
-                f"CNOT token {token!r} does not involve qubit {row_qubit}"
-            )
-        out[j if i == row_qubit else i] = _probability(value)
-    return out
-
-
-def load_calibration(path) -> list:
-    """Read calibration records from CSV (see CSV_HEADER for the format).
-
-    Each cell is checked as it is read; a bad one is reported as
-    ``line N, <column>: ...``, a line that is not UTF-8 as ``line N: not
-    UTF-8 text``, and a second row for a qubit is an error.
-    CNOT entries are completed symmetrically: cx0_1 under qubit 0 also
-    registers under qubit 1.  T2 > 2*T1 is clamped with a warning.
-    """
-    records, lines = {}, {}  # by qubit: its record, and the line of its row
-    try:
-        reader = csv.DictReader(read_lines(path))
-        header = reader.fieldnames = [f.strip() for f in reader.fieldnames or []]
-        if header != CSV_HEADER:
-            raise CalibrationError(f"line 1: bad header; expected {','.join(CSV_HEADER)}")
-        for row in reader:
-            line = reader.line_num
-            if None in row or None in row.values():
-                raise CalibrationError(f"line {line}: expected {len(CSV_HEADER)} cells")
-            cells = {}
-            try:
-                for column, parse in _CELL_PARSERS.items():
-                    cells[column] = parse(row[column])
-                column = "cnot_errs"
-                cells[column] = _parse_cnot_tokens(row[column], cells["qubit"])
-            except ValueError as exc:
-                raise CalibrationError(f"line {line}, {column}: {exc}") from None
-            q, t1, t2 = cells["qubit"], cells["t1_us"], cells["t2_us"]
-            if q in lines:
-                raise CalibrationError(f"line {line}: qubit {q} repeats line {lines[q]}")
-            if t2 > 2 * t1:
-                warnings.warn(f"qubit {q}: T2={t2} > 2*T1={2 * t1}, clamping")
-                cells["t2_us"] = 2 * t1
-            lines[q], records[q] = line, CalibrationRecord(*cells.values())
-    except CircuitParseError as exc:  # a line that is not UTF-8
-        raise CalibrationError(str(exc)) from None
-    if not records:
-        raise CalibrationError("no records")
-
-    # Symmetric completion across rows.
-    for r in records.values():
-        for nb, err in r.cnot_errors.items():
-            if nb in records:
-                records[nb].cnot_errors.setdefault(r.qubit, err)
-    return list(records.values())
 
 
 # -- Kraus constructors ------------------------------------------------------

@@ -9,18 +9,6 @@ state once.  Shot noise only enters through ``sample_counts``, which
 draws from the walk's exact distribution with a seeded numpy PCG64
 generator (``np.random.default_rng(seed)``), bit-reproducible per seed.
 
-Text format (one step per line, ``#`` starts a comment):
-
-    qubits 6          # optional header; otherwise inferred from indices
-    H 0
-    CNOT 0 1
-    M 3 -> c0
-    X 5 if c0
-
-Gate names: H X Y Z S CNOT SWAP.  ``M q -> name`` measures one qubit
-into a named classical bit.  ``<gate> <targets> if <bit>`` applies the
-gate when the named bit reads 1.  CUSTOM gates have no text form.
-
 A circuit is a list of two kinds of step: a ``Gate``, which may carry a
 classical control (apply only when ``bit`` reads 1), and a
 ``Measure`` of one qubit into one named bit.  Both report their qubits as
@@ -29,11 +17,14 @@ as each step is added (qubit range, and every control bit written by an
 earlier measurement), and records in ``measured`` the qubit that each
 bit reads; ``walk`` and every other reader trust it, and no gate is
 checked again when the circuit runs.
+
+The text format is ``twobell.textformat``, loaded on first use.  Its line
+reader ``read_lines`` and ``CircuitParseError`` are here, because the
+calibration reader uses them too.
 """
 
 from __future__ import annotations
 
-import io
 from typing import NamedTuple
 
 import numpy as np
@@ -320,28 +311,13 @@ def sample_counts(c: Circuit, shots: int, seed: int) -> dict:
     return sample_distribution(summed(exact_walk(c)[0]), shots, seed)
 
 
-# -- text serialization -----------------------------------------------------
+# -- text files ---------------------------------------------------------------
 
 
 class CircuitParseError(ValueError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
-
-
-def to_text(c: Circuit) -> str:
-    lines = [f"qubits {c.num_qubits}"]
-    for step in c.steps:
-        if isinstance(step, Measure):
-            lines.append(f"M {step.qubit} -> {step.bit}")
-            continue
-        if step.kind == "CUSTOM":
-            raise ValueError("CUSTOM gates have no text form")
-        line = f"{step.kind} {' '.join(map(str, step.targets))}"
-        if step.bit is not None:
-            line += f" if {step.bit}"
-        lines.append(line)
-    return "\n".join(lines) + "\n"
 
 
 def read_lines(path):
@@ -354,66 +330,10 @@ def read_lines(path):
             yield line
 
 
-def numbered_lines(lines):
-    """(line number, text) of each line not blank once its ``#`` comment is cut."""
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield line_no, line
-
-
-def parse_int(tok: str, line_no: int) -> int:
-    """``int(tok)``, or a ``line N: expected integer`` error for a text file."""
-    try:
-        return int(tok)
-    except ValueError:
-        raise CircuitParseError(line_no, f"expected integer, got {tok!r}") from None
-
-
-def from_text(text: str) -> Circuit:
-    steps = []  # (line number, step)
-    num_qubits = None
-
-    # Lines end at \n, \r\n or \r only, as ``read_lines`` reads a file.
-    for line_no, line in numbered_lines(io.StringIO(text, newline="")):
-        toks = line.split()
-        head = toks[0].upper()
-        if head == "QUBITS":
-            if len(toks) != 2:
-                raise CircuitParseError(line_no, "usage: qubits N")
-            num_qubits = parse_int(toks[1], line_no)
-            if num_qubits < 1:
-                raise CircuitParseError(line_no, "num_qubits must be >= 1")
-            continue
-        if head == "M":
-            if len(toks) != 4 or toks[2] != "->":
-                raise CircuitParseError(line_no, "usage: M <qubit> -> <bit>")
-            steps.append((line_no, Measure(parse_int(toks[1], line_no), toks[3])))
-            continue
-        if head not in GATE_ARITY:
-            raise CircuitParseError(line_no, f"unknown gate {toks[0]!r}")
-        cond = None
-        body = toks[1:]
-        if "if" in [t.lower() for t in body]:
-            i = [t.lower() for t in body].index("if")
-            if len(body) != i + 2:
-                raise CircuitParseError(line_no, "usage: <gate> <targets> if <bit>")
-            cond = body[i + 1]
-            body = body[:i]
-        targets = tuple(parse_int(t, line_no) for t in body)
-        try:
-            steps.append((line_no, Gate(head, targets, bit=cond)))
-        except ValueError as exc:
-            raise CircuitParseError(line_no, str(exc)) from None
-
-    max_qubit = max((q for _, step in steps for q in step.targets), default=-1)
-    if max_qubit < 0 and num_qubits is None:
-        raise CircuitParseError(1, "empty circuit and no qubits header")
-    # The header may follow the steps, so ``add`` checks each step here.
-    c = Circuit(num_qubits if num_qubits is not None else max_qubit + 1)
-    for line_no, step in steps:
-        try:
-            c.add(step)
-        except ValueError as exc:
-            raise CircuitParseError(line_no, str(exc)) from None
-    return c
+def __getattr__(name):
+    """The text format's ``to_text`` and ``from_text``, loaded on first use
+    from ``twobell.textformat``; ``perfbench/spans.py`` traces them here."""
+    if name in ("to_text", "from_text"):
+        from . import textformat
+        return getattr(textformat, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

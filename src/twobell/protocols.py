@@ -1,22 +1,22 @@
-"""Teleportation schemes over two Bell pairs, the five-qubit-cluster
-baseline, the generalized-Bell-type compression step, and resource
-accounting.
+"""Multi-output teleportation over two Bell pairs, the generalized-Bell-type
+compression step, resource accounting, and the experiment circuit.  The
+cluster baseline and the general two-qubit scheme are in
+``twobell.schemes``, built from the same leg builder.
 
-Inputs are ``GeneralizedBellTypeState`` values, or a 2-qubit
-``StateVector`` for the general two-qubit scheme.  ``ResourceReport``
+Inputs are ``GeneralizedBellTypeState`` values.  ``ResourceReport``
 derives its Bell-pair and channel-qubit counts from n unknown coefficients.
 
 Every scheme post-processes its walk's stack of branches (one amplitude
 row each) with one array operation and one check per step for all rows,
 and builds a ``StateVector`` for each returned branch only.  An input's
-compression is one circuit, ``_compression``: ``compress_ghz_class`` runs
-it and returns the compressed qubit, and ``expand_rows`` takes the input
-state and runs its compression backwards over a stack.
+compression is one circuit, ``compression_circuit``: ``compress_ghz_class``
+runs it and returns the compressed qubit, and ``expand_rows`` takes the
+input state and runs its compression backwards over a stack.
 
 Correction convention: a Bell measurement (CNOT then H, reading bits
 (b1, b2)) maps outcomes to receiver Paulis 00 -> I, 01 -> X, 10 -> Z,
 11 -> Z.X (X applied first).  ``_corrections`` is that one table: the leg
-builder ``_teleport`` emits it as controlled gates, and each
+builder ``teleport_legs`` emits it as controlled gates, and each
 ``TeleportBranch.corrections`` reports it for the branch's bits.
 """
 
@@ -29,16 +29,13 @@ import numpy as np
 
 from .circuit import Circuit, exact_walk, run_exact
 from .qstate import (
-    GATE_MATRICES,
     NORM_ATOL,
     StateVector,
-    apply_matrix,
     basis_state,
     checked_rows,
     kron_rows,
     prep_unitary,
     project_rows,
-    split_rows,
 )
 
 
@@ -98,27 +95,10 @@ class ResourceReport:
         return 2 * self.bell_pairs
 
 
-# -- state constructors ------------------------------------------------------
-
-CLUSTER_QUBITS = 5  # the cluster baseline's channel; two Bell pairs are 4 qubits
-
-
-def _cluster5(c: Circuit, q) -> Circuit:
-    """Append the cluster channel's preparation on qubits q: Bell(q1, q3) (x)
-    GHZ(q2, q4, q5), H (x) H as one gate of entries +-1/2, exact."""
-    c.custom(np.kron([[1, 1], [1, -1]], [[1, 1], [1, -1]]) / 2, [q[0], q[1]])
-    return c.cnot(q[0], q[2]).cnot(q[1], q[3]).cnot(q[1], q[4])
-
-
-def prepare_cluster5() -> StateVector:
-    """The five-qubit cluster channel (|00000>+|01011>+|10100>+|11111>)/2."""
-    return run_exact(_cluster5(Circuit(CLUSTER_QUBITS), range(CLUSTER_QUBITS))).entries[0].state
-
-
 # -- compression of generalized Bell-type states -----------------------------
 
 
-def _compression(s: GeneralizedBellTypeState) -> Circuit:
+def compression_circuit(s: GeneralizedBellTypeState) -> Circuit:
     """The compression of ``s`` as one circuit: a CNOT ladder from qubit 0
     to qubits n-1 down to 1, an X on each tail qubit left at 1
     (descending), and an X on the head if bit 0 of x is set."""
@@ -137,8 +117,8 @@ def _compression(s: GeneralizedBellTypeState) -> Circuit:
 
 def compress_ghz_class(s: GeneralizedBellTypeState) -> StateVector:
     """Reduce alpha|x> + beta|x-bar> to (alpha|0> + beta|1>) on one qubit
-    by running ``_compression(s)``: the compressed qubit."""
-    psi = run_exact(_compression(s), s.to_statevector()).entries[0].state
+    by running ``compression_circuit(s)``: the compressed qubit."""
+    psi = run_exact(compression_circuit(s), s.to_statevector()).entries[0].state
     if s.n == 1:
         return psi
     rows = project_rows(psi.amplitudes[None], s.n, range(1, s.n), [[0] * (s.n - 1)])
@@ -148,16 +128,16 @@ def compress_ghz_class(s: GeneralizedBellTypeState) -> StateVector:
 def expand_rows(rows: np.ndarray, s: GeneralizedBellTypeState) -> np.ndarray:
     """Invert ``compress_ghz_class(s)`` on a stack of teleported single
     qubits: each row with fresh |0> ancillas, then one walk of
-    ``_compression(s)`` run backwards over all rows; a checked stack."""
+    ``compression_circuit(s)`` run backwards over all rows; a checked stack."""
     if s.n > 1:
         rows = checked_rows(kron_rows(rows, basis_state(s.n - 1, 0).amplitudes))
     # X and CNOT are their own inverses, so the reversed steps undo them.
-    return checked_rows(exact_walk(Circuit(s.n, reversed(_compression(s).steps)), rows)[1])
+    return checked_rows(exact_walk(Circuit(s.n, reversed(compression_circuit(s).steps)), rows)[1])
 
 
 # -- teleportation ------------------------------------------------------------
 
-def _branches(c: Circuit, psi: StateVector | None = None, fixed=None):
+def circuit_branches(c: Circuit, psi: StateVector | None = None, fixed=None):
     """``c``'s branches in bit order as (bits, probabilities, outputs): its
     walk from psi / |psi| (x) |0...0> (``prep_unitary(psi)``'s first column;
     default |0...0>) sliced, row by row, at each measured qubit's value and
@@ -176,7 +156,7 @@ def _branches(c: Circuit, psi: StateVector | None = None, fixed=None):
     return bits, [rows[i][1] for i in order], outputs
 
 
-def _teleport_branches(bits, probabilities, outputs, qubit_sets) -> list:
+def teleport_branches(bits, probabilities, outputs, qubit_sets) -> list:
     """One ``TeleportBranch`` per row of the checked stack ``outputs``."""
     n = outputs.shape[1].bit_length() - 1
     return [TeleportBranch(b, _reported(b, qubit_sets), p, StateVector(n, out))
@@ -197,7 +177,7 @@ def _reported(bits: str, qubit_sets) -> tuple:
                  for pauli, q, bit in _corrections(*bits[2 * r - 2:2 * r], qubits) if bit == "1")
 
 
-def _teleport(c: Circuit, legs, shared: bool = False) -> Circuit:
+def teleport_legs(c: Circuit, legs, shared: bool = False) -> Circuit:
     """Append one standard teleportation per leg (source, sender, receivers):
     a Bell pair (sender, receivers[0]) per leg unless the channel is
     ``shared``, then each leg's Bell measurement of (source, sender) into
@@ -216,11 +196,11 @@ def _teleport(c: Circuit, legs, shared: bool = False) -> Circuit:
 
 def _teleported(psi: StateVector):
     """Standard one-qubit teleportation over |phi+>, all four branches, as
-    ``_branches`` of its circuit.  Qubit layout: 0 = input, (1, 2) = Bell
+    ``circuit_branches`` of its circuit.  Qubit layout: 0 = input, (1, 2) = Bell
     pair, receiver holds 2."""
     if psi.num_qubits != 1:
         raise ValueError("one-qubit teleportation takes a single-qubit state")
-    return _branches(_teleport(Circuit(3), [(0, 1, (2,))]), psi)
+    return circuit_branches(teleport_legs(Circuit(3), [(0, 1, (2,))]), psi)
 
 
 def multi_output_teleport(
@@ -248,61 +228,7 @@ def multi_output_teleport(
     bits = [ba + bb for ba in bits_a for bb in bits_b]
     probabilities = [pa * pb for pa in p_a for pb in p_b]
     qubit_sets = (range(chi_a.n), range(chi_b.n))
-    return _teleport_branches(bits, probabilities, outputs, qubit_sets), ResourceReport(4)
-
-
-def teleport_two_qubit_general(psi: StateVector):
-    """Teleport a general (possibly entangled) two-qubit state with two
-    Bell pairs: one standard teleportation per qubit.
-
-    Qubit layout: (0, 1) input pair, (2, 3) and (4, 5) Bell pairs;
-    the receiver side holds 3 and 5.
-    """
-    if psi.num_qubits != 2:
-        raise ValueError("teleport_two_qubit_general takes a two-qubit state")
-    c = _teleport(Circuit(6), [(0, 2, (3,)), (1, 4, (5,))])
-    # Outputs: receiver qubits (3, 5).
-    return _teleport_branches(*_branches(c, psi), [(0,), (1,)]), ResourceReport(4)
-
-
-def cluster_channel_teleport(
-    chi_a: GeneralizedBellTypeState, chi_b: GeneralizedBellTypeState
-):
-    """Baseline multi-output teleportation over the five-qubit cluster
-    channel, for the m=1 case (chi_a on 1 qubit, chi_b on 2).
-
-    The channel is exactly the five-qubit cluster state; its qubit 3 goes
-    to receiver 1 and qubits 4, 5 to receiver 2.  Alice compresses her
-    inputs locally, which turns her entangled-basis measurement into two
-    Bell measurements; every branch then admits local Pauli corrections,
-    and the receivers' steps run once over all branches' stack.
-    """
-    if chi_a.n != 1 or chi_b.n != 2:
-        raise ValueError("m: the cluster baseline is defined for m = 1")
-    # Register: 0 = chi_a, (1, 2) = chi_b, 3..7 = cluster qubits 1..5, all
-    # made by gates: a start state would round subnormal amplitudes apart.
-    c = Circuit(8)
-    c.custom(prep_unitary(chi_a.to_statevector().amplitudes), [0])
-    c.custom(prep_unitary(chi_b.to_statevector().amplitudes), [1, 2])
-    _cluster5(c, [3, 4, 5, 6, 7])
-    # Alice's local compressions.
-    for g in _compression(chi_a).steps:
-        c.add(g.on((0,)))
-    for g in _compression(chi_b).steps:
-        c.add(g.on((1, 2)))
-    # Bell measurements against the cluster qubits Alice keeps.  Receiver 1
-    # is on cluster qubit 3; receiver 2 on the (4, 5) code pair, where
-    # logical X is X(x)X and logical Z acts on either qubit.
-    _teleport(c, [(0, 3, (5,)), (1, 4, (6, 7))], shared=True)
-    # Qubit 2 holds chi_b's compressed ancilla, back in |0>.
-    bits, probabilities, joint = _branches(c, fixed={2: 0})  # joint: qubits (5, 6, 7)
-    bob1, bob2 = split_rows(joint, 1)
-    # Receiver 2 holds alpha|00> + beta|11>; a final CNOT frees the
-    # compressed qubit, then the compression run backwards rebuilds chi_b.
-    pair = apply_matrix(bob2, GATE_MATRICES["CNOT"], [0, 1], 2)
-    qb_out = project_rows(pair, 2, [1], [[0]] * len(pair))
-    outputs = kron_rows(expand_rows(bob1, chi_a), expand_rows(qb_out, chi_b))
-    return _teleport_branches(bits, probabilities, outputs, [(0,), (0, 1)])
+    return teleport_branches(bits, probabilities, outputs, qubit_sets), ResourceReport(4)
 
 
 # -- the experiment circuit ---------------------------------------------------
@@ -330,8 +256,17 @@ def experiment_circuit(
             c.h(source)
         else:
             c.custom(prep_unitary(psi.amplitudes), [source])
-    _teleport(c, EXPERIMENT_LEGS)
+    teleport_legs(c, EXPERIMENT_LEGS)
     if measure_outputs:
         for q, bit in zip(EXPERIMENT_RECEIVER_QUBITS, EXPERIMENT_OUTPUT_BITS):
             c.measure(q, bit)
     return c
+
+
+def __getattr__(name):
+    """The schemes of ``twobell.schemes``, loaded on first use;
+    ``perfbench/spans.py`` traces them under this module's name."""
+    if name in ("cluster_channel_teleport", "teleport_two_qubit_general"):
+        from . import schemes
+        return getattr(schemes, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

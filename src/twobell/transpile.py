@@ -29,7 +29,7 @@ import sys
 from itertools import permutations
 from typing import NamedTuple
 
-from .circuit import SWAP_CNOTS, Circuit, CircuitParseError, numbered_lines, parse_int, read_lines
+from .circuit import SWAP_CNOTS, Circuit
 
 
 class _HopCounts(dict):
@@ -87,22 +87,6 @@ def casablanca_topology() -> CouplingGraph:
     """The seven-qubit H-shaped device graph."""
     return CouplingGraph(7, frozenset({frozenset(e) for e in
                                        [(0, 1), (1, 2), (1, 3), (3, 5), (4, 5), (5, 6)]}))
-
-
-def load_coupling_graph(path) -> CouplingGraph:
-    """Edge-list text file, one ``u v`` pair per line; # starts a comment."""
-    edges = set()
-    for line_no, line in numbered_lines(read_lines(path)):
-        parts = line.split()
-        if len(parts) != 2:
-            raise CircuitParseError(line_no, f"expected 'u v', got {line!r}")
-        u, v = (parse_int(tok, line_no) for tok in parts)
-        if u == v or min(u, v) < 0:
-            raise CircuitParseError(line_no, f"expected two distinct nodes >= 0, got {line!r}")
-        edges.add(frozenset((u, v)))
-    if not edges:
-        raise ValueError("empty graph file")
-    return CouplingGraph(max(map(max, edges)) + 1, frozenset(edges))
 
 
 class CostReport(NamedTuple):

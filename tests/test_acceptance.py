@@ -7,18 +7,20 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from twobell.channels import build_noise_model, load_calibration
+from twobell.calibration import load_calibration
+from twobell.channels import build_noise_model
 from twobell.circuit import Circuit, sample_counts
-from twobell.cli import packaged_calibration_path, packaged_fidelities_path
+from twobell.cli import packaged_calibration_path
+from twobell.commands import packaged_fidelities_path
 from twobell.experiments import noisy_experiment
 from twobell.protocols import (
     GeneralizedBellTypeState,
     ResourceReport,
-    cluster_channel_teleport,
     experiment_circuit,
     multi_output_teleport,
 )
 from twobell.qstate import StateVector, tensor, to_density
+from twobell.schemes import cluster_channel_teleport
 from twobell.tomography import (
     DensityMatrix,
     exact_expectations,

@@ -5,9 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twobell import channels, experiments, qstate
+from twobell.calibration import CalibrationError, CalibrationRecord, load_calibration
 from twobell.channels import (
-    CalibrationError,
-    CalibrationRecord,
     DurationConfig,
     NoiseModel,
     amplitude_damping_kraus,
@@ -15,7 +14,6 @@ from twobell.channels import (
     depolarizing_kraus,
     depolarizing_strength,
     ideal_noise_model,
-    load_calibration,
     noisy_distribution,
     phase_flip_kraus,
 )

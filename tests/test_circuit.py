@@ -13,15 +13,14 @@ from twobell.circuit import (
     CircuitParseError,
     Gate,
     Measure,
-    from_text,
     legs,
     run_exact,
     sample_counts,
     sample_distribution,
-    to_text,
 )
 from twobell.protocols import experiment_circuit
 from twobell.qstate import StateVector, basis_state, partial_trace, to_density
+from twobell.textformat import from_text, to_text
 
 SQ2 = 1 / np.sqrt(2)
 

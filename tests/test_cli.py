@@ -19,7 +19,9 @@ from hypothesis import strategies as st
 
 import twobell
 from twobell import cli, experiments
-from twobell.cli import main, packaged_calibration_path, packaged_fidelities_path
+from twobell.cli import main, packaged_calibration_path
+from twobell.commands import packaged_fidelities_path
+from twobell.config import CONFIG_KEYS, SCHEMES, ExperimentConfig
 
 PAPER_REFERENCE = (
     Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "paper_noisy_seed0.json"
@@ -618,7 +620,7 @@ def test_unknown_config_key_rejected(tmp_path, capsys, data, message):
 
 def test_config_keys_are_the_config_parameters():
     """A config may hold exactly the keys that ``ExperimentConfig`` takes, listed in its order."""
-    assert cli.CONFIG_KEYS == tuple(inspect.signature(cli.ExperimentConfig).parameters)
+    assert CONFIG_KEYS == tuple(inspect.signature(ExperimentConfig).parameters)
 
 
 @pytest.mark.parametrize("data, message", _config_cases([
@@ -844,7 +846,7 @@ def test_run_document_equals_json_dumps(tmp_path, capsys, m):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(data))
     assert main(["run", "--config", str(cfg)]) == 0
-    doc = {**cli.cmd_run(cli.ExperimentConfig(**data)), "schema_version": 1, "command": "run"}
+    doc = {**cli.cmd_run(ExperimentConfig(**data)), "schema_version": 1, "command": "run"}
     assert capsys.readouterr().out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -900,7 +902,7 @@ _durations = st.dictionaries(
 _configs = st.fixed_dictionaries(
     {},
     optional={
-        "scheme": st.sampled_from(cli.SCHEMES) | _wrong,
+        "scheme": st.sampled_from(SCHEMES) | _wrong,
         "m": st.integers(1, 3) | _wrong,
         "input_a": _bell_field | _wrong,
         "input_b": _bell_field | _wrong,
@@ -937,7 +939,7 @@ def assert_runs_or_ends_in_error(argv, place: str):
         assert out.getvalue() == ""
 
 
-_CONFIG_FIELDS = "|".join(cli.CONFIG_KEYS)
+_CONFIG_FIELDS = "|".join(CONFIG_KEYS)
 
 
 def config_place(cfg) -> str:

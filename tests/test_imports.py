@@ -1,7 +1,8 @@
 """Every name a package module imports is read somewhere in that module,
 no module imports another package module's private (``_``-prefixed)
-name, every function the layer tracer wraps still exists, and a fresh
-process loads no stdlib module that only a record or log helper would need.
+name, every function the layer tracer wraps still exists, a fresh
+process loads no stdlib module that only a record or log helper would need,
+and a fresh ``twobell run`` loads none of the package's on-first-use code.
 
 No linter ships with the toolchain, so this walks each module's syntax
 tree: an imported name that no ``Name`` node reads is unused.
@@ -36,6 +37,9 @@ KNOWN_DEAD_TARGETS = {
 ALLOWED_UNUSED = {
     ("channels", "sample_distribution"): "perfbench/spans.py traces the sampler "
     "as channels.sample_distribution; without the import those metrics read 0",
+    ("channels", "load_calibration"): "perfbench/spans.py times the calibration "
+    "reader as channels.load_calibration; without the import channels.calibration "
+    "times build_noise_model only",
 }
 
 
@@ -131,6 +135,60 @@ def test_commands_load_no_record_or_log_helpers(tmp_path):
         ROOT / "tests" / "golden" / "route_default.circuit.txt", values, tmp_path / "doc.json",
     )
     assert out == "\n"
+
+
+# Loaded on first use only: ``twobell run`` needs none of them.
+ON_FIRST_USE = ("twobell.commands", "twobell.schemes", "twobell.textformat")
+# Defined in those modules only, so no module a ``twobell run`` loads compiles them.
+ON_FIRST_USE_NAMES = ("to_text", "from_text", "numbered_lines", "parse_int", "load_coupling_graph",
+                      "prepare_cluster5", "cluster_channel_teleport", "teleport_two_qubit_general",
+                      "CLUSTER_QUBITS", "cmd_tomography", "cmd_stats", "cmd_route", "cmd_compare",
+                      "write_histogram_csv", "packaged_fidelities_path")
+
+
+def test_bare_import_and_run_load_no_on_first_use_code(tmp_path):
+    out = run_python(
+        "import sys\n"
+        "import twobell\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('twobell.')))\n"
+        "from twobell import cli\n"
+        "assert cli.main(['run', '--calibration', 'builtin', '--reps', '2', '--out', sys.argv[1]]) == 0\n"
+        f"print(*sorted(m for m in {ON_FIRST_USE!r} if m in sys.modules))\n"
+        "defined = {n for m, v in list(sys.modules.items()) if m.startswith('twobell') for n in vars(v)}\n"
+        f"print(*sorted(defined & set({ON_FIRST_USE_NAMES!r})))\n",
+        tmp_path / "doc.json",
+    )
+    assert out == "\n\n\n"
+
+
+# Every name that ``twobell`` exported when its ``__init__`` imported each module.
+PACKAGE_NAMES = (
+    "Circuit", "from_text", "run_exact", "sample_counts", "to_text",
+    "GeneralizedBellTypeState", "ResourceReport", "TeleportBranch", "cluster_channel_teleport",
+    "compress_ghz_class", "experiment_circuit", "multi_output_teleport", "prepare_cluster5",
+    "teleport_two_qubit_general",
+    "DensityMatrix", "StateVector", "apply_unitary", "basis_state", "hermitian_sqrt",
+    "partial_trace", "plus_state", "tensor", "to_density",
+    "CalibrationRecord", "DurationConfig", "NoiseModel", "build_noise_model", "load_calibration",
+    "FidelityStats", "fidelity", "fidelity_stats", "pure_fidelity", "reconstruct", "trace_distance",
+    "CouplingGraph", "CostReport", "casablanca_topology", "cost", "route",
+)
+
+
+def test_lazy_package_surface_serves_every_name():
+    import twobell
+
+    assert sorted(twobell.__all__) == sorted(PACKAGE_NAMES)
+    listed = dir(twobell)
+    for name in PACKAGE_NAMES:
+        namespace = {}
+        exec(f"from twobell import {name} as value", namespace)
+        value = namespace["value"]
+        assert value is getattr(sys.modules[value.__module__], name), name
+        assert name in listed, name
+    assert "__version__" in listed
+    with pytest.raises(AttributeError, match="no_such_name"):
+        twobell.no_such_name
 
 
 def test_route_logs_when_logging_is_imported_after_the_package():

@@ -9,12 +9,9 @@ from twobell.protocols import (
     GeneralizedBellTypeState,
     ResourceReport,
     TeleportBranch,
-    cluster_channel_teleport,
     compress_ghz_class,
     expand_rows,
     multi_output_teleport,
-    prepare_cluster5,
-    teleport_two_qubit_general,
 )
 from twobell.qstate import (
     GATE_MATRICES,
@@ -29,6 +26,7 @@ from twobell.qstate import (
     tensor,
     to_density,
 )
+from twobell.schemes import cluster_channel_teleport, prepare_cluster5, teleport_two_qubit_general
 from twobell.tomography import pure_fidelity
 
 SQ2 = 1 / np.sqrt(2)
@@ -122,33 +120,33 @@ def steps(compression):
 def test_compress_ghz_class_eq5():
     s = GeneralizedBellTypeState(2, 0, 0.6, 0.8j)
     assert np.allclose(compress_ghz_class(s).amplitudes, [0.6, 0.8j])
-    assert steps(protocols._compression(s)) == [("CNOT", (0, 1))]
+    assert steps(protocols.compression_circuit(s)) == [("CNOT", (0, 1))]
 
 
 def test_compress_identity_case():
     s = GeneralizedBellTypeState(1, 0, 0.6, 0.8)
     assert np.allclose(compress_ghz_class(s).amplitudes, [0.6, 0.8])
-    assert steps(protocols._compression(s)) == []
+    assert steps(protocols.compression_circuit(s)) == []
 
 
 def test_compress_x_equals_1():
     # alpha|01> + beta|10>: CNOT then X on qubit 1.
     s = GeneralizedBellTypeState(2, 1, 0.6, 0.8)
     assert np.allclose(compress_ghz_class(s).amplitudes, [0.6, 0.8])
-    assert steps(protocols._compression(s)) == [("CNOT", (0, 1)), ("X", (1,))]
+    assert steps(protocols.compression_circuit(s)) == [("CNOT", (0, 1)), ("X", (1,))]
 
 
 def test_compress_ladder_descends_then_flips_tail_then_head():
     # x = 101: the ladder runs from the last qubit down, the tail qubit
     # left at 1 (qubit 1, since bit 0 is set) flips, then the head.
-    compression = protocols._compression(GeneralizedBellTypeState(3, 0b101, 0.6, 0.8))
+    compression = protocols.compression_circuit(GeneralizedBellTypeState(3, 0b101, 0.6, 0.8))
     assert steps(compression) == [("CNOT", (0, 2)), ("CNOT", (0, 1)), ("X", (1,)), ("X", (0,))]
 
 
 def test_expand_with_empty_record_is_identity():
     s = GeneralizedBellTypeState(1, 0, SQ2, SQ2)
     q = compress_ghz_class(s)
-    assert steps(protocols._compression(s)) == []
+    assert steps(protocols.compression_circuit(s)) == []
     assert expand_rows(q.amplitudes[None], s).tobytes() == q.amplitudes.tobytes()
 
 
@@ -178,7 +176,7 @@ def assert_all_branches_match(branches, ideal, count=None, prob=None):
 
 def teleport_single(psi):
     """Standard one-qubit teleportation of ``psi``, all four branches."""
-    return protocols._teleport_branches(*protocols._teleported(psi), [(0,)])
+    return protocols.teleport_branches(*protocols._teleported(psi), [(0,)])
 
 
 def test_teleport_single_basis_state():
@@ -376,7 +374,7 @@ def per_branch_tensor(a, b):
 
 
 def per_branch_compress(s):
-    compression = protocols._compression(s)
+    compression = protocols.compression_circuit(s)
     psi = run_exact(compression, s.to_statevector()).entries[0].state
     return (psi if s.n == 1 else per_branch_project(psi, {q: 0 for q in range(1, s.n)})), compression
 
@@ -397,7 +395,7 @@ def per_branch_multi_output(chi_a, chi_b):
     legs = []
     for chi in (chi_a, chi_b):
         q, compression = per_branch_compress(chi)
-        c = protocols._teleport(Circuit(3).custom(prep_unitary(q.amplitudes), [0]), [(0, 1, (2,))])
+        c = protocols.teleport_legs(Circuit(3).custom(prep_unitary(q.amplitudes), [0]), [(0, 1, (2,))])
         legs.append([(bits, p, per_branch_expand(out, compression))
                      for bits, p, out in per_branch_branches(c)])
     qubit_sets = (range(chi_a.n), range(chi_b.n))
@@ -409,13 +407,13 @@ def per_branch_multi_output(chi_a, chi_b):
 
 def per_branch_two_qubit_general(psi):
     c = Circuit(6).custom(prep_unitary(psi.amplitudes), [0, 1])
-    protocols._teleport(c, [(0, 2, (3,)), (1, 4, (5,))])
+    protocols.teleport_legs(c, [(0, 2, (3,)), (1, 4, (5,))])
     return [TeleportBranch(bits, protocols._reported(bits, [(0,), (1,)]), p, out)
             for bits, p, out in per_branch_branches(c)]
 
 
 def per_branch_cluster(chi_a, chi_b):
-    comp_a, comp_b = protocols._compression(chi_a), protocols._compression(chi_b)
+    comp_a, comp_b = protocols.compression_circuit(chi_a), protocols.compression_circuit(chi_b)
     c = Circuit(8)
     c.custom(prep_unitary(chi_a.to_statevector().amplitudes), [0])
     c.custom(prep_unitary(chi_b.to_statevector().amplitudes), [1, 2])
@@ -424,7 +422,7 @@ def per_branch_cluster(chi_a, chi_b):
         c.add(g.on((0,)))
     for g in comp_b.steps:
         c.add(g.on((1, 2)))
-    protocols._teleport(c, [(0, 3, (5,)), (1, 4, (6, 7))], shared=True)
+    protocols.teleport_legs(c, [(0, 3, (5,)), (1, 4, (6, 7))], shared=True)
     branches = []
     for bits, p, joint in per_branch_branches(c, fixed={2: 0}):
         bob1, bob2 = per_branch_split(joint, 1)
