@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import warnings
+from importlib import resources
 from typing import NamedTuple
 
 from .circuit import CircuitParseError, read_lines
@@ -31,6 +32,10 @@ class CalibrationRecord(NamedTuple):
 
 class CalibrationError(ValueError):
     pass
+
+
+def packaged_calibration_path():
+    return resources.files("twobell.data") / "casablanca_2021-12-01.csv"
 
 
 def _positive(text: str) -> float:

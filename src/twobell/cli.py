@@ -9,8 +9,7 @@ Fidelities are reported in percent at the CLI surface.
 
 ``cmd_run`` is here; the other commands are in ``twobell.commands``, which
 ``main`` imports on first use.  This module imports every module that
-``run`` uses when it is loaded.  ``tomography`` and the noisy run take
-only inputs that compress to |+> (``check_plus_inputs``).
+``run`` uses when it is loaded; the experiment's rules are in ``experiments``.
 """
 
 from __future__ import annotations
@@ -20,55 +19,18 @@ import functools
 import itertools
 import json
 import sys
-from importlib import resources
 
 import numpy as np
 
 from . import experiments
-from .calibration import load_calibration
-from .channels import DurationConfig, build_noise_model
-from .circuit import sample_counts
 from .config import DEFAULT_SHOTS, INF, SCHEMES, ExperimentConfig, load_config
-from .protocols import (
-    EXPERIMENT_OUTPUT_BITS,
-    compress_ghz_class,
-    experiment_circuit,
-    multi_output_teleport,
-)
-from .qstate import plus_state, tensor
+from .protocols import compress_ghz_class, multi_output_teleport
+from .qstate import tensor
 from .tomography import fidelity_stats, overlap
 
 SCHEMA_VERSION = 1
-CLASSICAL_LIMIT = 2.0 / 3.0
 
 _encode_str = json.encoder.encode_basestring_ascii  # json.dumps' own str writer
-
-
-def packaged_calibration_path():
-    return resources.files("twobell.data") / "casablanca_2021-12-01.csv"
-
-
-def noise_model(config: ExperimentConfig):
-    if config.noise is None:
-        return None
-    path = packaged_calibration_path() if config.noise == "builtin" else config.noise
-    try:
-        records = load_calibration(path)
-    except OSError as exc:
-        raise ValueError(f"noise: {exc}") from None
-    return build_noise_model(records, DurationConfig(**config.durations))
-
-
-def check_plus_inputs(config: ExperimentConfig, command: str) -> list:
-    """Tomography and the noisy run simulate the routed two_bell |+>,|+>
-    experiment only.  Returns the inputs' ``compress_ghz_class`` results."""
-    if config.scheme != "two_bell":
-        raise ValueError(f"scheme: {command} is defined for two_bell, not {config.scheme}")
-    compressed = [compress_ghz_class(chi) for chi in (config.chi_a, config.chi_b)]
-    for path, q in zip(("input_a", "input_b"), compressed):
-        if overlap(plus_state(), q) < 1 - 1e-9:
-            raise ValueError(f"{path}: does not compress to |+>, the only input {command} takes")
-    return compressed
 
 
 def _state_doc(state) -> list:
@@ -95,7 +57,7 @@ def _branch_docs(branches, ideal):
 
 def cmd_run(config: ExperimentConfig) -> dict:
     # Each two_bell input is compressed once, for the check, the run and the histogram.
-    compressed = None if config.noise is None else check_plus_inputs(config, "the noisy run")
+    compressed = None if config.noise is None else experiments.check_plus_inputs(config, "the noisy run")
     report = None
     if config.scheme != "two_bell":
         from . import schemes  # the cluster and general schemes load on first use
@@ -126,13 +88,11 @@ def cmd_run(config: ExperimentConfig) -> dict:
                             "channel": "five_qubit_cluster"}
 
     if config.scheme == "two_bell":
-        circuit = experiment_circuit(*compressed)
-        counts = sample_counts(circuit, config.shots, config.seed)
         doc["ideal"] = {
-            "histogram": experiments.marginal_counts(counts, circuit.measured, EXPERIMENT_OUTPUT_BITS),
+            "histogram": experiments.ideal_histogram(compressed, config.shots, config.seed),
             "fidelity_percent": 100.0,
         }
-        nm = noise_model(config)
+        nm = config.noise_model()
         if nm is not None:
             exp = experiments.noisy_experiment(nm)
             fid_det = exp.deterministic_fidelity()
@@ -151,7 +111,7 @@ def cmd_run(config: ExperimentConfig) -> dict:
                         "mean": round(stats.mean, 6),
                         "sample_std": round(stats.sample_std, 6),
                     }
-            noisy_doc["classical_limit_percent"] = round(100 * CLASSICAL_LIMIT, 6)
+            noisy_doc["classical_limit_percent"] = round(100 * experiments.CLASSICAL_LIMIT, 6)
             doc["noisy"] = noisy_doc
     return doc
 

@@ -15,7 +15,6 @@ import numpy as np
 
 from . import experiments
 from .circuit import read_lines
-from .cli import CLASSICAL_LIMIT, check_plus_inputs, noise_model
 from .config import ExperimentConfig
 from .protocols import multi_output_teleport
 from .schemes import CLUSTER_QUBITS, cluster_channel_teleport
@@ -31,9 +30,9 @@ def packaged_fidelities_path():
 def cmd_tomography(config: ExperimentConfig, exact: bool = False) -> dict:
     if exact and config.noise is not None:
         raise ValueError("noise: exact tomography is noiseless; it takes no calibration")
-    check_plus_inputs(config, "tomography")
+    experiments.check_plus_inputs(config, "tomography")
     ideal = experiments.ideal_output_state()
-    nm = noise_model(config)
+    nm = config.noise_model()
     if nm is None:
         rho = tomography_from_state(ideal, shots=None if exact else config.shots, seed=config.seed)
         fid = pure_fidelity(ideal, rho)
@@ -48,7 +47,7 @@ def cmd_tomography(config: ExperimentConfig, exact: bool = False) -> dict:
             "imag": [[round(v, 12) for v in row] for row in rho.entries.imag.tolist()],
         },
         "fidelity_percent": round(100 * fid, 6),
-        "classical_limit_percent": round(100 * CLASSICAL_LIMIT, 6),
+        "classical_limit_percent": round(100 * experiments.CLASSICAL_LIMIT, 6),
     }
 
 

@@ -13,7 +13,8 @@ import warnings
 
 import numpy as np
 
-from .channels import DurationConfig
+from .calibration import load_calibration, packaged_calibration_path
+from .channels import DurationConfig, build_noise_model
 from .protocols import GeneralizedBellTypeState
 from .qstate import StateVector
 
@@ -63,6 +64,17 @@ class ExperimentConfig:
         coeffs = [_complex(c, f"coefficients[{i}]")
                   for i, c in enumerate(coefficients or [[1, 0], [0, 0], [0, 0], [0, 0]])]
         self.general_input = StateVector(2, np.array(_normalized(coeffs, "coefficients"), complex))
+
+    def noise_model(self):
+        """The ``NoiseModel`` of ``noise`` and ``durations``; None without noise."""
+        if self.noise is None:
+            return None
+        path = packaged_calibration_path() if self.noise == "builtin" else self.noise
+        try:
+            records = load_calibration(path)
+        except OSError as exc:
+            raise ValueError(f"noise: {exc}") from None
+        return build_noise_model(records, DurationConfig(**self.durations))
 
 
 def _check_keys(data, names, path: str):

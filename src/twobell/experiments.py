@@ -1,6 +1,7 @@
 """End-to-end experiment pipelines: the routed two-teleportation circuit
 on the device graph, noisy shot histograms, and tomography-based
-fidelity repetitions.
+fidelity repetitions.  ``tomography`` and the noisy run take only
+inputs that compress to |+> (``check_plus_inputs``).
 
 ``noisy_experiment(nm)`` is the one way into the noisy run.  The noisy
 outcome distributions are deterministic given the model, so it runs the
@@ -18,10 +19,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import NoiseModel, noisy_distribution
-from .circuit import Circuit, legs, sample_distribution, summed
+from .circuit import Circuit, legs, sample_counts, sample_distribution, summed
 from .protocols import (
     EXPERIMENT_OUTPUT_BITS,
     EXPERIMENT_RECEIVER_QUBITS,
+    compress_ghz_class,
     experiment_circuit,
 )
 from .qstate import (
@@ -34,11 +36,14 @@ from .qstate import (
 from .tomography import (
     BASIS_ROTATION,
     expectations_from_settings,
+    overlap,
     pure_fidelity,
     reconstruct,
     settings,
 )
 from .transpile import casablanca_topology, route
+
+CLASSICAL_LIMIT = 2.0 / 3.0
 
 
 def child_seeds(seed: int, count: int) -> list:
@@ -66,6 +71,24 @@ def marginal_counts(counts: dict, bit_names, wanted) -> dict:
 
 def ideal_output_state() -> StateVector:
     return tensor(plus_state(), plus_state())
+
+
+def check_plus_inputs(config, command: str) -> list:
+    """Tomography and the noisy run simulate the routed two_bell |+>,|+>
+    experiment only.  Returns the inputs' ``compress_ghz_class`` results."""
+    if config.scheme != "two_bell":
+        raise ValueError(f"scheme: {command} is defined for two_bell, not {config.scheme}")
+    compressed = [compress_ghz_class(chi) for chi in (config.chi_a, config.chi_b)]
+    for path, q in zip(("input_a", "input_b"), compressed):
+        if overlap(plus_state(), q) < 1 - 1e-9:
+            raise ValueError(f"{path}: does not compress to |+>, the only input {command} takes")
+    return compressed
+
+
+def ideal_histogram(compressed, shots: int, seed: int) -> dict:
+    """Noiseless shot histogram over the two receiver bits, from the compressed inputs."""
+    circuit = experiment_circuit(*compressed)
+    return marginal_counts(sample_counts(circuit, shots, seed), circuit.measured, EXPERIMENT_OUTPUT_BITS)
 
 
 def _tail_circuit(rotations: str, receivers, n: int):

@@ -80,7 +80,7 @@ def exact_expectations(rho: DensityMatrix) -> dict:
 
 def reconstruct(expectations: dict, num_qubits: int) -> DensityMatrix:
     """Linear inversion: rho = 2^-n sum_P <P> P (identity coefficient 1),
-    projected to the nearest PSD trace-one matrix by eigenvalue clipping."""
+    made PSD and trace one by clipping negative eigenvalues to 0 and renormalizing."""
     d = 2 ** num_qubits
     rho = np.eye(d, dtype=complex)
     for label in pauli_labels(num_qubits):

@@ -7,10 +7,9 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from twobell.calibration import load_calibration
+from twobell.calibration import load_calibration, packaged_calibration_path
 from twobell.channels import build_noise_model
 from twobell.circuit import Circuit, sample_counts
-from twobell.cli import packaged_calibration_path
 from twobell.commands import packaged_fidelities_path
 from twobell.experiments import noisy_experiment
 from twobell.protocols import (

@@ -5,7 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twobell import channels, experiments, qstate
-from twobell.calibration import CalibrationError, CalibrationRecord, load_calibration
+from twobell.calibration import (
+    CalibrationError,
+    CalibrationRecord,
+    load_calibration,
+    packaged_calibration_path,
+)
 from twobell.channels import (
     DurationConfig,
     NoiseModel,
@@ -27,7 +32,6 @@ from twobell.circuit import (
     sample_distribution,
     walk,
 )
-from twobell.cli import packaged_calibration_path
 from twobell.experiments import ideal_output_state, noisy_experiment
 from twobell.protocols import experiment_circuit
 from twobell.qstate import (

@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 
 import twobell
 from twobell import cli, experiments
-from twobell.cli import main, packaged_calibration_path
+from twobell.calibration import packaged_calibration_path
+from twobell.cli import main
 from twobell.commands import packaged_fidelities_path
 from twobell.config import CONFIG_KEYS, SCHEMES, ExperimentConfig
 
@@ -155,6 +156,7 @@ def test_run_compresses_each_input_once(argv, monkeypatch, capsys):
         return real(chi)
 
     monkeypatch.setattr(cli, "compress_ghz_class", counted)
+    monkeypatch.setattr(experiments, "compress_ghz_class", counted)
     monkeypatch.setattr(twobell.protocols, "compress_ghz_class", counted)
     assert main(argv) == 0
     assert calls == [1, 2]
@@ -227,6 +229,15 @@ def test_run_csv_export(tmp_path):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "outcome,count"
     assert sum(int(l.split(",")[1]) for l in lines[1:]) == 256
+
+
+def test_run_csv_export_without_a_histogram_ends_in_error(tmp_path, capsys):
+    csv_path = tmp_path / "hist.csv"
+    assert main(["run", "--scheme", "cluster5", "--csv", str(csv_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: document has no histogram to export\n"
+    assert captured.out == ""
+    assert not csv_path.exists()
 
 
 def test_run_general_two_qubit_scheme(tmp_path):
@@ -416,6 +427,31 @@ def test_graph_with_a_far_node_ends_in_error_before_allocating_it(tmp_path, caps
     assert capsys.readouterr().err == "error: coupling graph must be connected\n"
 
 
+@pytest.mark.parametrize(
+    "circuit, graph, message",
+    [
+        ("# only a comment\n", None, "line 1: empty circuit and no qubits header"),
+        ("qubits 2\nM 0 -> c0\nX 0 if\n", None, "line 3: usage: <gate> <targets> if <bit>"),
+        ("qubits 2\nCNOT 0 1\n", "# only a comment\n", "empty graph file"),
+        # Five nodes and four edges pass the edge-count check; the search then finds node 3 apart.
+        ("qubits 2\nCNOT 0 1\n", "0 1\n1 2\n0 2\n3 4\n", "coupling graph must be connected"),
+    ],
+    ids=["empty_circuit", "if_without_bit", "empty_graph", "disconnected_graph"],
+)
+def test_route_input_without_a_circuit_or_graph_ends_in_error(tmp_path, capsys, circuit, graph,
+                                                              message):
+    circ, graph_path = tmp_path / "circ.txt", tmp_path / "g.txt"
+    circ.write_text(circuit)
+    argv = ["route", str(circ)]
+    if graph is not None:
+        graph_path.write_text(graph)
+        argv += ["--graph", str(graph_path)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 def test_route_duplicate_target_names_its_line(tmp_path, capsys):
     circ = tmp_path / "circ.txt"
     circ.write_text("qubits 3\nH 0\nCNOT 1 1\n")
@@ -574,8 +610,10 @@ def test_calibration_row_that_repeats_a_qubit_rejected(tmp_path, capsys):
         (5, "1.5", "x_err: probability 1.5 out of [0, 1]"),
         (6, "cx2_1:2", "cnot_errs: probability 2.0 out of [0, 1]"),
         (6, "cx0_1:0.1", "cnot_errs: CNOT token 'cx0_1:0.1' does not involve qubit 2"),
+        (6, "xx0_1:0.01", "cnot_errs: unparsable CNOT token 'xx0_1:0.01'"),
     ],
-    ids=["qubit", "readout_err", "x_err", "cnot_errs_probability", "cnot_errs_other_qubit"],
+    ids=["qubit", "readout_err", "x_err", "cnot_errs_probability", "cnot_errs_other_qubit",
+         "cnot_errs_unparsable"],
 )
 def test_bad_calibration_cell_names_its_line_and_column(tmp_path, capsys, column, cell, message):
     rows = packaged_calibration_path().read_text().splitlines()
@@ -766,6 +804,19 @@ def test_unnormalized_config_rejected(tmp_path, capsys):
     cfg.write_text(json.dumps({"input_a": {"x": 0, "alpha": [1, 0], "beta": [1, 0]}}))
     assert main(["run", "--config", str(cfg)]) == 1
     assert "normalized" in capsys.readouterr().err
+
+
+def test_nearly_normalized_config_is_renormalized_with_one_warning(tmp_path):
+    """A norm within 1e-6 of 1, but not within 1e-10, is renormalized, and says so."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"input_a": {"alpha": [0.70710679, 0], "beta": [0.70710679, 0]}}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run_cli(["run", "--config", str(cfg)], tmp_path)
+    assert code == 0
+    assert [w.category for w in caught] == [UserWarning]
+    assert str(caught[0].message).startswith("input_a: renormalizing amplitudes")
+    assert {b["fidelity_vs_ideal"] for b in load(out)["branches"]} == {1.0}
 
 
 def test_packaged_data_files_exist():

@@ -1,8 +1,9 @@
 """Every name a package module imports is read somewhere in that module,
 no module imports another package module's private (``_``-prefixed)
-name, every function the layer tracer wraps still exists, a fresh
-process loads no stdlib module that only a record or log helper would need,
-and a fresh ``twobell run`` loads none of the package's on-first-use code.
+name, only ``__main__`` imports the CLI, every function the layer tracer
+wraps still exists, a fresh process loads no stdlib module that only a
+record or log helper would need, and a fresh ``twobell run`` loads none of
+the package's on-first-use code.
 
 No linter ships with the toolchain, so this walks each module's syntax
 tree: an imported name that no ``Name`` node reads is unused.
@@ -90,6 +91,41 @@ def test_private_imports_are_found():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
 def test_module_imports_no_private_name_of_another(path):
     assert private_imports(path.read_text()) == []
+
+
+def imported_modules(source: str) -> set:
+    """The modules an import in ``source`` may load, with the package's
+    relative names made absolute: ``from . import cli`` and ``from .cli
+    import main`` both name ``twobell.cli``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module if not node.level else ".".join(filter(None, ("twobell", node.module)))
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_imported_modules_are_found():
+    source = ("import os.path\nfrom . import cli\nfrom .config import load_config\n"
+              "def f():\n    from twobell.schemes import CLUSTER_QUBITS\n")
+    assert {"os.path", "twobell.cli", "twobell.config", "twobell.schemes"} <= imported_modules(source)
+
+
+def test_only_main_imports_the_cli():
+    """The commands and the experiment's rules live below the CLI, never in it."""
+    importers = [p.stem for p in sorted(SRC.glob("*.py"))
+                 if "twobell.cli" in imported_modules(p.read_text())]
+    assert importers == ["__main__"]
+
+
+def test_cli_imports_no_engine_module():
+    """The CLI reaches the calibration table, the noise channels and the
+    circuit only through ``experiments`` and ``config``."""
+    engine = {"twobell.calibration", "twobell.channels", "twobell.circuit"}
+    assert imported_modules((SRC / "cli.py").read_text()) & engine == set()
 
 
 def test_tracer_targets_resolve():
