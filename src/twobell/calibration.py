@@ -38,6 +38,13 @@ def packaged_calibration_path():
     return resources.files("twobell.data") / "casablanca_2021-12-01.csv"
 
 
+def _qubit(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"expected a qubit index >= 0, got {value}")
+    return value
+
+
 def _positive(text: str) -> float:
     value = float(text)
     if not value > 0:  # also rejects NaN
@@ -53,7 +60,7 @@ def _probability(text: str) -> float:
 
 
 # The parser of each column's cells but cnot_errs'; a bad cell raises ValueError.
-_CELL_PARSERS = {"qubit": int, "t1_us": _positive, "t2_us": _positive, "freq_ghz": float,
+_CELL_PARSERS = {"qubit": _qubit, "t1_us": _positive, "t2_us": _positive, "freq_ghz": float,
                  "readout_err": _probability, "x_err": _probability}
 CSV_HEADER = [*_CELL_PARSERS, "cnot_errs"]
 
@@ -73,10 +80,13 @@ def _parse_cnot_tokens(raw: str, row_qubit: int) -> dict:
         except ValueError:
             raise CalibrationError(f"unparsable CNOT token {token!r}") from None
         if row_qubit not in (i, j):
-            raise CalibrationError(
-                f"CNOT token {token!r} does not involve qubit {row_qubit}"
-            )
-        out[j if i == row_qubit else i] = _probability(value)
+            raise CalibrationError(f"CNOT token {token!r} does not involve qubit {row_qubit}")
+        nb = j if i == row_qubit else i
+        if nb == row_qubit or nb < 0:
+            raise CalibrationError(f"CNOT token {token!r} needs a qubit >= 0 other than {row_qubit}")
+        if nb in out:
+            raise CalibrationError(f"CNOT token {token!r} repeats qubit {nb} on this row")
+        out[nb] = _probability(value)
     return out
 
 
@@ -87,7 +97,8 @@ def load_calibration(path) -> list:
     ``line N, <column>: ...``, a line that is not UTF-8 as ``line N: not
     UTF-8 text``, and a second row for a qubit is an error.
     CNOT entries are completed symmetrically: cx0_1 under qubit 0 also
-    registers under qubit 1.  T2 > 2*T1 is clamped with a warning.
+    registers under qubit 1, unless qubit 1's row lists the pair itself.
+    T2 > 2*T1 is clamped with a warning.
     """
     records, lines = {}, {}  # by qubit: its record, and the line of its row
     try:

@@ -32,7 +32,6 @@ that cannot change the output need not run at all.
 
 from __future__ import annotations
 
-from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -95,9 +94,6 @@ class NoiseModel:
         self.durations = durations or DurationConfig()
         self._superops = {}  # (constructor name, *args) -> superoperator; filled by ``channel``
 
-    def qubits(self):
-        return set(self.t1_ns)
-
     def channel(self, build: str, *args) -> np.ndarray:
         """Superoperator ``self.<build>(*args)``, ``build`` naming one of the
         ``*_kraus`` constructors; built once per model, then cached."""
@@ -147,6 +143,7 @@ def build_noise_model(records, durations: DurationConfig | None = None) -> Noise
     t1 = {r.qubit: r.t1_us * 1000.0 for r in records}
     t2 = {r.qubit: r.t2_us * 1000.0 for r in records}
     x_depol = {r.qubit: depolarizing_strength(r.pauli_x_error, 1) for r in records}
+    # One error per unordered pair: where both of its rows list it, the later row's wins.
     cnot_depol = {frozenset((r.qubit, nb)): depolarizing_strength(err, 2)
                   for r in records for nb, err in r.cnot_errors.items()}
     confusion = {r.qubit: np.array([[1 - r.readout_error, r.readout_error],
@@ -189,21 +186,21 @@ def noisy_distribution(c: Circuit, nm: NoiseModel, initial_rho: np.ndarray | Non
 
     A leg is a set of qubits that no gate and no classical control connects
     to the others (see ``circuit.legs``); one that a step crosses raises
-    ValueError naming the step.  Rho holds the leg's qubits only, from
-    ``initial_rho`` over them (default |0...0>), and the distribution reads
-    the leg's bits only.  Each step of another leg is an idle window of
+    ValueError naming the step.  Rho holds the leg's qubits only, at most 7,
+    from ``initial_rho`` over them (default |0...0>), and the distribution
+    reads the leg's bits only.  Each step of another leg is an idle window of
     that step's length for the leg's qubits, a measurement a readout
     window with no fork.  From a product state the legs evolve as a
     product, so this is the marginal of the whole circuit's run.
     """
     n = c.num_qubits
-    if n > 7:
-        raise ValueError("noisy simulation is limited to 7 qubits")
     leg = tuple(range(n) if leg is None else check_qubits(leg, n))
     local = {q: i for i, q in enumerate(leg)}  # circuit qubit -> its axis in rho
     if not leg or len(local) != len(leg):
         raise ValueError("a leg must name one or more distinct qubits")
-    missing = local.keys() - nm.qubits()
+    if len(leg) > 7:
+        raise ValueError(f"noisy simulation is limited to 7 qubits, and the leg has {len(leg)}")
+    missing = local.keys() - nm.t1_ns.keys()
     if missing:
         raise CalibrationError(f"no calibration for qubit(s) {sorted(missing)}")
     k, dur = len(leg), nm.durations
@@ -266,7 +263,10 @@ def noisy_distribution(c: Circuit, nm: NoiseModel, initial_rho: np.ndarray | Non
         rho0[0, 0] = 1.0
     else:
         rho0 = np.array(initial_rho, dtype=complex)
-    rows, states = walk(SimpleNamespace(steps=steps), [(rho0, (0.0,) * k)], apply, project, settle)
+        if rho0.shape != (2 ** k, 2 ** k):
+            raise ValueError(f"initial_rho has shape {rho0.shape}, but the leg {leg} needs "
+                             f"{2 ** k}x{2 ** k}")
+    rows, states = walk(steps, [(rho0, (0.0,) * k)], apply, project, settle)
     readings = []
     for bits, p in rows:
         # Convolve each recorded bit of the leg with the confusion matrix of the qubit it reads.

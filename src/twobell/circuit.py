@@ -191,23 +191,23 @@ def summed(pairs) -> dict:
 PRUNE = 1e-12  # measurement outcomes of at most this weight are dropped
 
 
-def walk(c: Circuit, states, apply, project, settle):
-    """Run ``c`` on all live branches at once: a stack of rows, first the
-    rows of ``states``, each with no bits and probability 1; the one step
-    loop of both engines, trusting ``c`` as built.  ``walk`` owns each
-    row's bits and probability, ``PRUNE`` and the fork order (a measurement
-    splits each row into outcome 0, then 1); the engine owns the stack.
-    It reads only ``c.steps``, and of a step that is not a ``Measure`` only
-    ``fires(bits)``, so an engine may walk a circuit's steps with steps of
-    its own among them.  ``apply(states, gate, fires)`` returns the next stack,
-    ``fires[i]`` saying whether row i's control reads 1 (true without one);
-    ``project(states, qubit)`` returns each row's weights of outcomes 0 and
-    1 (rows x 2) and the unnormalized posts in fork order;
-    ``settle(posts, kept, weights)`` returns the posts at indices ``kept``
-    (weight above ``PRUNE``), each normalized by its weight.  Returns
-    [(bits by name, probability)] per row, and the stack."""
+def walk(steps, states, apply, project, settle):
+    """Run the sequence ``steps`` (a circuit's, trusted as built) on all
+    live branches at once: a stack of rows, first the rows of ``states``,
+    each with no bits and probability 1; the one step loop of both engines.
+    ``walk`` owns each row's bits and probability, ``PRUNE`` and the fork
+    order (a measurement splits each row into outcome 0, then 1); the
+    engine owns the stack.  Of a step that is not a ``Measure`` it reads
+    only ``fires(bits)``, so an engine may walk a circuit's steps with
+    steps of its own among them.  ``apply(states, gate, fires)`` returns
+    the next stack, ``fires[i]`` saying whether row i's control reads 1
+    (true without one); ``project(states, qubit)`` returns each row's
+    weights of outcomes 0 and 1 (rows x 2) and the unnormalized posts in
+    fork order; ``settle(posts, kept, weights)`` returns the posts at
+    indices ``kept`` (weight above ``PRUNE``), each normalized by its
+    weight.  Returns [(bits by name, probability)] per row, and the stack."""
     rows = [({}, 1.0)] * len(states)
-    for step in c.steps:
+    for step in steps:
         if isinstance(step, Measure):
             weights, states = project(states, step.qubit)  # posts; the old rows are freed
             forks = [(2 * i + outcome, {**bits, step.bit: outcome}, p, w)
@@ -274,7 +274,7 @@ def exact_walk(c: Circuit, initial: np.ndarray | None = None):
         out[fires] = apply_matrix(states[fires], gate.unitary(), gate.targets, n)
         return out
 
-    rows, states = walk(c, states, apply, _project,
+    rows, states = walk(c.steps, states, apply, _project,
                         lambda posts, kept, weights: posts[kept] / np.sqrt(weights)[:, None])
     return [("".join(str(bits[b]) for b in c.measured), p) for bits, p in rows], states
 

@@ -194,15 +194,6 @@ def teleport_legs(c: Circuit, legs, shared: bool = False) -> Circuit:
     return c
 
 
-def _teleported(psi: StateVector):
-    """Standard one-qubit teleportation over |phi+>, all four branches, as
-    ``circuit_branches`` of its circuit.  Qubit layout: 0 = input, (1, 2) = Bell
-    pair, receiver holds 2."""
-    if psi.num_qubits != 1:
-        raise ValueError("one-qubit teleportation takes a single-qubit state")
-    return circuit_branches(teleport_legs(Circuit(3), [(0, 1, (2,))]), psi)
-
-
 def multi_output_teleport(
     chi_a: GeneralizedBellTypeState, chi_b: GeneralizedBellTypeState, compressed=None
 ):
@@ -218,9 +209,12 @@ def multi_output_teleport(
     """
     if chi_b.n != chi_a.n + 1:
         raise ValueError("chi_b must have exactly one more qubit than chi_a")
+    teleport = teleport_legs(Circuit(3), [(0, 1, (2,))])  # 0 = input, (1, 2) = Bell pair
     legs = []
     for chi, q in zip((chi_a, chi_b), compressed or map(compress_ghz_class, (chi_a, chi_b))):
-        bits, probabilities, outputs = _teleported(q)
+        if q.num_qubits != 1:
+            raise ValueError("one-qubit teleportation takes a single-qubit state")
+        bits, probabilities, outputs = circuit_branches(teleport, q)
         legs.append((bits, probabilities, expand_rows(outputs, chi)))
     (bits_a, p_a, out_a), (bits_b, p_b, out_b) = legs
     # Each leg is in bit order, so leg a major, leg b minor is too.

@@ -130,12 +130,8 @@ def basis_state(num_qubits: int, index: int) -> StateVector:
     return StateVector(num_qubits, amps)
 
 
-def single_qubit_state(alpha: complex, beta: complex) -> StateVector:
-    return StateVector(1, np.array([alpha, beta], dtype=complex))
-
-
 def plus_state() -> StateVector:
-    return single_qubit_state(1 / np.sqrt(2), 1 / np.sqrt(2))
+    return StateVector(1, [1 / np.sqrt(2), 1 / np.sqrt(2)])
 
 
 def kron_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -18,9 +18,10 @@ count found, and a route is cut short once its SWAPs alone take it past
 that count.  The result is the optimum of an exhaustive search, with
 the same tie-breaks.
 
-A ``CouplingGraph`` builds its adjacency once.  Hop counts come from one
-BFS per source, run the first time that source's row is read; the BFS
-from node 0 is also the connectivity check.
+A ``CouplingGraph`` builds its adjacency ``adj[q]`` (q's neighbours)
+once.  Its hop counts ``hops[a][b]`` come from one BFS per source, run the
+first time that source's row is read; the BFS from node 0 is also the
+connectivity check.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ class _HopCounts(dict):
 
 
 class CouplingGraph:
-    __slots__ = ("num_physical", "edges", "_hops")
+    __slots__ = ("num_physical", "edges", "adj", "hops")
 
     def __init__(self, num_physical: int, edges):
         edges = frozenset(frozenset(e) for e in edges)  # of frozenset pairs
@@ -68,25 +69,17 @@ class CouplingGraph:
             a, b = e
             adj[a].add(b)
             adj[b].add(a)
-        self.num_physical, self.edges, self._hops = num_physical, edges, _HopCounts(adj)
-        if num_physical > 1 and len(self._hops[0]) != num_physical:
+        self.num_physical, self.edges, self.adj, self.hops = num_physical, edges, adj, _HopCounts(adj)
+        if num_physical > 1 and len(self.hops[0]) != num_physical:
             raise ValueError("coupling graph must be connected")
-
-    def adjacency(self) -> dict:
-        return self._hops.adj
 
     def has_edge(self, a: int, b: int) -> bool:
         return frozenset((a, b)) in self.edges
 
-    def distances(self) -> dict:
-        """Hop counts ``[a][b]``, each source's row computed on first read."""
-        return self._hops
-
 
 def casablanca_topology() -> CouplingGraph:
     """The seven-qubit H-shaped device graph."""
-    return CouplingGraph(7, frozenset({frozenset(e) for e in
-                                       [(0, 1), (1, 2), (1, 3), (3, 5), (4, 5), (5, 6)]}))
+    return CouplingGraph(7, [(0, 1), (1, 2), (1, 3), (3, 5), (4, 5), (5, 6)])
 
 
 class CostReport(NamedTuple):
@@ -129,7 +122,7 @@ def _route_with_layout(c: Circuit, g: CouplingGraph, initial: dict,
     """
     l2p = dict(initial)
     swaps = 0
-    adj, dist = g.adjacency(), g.distances()
+    adj, dist = g.adj, g.hops
     routed = Circuit(g.num_physical)
     p2l = {p: l for l, p in l2p.items()}
     for step in c.steps:
@@ -169,7 +162,7 @@ def route(c: Circuit, g: CouplingGraph):
         raise ValueError(
             f"{n_log} logical qubits exceed {g.num_physical} physical qubits"
         )
-    dist = g.distances()
+    dist = g.hops
     pairs = [s.targets for s in c.steps if len(s.targets) == 2]
     floor = cost(c).cnot_count
     candidates, enumerated = [], 0

@@ -1,14 +1,21 @@
-"""Shared test settings.
+"""Shared test settings and helpers.
 
 Hypothesis runs from a fixed seed sequence (``derandomize``) and without
 a per-example deadline, so property tests give the same examples on
-every run and do not fail on a slow machine.
+every run and do not fail on a slow machine.  The helpers that more than
+one test module uses live here; a module imports them with
+``from conftest import ...``.
 """
 
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import settings
+
+from twobell.calibration import load_calibration, packaged_calibration_path
+from twobell.protocols import GeneralizedBellTypeState
+from twobell.qstate import StateVector
 
 settings.register_profile("twobell", derandomize=True, deadline=None)
 settings.load_profile("twobell")
@@ -30,3 +37,23 @@ def patch_bindings(monkeypatch):
         return patched
 
     return patch
+
+
+def random_pair(rng):
+    v = rng.normal(size=2) + 1j * rng.normal(size=2)
+    v /= np.linalg.norm(v)
+    return v[0], v[1]
+
+
+def random_bell_type(n, rng):
+    a, b = random_pair(rng)
+    return GeneralizedBellTypeState(n, int(rng.integers(0, 2 ** n)), a, b)
+
+
+def random_state(num_qubits, rng):
+    v = rng.normal(size=2 ** num_qubits) + 1j * rng.normal(size=2 ** num_qubits)
+    return StateVector(num_qubits, v / np.linalg.norm(v))
+
+
+def table_records():
+    return load_calibration(packaged_calibration_path())

@@ -6,14 +6,13 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from conftest import random_bell_type, table_records
 
-from twobell.calibration import load_calibration, packaged_calibration_path
 from twobell.channels import build_noise_model
 from twobell.circuit import Circuit, sample_counts
 from twobell.commands import packaged_fidelities_path
 from twobell.experiments import noisy_experiment
 from twobell.protocols import (
-    GeneralizedBellTypeState,
     ResourceReport,
     experiment_circuit,
     multi_output_teleport,
@@ -58,28 +57,13 @@ class _Check:
         return False
 
 
-def _random_pair(rng):
-    v = rng.normal(size=2) + 1j * rng.normal(size=2)
-    v /= np.linalg.norm(v)
-    return v[0], v[1]
-
-
-def _random_bell_type(n, rng):
-    a, b = _random_pair(rng)
-    return GeneralizedBellTypeState(n, int(rng.integers(0, 2 ** n)), a, b)
-
-
-def _table_model():
-    return build_noise_model(load_calibration(packaged_calibration_path()))
-
-
 def test_criterion_1_two_bell_pairs_suffice():
     with _Check(1, "two Bell pairs teleport any m-vs-(m+1) pair exactly", 10):
         rng = np.random.default_rng(101)
         for i in range(200):
             m = 1 + i % 3
-            chi_a = _random_bell_type(m, rng)
-            chi_b = _random_bell_type(m + 1, rng)
+            chi_a = random_bell_type(m, rng)
+            chi_b = random_bell_type(m + 1, rng)
             branches, report = multi_output_teleport(chi_a, chi_b)
             assert report.bell_pairs == 2
             ideal = to_density(tensor(chi_a.to_statevector(), chi_b.to_statevector()))
@@ -91,8 +75,8 @@ def test_criterion_2_cluster_baseline_equivalence():
     with _Check(2, "cluster channel and two-Bell scheme agree branchwise", 5):
         rng = np.random.default_rng(102)
         for _ in range(50):
-            chi_a = _random_bell_type(1, rng)
-            chi_b = _random_bell_type(2, rng)
+            chi_a = random_bell_type(1, rng)
+            chi_b = random_bell_type(2, rng)
             two_bell, report = multi_output_teleport(chi_a, chi_b)
             cluster = cluster_channel_teleport(chi_a, chi_b)
             by_bits = {b.outcome_bits: b for b in cluster}
@@ -133,7 +117,7 @@ def test_criterion_4_reference_statistics():
 
 def test_criterion_5_noise_model_plausibility():
     with _Check(5, "calibrated noise gives realistic sub-ideal fidelity", 30):
-        exp = noisy_experiment(_table_model())
+        exp = noisy_experiment(build_noise_model(table_records()))
         fids = exp.repetition_fidelities(8192, 105, reps=10)
         mean = float(np.mean(fids))
         assert 2 / 3 < mean < 0.98

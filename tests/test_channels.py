@@ -1,6 +1,7 @@
 
 import numpy as np
 import pytest
+from conftest import table_records
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,22 +34,19 @@ from twobell.circuit import (
     walk,
 )
 from twobell.experiments import ideal_output_state, noisy_experiment
-from twobell.protocols import experiment_circuit
+from twobell.protocols import experiment_circuit, teleport_legs
 from twobell.qstate import (
     apply_superop,
     partial_trace,
     pauli_operator,
     plus_state,
+    prep_unitary,
     superop,
     tensor,
     to_density,
 )
 from twobell.tomography import expectations_from_settings, fidelity, pure_fidelity, reconstruct
 from twobell.transpile import casablanca_topology
-
-
-def table_records():
-    return load_calibration(packaged_calibration_path())
 
 
 def compose_kraus(first, second):
@@ -156,6 +154,41 @@ def test_bad_cnot_token_rejected(tmp_path):
         load_calibration(p)
 
 
+@pytest.mark.parametrize("row, message", [
+    ("0,100,100,5,0.01,0.001,cx0_0:0.01",
+     "line 2, cnot_errs: CNOT token 'cx0_0:0.01' needs a qubit >= 0 other than 0"),
+    ("1,100,100,5,0.01,0.001,cx1_-2:0.5",
+     "line 2, cnot_errs: CNOT token 'cx1_-2:0.5' needs a qubit >= 0 other than 1"),
+    ("-1,100,100,5,0.01,0.001,", "line 2, qubit: expected a qubit index >= 0, got -1"),
+    ("0,100,100,5,0.01,0.001,cx0_1:0.01;cx0_1:0.3",
+     "line 2, cnot_errs: CNOT token 'cx0_1:0.3' repeats qubit 1 on this row"),
+    ("0,100,100,5,0.01,0.001,cx0_1:0.01;cx1_0:0.3",
+     "line 2, cnot_errs: CNOT token 'cx1_0:0.3' repeats qubit 1 on this row"),
+], ids=["self_pair", "negative_neighbour", "negative_qubit", "repeated_token", "repeated_pair"])
+def test_malformed_calibration_cell_names_its_line_and_column(tmp_path, row, message):
+    p = tmp_path / "cal.csv"
+    p.write_text("qubit,t1_us,t2_us,freq_ghz,readout_err,x_err,cnot_errs\n" + row + "\n")
+    with pytest.raises(CalibrationError) as info:
+        load_calibration(p)
+    assert str(info.value) == message
+
+
+def test_pair_listed_on_both_rows_keeps_each_row_and_the_model_keeps_the_later(tmp_path):
+    """The two directions of a pair may differ on hardware: each row keeps
+    its own error, and the model keeps one error per unordered pair, the
+    later row's (0.02 is depolarizing strength 0.02 * 5 / 4)."""
+    p = tmp_path / "cal.csv"
+    p.write_text(
+        "qubit,t1_us,t2_us,freq_ghz,readout_err,x_err,cnot_errs\n"
+        "0,100,100,5,0.01,0.001,cx0_1:0.3\n"
+        "1,100,100,5,0.01,0.001,cx1_0:0.02\n"
+    )
+    records = load_calibration(p)
+    assert [r.cnot_errors for r in records] == [{1: 0.3}, {0: 0.02}]
+    assert build_noise_model(records).cnot_depol == {frozenset((0, 1)): pytest.approx(0.025)}
+    assert build_noise_model(records[::-1]).cnot_depol == {frozenset((0, 1)): pytest.approx(0.375)}
+
+
 def test_t2_clamped_with_warning(tmp_path):
     p = tmp_path / "cal.csv"
     p.write_text(
@@ -183,7 +216,7 @@ def test_kraus_sets_trace_preserving():
 
 def test_model_channels_trace_preserving():
     nm = build_noise_model(table_records())
-    for q in sorted(nm.qubits()):
+    for q in sorted(nm.t1_ns):
         assert_channel_trace_preserving(nm.idle_kraus(q, 500.0))
         assert_channel_trace_preserving(nm.single_gate_kraus(q))
     for pair in nm.cnot_depol:
@@ -542,7 +575,7 @@ def eager_noisy_distribution(c, nm):
 
     rho0 = np.zeros((2 ** n, 2 ** n), dtype=complex)
     rho0[0, 0] = 1.0
-    rows, rhos = walk(c, [rho0], step, project, settle)
+    rows, rhos = walk(c.steps, [rho0], step, project, settle)
     read_by = {s.bit: s.qubit for s in c.steps if isinstance(s, Measure)}
     dist = {}
     for bits, p in rows:
@@ -670,7 +703,7 @@ def model_channels(nm):
     """Every superoperator ``noisy_distribution`` can ask ``nm`` for."""
     dur = nm.durations
     idle_ns = (dur.single_qubit_gate_ns, dur.cnot_ns, 3 * dur.cnot_ns, dur.readout_ns)
-    for q in sorted(nm.qubits()):
+    for q in sorted(nm.t1_ns):
         yield from (nm.channel("idle_kraus", q, t) for t in idle_ns)
         yield nm.channel("single_gate_kraus", q)
     for pair in nm.cnot_depol:
@@ -701,7 +734,7 @@ def idle_kraus_set(nm, q, t):
 @given(calibrated_models(), st.floats(1.0, 1e4))
 def test_folded_channels_equal_their_kraus_compositions(nm, t):
     dur = nm.durations
-    for q in sorted(nm.qubits()):
+    for q in sorted(nm.t1_ns):
         kraus = idle_kraus_set(nm, q, t)
         assert np.max(np.abs(nm.channel("idle_kraus", q, t) - superop(kraus))) < 1e-12
         kraus = compose_kraus(idle_kraus_set(nm, q, dur.single_qubit_gate_ns),
@@ -728,7 +761,7 @@ def test_rho_stays_valid_after_every_step_of_routed_paper_circuit(nm):
     real_walk = channels.walk
     checked = []
 
-    def checked_walk(c, states, apply, project, settle):
+    def checked_walk(steps, states, apply, project, settle):
         def check(step):
             def run(*args):
                 states = step(*args)  # (rho, idle time each qubit owes) per row
@@ -739,7 +772,7 @@ def test_rho_stays_valid_after_every_step_of_routed_paper_circuit(nm):
 
             return run
 
-        return real_walk(c, states, check(apply), project, check(settle))
+        return real_walk(steps, states, check(apply), project, check(settle))
 
     channels.walk = checked_walk
     try:
@@ -922,6 +955,34 @@ def test_only_the_legs_qubits_need_a_calibration():
     for leg in [(), (1, 1)]:
         with pytest.raises(ValueError, match="a leg must name one or more distinct qubits"):
             noisy_distribution(c, nm, leg=leg)
+
+
+def test_size_limit_bounds_the_leg_not_the_circuit():
+    """Rho holds only the leg, so a 9-qubit circuit of three separate
+    teleportations runs one 3-qubit leg, and that leg gives what it gives
+    as a circuit of its own; a leg of 8 qubits, or all 9, is refused."""
+    sources = (0, 3, 6)
+    wide = Circuit(9)
+    for q, psi in zip(sources, ([0.6, 0.8j], [0.8, -0.6], [1, 0])):
+        wide.custom(prep_unitary(np.array(psi, dtype=complex)), [q])
+    teleport_legs(wide, [(q, q + 1, (q + 2,)) for q in sources])
+    alone = teleport_legs(Circuit(3).custom(prep_unitary(np.array([0.6, 0.8j])), [0]), [(0, 1, (2,))])
+    rho, dist = noisy_distribution(wide, ideal_noise_model(9), leg=(0, 1, 2))
+    ref, ref_dist = noisy_distribution(alone, ideal_noise_model(3))
+    assert np.max(np.abs(rho.entries - ref.entries)) < 1e-14
+    assert dist == pytest.approx(ref_dist, abs=1e-14) and len(dist) == 4
+    for leg, size in [(tuple(range(8)), 8), (None, 9)]:
+        with pytest.raises(ValueError, match=f"limited to 7 qubits, and the leg has {size}$"):
+            noisy_distribution(wide, ideal_noise_model(9), leg=leg)
+
+
+def test_initial_rho_of_another_size_than_the_leg_is_refused_before_the_walk(monkeypatch):
+    walks = []
+    monkeypatch.setattr(channels, "walk", lambda *args: walks.append(1))
+    c = Circuit(2).h(0).h(1)
+    with pytest.raises(ValueError, match=r"^initial_rho has shape \(4, 4\), but the leg \(0,\) needs 2x2$"):
+        noisy_distribution(c, ideal_noise_model(2), initial_rho=np.eye(4) / 4, leg=(0,))
+    assert walks == []
 
 
 # -- legs -------------------------------------------------------------------------

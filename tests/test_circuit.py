@@ -366,3 +366,26 @@ def test_exact_walk_makes_one_kernel_call_per_gate_step(monkeypatch):
     monkeypatch.setattr(circuit, "apply_matrix", lambda *args: calls.append(1) or real(*args))
     assert len(run_exact(c).entries) == 64
     assert len(calls) == sum(isinstance(step, Gate) for step in c.steps)
+
+
+def test_walk_takes_the_step_sequence_itself():
+    """``walk`` reads the steps it is given, here a plain list with no
+    circuit around it: |+> is measured into bit ``a``, then X fires on the
+    row that read 1, so both rows end in |0>."""
+    fired = []
+
+    def apply(states, gate, fires):
+        fired.append(fires)
+        out = states.copy()
+        out[fires] = qstate.apply_matrix(states[fires], gate.unitary(), gate.targets, 1)
+        return out
+
+    def settle(posts, kept, weights):
+        return posts[kept] / np.sqrt(weights)[:, None]
+
+    steps = [Measure(0, "a"), Gate("X", [0], bit="a")]
+    plus = np.array([[SQ2, SQ2]], dtype=complex)
+    rows, states = circuit.walk(steps, plus, apply, circuit._project, settle)
+    assert rows == [({"a": 0}, pytest.approx(0.5)), ({"a": 1}, pytest.approx(0.5))]
+    assert fired == [[False, True]]
+    assert np.allclose(states, [[1, 0], [1, 0]], atol=1e-15)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import random_bell_type, random_pair
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +23,6 @@ from twobell.qstate import (
     plus_state,
     prep_unitary,
     project_rows,
-    single_qubit_state,
     tensor,
     to_density,
 )
@@ -30,17 +30,6 @@ from twobell.schemes import cluster_channel_teleport, prepare_cluster5, teleport
 from twobell.tomography import pure_fidelity
 
 SQ2 = 1 / np.sqrt(2)
-
-
-def random_pair(rng):
-    v = rng.normal(size=2) + 1j * rng.normal(size=2)
-    v /= np.linalg.norm(v)
-    return v[0], v[1]
-
-
-def random_bell_type(n, rng):
-    a, b = random_pair(rng)
-    return GeneralizedBellTypeState(n, int(rng.integers(0, 2 ** n)), a, b)
 
 
 # -- constructors -------------------------------------------------------------
@@ -176,12 +165,13 @@ def assert_all_branches_match(branches, ideal, count=None, prob=None):
 
 def teleport_single(psi):
     """Standard one-qubit teleportation of ``psi``, all four branches."""
-    return protocols.teleport_branches(*protocols._teleported(psi), [(0,)])
+    c = protocols.teleport_legs(Circuit(3), [(0, 1, (2,))])
+    return protocols.teleport_branches(*protocols.circuit_branches(c, psi), [(0,)])
 
 
 def test_teleport_single_basis_state():
-    assert_all_branches_match(teleport_single(single_qubit_state(1, 0)),
-                              single_qubit_state(1, 0), count=4, prob=0.25)
+    assert_all_branches_match(teleport_single(StateVector(1, [1, 0])),
+                              StateVector(1, [1, 0]), count=4, prob=0.25)
 
 
 def test_teleport_single_plus():
@@ -190,14 +180,14 @@ def test_teleport_single_plus():
 
 
 def test_teleport_single_generic():
-    psi = single_qubit_state(0.6, 0.8j)
+    psi = StateVector(1, [0.6, 0.8j])
     assert_all_branches_match(teleport_single(psi), psi, count=4, prob=0.25)
 
 
 def test_correction_table_is_the_unique_fix():
     # Re-run the teleport circuit without corrections and check that only
     # the table's Pauli recovers a generic input for each outcome.
-    psi = single_qubit_state(0.6, 0.8)
+    psi = StateVector(1, [0.6, 0.8])
     c = Circuit(3)
     c.custom(prep_unitary(psi.amplitudes), [0])
     c.h(1)
@@ -531,9 +521,9 @@ def test_protocols_walk_once_per_leg_and_per_expansion(monkeypatch):
     walks = []
     real = circuit.walk
 
-    def counted(c, states, *rest):
-        walks.append((c.num_qubits, len(states)))
-        return real(c, states, *rest)
+    def counted(steps, states, *rest):
+        walks.append((states.shape[1].bit_length() - 1, len(states)))
+        return real(steps, states, *rest)
 
     monkeypatch.setattr(circuit, "walk", counted)
     chi_a = GeneralizedBellTypeState(1, 1, 0.6, 0.8j)

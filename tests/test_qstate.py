@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import random_state
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -20,7 +21,6 @@ from twobell.qstate import (
     check_unitary,
     prep_unitary,
     project_rows,
-    single_qubit_state,
     split_rows,
     superop,
     tensor,
@@ -31,11 +31,6 @@ SQ2 = 1 / np.sqrt(2)
 H = np.array([[1, 1], [1, -1]]) * SQ2
 X = np.array([[0, 1], [1, 0]])
 CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
-
-
-def random_state(num_qubits, rng):
-    v = rng.normal(size=2 ** num_qubits) + 1j * rng.normal(size=2 ** num_qubits)
-    return StateVector(num_qubits, v / np.linalg.norm(v))
 
 
 def random_unitary(dim, rng):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
+from conftest import random_state
 
 from twobell.qstate import (
     DensityMatrix,
-    StateVector,
     basis_state,
     plus_state,
     tensor,
@@ -27,11 +27,6 @@ from twobell.tomography import (
 SQ2 = 1 / np.sqrt(2)
 
 REFERENCE_VALUES = [77.51, 84.64, 79.31, 78.98, 76.17, 81.33, 83.64, 80.21, 74.65, 79.92]
-
-
-def random_state(num_qubits, rng):
-    v = rng.normal(size=2 ** num_qubits) + 1j * rng.normal(size=2 ** num_qubits)
-    return StateVector(num_qubits, v / np.linalg.norm(v))
 
 
 def random_dm(num_qubits, rng):

@@ -72,12 +72,12 @@ def test_casablanca_shape():
     g = casablanca_topology()
     assert g.num_physical == 7
     assert len(g.edges) == 6
-    assert g.adjacency()[5] == {3, 4, 6}
+    assert g.adj[5] == {3, 4, 6}
 
 
 def test_casablanca_connected():
     g = casablanca_topology()
-    dist = g.distances()
+    dist = g.hops
     assert all(b in dist[a] for a in range(7) for b in range(7))
 
 
@@ -92,8 +92,8 @@ def test_route_on_large_graph_computes_only_the_hop_counts_it_reads():
     assert layout == final == {0: 0, 1: 1}
     assert report == CostReport(1, 0, 1)
     # BFS sources: node 0 for the connectivity check, then the routed gate's.
-    assert len(g.distances()) <= 2
-    assert g.distances()[0][599] == 599
+    assert len(g.hops) <= 2
+    assert g.hops[0][599] == 599
 
 
 def test_load_coupling_graph(tmp_path):
