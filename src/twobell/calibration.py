@@ -65,7 +65,8 @@ _CELL_PARSERS = {"qubit": _qubit, "t1_us": _positive, "t2_us": _positive, "freq_
 CSV_HEADER = [*_CELL_PARSERS, "cnot_errs"]
 
 
-def _parse_cnot_tokens(raw: str, row_qubit: int) -> dict:
+def _parse_cnot_tokens(raw: str, row_qubit: int, tokens: dict) -> dict:
+    """The row's CNOT errors by neighbor; ``tokens[row_qubit, nb]`` gets each token."""
     out = {}
     raw = raw.strip()
     if not raw:
@@ -86,7 +87,7 @@ def _parse_cnot_tokens(raw: str, row_qubit: int) -> dict:
             raise CalibrationError(f"CNOT token {token!r} needs a qubit >= 0 other than {row_qubit}")
         if nb in out:
             raise CalibrationError(f"CNOT token {token!r} repeats qubit {nb} on this row")
-        out[nb] = _probability(value)
+        out[nb], tokens[row_qubit, nb] = _probability(value), token
     return out
 
 
@@ -95,12 +96,13 @@ def load_calibration(path) -> list:
 
     Each cell is checked as it is read; a bad one is reported as
     ``line N, <column>: ...``, a line that is not UTF-8 as ``line N: not
-    UTF-8 text``, and a second row for a qubit is an error.
+    UTF-8 text``; a second row for a qubit, and a CNOT token that names a
+    qubit with no row, are errors.
     CNOT entries are completed symmetrically: cx0_1 under qubit 0 also
     registers under qubit 1, unless qubit 1's row lists the pair itself.
     T2 > 2*T1 is clamped with a warning.
     """
-    records, lines = {}, {}  # by qubit: its record, and the line of its row
+    records, lines, tokens = {}, {}, {}  # by qubit: its record and its row's line; by pair: its token
     try:
         reader = csv.DictReader(read_lines(path))
         header = reader.fieldnames = [f.strip() for f in reader.fieldnames or []]
@@ -115,7 +117,7 @@ def load_calibration(path) -> list:
                 for column, parse in _CELL_PARSERS.items():
                     cells[column] = parse(row[column])
                 column = "cnot_errs"
-                cells[column] = _parse_cnot_tokens(row[column], cells["qubit"])
+                cells[column] = _parse_cnot_tokens(row[column], cells["qubit"], tokens)
             except ValueError as exc:
                 raise CalibrationError(f"line {line}, {column}: {exc}") from None
             q, t1, t2 = cells["qubit"], cells["t1_us"], cells["t2_us"]
@@ -133,6 +135,8 @@ def load_calibration(path) -> list:
     # Symmetric completion across rows.
     for r in records.values():
         for nb, err in r.cnot_errors.items():
-            if nb in records:
-                records[nb].cnot_errors.setdefault(r.qubit, err)
+            if nb not in records:
+                raise CalibrationError(f"line {lines[r.qubit]}, cnot_errs: CNOT token "
+                                       f"{tokens[r.qubit, nb]!r} names qubit {nb}, which has no row")
+            records[nb].cnot_errors.setdefault(r.qubit, err)
     return list(records.values())

@@ -3,8 +3,9 @@
 Subcommands: ``run``, ``tomography``, ``stats``, ``route``, ``compare``.
 Every command emits one JSON document to stdout or ``--out``, byte-identical
 for the same config and seed: ``main`` adds the envelope (``schema_version``
-and ``command``) to what ``cmd_<command>`` returns, and ``_dumps`` writes it,
-in text byte-identical to ``json.dumps(doc, indent=2, sort_keys=True)``.
+and ``command``) to what ``cmd_<command>`` returns, and ``_write`` writes it,
+in text byte-identical to ``json.dumps(doc, indent=2, sort_keys=True)`` with
+its float64 arrays as lists.
 Fidelities are reported in percent at the CLI surface.
 
 ``cmd_run`` is here; the other commands are in ``twobell.commands``, which
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import sys
 
@@ -33,9 +33,9 @@ SCHEMA_VERSION = 1
 _encode_str = json.encoder.encode_basestring_ascii  # json.dumps' own str writer
 
 
-def _state_doc(state) -> list:
-    """[re, im] per amplitude; the same floats, signed zeros included."""
-    return np.ascontiguousarray(state.amplitudes).view(float).reshape(-1, 2).tolist()
+def _state_doc(state) -> np.ndarray:
+    """[re, im] per amplitude, as a view; the same floats, signed zeros included."""
+    return np.ascontiguousarray(state.amplitudes).view(float).reshape(-1, 2)
 
 
 def _branch_docs(branches, ideal):
@@ -116,56 +116,48 @@ def cmd_run(config: ExperimentConfig) -> dict:
     return doc
 
 
-def _block(items: list, depth: int, brackets: str = "[]") -> str:
-    """A nonempty JSON list or object at nesting ``depth``, one item a line."""
+@functools.lru_cache(maxsize=32)  # array shapes vary with the input
+def _grid_template(shape: tuple, depth: int) -> str:
+    """The text of a nonempty float array of ``shape`` (a vector or a grid)
+    at nesting ``depth``, with one ``%r`` per float."""
     pad = "\n" + "  " * depth
-    return brackets[0] + pad + "  " + ("," + pad + "  ").join(items) + pad + brackets[1]
+    item = _grid_template(shape[1:], depth + 1) if shape[1:] else "%r"
+    return "[" + pad + "  " + ("," + pad + "  ").join([item] * shape[0]) + pad + "]"
 
 
-@functools.lru_cache(maxsize=32)  # list lengths vary with the input
-def _grid_template(rows: int, cols: int, depth: int) -> str:
-    """The text of a float list (``rows`` = 0) or a rows x cols grid at
-    nesting ``depth``, with one ``%r`` per float."""
-    row = _block(["%r"] * cols, depth + 1 if rows else depth)
-    return _block([row] * rows, depth) if rows else row
-
-
-def _float_grid(v: list, depth: int) -> str | None:
-    """``v`` formatted in one ``%`` call when it is a list of floats or of
-    equal-length lists of floats; None otherwise."""
-    rows, cols, flat = 0, len(v), v
-    if type(v[0]) is list:
-        if {*map(type, v)} != {list} or len({*map(len, v)}) != 1:
-            return None
-        rows, cols, flat = len(v), len(v[0]), [*itertools.chain.from_iterable(v)]
-    if {*map(type, flat)} != {float}:
-        return None
-    text = _grid_template(rows, cols, depth) % tuple(flat)
-    # repr spells nan and inf, which JSON writes as NaN and Infinity.
-    return None if "n" in text else text
-
-
-def _dumps(value, depth: int = 0) -> str:
-    """The text of ``json.dumps(value, indent=2, sort_keys=True)``, with
-    float lists and grids formatted in one call.  Keys must be str."""
+def _write(value, out: list, depth: int = 0) -> None:
+    """Append the text of ``json.dumps(value, indent=2, sort_keys=True)`` to
+    ``out`` in pieces, a float64 array's as one piece.  Keys must be str."""
+    if type(value) is np.ndarray:
+        text = value.size and _grid_template(value.shape, depth) % tuple(value.ravel().tolist())
+        # repr spells nan and inf, which JSON writes as NaN and Infinity.
+        if text and "n" not in text:
+            return out.append(text)
+        value = value.tolist()  # written item by item, below
     if isinstance(value, dict):
-        if not value:
-            return "{}"
         for key in value:
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-        items = [_encode_str(k) + ": " + _dumps(value[k], depth + 1) for k in sorted(value)]
-        return _block(items, depth, "{}")
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        text = _float_grid(value, depth) if type(value) is list else None
-        return text or _block([_dumps(x, depth + 1) for x in value], depth)
-    if type(value) is str:
-        return _encode_str(value)
-    if type(value) in (int, float) and abs(value) < INF:
-        return type(value).__repr__(value)
-    return json.dumps(value)  # bool, None, NaN, infinities, numpy scalars, subclasses
+        items, brackets = [(_encode_str(k) + ": ", value[k]) for k in sorted(value)], "{}"
+    elif isinstance(value, (list, tuple)):
+        items, brackets = [("", x) for x in value], "[]"
+    elif type(value) is str:
+        return out.append(_encode_str(value))
+    elif type(value) in (int, float) and abs(value) < INF:
+        return out.append(type(value).__repr__(value))
+    else:  # bool, None, NaN, infinities, numpy scalars, subclasses
+        return out.append(json.dumps(value))
+    pad = "\n" + "  " * depth
+    for i, (head, item) in enumerate(items):
+        out.append(("," if i else brackets[0]) + pad + "  " + head)
+        _write(item, out, depth + 1)
+    out.append(pad + brackets[1] if items else brackets)
+
+
+def _dumps(value) -> str:
+    out = []
+    _write(value, out)
+    return "".join(out)
 
 
 @functools.cache
@@ -237,13 +229,15 @@ def main(argv=None) -> int:
             doc = commands.cmd_compare(load_config(args))
         else:  # pragma: no cover
             parser.error(f"unknown command {args.command}")
-        text = _dumps({**doc, "schema_version": SCHEMA_VERSION, "command": args.command}) + "\n"
+        pieces = []  # the whole document, before any of it is written
+        _write({**doc, "schema_version": SCHEMA_VERSION, "command": args.command}, pieces)
+        pieces.append("\n")
         out = getattr(args, "out", None)
         if out:
             with open(out, "w") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
         else:
-            sys.stdout.write(text)
+            sys.stdout.writelines(pieces)
     except (ValueError, OSError, MemoryError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -43,8 +43,8 @@ def cmd_tomography(config: ExperimentConfig, exact: bool = False) -> dict:
         "shots": None if exact else config.shots,
         "seed": config.seed,
         "density_matrix": {
-            "real": [[round(v, 12) for v in row] for row in rho.entries.real.tolist()],
-            "imag": [[round(v, 12) for v in row] for row in rho.entries.imag.tolist()],
+            "real": np.array([[round(v, 12) for v in row] for row in rho.entries.real.tolist()]),
+            "imag": np.array([[round(v, 12) for v in row] for row in rho.entries.imag.tolist()]),
         },
         "fidelity_percent": round(100 * fid, 6),
         "classical_limit_percent": round(100 * experiments.CLASSICAL_LIMIT, 6),

@@ -164,7 +164,12 @@ def test_bad_cnot_token_rejected(tmp_path):
      "line 2, cnot_errs: CNOT token 'cx0_1:0.3' repeats qubit 1 on this row"),
     ("0,100,100,5,0.01,0.001,cx0_1:0.01;cx1_0:0.3",
      "line 2, cnot_errs: CNOT token 'cx1_0:0.3' repeats qubit 1 on this row"),
-], ids=["self_pair", "negative_neighbour", "negative_qubit", "repeated_token", "repeated_pair"])
+    ("0,100,100,5,0.01,0.001,cx0_9:0.01",
+     "line 2, cnot_errs: CNOT token 'cx0_9:0.01' names qubit 9, which has no row"),
+    ("0,100,100,5,0.01,0.001,cx0_1:0.01\n1,100,100,5,0.01,0.001,cx1_0:0.01;cx2_1:0.02",
+     "line 3, cnot_errs: CNOT token 'cx2_1:0.02' names qubit 2, which has no row"),
+], ids=["self_pair", "negative_neighbour", "negative_qubit", "repeated_token", "repeated_pair",
+        "neighbour_without_row", "neighbour_without_row_on_a_later_line"])
 def test_malformed_calibration_cell_names_its_line_and_column(tmp_path, row, message):
     p = tmp_path / "cal.csv"
     p.write_text("qubit,t1_us,t2_us,freq_ghz,readout_err,x_err,cnot_errs\n" + row + "\n")

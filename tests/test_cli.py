@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import inspect
 import io
 import json
@@ -9,6 +10,7 @@ import re
 import resource
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import twobell
 from twobell import cli, experiments
@@ -611,9 +614,10 @@ def test_calibration_row_that_repeats_a_qubit_rejected(tmp_path, capsys):
         (6, "cx2_1:2", "cnot_errs: probability 2.0 out of [0, 1]"),
         (6, "cx0_1:0.1", "cnot_errs: CNOT token 'cx0_1:0.1' does not involve qubit 2"),
         (6, "xx0_1:0.01", "cnot_errs: unparsable CNOT token 'xx0_1:0.01'"),
+        (6, "cx2_1:0.01;cx2_9:0.01", "cnot_errs: CNOT token 'cx2_9:0.01' names qubit 9, which has no row"),
     ],
     ids=["qubit", "readout_err", "x_err", "cnot_errs_probability", "cnot_errs_other_qubit",
-         "cnot_errs_unparsable"],
+         "cnot_errs_unparsable", "cnot_errs_qubit_without_row"],
 )
 def test_bad_calibration_cell_names_its_line_and_column(tmp_path, capsys, column, cell, message):
     rows = packaged_calibration_path().read_text().splitlines()
@@ -838,8 +842,8 @@ def test_unwritable_out_path_ends_in_error(tmp_path, capsys, command, target):
     assert captured.out == ""
 
 
-# JSON values as the CLI's documents hold them, plus the cases the
-# writer's float-grid fast path must hand back to the generic path.
+# JSON values as the CLI's documents hold them, plus the floats that the
+# writer's one-call array path must hand back to the generic path.
 _floats = st.floats() | st.sampled_from([-0.0, math.nan, math.inf, -math.inf])
 
 
@@ -877,6 +881,25 @@ def test_dumps_equals_json_dumps(value):
     assert cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
+# float64 vectors (k,) and grids (r, c), k, r or c = 0 included.
+_arrays = arrays(np.float64, st.tuples(st.integers(0, 6)) | st.tuples(st.integers(0, 4), st.integers(0, 3)),
+                 elements=_floats)
+
+
+def _nested_arrays(depth: int):
+    """Arrays nested ``depth`` deep in lists and dicts."""
+    if not depth:
+        return _arrays
+    inner = _nested_arrays(depth - 1)
+    return st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3)
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 3).flatmap(_nested_arrays))
+def test_dumps_of_arrays_equals_json_dumps(value):
+    assert cli._dumps(value) == json.dumps(value, default=np.ndarray.tolist, indent=2, sort_keys=True)
+
+
 @pytest.mark.parametrize("key", [1, 1.5, None, True, ("a",)])
 def test_dumps_rejects_keys_that_are_not_str(key):
     with pytest.raises(TypeError):
@@ -898,7 +921,7 @@ def test_run_document_equals_json_dumps(tmp_path, capsys, m):
     cfg.write_text(json.dumps(data))
     assert main(["run", "--config", str(cfg)]) == 0
     doc = {**cli.cmd_run(ExperimentConfig(**data)), "schema_version": 1, "command": "run"}
-    assert capsys.readouterr().out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert capsys.readouterr().out == json.dumps(doc, default=np.ndarray.tolist, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -916,6 +939,24 @@ def test_document_is_not_written_by_the_python_json_encoder(monkeypatch, capsys,
     monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["schema_version"] == 1
+
+
+def test_large_run_document_keeps_its_bytes_and_is_written_lean(tmp_path):
+    """An m = 6 document, 16 branches of 2^13 amplitudes in 6.6 MB: its
+    digest was taken when the writer still built float lists, and writing
+    it must peak below 3x its length, so no copy of the text or list of
+    every float is held beside it."""
+    out = tmp_path / "doc.json"
+    tracemalloc.start()
+    try:
+        assert main(["run", "--config", str(GOLDEN / "two_bell_m6.config.json"), "--seed", "1",
+                     "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text = out.read_bytes()
+    assert hashlib.sha256(text).hexdigest() == (GOLDEN / "run_two_bell_m6_seed1.sha256").read_text().strip()
+    assert peak < 3 * len(text)
 
 
 def test_parser_is_built_once(monkeypatch, capsys):
