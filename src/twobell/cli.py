@@ -31,6 +31,7 @@ from .tomography import fidelity_stats, overlap
 SCHEMA_VERSION = 1
 
 _encode_str = json.encoder.encode_basestring_ascii  # json.dumps' own str writer
+_ROW_RUNS_FROM = 64  # a grid of fewer rows is formatted in one call, which is faster there (CHANGES.md)
 
 
 def _state_doc(state) -> np.ndarray:
@@ -128,8 +129,19 @@ def _grid_template(shape: tuple, depth: int) -> str:
 def _write(value, out: list, depth: int = 0) -> None:
     """Append the text of ``json.dumps(value, indent=2, sort_keys=True)`` to
     ``out`` in pieces, a float64 array's as one piece.  Keys must be str."""
+    pad = "\n" + "  " * depth
     if type(value) is np.ndarray:
-        text = value.size and _grid_template(value.shape, depth) % tuple(value.ravel().tolist())
+        if value.ndim == 2 and len(value) >= _ROW_RUNS_FROM and value.size:
+            row = "," + pad + "  " + _grid_template(value.shape[1:], depth + 1)  # a row after its comma
+            bits = value.view(np.uint64)  # compared by bits: a row holding -0.0 keeps its own text
+            # The first row of each run of equal rows, which is formatted once for the run.
+            starts = [0, *dict.fromkeys((np.nonzero(bits[1:] != bits[:-1])[0] + 1).tolist())]
+            ends = [*starts[1:], len(value)]
+            text = "".join([row % tuple(floats) * (end - start)
+                            for start, end, floats in zip(starts, ends, value[starts].tolist())])
+            text = "[" + text[1:] + pad + "]"
+        else:
+            text = value.size and _grid_template(value.shape, depth) % tuple(value.ravel().tolist())
         # repr spells nan and inf, which JSON writes as NaN and Infinity.
         if text and "n" not in text:
             return out.append(text)
@@ -141,16 +153,17 @@ def _write(value, out: list, depth: int = 0) -> None:
         items, brackets = [(_encode_str(k) + ": ", value[k]) for k in sorted(value)], "{}"
     elif isinstance(value, (list, tuple)):
         items, brackets = [("", x) for x in value], "[]"
-    elif type(value) is str:
-        return out.append(_encode_str(value))
-    elif type(value) in (int, float) and abs(value) < INF:
-        return out.append(type(value).__repr__(value))
-    else:  # bool, None, NaN, infinities, numpy scalars, subclasses
+    else:  # a scalar at the top; a dict's or a list's str, int and finite float are written below
         return out.append(json.dumps(value))
-    pad = "\n" + "  " * depth
     for i, (head, item) in enumerate(items):
-        out.append(("," if i else brackets[0]) + pad + "  " + head)
-        _write(item, out, depth + 1)
+        head = ("," if i else brackets[0]) + pad + "  " + head
+        if type(item) is str:
+            out.append(head + _encode_str(item))
+        elif type(item) in (int, float) and abs(item) < INF:
+            out.append(head + type(item).__repr__(item))
+        else:  # bool, None, NaN, infinities, numpy scalars, subclasses, arrays and containers
+            out.append(head)
+            _write(item, out, depth + 1)
     out.append(pad + brackets[1] if items else brackets)
 
 
@@ -213,11 +226,12 @@ def main(argv=None) -> int:
     try:
         if args.command != "run":
             from . import commands  # the other commands load on first use
+        csv_text = None
         if args.command == "run":
             doc = cmd_run(load_config(args))
-            if getattr(args, "csv", None):
-                from .commands import write_histogram_csv
-                write_histogram_csv(doc, args.csv)
+            if args.csv:  # looked up now, so a missing histogram ends the command before any write
+                from .commands import histogram_csv
+                csv_text = histogram_csv(doc)
         elif args.command == "tomography":
             doc = commands.cmd_tomography(load_config(args), exact=args.exact)
         elif args.command == "stats":
@@ -238,6 +252,9 @@ def main(argv=None) -> int:
                 fh.writelines(pieces)
         else:
             sys.stdout.writelines(pieces)
+        if csv_text is not None:  # exported only once the document is written
+            with open(args.csv, "w", newline="") as fh:
+                fh.write(csv_text)
     except (ValueError, OSError, MemoryError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -8,7 +8,6 @@ defined for m = 1.
 
 from __future__ import annotations
 
-import csv
 from importlib import resources
 
 import numpy as np
@@ -106,13 +105,11 @@ def cmd_compare(config: ExperimentConfig) -> dict:
     }
 
 
-def write_histogram_csv(doc: dict, path: str):
-    """``run --csv``: the document's noisy histogram, else its ideal one, as CSV."""
+def histogram_csv(doc: dict) -> str:
+    """``run --csv``: the document's noisy histogram, else its ideal one, as CSV
+    text with ``csv.writer``'s CRLF line ends."""
     hist = doc.get("noisy", {}).get("histogram") or doc.get("ideal", {}).get("histogram")
     if hist is None:
         raise ValueError("document has no histogram to export")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["outcome", "count"])
-        for outcome in sorted(hist):
-            writer.writerow([outcome, hist[outcome]])
+    rows = [("outcome", "count"), *sorted(hist.items())]
+    return "".join(f"{outcome},{count}\r\n" for outcome, count in rows)

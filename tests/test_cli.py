@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import csv
 import hashlib
 import inspect
 import io
@@ -223,7 +224,7 @@ def test_noisy_run_makes_one_noisy_pass(tmp_path, monkeypatch):
 
 def test_run_csv_export(tmp_path):
     csv_path = tmp_path / "hist.csv"
-    code, _ = run_cli(
+    code, out = run_cli(
         ["run", "--scheme", "two_bell", "--shots", "256", "--seed", "2",
          "--csv", str(csv_path)],
         tmp_path,
@@ -232,6 +233,11 @@ def test_run_csv_export(tmp_path):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "outcome,count"
     assert sum(int(l.split(",")[1]) for l in lines[1:]) == 256
+    # The bytes csv.writer writes, CRLF line ends included.
+    hist = load(out)["ideal"]["histogram"]
+    expected = io.StringIO(newline="")
+    csv.writer(expected).writerows([["outcome", "count"], *([k, hist[k]] for k in sorted(hist))])
+    assert csv_path.read_bytes() == expected.getvalue().encode()
 
 
 def test_run_csv_export_without_a_histogram_ends_in_error(tmp_path, capsys):
@@ -240,6 +246,14 @@ def test_run_csv_export_without_a_histogram_ends_in_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: document has no histogram to export\n"
     assert captured.out == ""
+    assert not csv_path.exists()
+
+
+def test_run_csv_is_not_exported_when_the_document_write_fails(tmp_path, capsys):
+    csv_path = tmp_path / "hist.csv"
+    out = tmp_path / "missing" / "doc.json"
+    assert main(["run", "--csv", str(csv_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
     assert not csv_path.exists()
 
 
@@ -881,9 +895,25 @@ def test_dumps_equals_json_dumps(value):
     assert cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
-# float64 vectors (k,) and grids (r, c), k, r or c = 0 included.
+@st.composite
+def _zero_heavy_grids(draw):
+    """Grids (r, 2), as a run document's amplitudes, and (r, c), of up to 600
+    rows, most of them all 0.0; the others, often in runs of equal rows, mix
+    0.0, -0.0 and a few other values, and sometimes one NaN or infinity."""
+    grid = np.zeros((draw(st.integers(0, 600)), draw(st.sampled_from([2, 2, 1, 3]))))
+    if grid.size:
+        cols = grid.shape[1]
+        rows = st.lists(st.sampled_from([0.0, -0.0, -0.0, 1.0, -0.25, 5e-324]), min_size=cols, max_size=cols)
+        for i, n in draw(st.lists(st.tuples(st.integers(0, len(grid) - 1), st.integers(1, 40)), max_size=30)):
+            grid[i:i + n] = draw(rows)
+        if draw(st.integers(0, 3)) == 0:
+            grid.flat[draw(st.integers(0, grid.size - 1))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    return grid
+
+
+# float64 vectors (k,) and grids (r, c), k, r or c = 0 included, and zero-heavy grids.
 _arrays = arrays(np.float64, st.tuples(st.integers(0, 6)) | st.tuples(st.integers(0, 4), st.integers(0, 3)),
-                 elements=_floats)
+                 elements=_floats) | _zero_heavy_grids()
 
 
 def _nested_arrays(depth: int):
@@ -906,7 +936,7 @@ def test_dumps_rejects_keys_that_are_not_str(key):
         cli._dumps({"a": {key: 1.0}})
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_run_document_equals_json_dumps(tmp_path, capsys, m):
     rng = np.random.default_rng(m)
 

@@ -179,7 +179,7 @@ ON_FIRST_USE = ("twobell.commands", "twobell.schemes", "twobell.textformat")
 ON_FIRST_USE_NAMES = ("to_text", "from_text", "numbered_lines", "parse_int", "load_coupling_graph",
                       "prepare_cluster5", "cluster_channel_teleport", "teleport_two_qubit_general",
                       "CLUSTER_QUBITS", "cmd_tomography", "cmd_stats", "cmd_route", "cmd_compare",
-                      "write_histogram_csv", "packaged_fidelities_path")
+                      "histogram_csv", "packaged_fidelities_path")
 
 
 def test_bare_import_and_run_load_no_on_first_use_code(tmp_path):
