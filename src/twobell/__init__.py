@@ -14,7 +14,8 @@ _EXPORTS = {
     "circuit": ("Circuit", "run_exact", "sample_counts"),
     "textformat": ("from_text", "to_text"),
     "protocols": ("GeneralizedBellTypeState", "ResourceReport", "TeleportBranch",
-                  "compress_ghz_class", "experiment_circuit", "multi_output_teleport"),
+                  "compress_ghz_class", "multi_output_teleport"),
+    "experiments": ("experiment_circuit",),
     "schemes": ("cluster_channel_teleport", "prepare_cluster5", "teleport_two_qubit_general"),
     "qstate": ("DensityMatrix", "StateVector", "apply_unitary", "basis_state", "hermitian_sqrt",
                "partial_trace", "plus_state", "tensor", "to_density"),

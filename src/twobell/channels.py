@@ -126,7 +126,7 @@ class NoiseModel:
         return superop(depolarizing_kraus(self.cnot_depol[key], 2)) @ decay
 
 
-def ideal_noise_model(num_qubits: int, durations: DurationConfig | None = None) -> NoiseModel:
+def ideal_noise_model(num_qubits: int) -> NoiseModel:
     """A noise model with no decoherence, gate error, or readout error."""
     qubits = range(num_qubits)
     return NoiseModel(
@@ -135,7 +135,6 @@ def ideal_noise_model(num_qubits: int, durations: DurationConfig | None = None) 
         x_depol={q: 0.0 for q in qubits},
         cnot_depol={frozenset((a, b)): 0.0 for a in qubits for b in qubits if a < b},
         confusion={q: np.eye(2) for q in qubits},
-        durations=durations,
     )
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -34,11 +35,6 @@ _encode_str = json.encoder.encode_basestring_ascii  # json.dumps' own str writer
 _ROW_RUNS_FROM = 64  # a grid of fewer rows is formatted in one call, which is faster there (CHANGES.md)
 
 
-def _state_doc(state) -> np.ndarray:
-    """[re, im] per amplitude, as a view; the same floats, signed zeros included."""
-    return np.ascontiguousarray(state.amplitudes).view(float).reshape(-1, 2)
-
-
 def _branch_docs(branches, ideal):
     docs = []
     for b in branches:
@@ -49,7 +45,7 @@ def _branch_docs(branches, ideal):
                 "corrections": [
                     {"receiver": r, "pauli": p, "qubit": q} for r, p, q in b.corrections
                 ],
-                "output_amplitudes": _state_doc(b.output),
+                "output_amplitudes": b.output.amplitudes.view(float).reshape(-1, 2),  # [re, im] each
                 "fidelity_vs_ideal": round(overlap(b.output, ideal), 12),
             }
         )
@@ -224,14 +220,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command != "run":
-            from . import commands  # the other commands load on first use
+        if args.command != "run" or args.csv:
+            from . import commands  # the other commands and the CSV export load on first use
         csv_text = None
         if args.command == "run":
             doc = cmd_run(load_config(args))
             if args.csv:  # looked up now, so a missing histogram ends the command before any write
-                from .commands import histogram_csv
-                csv_text = histogram_csv(doc)
+                csv_text = commands.histogram_csv(doc)
         elif args.command == "tomography":
             doc = commands.cmd_tomography(load_config(args), exact=args.exact)
         elif args.command == "stats":
@@ -252,9 +247,13 @@ def main(argv=None) -> int:
                 fh.writelines(pieces)
         else:
             sys.stdout.writelines(pieces)
+            sys.stdout.flush()  # so that a closed pipe raises here, not as the process exits
         if csv_text is not None:  # exported only once the document is written
             with open(args.csv, "w", newline="") as fh:
                 fh.write(csv_text)
+    except BrokenPipeError:  # a closed pipe, as in `twobell run | head -1`: exit 1 quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # stdout's rest is dropped at exit
+        return 1
     except (ValueError, OSError, MemoryError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1

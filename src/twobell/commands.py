@@ -60,8 +60,6 @@ def cmd_stats(values_path) -> dict:
         except ValueError:
             raise ValueError(f"line {line_no}: expected a finite number, got {line!r}") from None
         values.append(value)
-    if len(values) < 2:
-        raise ValueError("need >= 2 values")
     stats = fidelity_stats(values)
     return {
         "values": list(stats.values),

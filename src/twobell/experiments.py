@@ -1,5 +1,6 @@
-"""End-to-end experiment pipelines: the routed two-teleportation circuit
-on the device graph, noisy shot histograms, and tomography-based
+"""The paper's experiment and its end-to-end pipelines: the two-teleportation
+circuit (``experiment_circuit``, its legs, receiver qubits and output bits),
+routed on the device graph, noisy shot histograms, and tomography-based
 fidelity repetitions.  ``tomography`` and the noisy run take only
 inputs that compress to |+> (``check_plus_inputs``).
 
@@ -20,17 +21,13 @@ import numpy as np
 
 from .channels import NoiseModel, noisy_distribution
 from .circuit import Circuit, legs, sample_counts, sample_distribution, summed
-from .protocols import (
-    EXPERIMENT_OUTPUT_BITS,
-    EXPERIMENT_RECEIVER_QUBITS,
-    compress_ghz_class,
-    experiment_circuit,
-)
+from .protocols import compress_ghz_class, teleport_legs
 from .qstate import (
     DensityMatrix,
     StateVector,
     partial_trace,
     plus_state,
+    prep_unitary,
     tensor,
 )
 from .tomography import (
@@ -44,6 +41,34 @@ from .tomography import (
 from .transpile import casablanca_topology, route
 
 CLASSICAL_LIMIT = 2.0 / 3.0
+EXPERIMENT_LEGS = ((0, 1, (2,)), (3, 4, (5,)))  # (source, sender, receivers)
+EXPERIMENT_RECEIVER_QUBITS = tuple(receivers[0] for _, _, receivers in EXPERIMENT_LEGS)
+EXPERIMENT_OUTPUT_BITS = ("out1", "out2")
+
+
+def experiment_circuit(
+    input_a: StateVector | None = None,
+    input_b: StateVector | None = None,
+    measure_outputs: bool = True,
+) -> Circuit:
+    """The six-qubit two-teleportation experiment circuit.
+
+    Defaults teleport |+> and |+> (prepared with Hadamards).  Layout:
+    0, 3 information qubits; (1, 2) and (4, 5) Bell pairs; receivers
+    hold 2 and 5.  With ``measure_outputs`` the receiver qubits land in
+    classical bits out1, out2.
+    """
+    c = Circuit(6)
+    for (source, _, _), psi in zip(EXPERIMENT_LEGS, (input_a, input_b)):
+        if psi is None:
+            c.h(source)
+        else:
+            c.custom(prep_unitary(psi.amplitudes), [source])
+    teleport_legs(c, EXPERIMENT_LEGS)
+    if measure_outputs:
+        for q, bit in zip(EXPERIMENT_RECEIVER_QUBITS, EXPERIMENT_OUTPUT_BITS):
+            c.measure(q, bit)
+    return c
 
 
 def child_seeds(seed: int, count: int) -> list:

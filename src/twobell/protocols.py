@@ -1,7 +1,7 @@
 """Multi-output teleportation over two Bell pairs, the generalized-Bell-type
-compression step, resource accounting, and the experiment circuit.  The
-cluster baseline and the general two-qubit scheme are in
-``twobell.schemes``, built from the same leg builder.
+compression step, and resource accounting.  The cluster baseline and the
+general two-qubit scheme are in ``twobell.schemes``, built from the same
+leg builder; the paper's experiment circuit is in ``twobell.experiments``.
 
 Inputs are ``GeneralizedBellTypeState`` values.  ``ResourceReport``
 derives its Bell-pair and channel-qubit counts from n unknown coefficients.
@@ -34,7 +34,6 @@ from .qstate import (
     basis_state,
     checked_rows,
     kron_rows,
-    prep_unitary,
     project_rows,
 )
 
@@ -223,38 +222,6 @@ def multi_output_teleport(
     probabilities = [pa * pb for pa in p_a for pb in p_b]
     qubit_sets = (range(chi_a.n), range(chi_b.n))
     return teleport_branches(bits, probabilities, outputs, qubit_sets), ResourceReport(4)
-
-
-# -- the experiment circuit ---------------------------------------------------
-
-EXPERIMENT_LEGS = ((0, 1, (2,)), (3, 4, (5,)))  # (source, sender, receivers)
-EXPERIMENT_RECEIVER_QUBITS = tuple(receivers[0] for _, _, receivers in EXPERIMENT_LEGS)
-EXPERIMENT_OUTPUT_BITS = ("out1", "out2")
-
-
-def experiment_circuit(
-    input_a: StateVector | None = None,
-    input_b: StateVector | None = None,
-    measure_outputs: bool = True,
-) -> Circuit:
-    """The six-qubit two-teleportation experiment circuit.
-
-    Defaults teleport |+> and |+> (prepared with Hadamards).  Layout:
-    0, 3 information qubits; (1, 2) and (4, 5) Bell pairs; receivers
-    hold 2 and 5.  With ``measure_outputs`` the receiver qubits land in
-    classical bits out1, out2.
-    """
-    c = Circuit(6)
-    for (source, _, _), psi in zip(EXPERIMENT_LEGS, (input_a, input_b)):
-        if psi is None:
-            c.h(source)
-        else:
-            c.custom(prep_unitary(psi.amplitudes), [source])
-    teleport_legs(c, EXPERIMENT_LEGS)
-    if measure_outputs:
-        for q, bit in zip(EXPERIMENT_RECEIVER_QUBITS, EXPERIMENT_OUTPUT_BITS):
-            c.measure(q, bit)
-    return c
 
 
 def __getattr__(name):

@@ -58,10 +58,6 @@ def pauli_operator(label: str) -> np.ndarray:
     return m
 
 
-def _as_complex(a) -> np.ndarray:
-    return np.asarray(a, dtype=complex)
-
-
 class StateVector:
     """Normalized amplitude vector over ``num_qubits`` qubits, a read-only
     copy of the amplitudes it is given."""
@@ -76,10 +72,6 @@ class StateVector:
             raise ValueError(f"expected {2 ** num_qubits} amplitudes, got {amps.shape[0]}")
         checked_rows(amps).setflags(write=False)
         self.num_qubits, self.amplitudes = num_qubits, amps
-
-    @property
-    def dim(self) -> int:
-        return 2 ** self.num_qubits
 
 
 class DensityMatrix:
@@ -105,10 +97,6 @@ class DensityMatrix:
             raise ValueError("matrix has a negative eigenvalue beyond tolerance")
         m.setflags(write=False)
         self.num_qubits, self.entries = num_qubits, m
-
-    @property
-    def dim(self) -> int:
-        return 2 ** self.num_qubits
 
 
 def checked_rows(a: np.ndarray) -> np.ndarray:
@@ -172,7 +160,7 @@ def check_distinct(qubits):
 def check_unitary(u, k):
     """``u`` as a complex array, once it is a 2^k x 2^k unitary within 1e-10:
     the one unitary rule of gates and states."""
-    u = _as_complex(u)
+    u = np.asarray(u, dtype=complex)
     d = 2 ** k
     if u.shape != (d, d):
         raise ValueError(f"matrix shape {u.shape} does not match {k} target qubit(s)")
@@ -288,7 +276,7 @@ def hermitian_sqrt(m) -> np.ndarray:
     Eigenvalues in [-1e-9, 0) are clipped to zero; anything more negative
     signals a corrupted matrix and raises.
     """
-    m = _as_complex(m)
+    m = np.asarray(m, dtype=complex)
     if np.max(np.abs(m - m.conj().T)) > 1e-9:
         raise ValueError("matrix is not Hermitian")
     w, v = np.linalg.eigh(m)
@@ -303,7 +291,7 @@ def prep_unitary(target: np.ndarray) -> np.ndarray:
     Gram-Schmidt against the standard basis; deterministic.  A residual of
     norm <= 1e-4 is rounding error and skipped: a span of k < d would leave
     sum dist(e_i, span)^2 = d - k >= 1, but that sum is <= d * 1e-8 < 1."""
-    v = _as_complex(target).reshape(-1)
+    v = np.asarray(target, dtype=complex).reshape(-1)
     d = v.shape[0]
     v = v / np.linalg.norm(v)
     cols = [v]

@@ -38,7 +38,7 @@ def settings(num_qubits: int) -> list:
 
 def fidelity(sigma: DensityMatrix, rho: DensityMatrix) -> float:
     """Uhlmann fidelity of two density matrices, in [0, 1]."""
-    if sigma.dim != rho.dim:
+    if sigma.num_qubits != rho.num_qubits:
         raise ValueError("dimension mismatch")
     root = hermitian_sqrt(sigma.entries)
     inner = root @ rho.entries @ root
@@ -52,7 +52,7 @@ def fidelity(sigma: DensityMatrix, rho: DensityMatrix) -> float:
 
 def pure_fidelity(psi: StateVector, rho: DensityMatrix) -> float:
     """<psi| rho |psi>; the fast path when one state is pure."""
-    if psi.dim != rho.dim:
+    if psi.num_qubits != rho.num_qubits:
         raise ValueError("dimension mismatch")
     v = psi.amplitudes
     return float(np.real(np.vdot(v, rho.entries @ v)))
@@ -60,7 +60,7 @@ def pure_fidelity(psi: StateVector, rho: DensityMatrix) -> float:
 
 def overlap(a: StateVector, b: StateVector) -> float:
     """|<a|b>|^2, the fidelity of two pure states."""
-    if a.dim != b.dim:
+    if a.num_qubits != b.num_qubits:
         raise ValueError("dimension mismatch")
     return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
 

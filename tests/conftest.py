@@ -7,6 +7,7 @@ one test module uses live here; a module imports them with
 ``from conftest import ...``.
 """
 
+import hashlib
 import sys
 
 import numpy as np
@@ -37,6 +38,22 @@ def patch_bindings(monkeypatch):
         return patched
 
     return patch
+
+
+def assert_same_text(got: str, want: str):
+    """Fail unless ``got == want``, as strictly as that ``assert``, but quickly:
+    pytest's assertion rewriting diffs two unequal texts, which can take
+    minutes on a document of megabytes (and again on each of hypothesis'
+    shrink steps).  The failure names both lengths and
+    sha256 digests, the first differing offset, and the text around it."""
+    if got == want:
+        return
+    at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    digests = [hashlib.sha256(t.encode(errors="surrogatepass")).hexdigest() for t in (got, want)]
+    lo = max(0, at - 20)
+    pytest.fail(f"texts differ at offset {at}: got {len(got)} characters (sha256 {digests[0]}), "
+                f"want {len(want)} (sha256 {digests[1]})\n"
+                f"  got:  {got[lo:at + 20]!r}\n  want: {want[lo:at + 20]!r}", pytrace=False)
 
 
 def random_pair(rng):

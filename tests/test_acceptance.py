@@ -11,12 +11,8 @@ from conftest import random_bell_type, table_records
 from twobell.channels import build_noise_model
 from twobell.circuit import Circuit, sample_counts
 from twobell.commands import packaged_fidelities_path
-from twobell.experiments import noisy_experiment
-from twobell.protocols import (
-    ResourceReport,
-    experiment_circuit,
-    multi_output_teleport,
-)
+from twobell.experiments import experiment_circuit, noisy_experiment
+from twobell.protocols import ResourceReport, multi_output_teleport
 from twobell.qstate import StateVector, tensor, to_density
 from twobell.schemes import cluster_channel_teleport
 from twobell.tomography import (

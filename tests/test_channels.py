@@ -33,8 +33,8 @@ from twobell.circuit import (
     sample_distribution,
     walk,
 )
-from twobell.experiments import ideal_output_state, noisy_experiment
-from twobell.protocols import experiment_circuit, teleport_legs
+from twobell.experiments import experiment_circuit, ideal_output_state, noisy_experiment
+from twobell.protocols import teleport_legs
 from twobell.qstate import (
     apply_superop,
     partial_trace,

@@ -18,7 +18,7 @@ from twobell.circuit import (
     sample_counts,
     sample_distribution,
 )
-from twobell.protocols import experiment_circuit
+from twobell.experiments import experiment_circuit
 from twobell.qstate import StateVector, basis_state, partial_trace, to_density
 from twobell.textformat import from_text, to_text
 

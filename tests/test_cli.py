@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import assert_same_text
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -314,6 +315,17 @@ def test_stats_single_value_errors(tmp_path, capsys):
     assert "2 values" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["50.0\n", "", "# a comment\n\n"], ids=["one", "none", "comment"])
+def test_stats_of_fewer_than_two_values_ends_in_error(tmp_path, capsys, text):
+    """``fidelity_stats`` is the one place that asks for two values."""
+    p = tmp_path / "values.txt"
+    p.write_text(text)
+    assert main(["stats", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: need >= 2 values\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("values", ["1e308\n1e308\n", "1e200\n-1e200\n"], ids=["mean", "spread"])
 def test_stats_whose_mean_or_spread_overflows_end_in_error(tmp_path, capsys, values):
     p = tmp_path / "values.txt"
@@ -492,6 +504,44 @@ def test_python_m_twobell_matches_cli_main(tmp_path, capsys):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected
     assert proc.stderr == ""
+
+
+def _twobell(args, stdout, buffered=False):
+    """``python -m twobell args`` from this checkout, started with its stderr
+    piped; ``buffered`` drops ``PYTHONUNBUFFERED``, so that stdout holds a
+    short document until it is flushed."""
+    src = str(Path(twobell.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    if buffered:
+        env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.Popen([sys.executable, "-m", "twobell", *map(str, args)], stdout=stdout,
+                            stderr=subprocess.PIPE, env=env)
+
+
+def test_run_into_a_pipe_closed_after_one_line_exits_1_quietly(tmp_path):
+    """``twobell run | head -1`` at m = 4, whose 423 kB document overfills the
+    pipe: exit 1 with nothing on stderr (not ``error: [Errno 32] Broken
+    pipe``), and no CSV, since the document was not written."""
+    csv_path = tmp_path / "h.csv"
+    with _twobell(["run", "--config", GOLDEN / "two_bell_m4.config.json", "--csv", csv_path],
+                  subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=120) == 1
+    assert not csv_path.exists()
+
+
+def test_stats_into_a_closed_pipe_exits_1_quietly():
+    """A buffered 220-byte document meets the closed pipe when it is flushed:
+    still exit 1 with nothing on stderr, not Python's "Exception ignored"
+    note and exit code 120 as the process ends."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader from the start, so the child's first write fails
+    with _twobell(["stats"], write_end, buffered=True) as proc:
+        os.close(write_end)
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=120) == 1
 
 
 def test_compare_command(tmp_path):
@@ -892,7 +942,7 @@ _json_values = st.recursive(
 @settings(max_examples=300)
 @given(_json_values)
 def test_dumps_equals_json_dumps(value):
-    assert cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+    assert_same_text(cli._dumps(value), json.dumps(value, indent=2, sort_keys=True))
 
 
 @st.composite
@@ -927,7 +977,7 @@ def _nested_arrays(depth: int):
 @settings(max_examples=300)
 @given(st.integers(0, 3).flatmap(_nested_arrays))
 def test_dumps_of_arrays_equals_json_dumps(value):
-    assert cli._dumps(value) == json.dumps(value, default=np.ndarray.tolist, indent=2, sort_keys=True)
+    assert_same_text(cli._dumps(value), json.dumps(value, default=np.ndarray.tolist, indent=2, sort_keys=True))
 
 
 @pytest.mark.parametrize("key", [1, 1.5, None, True, ("a",)])
@@ -951,7 +1001,8 @@ def test_run_document_equals_json_dumps(tmp_path, capsys, m):
     cfg.write_text(json.dumps(data))
     assert main(["run", "--config", str(cfg)]) == 0
     doc = {**cli.cmd_run(ExperimentConfig(**data)), "schema_version": 1, "command": "run"}
-    assert capsys.readouterr().out == json.dumps(doc, default=np.ndarray.tolist, indent=2, sort_keys=True) + "\n"
+    assert_same_text(capsys.readouterr().out,
+                     json.dumps(doc, default=np.ndarray.tolist, indent=2, sort_keys=True) + "\n")
 
 
 @pytest.mark.parametrize(

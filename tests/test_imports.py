@@ -1,9 +1,10 @@
 """Every name a package module imports is read somewhere in that module,
 no module imports another package module's private (``_``-prefixed)
-name, only ``__main__`` imports the CLI, every function the layer tracer
-wraps still exists, a fresh process loads no stdlib module that only a
-record or log helper would need, and a fresh ``twobell run`` loads none of
-the package's on-first-use code.
+name, only ``__main__`` imports the CLI, only ``experiments`` defines the
+paper experiment, every function the layer tracer wraps still exists, a
+fresh process loads no stdlib module that only a record or log helper
+would need, and a fresh ``twobell run`` loads none of the package's
+on-first-use code.
 
 No linter ships with the toolchain, so this walks each module's syntax
 tree: an imported name that no ``Name`` node reads is unused.
@@ -128,6 +129,34 @@ def test_cli_imports_no_engine_module():
     assert imported_modules((SRC / "cli.py").read_text()) & engine == set()
 
 
+def defined_names(source: str) -> set:
+    """The names that a module's top level defines: its functions, classes and
+    assigned names (imported names are not defined there)."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def test_defined_names_are_found():
+    source = ("from .x import A\nB = 1\nC: int = 2\nD, (E, F) = 3, (4, 5)\n"
+              "def g():\n    H = 6\nclass K:\n    L = 7\n")
+    assert defined_names(source) == {"B", "C", "D", "E", "F", "g", "K"}
+
+
+def test_only_experiments_defines_the_paper_experiment():
+    """The paper experiment's circuit, legs, receiver qubits and output bits
+    have one home, so no other module knows which qubits receive."""
+    definers = [p.stem for p in sorted(SRC.glob("*.py"))
+                if any(n == "experiment_circuit" or n.startswith("EXPERIMENT_")
+                       for n in defined_names(p.read_text()))]
+    assert definers == ["experiments"]
+
+
 def test_tracer_targets_resolve():
     spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
@@ -235,7 +264,7 @@ def test_route_logs_when_logging_is_imported_after_the_package():
         "from twobell.transpile import casablanca_topology, route\n"
         "import logging\n"
         "logging.basicConfig(level=logging.DEBUG, stream=sys.stdout)\n"
-        "from twobell.protocols import experiment_circuit\n"
+        "from twobell.experiments import experiment_circuit\n"
         "route(experiment_circuit(measure_outputs=False), casablanca_topology())\n"
     )
     assert out == ("DEBUG:twobell.transpile:route: 3 layouts enumerated, 1 routed (0 cut short), "

@@ -72,6 +72,17 @@ def test_fidelity_dimension_mismatch():
         fidelity(to_density(plus_state()), random_dm(2, np.random.default_rng(0)))
 
 
+@pytest.mark.parametrize("measure", [fidelity, pure_fidelity, overlap])
+def test_states_of_different_sizes_raise_dimension_mismatch(measure):
+    """One check per measure, on ``num_qubits``: 1 qubit against 2, both ways."""
+    one, two = plus_state(), tensor(plus_state(), plus_state())
+    for a, b in ((one, two), (two, one)):
+        b = b if measure is overlap else to_density(b)
+        a = to_density(a) if measure is fidelity else a
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            measure(a, b)
+
+
 def test_pure_fidelity_examples():
     ideal = tensor(plus_state(), plus_state())
     assert pure_fidelity(ideal, to_density(ideal)) == pytest.approx(1.0, abs=1e-12)

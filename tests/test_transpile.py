@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from twobell import experiments, transpile
 from twobell.channels import ideal_noise_model, noisy_distribution
 from twobell.circuit import Circuit, Gate, Measure, run_exact
-from twobell.protocols import EXPERIMENT_RECEIVER_QUBITS, experiment_circuit
+from twobell.experiments import EXPERIMENT_RECEIVER_QUBITS, experiment_circuit
 from twobell.qstate import partial_trace, to_density
 from twobell.textformat import from_text, load_coupling_graph, to_text
 from twobell.transpile import (
