@@ -10,9 +10,8 @@ need 4.
 import numpy as np
 
 from twobell import GeneralizedBellTypeState
-from twobell.protocols import multi_output_teleport
+from twobell.protocols import cluster_channel_teleport, multi_output_teleport, prepare_cluster5
 from twobell.qstate import to_density
-from twobell.schemes import cluster_channel_teleport, prepare_cluster5
 from twobell.tomography import pure_fidelity
 
 # The channel state: four equal basis terms.

@@ -14,9 +14,9 @@ _EXPORTS = {
     "circuit": ("Circuit", "run_exact", "sample_counts"),
     "textformat": ("from_text", "to_text"),
     "protocols": ("GeneralizedBellTypeState", "ResourceReport", "TeleportBranch",
-                  "compress_ghz_class", "multi_output_teleport"),
+                  "cluster_channel_teleport", "compress_ghz_class", "multi_output_teleport",
+                  "prepare_cluster5", "teleport_two_qubit_general"),
     "experiments": ("experiment_circuit",),
-    "schemes": ("cluster_channel_teleport", "prepare_cluster5", "teleport_two_qubit_general"),
     "qstate": ("DensityMatrix", "StateVector", "apply_unitary", "basis_state", "hermitian_sqrt",
                "partial_trace", "plus_state", "tensor", "to_density"),
     "calibration": ("CalibrationRecord", "load_calibration"),

@@ -332,7 +332,9 @@ def read_lines(path):
 
 def __getattr__(name):
     """The text format's ``to_text`` and ``from_text``, loaded on first use
-    from ``twobell.textformat``; ``perfbench/spans.py`` traces them here."""
+    from ``twobell.textformat``.  ``perfbench/spans.py`` names them here, but
+    a freshly traced ``twobell route`` records neither: the tracer patches
+    only the modules loaded before it installs (ROADMAP item 1)."""
     if name in ("to_text", "from_text"):
         from . import textformat
         return getattr(textformat, name)

@@ -10,7 +10,8 @@ Fidelities are reported in percent at the CLI surface.
 
 ``cmd_run`` is here; the other commands are in ``twobell.commands``, which
 ``main`` imports on first use.  This module imports every module that
-``run`` uses when it is loaded; the experiment's rules are in ``experiments``.
+``run`` uses when it is loaded, ``protocols`` with all three of its schemes;
+the experiment's rules are in ``experiments``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ import numpy as np
 
 from . import experiments
 from .config import DEFAULT_SHOTS, INF, SCHEMES, ExperimentConfig, load_config
-from .protocols import compress_ghz_class, multi_output_teleport
+from .protocols import (CLUSTER_QUBITS, cluster_channel_teleport, compress_ghz_class,
+                        multi_output_teleport, teleport_two_qubit_general)
 from .qstate import tensor
 from .tomography import fidelity_stats, overlap
 
@@ -56,15 +58,13 @@ def cmd_run(config: ExperimentConfig) -> dict:
     # Each two_bell input is compressed once, for the check, the run and the histogram.
     compressed = None if config.noise is None else experiments.check_plus_inputs(config, "the noisy run")
     report = None
-    if config.scheme != "two_bell":
-        from . import schemes  # the cluster and general schemes load on first use
     if config.scheme == "general_two_qubit":
         ideal = config.general_input
-        branches, report = schemes.teleport_two_qubit_general(ideal)
+        branches, report = teleport_two_qubit_general(ideal)
     else:
         ideal = tensor(config.chi_a.to_statevector(), config.chi_b.to_statevector())
         if config.scheme == "cluster5":
-            branches = schemes.cluster_channel_teleport(config.chi_a, config.chi_b)
+            branches = cluster_channel_teleport(config.chi_a, config.chi_b)
         else:
             compressed = compressed or [compress_ghz_class(chi) for chi in (config.chi_a, config.chi_b)]
             branches, report = multi_output_teleport(config.chi_a, config.chi_b, compressed)
@@ -81,7 +81,7 @@ def cmd_run(config: ExperimentConfig) -> dict:
             "unknown_coefficients": report.unknown_coefficients,
         }
     else:
-        doc["resources"] = {"channel_qubits": schemes.CLUSTER_QUBITS,
+        doc["resources"] = {"channel_qubits": CLUSTER_QUBITS,
                             "channel": "five_qubit_cluster"}
 
     if config.scheme == "two_bell":

@@ -15,8 +15,7 @@ import numpy as np
 from . import experiments
 from .circuit import read_lines
 from .config import ExperimentConfig
-from .protocols import multi_output_teleport
-from .schemes import CLUSTER_QUBITS, cluster_channel_teleport
+from .protocols import CLUSTER_QUBITS, cluster_channel_teleport, multi_output_teleport
 from .textformat import from_text, load_coupling_graph, numbered_lines, to_text
 from .tomography import fidelity_stats, overlap, pure_fidelity, tomography_from_state
 from .transpile import casablanca_topology, route

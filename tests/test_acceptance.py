@@ -12,9 +12,8 @@ from twobell.channels import build_noise_model
 from twobell.circuit import Circuit, sample_counts
 from twobell.commands import packaged_fidelities_path
 from twobell.experiments import experiment_circuit, noisy_experiment
-from twobell.protocols import ResourceReport, multi_output_teleport
+from twobell.protocols import ResourceReport, cluster_channel_teleport, multi_output_teleport
 from twobell.qstate import StateVector, tensor, to_density
-from twobell.schemes import cluster_channel_teleport
 from twobell.tomography import (
     DensityMatrix,
     exact_expectations,

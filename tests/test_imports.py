@@ -1,10 +1,11 @@
 """Every name a package module imports is read somewhere in that module,
 no module imports another package module's private (``_``-prefixed)
 name, only ``__main__`` imports the CLI, only ``experiments`` defines the
-paper experiment, every function the layer tracer wraps still exists, a
-fresh process loads no stdlib module that only a record or log helper
-would need, and a fresh ``twobell run`` loads none of the package's
-on-first-use code.
+paper experiment, only ``__init__`` and ``circuit`` define a module
+``__getattr__``, every function the layer tracer wraps still exists and a
+fresh tracer records both schemes, a fresh process loads no stdlib module
+that only a record or log helper would need, and a fresh ``twobell run``
+loads none of the package's on-first-use code.
 
 No linter ships with the toolchain, so this walks each module's syntax
 tree: an imported name that no ``Name`` node reads is unused.
@@ -111,8 +112,8 @@ def imported_modules(source: str) -> set:
 
 def test_imported_modules_are_found():
     source = ("import os.path\nfrom . import cli\nfrom .config import load_config\n"
-              "def f():\n    from twobell.schemes import CLUSTER_QUBITS\n")
-    assert {"os.path", "twobell.cli", "twobell.config", "twobell.schemes"} <= imported_modules(source)
+              "def f():\n    from twobell.textformat import to_text\n")
+    assert {"os.path", "twobell.cli", "twobell.config", "twobell.textformat"} <= imported_modules(source)
 
 
 def test_only_main_imports_the_cli():
@@ -157,6 +158,14 @@ def test_only_experiments_defines_the_paper_experiment():
     assert definers == ["experiments"]
 
 
+def test_only_init_and_circuit_define_a_module_getattr():
+    """A module ``__getattr__`` forwards names that no binding holds, so a
+    tracer that patches bindings cannot see them: only the package's lazy
+    surface and ``circuit``'s text-format forward keep one."""
+    definers = [p.stem for p in sorted(SRC.glob("*.py")) if "__getattr__" in defined_names(p.read_text())]
+    assert definers == ["__init__", "circuit"]
+
+
 def test_tracer_targets_resolve():
     spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
@@ -183,6 +192,27 @@ def run_python(code: str, *args) -> str:
     return proc.stdout
 
 
+def test_tracer_wraps_both_schemes_in_a_fresh_process(tmp_path):
+    """A tracer installed right after ``import twobell.cli`` records the
+    cluster and general schemes that ``run`` and ``compare`` call."""
+    out = run_python(
+        "import importlib.util, sys\n"
+        "import twobell.cli\n"
+        "spec = importlib.util.spec_from_file_location('spans', sys.argv[1])\n"
+        "spans = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(spans)\n"
+        "tracer = spans.Tracer()\n"
+        "tracer.install()\n"
+        "for argv in (['run', '--scheme', 'cluster5'], ['run', '--scheme', 'general_two_qubit'],\n"
+        "             ['compare']):\n"
+        "    assert twobell.cli.main([*argv, '--out', sys.argv[2]]) == 0, argv\n"
+        "print(*sorted({span[0] for span in tracer.spans if span[0].startswith('protocols.')}))\n",
+        ROOT / "perfbench" / "spans.py", tmp_path / "doc.json",
+    )
+    assert set(out.split()) >= {"protocols.cluster_channel_teleport",
+                                "protocols.teleport_two_qubit_general"}
+
+
 # Loaded by ``dataclasses`` (copy) and ``logging`` (string, traceback) only.
 UNUSED_STDLIB = ("dataclasses", "logging", "copy", "traceback", "string")
 
@@ -203,11 +233,10 @@ def test_commands_load_no_record_or_log_helpers(tmp_path):
 
 
 # Loaded on first use only: ``twobell run`` needs none of them.
-ON_FIRST_USE = ("twobell.commands", "twobell.schemes", "twobell.textformat")
+ON_FIRST_USE = ("twobell.commands", "twobell.textformat")
 # Defined in those modules only, so no module a ``twobell run`` loads compiles them.
 ON_FIRST_USE_NAMES = ("to_text", "from_text", "numbered_lines", "parse_int", "load_coupling_graph",
-                      "prepare_cluster5", "cluster_channel_teleport", "teleport_two_qubit_general",
-                      "CLUSTER_QUBITS", "cmd_tomography", "cmd_stats", "cmd_route", "cmd_compare",
+                      "cmd_tomography", "cmd_stats", "cmd_route", "cmd_compare",
                       "histogram_csv", "packaged_fidelities_path")
 
 

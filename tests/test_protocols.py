@@ -10,9 +10,12 @@ from twobell.protocols import (
     GeneralizedBellTypeState,
     ResourceReport,
     TeleportBranch,
+    cluster_channel_teleport,
     compress_ghz_class,
     expand_rows,
     multi_output_teleport,
+    prepare_cluster5,
+    teleport_two_qubit_general,
 )
 from twobell.qstate import (
     GATE_MATRICES,
@@ -26,7 +29,6 @@ from twobell.qstate import (
     tensor,
     to_density,
 )
-from twobell.schemes import cluster_channel_teleport, prepare_cluster5, teleport_two_qubit_general
 from twobell.tomography import pure_fidelity
 
 SQ2 = 1 / np.sqrt(2)
