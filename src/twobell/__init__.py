@@ -11,8 +11,7 @@ from importlib import import_module
 
 # Each module, and the names the package exports from it.
 _EXPORTS = {
-    "circuit": ("Circuit", "run_exact", "sample_counts"),
-    "textformat": ("from_text", "to_text"),
+    "circuit": ("Circuit", "from_text", "run_exact", "sample_counts", "to_text"),
     "protocols": ("GeneralizedBellTypeState", "ResourceReport", "TeleportBranch",
                   "cluster_channel_teleport", "compress_ghz_class", "multi_output_teleport",
                   "prepare_cluster5", "teleport_two_qubit_general"),

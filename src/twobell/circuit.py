@@ -18,13 +18,20 @@ earlier measurement), and records in ``measured`` the qubit that each
 bit reads; ``walk`` and every other reader trust it, and no gate is
 checked again when the circuit runs.
 
-The text format is ``twobell.textformat``, loaded on first use.  Its line
-reader ``read_lines`` and ``CircuitParseError`` are here, because the
-calibration reader uses them too.
+Circuit text (``to_text``, ``from_text``) has one step per line: at
+most one ``qubits 6`` header (otherwise the count is inferred from the
+indices), gates such as ``H 0`` and ``CNOT 0 1`` (H X Y Z S CNOT SWAP),
+``M 3 -> c0`` to measure qubit 3 into bit c0, and ``X 5 if c0`` to apply
+a gate when bit c0 reads 1.  CUSTOM gates, and bit names that are empty
+or hold whitespace or ``#``, have no text form.  ``numbered_lines`` skips
+the ``#`` comments of circuit, coupling-graph (``transpile``) and
+``stats`` files; ``read_lines`` and ``CircuitParseError`` (``line N: ...``)
+serve the calibration reader too.
 """
 
 from __future__ import annotations
 
+import io
 from typing import NamedTuple
 
 import numpy as np
@@ -330,12 +337,86 @@ def read_lines(path):
             yield line
 
 
-def __getattr__(name):
-    """The text format's ``to_text`` and ``from_text``, loaded on first use
-    from ``twobell.textformat``.  ``perfbench/spans.py`` names them here, but
-    a freshly traced ``twobell route`` records neither: the tracer patches
-    only the modules loaded before it installs (ROADMAP item 1)."""
-    if name in ("to_text", "from_text"):
-        from . import textformat
-        return getattr(textformat, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+def numbered_lines(lines):
+    """(line number, text) of each line not blank once its ``#`` comment is cut."""
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield line_no, line
+
+
+def parse_int(tok: str, line_no: int) -> int:
+    """``int(tok)``, or a ``line N: expected integer`` error for a text file."""
+    try:
+        return int(tok)
+    except ValueError:
+        raise CircuitParseError(line_no, f"expected integer, got {tok!r}") from None
+
+
+def to_text(c: Circuit) -> str:
+    lines = [f"qubits {c.num_qubits}"]
+    for step in c.steps:
+        if step.bit is not None and (step.bit.split() != [step.bit] or "#" in step.bit):
+            raise ValueError(f"bit name {step.bit!r} has no text form")
+        if isinstance(step, Measure):
+            lines.append(f"M {step.qubit} -> {step.bit}")
+            continue
+        if step.kind == "CUSTOM":
+            raise ValueError("CUSTOM gates have no text form")
+        line = f"{step.kind} {' '.join(map(str, step.targets))}"
+        if step.bit is not None:
+            line += f" if {step.bit}"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+def from_text(text: str) -> Circuit:
+    steps = []  # (line number, step)
+    num_qubits = None
+
+    # Lines end at \n, \r\n or \r only, as ``read_lines`` reads a file.
+    for line_no, line in numbered_lines(io.StringIO(text, newline="")):
+        toks = line.split()
+        head = toks[0].upper()
+        if head == "QUBITS":
+            if num_qubits is not None:
+                raise CircuitParseError(line_no, "repeated qubits header")
+            if len(toks) != 2:
+                raise CircuitParseError(line_no, "usage: qubits N")
+            num_qubits = parse_int(toks[1], line_no)
+            if num_qubits < 1:
+                raise CircuitParseError(line_no, "num_qubits must be >= 1")
+            continue
+        if head == "M":
+            if len(toks) != 4 or toks[2] != "->":
+                raise CircuitParseError(line_no, "usage: M <qubit> -> <bit>")
+            steps.append((line_no, Measure(parse_int(toks[1], line_no), toks[3])))
+            continue
+        if head not in GATE_ARITY:
+            raise CircuitParseError(line_no, f"unknown gate {toks[0]!r}")
+        cond = None
+        body = toks[1:]
+        if "if" in [t.lower() for t in body]:
+            i = [t.lower() for t in body].index("if")
+            if len(body) != i + 2:
+                raise CircuitParseError(line_no, "usage: <gate> <targets> if <bit>")
+            cond = body[i + 1]
+            body = body[:i]
+        targets = tuple(parse_int(t, line_no) for t in body)
+        try:
+            steps.append((line_no, Gate(head, targets, bit=cond)))
+        except ValueError as exc:
+            raise CircuitParseError(line_no, str(exc)) from None
+
+    max_qubit = max((q for _, step in steps for q in step.targets), default=-1)
+    if max_qubit < 0 and num_qubits is None:
+        raise CircuitParseError(1, "empty circuit and no qubits header")
+    # The header may follow the steps, so ``add`` checks each step here.
+    c = Circuit(num_qubits if num_qubits is not None else max_qubit + 1)
+    for line_no, step in steps:
+        try:
+            c.add(step)
+        except ValueError as exc:
+            raise CircuitParseError(line_no, str(exc)) from None
+    return c

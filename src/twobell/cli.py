@@ -9,9 +9,10 @@ its float64 arrays as lists.
 Fidelities are reported in percent at the CLI surface.
 
 ``cmd_run`` is here; the other commands are in ``twobell.commands``, which
-``main`` imports on first use.  This module imports every module that
-``run`` uses when it is loaded, ``protocols`` with all three of its schemes;
-the experiment's rules are in ``experiments``.
+``main`` imports on first use, the one module a ``twobell run`` does not
+load.  This module imports every module that ``run`` uses when it is
+loaded, ``protocols`` with all three of its schemes and ``circuit`` with
+the circuit text format; the experiment's rules are in ``experiments``.
 """
 
 from __future__ import annotations

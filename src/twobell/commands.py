@@ -1,6 +1,7 @@
 """The commands other than ``run``: ``tomography``, ``stats``, ``route`` and
 ``compare``, and ``run``'s ``--csv`` export.  ``cli.main`` imports this
-module on first use, so a ``twobell run`` loads none of it.
+module on first use, so a ``twobell run`` loads none of it; ``route``'s
+text formats are in ``circuit`` and ``transpile``.
 
 ``tomography`` takes only inputs that compress to |+>; ``compare`` is
 defined for m = 1.
@@ -13,12 +14,11 @@ from importlib import resources
 import numpy as np
 
 from . import experiments
-from .circuit import read_lines
+from .circuit import from_text, numbered_lines, read_lines, to_text
 from .config import ExperimentConfig
 from .protocols import CLUSTER_QUBITS, cluster_channel_teleport, multi_output_teleport
-from .textformat import from_text, load_coupling_graph, numbered_lines, to_text
 from .tomography import fidelity_stats, overlap, pure_fidelity, tomography_from_state
-from .transpile import casablanca_topology, route
+from .transpile import casablanca_topology, load_coupling_graph, route
 
 
 def packaged_fidelities_path():

@@ -30,7 +30,7 @@ import sys
 from itertools import permutations
 from typing import NamedTuple
 
-from .circuit import SWAP_CNOTS, Circuit
+from .circuit import SWAP_CNOTS, Circuit, CircuitParseError, numbered_lines, parse_int, read_lines
 
 
 class _HopCounts(dict):
@@ -75,6 +75,22 @@ class CouplingGraph:
 
     def has_edge(self, a: int, b: int) -> bool:
         return frozenset((a, b)) in self.edges
+
+
+def load_coupling_graph(path) -> CouplingGraph:
+    """Edge-list text file, one ``u v`` pair per line; # starts a comment."""
+    edges = set()
+    for line_no, line in numbered_lines(read_lines(path)):
+        parts = line.split()
+        if len(parts) != 2:
+            raise CircuitParseError(line_no, f"expected 'u v', got {line!r}")
+        u, v = (parse_int(tok, line_no) for tok in parts)
+        if u == v or min(u, v) < 0:
+            raise CircuitParseError(line_no, f"expected two distinct nodes >= 0, got {line!r}")
+        edges.add(frozenset((u, v)))
+    if not edges:
+        raise ValueError("empty graph file")
+    return CouplingGraph(max(map(max, edges)) + 1, frozenset(edges))
 
 
 def casablanca_topology() -> CouplingGraph:

@@ -52,6 +52,18 @@ MUTANTS = (
      "qb_out = project_rows(pair, 2, [1], [[0]] * len(pair))",
      "qb_out = project_rows(pair, 2, [0], [[0]] * len(pair))",
      "the cluster receiver keeps the freed qubit instead of chi_b's one"),
+    ("src/twobell/circuit.py",
+     'line += f" if {step.bit}"',
+     'line += ""',
+     "to_text drops a gate's classical control, so it reads back unconditional"),
+    ("src/twobell/circuit.py",
+     "c = Circuit(num_qubits if num_qubits is not None else max_qubit + 1)",
+     "c = Circuit(max_qubit + 1)",
+     "from_text ignores the qubits header and counts only the qubits the steps name"),
+    ("src/twobell/transpile.py",
+     "if u == v or min(u, v) < 0:",
+     "if min(u, v) < 0:",
+     "load_coupling_graph accepts an edge from a node to itself"),
     ("src/twobell/cli.py",
      "bits = value.view(np.uint64)",
      "bits = value",

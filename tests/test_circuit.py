@@ -16,11 +16,12 @@ from twobell.circuit import (
     legs,
     run_exact,
     sample_counts,
+    from_text,
     sample_distribution,
+    to_text,
 )
 from twobell.experiments import experiment_circuit
 from twobell.qstate import StateVector, basis_state, partial_trace, to_density
-from twobell.textformat import from_text, to_text
 
 SQ2 = 1 / np.sqrt(2)
 
@@ -243,9 +244,10 @@ def test_parse_duplicate_targets_reports_line():
         ("qubits 2\nH 0 if c\nM 0 -> c\n", 2, "classical bit 'c' read before it is written"),
         ("H 0\nqubits 0\n", 2, "num_qubits must be >= 1"),
         ("qubits 2\nX 5\nX 0 if c\n", 2, "qubit 5 out of range"),
+        ("qubits 5\nH 0\nqubits 2\n", 3, "repeated qubits header"),
     ],
     ids=["range", "range_before_header", "unwritten", "written_later", "no_qubits",
-         "first_bad_line"],
+         "first_bad_line", "repeated_header"],
 )
 def test_parse_range_and_unwritten_bit_errors_report_their_line(text, line, message):
     with pytest.raises(CircuitParseError) as exc:

@@ -1,9 +1,9 @@
 """Every name a package module imports is read somewhere in that module,
 no module imports another package module's private (``_``-prefixed)
 name, only ``__main__`` imports the CLI, only ``experiments`` defines the
-paper experiment, only ``__init__`` and ``circuit`` define a module
-``__getattr__``, every function the layer tracer wraps still exists and a
-fresh tracer records both schemes, a fresh process loads no stdlib module
+paper experiment, only ``__init__`` defines a module ``__getattr__``,
+every function the layer tracer wraps still exists and a fresh tracer
+records both schemes and the circuit text format, a fresh process loads no stdlib module
 that only a record or log helper would need, and a fresh ``twobell run``
 loads none of the package's on-first-use code.
 
@@ -112,8 +112,8 @@ def imported_modules(source: str) -> set:
 
 def test_imported_modules_are_found():
     source = ("import os.path\nfrom . import cli\nfrom .config import load_config\n"
-              "def f():\n    from twobell.textformat import to_text\n")
-    assert {"os.path", "twobell.cli", "twobell.config", "twobell.textformat"} <= imported_modules(source)
+              "def f():\n    from twobell.commands import cmd_route\n")
+    assert {"os.path", "twobell.cli", "twobell.config", "twobell.commands"} <= imported_modules(source)
 
 
 def test_only_main_imports_the_cli():
@@ -158,12 +158,12 @@ def test_only_experiments_defines_the_paper_experiment():
     assert definers == ["experiments"]
 
 
-def test_only_init_and_circuit_define_a_module_getattr():
+def test_only_init_defines_a_module_getattr():
     """A module ``__getattr__`` forwards names that no binding holds, so a
     tracer that patches bindings cannot see them: only the package's lazy
-    surface and ``circuit``'s text-format forward keep one."""
+    surface keeps one."""
     definers = [p.stem for p in sorted(SRC.glob("*.py")) if "__getattr__" in defined_names(p.read_text())]
-    assert definers == ["__init__", "circuit"]
+    assert definers == ["__init__"]
 
 
 def test_tracer_targets_resolve():
@@ -194,7 +194,8 @@ def run_python(code: str, *args) -> str:
 
 def test_tracer_wraps_both_schemes_in_a_fresh_process(tmp_path):
     """A tracer installed right after ``import twobell.cli`` records the
-    cluster and general schemes that ``run`` and ``compare`` call."""
+    cluster and general schemes that ``run`` and ``compare`` call, and the
+    circuit text format that ``route`` reads and writes."""
     out = run_python(
         "import importlib.util, sys\n"
         "import twobell.cli\n"
@@ -204,13 +205,15 @@ def test_tracer_wraps_both_schemes_in_a_fresh_process(tmp_path):
         "tracer = spans.Tracer()\n"
         "tracer.install()\n"
         "for argv in (['run', '--scheme', 'cluster5'], ['run', '--scheme', 'general_two_qubit'],\n"
-        "             ['compare']):\n"
+        "             ['compare'], ['route', sys.argv[3]]):\n"
         "    assert twobell.cli.main([*argv, '--out', sys.argv[2]]) == 0, argv\n"
-        "print(*sorted({span[0] for span in tracer.spans if span[0].startswith('protocols.')}))\n",
+        "print(*sorted({span[0] for span in tracer.spans}))\n",
         ROOT / "perfbench" / "spans.py", tmp_path / "doc.json",
+        ROOT / "tests" / "golden" / "route_default.circuit.txt",
     )
     assert set(out.split()) >= {"protocols.cluster_channel_teleport",
-                                "protocols.teleport_two_qubit_general"}
+                                "protocols.teleport_two_qubit_general",
+                                "circuit.from_text", "circuit.to_text"}
 
 
 # Loaded by ``dataclasses`` (copy) and ``logging`` (string, traceback) only.
@@ -232,11 +235,10 @@ def test_commands_load_no_record_or_log_helpers(tmp_path):
     assert out == "\n"
 
 
-# Loaded on first use only: ``twobell run`` needs none of them.
-ON_FIRST_USE = ("twobell.commands", "twobell.textformat")
-# Defined in those modules only, so no module a ``twobell run`` loads compiles them.
-ON_FIRST_USE_NAMES = ("to_text", "from_text", "numbered_lines", "parse_int", "load_coupling_graph",
-                      "cmd_tomography", "cmd_stats", "cmd_route", "cmd_compare",
+# Loaded on first use only: ``twobell run`` does not need it.
+ON_FIRST_USE = ("twobell.commands",)
+# Defined in that module only, so no module a ``twobell run`` loads compiles them.
+ON_FIRST_USE_NAMES = ("cmd_tomography", "cmd_stats", "cmd_route", "cmd_compare",
                       "histogram_csv", "packaged_fidelities_path")
 
 

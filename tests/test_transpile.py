@@ -4,19 +4,19 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from twobell import experiments, transpile
 from twobell.channels import ideal_noise_model, noisy_distribution
-from twobell.circuit import Circuit, Gate, Measure, run_exact
+from twobell.circuit import Circuit, Gate, Measure, from_text, run_exact, to_text
 from twobell.experiments import EXPERIMENT_RECEIVER_QUBITS, experiment_circuit
 from twobell.qstate import partial_trace, to_density
-from twobell.textformat import from_text, load_coupling_graph, to_text
 from twobell.transpile import (
     CostReport,
     CouplingGraph,
     casablanca_topology,
     cost,
+    load_coupling_graph,
     route,
 )
 
@@ -402,11 +402,11 @@ ROUTED_AGREEMENT_GRAPHS = {
 
 
 @st.composite
-def measured_circuits(draw):
+def measured_circuits(draw, bit_names=st.sampled_from(["m0", "m1"])):
     """Up to 5 logical qubits, mostly 5 so that layouts reach the far
     qubits of the graph: one- and two-qubit gates on any qubits,
-    mid-circuit measurements, gates controlled on a measured bit, and a
-    final measurement."""
+    mid-circuit measurements into bits drawn from ``bit_names``, gates
+    controlled on a measured bit, and a final measurement into ``out``."""
     n = draw(st.sampled_from([1, 2, 3, 4, 5, 5, 5, 5]))
     kinds = ["H", "X", "Z", "S"] + (["CNOT", "CNOT", "SWAP"] if n > 1 else [])
 
@@ -419,7 +419,7 @@ def measured_circuits(draw):
     bits = []
     for step in draw(st.lists(st.sampled_from(["gate", "gate", "measure", "control"]), max_size=10)):
         if step == "measure":
-            bits.append(draw(st.sampled_from(["m0", "m1"])))
+            bits.append(draw(bit_names))
             c.measure(draw(st.integers(0, n - 1)), bits[-1])
         elif step == "control" and bits:
             g = gate()
@@ -430,10 +430,21 @@ def measured_circuits(draw):
 
 
 @settings(max_examples=60)
-@given(c=measured_circuits())
+@given(c=measured_circuits(st.one_of(st.sampled_from(["m0", "m1", "if", "->"]), st.text(max_size=3))))
+@example(c=Circuit(2).h(0).measure(0, "a#b"))
+@example(c=Circuit(2).h(0).measure(0, "c\n").c_if("X", (1,), "c\n"))
+@example(c=Circuit(2).h(0).measure(0, "a b"))
+@example(c=Circuit(2).h(0).measure(0, ""))
 def test_text_round_trip_keeps_every_step_and_measured_bit(c):
     """``from_text`` gives back the same qubit count, steps and
-    bit -> qubit map, in the same order."""
+    bit -> qubit map, in the same order; a bit name that would not read
+    back (empty, or holding whitespace or ``#``) is refused by ``to_text``."""
+    bad = [bit for bit in c.measured if bit.split() != [bit] or "#" in bit]
+    if bad:
+        with pytest.raises(ValueError) as exc:
+            to_text(c)
+        assert str(exc.value) == f"bit name {bad[0]!r} has no text form"
+        return
     back = from_text(to_text(c))
     assert back.num_qubits == c.num_qubits
     assert back.steps == c.steps
