@@ -10,8 +10,7 @@ but stays above the 2/3 classical limit.
 
 import numpy as np
 
-from twobell.calibration import load_calibration, packaged_calibration_path
-from twobell.channels import build_noise_model
+from twobell.channels import build_noise_model, load_calibration, packaged_calibration_path
 from twobell.experiments import noisy_experiment, routed_experiment
 from twobell.tomography import fidelity_stats
 

@@ -18,8 +18,8 @@ _EXPORTS = {
     "experiments": ("experiment_circuit",),
     "qstate": ("DensityMatrix", "StateVector", "apply_unitary", "basis_state", "hermitian_sqrt",
                "partial_trace", "plus_state", "tensor", "to_density"),
-    "calibration": ("CalibrationRecord", "load_calibration"),
-    "channels": ("DurationConfig", "NoiseModel", "build_noise_model"),
+    "channels": ("CalibrationRecord", "DurationConfig", "NoiseModel", "build_noise_model",
+                 "load_calibration"),
     "tomography": ("FidelityStats", "fidelity", "fidelity_stats", "pure_fidelity", "reconstruct",
                    "trace_distance"),
     "transpile": ("CouplingGraph", "CostReport", "casablanca_topology", "cost", "route"),

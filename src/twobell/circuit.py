@@ -13,10 +13,10 @@ A circuit is a list of two kinds of step: a ``Gate``, which may carry a
 classical control (apply only when ``bit`` reads 1), and a
 ``Measure`` of one qubit into one named bit.  Both report their qubits as
 ``targets`` and move to other qubits with ``on``.  A circuit is checked
-as each step is added (qubit range, and every control bit written by an
-earlier measurement), and records in ``measured`` the qubit that each
-bit reads; ``walk`` and every other reader trust it, and no gate is
-checked again when the circuit runs.
+as each step is added (qubit range, every bit named by a ``str``, and
+every control bit written by an earlier measurement), and records in
+``measured`` the qubit that each bit reads; ``walk`` and every other
+reader trust it, and no gate is checked again when the circuit runs.
 
 Circuit text (``to_text``, ``from_text``) has one step per line: at
 most one ``qubits 6`` header (otherwise the count is inferred from the
@@ -26,7 +26,7 @@ a gate when bit c0 reads 1.  CUSTOM gates, and bit names that are empty
 or hold whitespace or ``#``, have no text form.  ``numbered_lines`` skips
 the ``#`` comments of circuit, coupling-graph (``transpile``) and
 ``stats`` files; ``read_lines`` and ``CircuitParseError`` (``line N: ...``)
-serve the calibration reader too.
+serve the calibration reader (``channels.load_calibration``) too.
 """
 
 from __future__ import annotations
@@ -125,6 +125,8 @@ class Circuit:
         if not isinstance(step, (Gate, Measure)):
             raise TypeError(f"not a circuit step: {step!r}")
         measures = isinstance(step, Measure)
+        if (measures or step.bit is not None) and not isinstance(step.bit, str):
+            raise TypeError(f"classical bit {step.bit!r} is not a str")
         if not measures and step.bit is not None and step.bit not in self.measured:
             raise ValueError(f"classical bit {step.bit!r} read before it is written")
         check_qubits(step.targets, self.num_qubits)

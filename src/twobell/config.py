@@ -13,8 +13,7 @@ import warnings
 
 import numpy as np
 
-from .calibration import load_calibration, packaged_calibration_path
-from .channels import DurationConfig, build_noise_model
+from .channels import DurationConfig, build_noise_model, load_calibration, packaged_calibration_path
 from .protocols import GeneralizedBellTypeState
 from .qstate import StateVector
 

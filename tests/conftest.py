@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from twobell.calibration import load_calibration, packaged_calibration_path
+from twobell.channels import load_calibration, packaged_calibration_path
 from twobell.protocols import GeneralizedBellTypeState
 from twobell.qstate import StateVector
 

@@ -68,6 +68,52 @@ MUTANTS = (
      "bits = value.view(np.uint64)",
      "bits = value",
      "the writer compares rows by value, so a run of -0.0 rows prints 0.0"),
+    # The noise engine and the tomography projection.
+    ("src/twobell/channels.py",
+     "rate_phi = max(0.0, 1.0 / t2 - 1.0 / (2.0 * t1))",
+     "rate_phi = max(0.0, 1.0 / t2 - 1.0 / t1)",
+     "pure dephasing runs at 1/T2 - 1/T1 instead of 1/T2 - 1/(2 T1)"),
+    ("src/twobell/channels.py",
+     "return superop(depolarizing_kraus(self.x_depol[qubit], 1)) @ decay",
+     "return decay @ superop(depolarizing_kraus(self.x_depol[qubit], 1))",
+     "a one-qubit gate's depolarizing error comes before its decay, not after"),
+    ("src/twobell/channels.py",
+     "return [(posts[i][0] / w, idle(posts[i][1], dur.readout_ns)) for i, w in zip(kept, weights)]",
+     "return [(posts[i][0] / w, idle(posts[i][1], 0.0)) for i, w in zip(kept, weights)]",
+     "a kept outcome idles no qubit for the readout"),
+    ("src/twobell/channels.py",
+     'return SWAP_CNOTS if gate.kind == "SWAP" else 1',
+     "return 1",
+     "a SWAP costs one CNOT's duration and error instead of three"),
+    ("src/twobell/channels.py",
+     "one = dur.single_qubit_gate_ns if len(gate.targets) == 1 else dur.cnot_ns",
+     "one = dur.cnot_ns if len(gate.targets) == 1 else dur.single_qubit_gate_ns",
+     "one- and two-qubit gates take each other's time window"),
+    ("src/twobell/channels.py",
+     "_Wait(dur.readout_ns if isinstance(step, Measure) else window(step))",
+     "_Wait(0.0 if isinstance(step, Measure) else window(step))",
+     "a leg waits no time while the other leg reads out"),
+    ("src/twobell/channels.py",
+     'np.einsum("ijkl,mnop->imjnkolp", sa, sb)',
+     'np.einsum("ijkl,mnop->imjnkolp", sb, sa)',
+     "a CNOT's decay gives each qubit the other's T1 and T2"),
+    ("src/twobell/tomography.py",
+     "    w /= w.sum()\n",
+     "",
+     "reconstruct clips negative eigenvalues but does not renormalize the trace"),
+    # The calibration reader.
+    ("src/twobell/channels.py",
+     'cells["t2_us"] = 2 * t1',
+     "pass",
+     "T2 > 2*T1 is warned about but not clamped"),
+    ("src/twobell/channels.py",
+     "records[nb].cnot_errors.setdefault(r.qubit, err)",
+     "records[nb].cnot_errors[r.qubit] = err",
+     "the symmetric completion overwrites the CNOT error a row lists for its own pair"),
+    ("src/twobell/channels.py",
+     "if q in lines:",
+     "if False:",
+     "a second row for a qubit silently replaces the first"),
 )
 
 

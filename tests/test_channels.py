@@ -6,13 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twobell import channels, experiments, qstate
-from twobell.calibration import (
+from twobell.channels import (
     CalibrationError,
     CalibrationRecord,
-    load_calibration,
-    packaged_calibration_path,
-)
-from twobell.channels import (
     DurationConfig,
     NoiseModel,
     amplitude_damping_kraus,
@@ -20,7 +16,9 @@ from twobell.channels import (
     depolarizing_kraus,
     depolarizing_strength,
     ideal_noise_model,
+    load_calibration,
     noisy_distribution,
+    packaged_calibration_path,
     phase_flip_kraus,
 )
 from twobell.circuit import (

@@ -214,18 +214,23 @@ def test_parse_error_reports_line():
 
 
 @pytest.mark.parametrize(
-    "make",
+    "make, error, message",
     [
-        lambda: Gate("CNOT", (1, 1)),
-        lambda: Gate("SWAP", [0, 0]),
-        lambda: Gate("CUSTOM", (2, 2), np.eye(4)),
-        lambda: Circuit(2).cnot(1, 1),
-        lambda: Circuit(2).c_if("SWAP", (0, 0), "c"),
+        (lambda: Gate("CNOT", (1, 1)), ValueError, "duplicate target qubits"),
+        (lambda: Gate("SWAP", [0, 0]), ValueError, "duplicate target qubits"),
+        (lambda: Gate("CUSTOM", (2, 2), np.eye(4)), ValueError, "duplicate target qubits"),
+        (lambda: Circuit(2).cnot(1, 1), ValueError, "duplicate target qubits"),
+        (lambda: Circuit(2).c_if("SWAP", (0, 0), "c"), ValueError, "duplicate target qubits"),
+        (lambda: Circuit(1).h(0).measure(0, 5), TypeError, "classical bit 5 is not a str"),
+        (lambda: Circuit(1).c_if("X", (0,), 5), TypeError, "classical bit 5 is not a str"),
     ],
-    ids=["cnot", "swap", "custom", "circuit_cnot", "controlled"],
+    ids=["cnot", "swap", "custom", "circuit_cnot", "controlled", "measured_bit_not_str",
+         "control_bit_not_str"],
 )
-def test_gate_rejects_duplicate_targets(make):
-    with pytest.raises(ValueError, match="duplicate target qubits"):
+def test_gate_rejects_duplicate_targets(make, error, message):
+    """A step is checked as it is made: its targets must be distinct, and a
+    bit it writes or reads must be named by a str."""
+    with pytest.raises(error, match=message):
         make()
 
 

@@ -24,7 +24,7 @@ from hypothesis.extra.numpy import arrays
 
 import twobell
 from twobell import cli, experiments
-from twobell.calibration import packaged_calibration_path
+from twobell.channels import packaged_calibration_path
 from twobell.cli import main
 from twobell.commands import packaged_fidelities_path
 from twobell.config import CONFIG_KEYS, SCHEMES, ExperimentConfig

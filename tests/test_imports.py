@@ -3,7 +3,8 @@ no module imports another package module's private (``_``-prefixed)
 name, only ``__main__`` imports the CLI, only ``experiments`` defines the
 paper experiment, only ``__init__`` defines a module ``__getattr__``,
 every function the layer tracer wraps still exists and a fresh tracer
-records both schemes and the circuit text format, a fresh process loads no stdlib module
+records both schemes, the circuit text format and the calibration reader,
+the README lists every module, a fresh process loads no stdlib module
 that only a record or log helper would need, and a fresh ``twobell run``
 loads none of the package's on-first-use code.
 
@@ -15,6 +16,7 @@ import ast
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -40,9 +42,6 @@ KNOWN_DEAD_TARGETS = {
 ALLOWED_UNUSED = {
     ("channels", "sample_distribution"): "perfbench/spans.py traces the sampler "
     "as channels.sample_distribution; without the import those metrics read 0",
-    ("channels", "load_calibration"): "perfbench/spans.py times the calibration "
-    "reader as channels.load_calibration; without the import channels.calibration "
-    "times build_noise_model only",
 }
 
 
@@ -124,10 +123,20 @@ def test_only_main_imports_the_cli():
 
 
 def test_cli_imports_no_engine_module():
-    """The CLI reaches the calibration table, the noise channels and the
-    circuit only through ``experiments`` and ``config``."""
-    engine = {"twobell.calibration", "twobell.channels", "twobell.circuit"}
+    """The CLI reaches the calibration table and the noise channels (both in
+    ``channels``) and the circuit only through ``experiments`` and ``config``.
+    Each name must be a module, so that a fold cannot leave a dead one here."""
+    engine = {"twobell.channels", "twobell.circuit"}
+    assert [n for n in engine if not (SRC / f"{n.removeprefix('twobell.')}.py").is_file()] == []
     assert imported_modules((SRC / "cli.py").read_text()) & engine == set()
+
+
+def test_readme_lists_every_module_once():
+    """The README's module list (its ``- `twobell.<m>` —`` lines) names each
+    module of the package but ``__init__`` and ``__main__``, once."""
+    listed = re.findall(r"^- `twobell\.(\w+)` —", (ROOT / "README.md").read_text(), re.M)
+    modules = [p.stem for p in SRC.glob("*.py") if p.stem not in ("__init__", "__main__")]
+    assert sorted(listed) == sorted(modules)
 
 
 def defined_names(source: str) -> set:
@@ -194,8 +203,10 @@ def run_python(code: str, *args) -> str:
 
 def test_tracer_wraps_both_schemes_in_a_fresh_process(tmp_path):
     """A tracer installed right after ``import twobell.cli`` records the
-    cluster and general schemes that ``run`` and ``compare`` call, and the
-    circuit text format that ``route`` reads and writes."""
+    cluster and general schemes that ``run`` and ``compare`` call, the
+    circuit text format that ``route`` reads and writes, and both halves of
+    the ``channels.calibration`` span that a noisy ``run`` enters once each:
+    ``load_calibration`` and ``build_noise_model``."""
     out = run_python(
         "import importlib.util, sys\n"
         "import twobell.cli\n"
@@ -205,15 +216,18 @@ def test_tracer_wraps_both_schemes_in_a_fresh_process(tmp_path):
         "tracer = spans.Tracer()\n"
         "tracer.install()\n"
         "for argv in (['run', '--scheme', 'cluster5'], ['run', '--scheme', 'general_two_qubit'],\n"
-        "             ['compare'], ['route', sys.argv[3]]):\n"
+        "             ['compare'], ['route', sys.argv[3]],\n"
+        "             ['run', '--calibration', 'builtin', '--reps', '1']):\n"
         "    assert twobell.cli.main([*argv, '--out', sys.argv[2]]) == 0, argv\n"
-        "print(*sorted({span[0] for span in tracer.spans}))\n",
+        "print(*(span[0] for span in tracer.spans))\n",
         ROOT / "perfbench" / "spans.py", tmp_path / "doc.json",
         ROOT / "tests" / "golden" / "route_default.circuit.txt",
     )
-    assert set(out.split()) >= {"protocols.cluster_channel_teleport",
-                                "protocols.teleport_two_qubit_general",
-                                "circuit.from_text", "circuit.to_text"}
+    names = out.split()
+    assert set(names) >= {"protocols.cluster_channel_teleport",
+                          "protocols.teleport_two_qubit_general",
+                          "circuit.from_text", "circuit.to_text"}
+    assert names.count("channels.calibration") == 2
 
 
 # Loaded by ``dataclasses`` (copy) and ``logging`` (string, traceback) only.
