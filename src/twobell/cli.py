@@ -1,18 +1,16 @@
-"""Command-line experiment runner.
+"""Command-line experiment runner: the process boundary only (argv, the
+document writer and the exit codes).
 
 Subcommands: ``run``, ``tomography``, ``stats``, ``route``, ``compare``.
 Every command emits one JSON document to stdout or ``--out``, byte-identical
 for the same config and seed: ``main`` adds the envelope (``schema_version``
-and ``command``) to what ``cmd_<command>`` returns, and ``_write`` writes it,
-in text byte-identical to ``json.dumps(doc, indent=2, sort_keys=True)`` with
-its float64 arrays as lists.
+and ``command``) to what ``commands.cmd_<command>`` returns, and ``_write``
+writes it, in text byte-identical to ``json.dumps(doc, indent=2,
+sort_keys=True)`` with its float64 arrays as lists.
 Fidelities are reported in percent at the CLI surface.
 
-``cmd_run`` is here; the other commands are in ``twobell.commands``, which
-``main`` imports on first use, the one module a ``twobell run`` does not
-load.  This module imports every module that ``run`` uses when it is
-loaded, ``protocols`` with all three of its schemes and ``circuit`` with
-the circuit text format; the experiment's rules are in ``experiments``.
+Every command is in ``twobell.commands``, which this module imports when
+it is loaded, so ``import twobell.cli`` loads every module of the package.
 """
 
 from __future__ import annotations
@@ -25,93 +23,13 @@ import sys
 
 import numpy as np
 
-from . import experiments
-from .config import DEFAULT_SHOTS, INF, SCHEMES, ExperimentConfig, load_config
-from .protocols import (CLUSTER_QUBITS, cluster_channel_teleport, compress_ghz_class,
-                        multi_output_teleport, teleport_two_qubit_general)
-from .qstate import tensor
-from .tomography import fidelity_stats, overlap
+from . import commands
+from .config import DEFAULT_SHOTS, INF, SCHEMES, load_config
 
 SCHEMA_VERSION = 1
 
 _encode_str = json.encoder.encode_basestring_ascii  # json.dumps' own str writer
 _ROW_RUNS_FROM = 64  # a grid of fewer rows is formatted in one call, which is faster there (CHANGES.md)
-
-
-def _branch_docs(branches, ideal):
-    docs = []
-    for b in branches:
-        docs.append(
-            {
-                "outcome_bits": b.outcome_bits,
-                "probability": round(b.probability, 12),
-                "corrections": [
-                    {"receiver": r, "pauli": p, "qubit": q} for r, p, q in b.corrections
-                ],
-                "output_amplitudes": b.output.amplitudes.view(float).reshape(-1, 2),  # [re, im] each
-                "fidelity_vs_ideal": round(overlap(b.output, ideal), 12),
-            }
-        )
-    return docs
-
-
-def cmd_run(config: ExperimentConfig) -> dict:
-    # Each two_bell input is compressed once, for the check, the run and the histogram.
-    compressed = None if config.noise is None else experiments.check_plus_inputs(config, "the noisy run")
-    report = None
-    if config.scheme == "general_two_qubit":
-        ideal = config.general_input
-        branches, report = teleport_two_qubit_general(ideal)
-    else:
-        ideal = tensor(config.chi_a.to_statevector(), config.chi_b.to_statevector())
-        if config.scheme == "cluster5":
-            branches = cluster_channel_teleport(config.chi_a, config.chi_b)
-        else:
-            compressed = compressed or [compress_ghz_class(chi) for chi in (config.chi_a, config.chi_b)]
-            branches, report = multi_output_teleport(config.chi_a, config.chi_b, compressed)
-    doc = {
-        "scheme": config.scheme,
-        "shots": config.shots,
-        "seed": config.seed,
-        "branches": _branch_docs(branches, ideal),
-    }
-    if report is not None:
-        doc["resources"] = {
-            "bell_pairs": report.bell_pairs,
-            "channel_qubits": report.channel_qubits,
-            "unknown_coefficients": report.unknown_coefficients,
-        }
-    else:
-        doc["resources"] = {"channel_qubits": CLUSTER_QUBITS,
-                            "channel": "five_qubit_cluster"}
-
-    if config.scheme == "two_bell":
-        doc["ideal"] = {
-            "histogram": experiments.ideal_histogram(compressed, config.shots, config.seed),
-            "fidelity_percent": 100.0,
-        }
-        nm = config.noise_model()
-        if nm is not None:
-            exp = experiments.noisy_experiment(nm)
-            fid_det = exp.deterministic_fidelity()
-            noisy_doc = {
-                "histogram": exp.histogram(config.shots, config.seed),
-                "fidelity_percent_deterministic": round(100 * fid_det, 6),
-            }
-            if config.reps >= 1:
-                fids = exp.repetition_fidelities(config.shots, config.seed, config.reps)
-                noisy_doc["repetition_fidelities_percent"] = [
-                    round(100 * f, 6) for f in fids
-                ]
-                if len(fids) >= 2:
-                    stats = fidelity_stats([100 * f for f in fids])
-                    noisy_doc["stats"] = {
-                        "mean": round(stats.mean, 6),
-                        "sample_std": round(stats.sample_std, 6),
-                    }
-            noisy_doc["classical_limit_percent"] = round(100 * experiments.CLASSICAL_LIMIT, 6)
-            doc["noisy"] = noisy_doc
-    return doc
 
 
 @functools.lru_cache(maxsize=32)  # array shapes vary with the input
@@ -221,18 +139,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command != "run" or args.csv:
-            from . import commands  # the other commands and the CSV export load on first use
         csv_text = None
         if args.command == "run":
-            doc = cmd_run(load_config(args))
+            doc = commands.cmd_run(load_config(args))
             if args.csv:  # looked up now, so a missing histogram ends the command before any write
                 csv_text = commands.histogram_csv(doc)
         elif args.command == "tomography":
             doc = commands.cmd_tomography(load_config(args), exact=args.exact)
         elif args.command == "stats":
-            path = args.values if args.values else commands.packaged_fidelities_path()
-            doc = commands.cmd_stats(path)
+            doc = commands.cmd_stats(args.values)
         elif args.command == "route":
             doc = commands.cmd_route(args.circuit, args.graph)
         elif args.command == "compare":

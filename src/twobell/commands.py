@@ -1,7 +1,9 @@
-"""The commands other than ``run``: ``tomography``, ``stats``, ``route`` and
-``compare``, and ``run``'s ``--csv`` export.  ``cli.main`` imports this
-module on first use, so a ``twobell run`` loads none of it; ``route``'s
-text formats are in ``circuit`` and ``transpile``.
+"""Every command: ``run``, ``tomography``, ``stats``, ``route`` and
+``compare``, and ``run``'s ``--csv`` export.  ``cli`` imports this module
+when it is loaded, and this module imports every module the commands use:
+``protocols`` with all three of its schemes, and ``circuit`` and
+``transpile`` with ``route``'s text formats.  The experiment's rules are
+in ``experiments``.
 
 ``tomography`` takes only inputs that compress to |+>; ``compare`` is
 defined for m = 1.
@@ -16,13 +18,91 @@ import numpy as np
 from . import experiments
 from .circuit import from_text, numbered_lines, read_lines, to_text
 from .config import ExperimentConfig
-from .protocols import CLUSTER_QUBITS, cluster_channel_teleport, multi_output_teleport
+from .protocols import (CLUSTER_QUBITS, cluster_channel_teleport, compress_ghz_class,
+                        multi_output_teleport, teleport_two_qubit_general)
+from .qstate import tensor
 from .tomography import fidelity_stats, overlap, pure_fidelity, tomography_from_state
 from .transpile import casablanca_topology, load_coupling_graph, route
 
 
 def packaged_fidelities_path():
     return resources.files("twobell.data") / "paper_fidelities.txt"
+
+
+def _branch_docs(branches, ideal):
+    docs = []
+    for b in branches:
+        docs.append(
+            {
+                "outcome_bits": b.outcome_bits,
+                "probability": round(b.probability, 12),
+                "corrections": [
+                    {"receiver": r, "pauli": p, "qubit": q} for r, p, q in b.corrections
+                ],
+                "output_amplitudes": b.output.amplitudes.view(float).reshape(-1, 2),  # [re, im] each
+                "fidelity_vs_ideal": round(overlap(b.output, ideal), 12),
+            }
+        )
+    return docs
+
+
+def cmd_run(config: ExperimentConfig) -> dict:
+    # Each two_bell input is compressed once, for the check, the run and the histogram.
+    compressed = None if config.noise is None else experiments.check_plus_inputs(config, "the noisy run")
+    report = None
+    if config.scheme == "general_two_qubit":
+        ideal = config.general_input
+        branches, report = teleport_two_qubit_general(ideal)
+    else:
+        ideal = tensor(config.chi_a.to_statevector(), config.chi_b.to_statevector())
+        if config.scheme == "cluster5":
+            branches = cluster_channel_teleport(config.chi_a, config.chi_b)
+        else:
+            compressed = compressed or [compress_ghz_class(chi) for chi in (config.chi_a, config.chi_b)]
+            branches, report = multi_output_teleport(config.chi_a, config.chi_b, compressed)
+    doc = {
+        "scheme": config.scheme,
+        "shots": config.shots,
+        "seed": config.seed,
+        "branches": _branch_docs(branches, ideal),
+    }
+    if report is not None:
+        doc["resources"] = {
+            "bell_pairs": report.bell_pairs,
+            "channel_qubits": report.channel_qubits,
+            "unknown_coefficients": report.unknown_coefficients,
+        }
+    else:
+        doc["resources"] = {"channel_qubits": CLUSTER_QUBITS,
+                            "channel": "five_qubit_cluster"}
+
+    if config.scheme == "two_bell":
+        doc["ideal"] = {
+            "histogram": experiments.ideal_histogram(compressed, config.shots, config.seed),
+            "fidelity_percent": 100.0,
+        }
+        nm = config.noise_model()
+        if nm is not None:
+            exp = experiments.noisy_experiment(nm)
+            fid_det = exp.deterministic_fidelity()
+            noisy_doc = {
+                "histogram": exp.histogram(config.shots, config.seed),
+                "fidelity_percent_deterministic": round(100 * fid_det, 6),
+            }
+            if config.reps >= 1:
+                fids = exp.repetition_fidelities(config.shots, config.seed, config.reps)
+                noisy_doc["repetition_fidelities_percent"] = [
+                    round(100 * f, 6) for f in fids
+                ]
+                if len(fids) >= 2:
+                    stats = fidelity_stats([100 * f for f in fids])
+                    noisy_doc["stats"] = {
+                        "mean": round(stats.mean, 6),
+                        "sample_std": round(stats.sample_std, 6),
+                    }
+            noisy_doc["classical_limit_percent"] = round(100 * experiments.CLASSICAL_LIMIT, 6)
+            doc["noisy"] = noisy_doc
+    return doc
 
 
 def cmd_tomography(config: ExperimentConfig, exact: bool = False) -> dict:
@@ -49,9 +129,9 @@ def cmd_tomography(config: ExperimentConfig, exact: bool = False) -> dict:
     }
 
 
-def cmd_stats(values_path) -> dict:
+def cmd_stats(values_path=None) -> dict:
     values = []
-    for line_no, line in numbered_lines(read_lines(values_path)):
+    for line_no, line in numbered_lines(read_lines(values_path or packaged_fidelities_path())):
         try:
             value = float(line)
             if not np.isfinite(value):

@@ -134,8 +134,7 @@ def load_config(args) -> ExperimentConfig:
             except ValueError as exc:  # not JSON, or not UTF-8
                 raise ValueError(f"{args.config}: {exc}") from None
     _check_keys(data, CONFIG_KEYS, args.config)
-    for flag in ("shots", "seed", "reps", "workers", "noise", "scheme"):
-        value = getattr(args, flag, None)
-        if value is not None:  # a flag overrides the config
-            data[flag] = value
+    for key, value in vars(args).items():
+        if key in CONFIG_KEYS and value is not None:  # a flag overrides the config
+            data[key] = value
     return ExperimentConfig(**data)

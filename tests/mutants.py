@@ -68,6 +68,31 @@ MUTANTS = (
      "bits = value.view(np.uint64)",
      "bits = value",
      "the writer compares rows by value, so a run of -0.0 rows prints 0.0"),
+    ("src/twobell/cli.py",
+     'if text and "n" not in text:',
+     "if text:",
+     "the writer prints an array holding nan or inf by repr, not as NaN or Infinity"),
+    ("src/twobell/cli.py",
+     "type(item) in (int, float)",
+     "isinstance(item, (int, float))",
+     "the writer prints bools and int or float subclasses by repr"),
+    # The router's branch-and-bound.
+    ("src/twobell/transpile.py",
+     "floor + SWAP_CNOTS * (hops - 1)",
+     "floor + SWAP_CNOTS * hops",
+     "a layout's lower bound counts one SWAP hop too many"),
+    ("src/twobell/transpile.py",
+     "if d > 1), 1)",
+     "if d > 2), 1)",
+     "a gate two hops apart is taken as embedded in the lower bound"),
+    ("src/twobell/transpile.py",
+     "(best[0][0] - floor) // SWAP_CNOTS",
+     "(best[0][0] - floor) // SWAP_CNOTS - 1",
+     "the SWAP budget of a routed layout is one short of the best cost"),
+    ("src/twobell/transpile.py",
+     "bound > best[0][0]",
+     "bound >= best[0][0]",
+     "the search stops at a layout whose bound ties the best cost"),
     # The noise engine and the tomography projection.
     ("src/twobell/channels.py",
      "rate_phi = max(0.0, 1.0 / t2 - 1.0 / (2.0 * t1))",

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import twobell
-from twobell import cli, experiments
+from twobell import cli, commands, experiments
 from twobell.channels import packaged_calibration_path
 from twobell.cli import main
 from twobell.commands import packaged_fidelities_path
@@ -160,7 +160,7 @@ def test_run_compresses_each_input_once(argv, monkeypatch, capsys):
         calls.append(chi.n)
         return real(chi)
 
-    monkeypatch.setattr(cli, "compress_ghz_class", counted)
+    monkeypatch.setattr(commands, "compress_ghz_class", counted)
     monkeypatch.setattr(experiments, "compress_ghz_class", counted)
     monkeypatch.setattr(twobell.protocols, "compress_ghz_class", counted)
     assert main(argv) == 0
@@ -1000,7 +1000,7 @@ def test_run_document_equals_json_dumps(tmp_path, capsys, m):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(data))
     assert main(["run", "--config", str(cfg)]) == 0
-    doc = {**cli.cmd_run(ExperimentConfig(**data)), "schema_version": 1, "command": "run"}
+    doc = {**commands.cmd_run(ExperimentConfig(**data)), "schema_version": 1, "command": "run"}
     assert_same_text(capsys.readouterr().out,
                      json.dumps(doc, default=np.ndarray.tolist, indent=2, sort_keys=True) + "\n")
 

@@ -2,11 +2,12 @@
 no module imports another package module's private (``_``-prefixed)
 name, only ``__main__`` imports the CLI, only ``experiments`` defines the
 paper experiment, only ``__init__`` defines a module ``__getattr__``,
-every function the layer tracer wraps still exists and a fresh tracer
-records both schemes, the circuit text format and the calibration reader,
-the README lists every module, a fresh process loads no stdlib module
-that only a record or log helper would need, and a fresh ``twobell run``
-loads none of the package's on-first-use code.
+the CLI imports only ``commands`` and ``config`` of the package, every
+function the layer tracer wraps still exists, a fresh tracer records both
+schemes, the circuit text format and the calibration reader and leaves no
+wrapper behind, the README lists every module, a fresh process loads no
+stdlib module that only a record or log helper would need, and a bare
+``import twobell`` loads no module of the package.
 
 No linter ships with the toolchain, so this walks each module's syntax
 tree: an imported name that no ``Name`` node reads is unused.
@@ -123,12 +124,14 @@ def test_only_main_imports_the_cli():
 
 
 def test_cli_imports_no_engine_module():
-    """The CLI reaches the calibration table and the noise channels (both in
-    ``channels``) and the circuit only through ``experiments`` and ``config``.
-    Each name must be a module, so that a fold cannot leave a dead one here."""
-    engine = {"twobell.channels", "twobell.circuit"}
-    assert [n for n in engine if not (SRC / f"{n.removeprefix('twobell.')}.py").is_file()] == []
-    assert imported_modules((SRC / "cli.py").read_text()) & engine == set()
+    """The CLI is the process boundary: of the package it imports only
+    ``commands`` and ``config``, and reaches the engines, the protocols, the
+    tomography and the experiment's rules through them.  Each name must be
+    a module, so that a fold cannot leave a dead one here."""
+    allowed = {"twobell.commands", "twobell.config"}
+    assert [n for n in allowed if not (SRC / f"{n.removeprefix('twobell.')}.py").is_file()] == []
+    imported = imported_modules((SRC / "cli.py").read_text())
+    assert {n for n in imported if n.startswith("twobell.") and n.count(".") == 1} == allowed
 
 
 def test_readme_lists_every_module_once():
@@ -206,7 +209,8 @@ def test_tracer_wraps_both_schemes_in_a_fresh_process(tmp_path):
     cluster and general schemes that ``run`` and ``compare`` call, the
     circuit text format that ``route`` reads and writes, and both halves of
     the ``channels.calibration`` span that a noisy ``run`` enters once each:
-    ``load_calibration`` and ``build_noise_model``."""
+    ``load_calibration`` and ``build_noise_model``.  Its ``uninstall`` leaves
+    no wrapper behind, so a second tracer records the commands' calls too."""
     out = run_python(
         "import importlib.util, sys\n"
         "import twobell.cli\n"
@@ -219,11 +223,23 @@ def test_tracer_wraps_both_schemes_in_a_fresh_process(tmp_path):
         "             ['compare'], ['route', sys.argv[3]],\n"
         "             ['run', '--calibration', 'builtin', '--reps', '1']):\n"
         "    assert twobell.cli.main([*argv, '--out', sys.argv[2]]) == 0, argv\n"
-        "print(*(span[0] for span in tracer.spans))\n",
+        "tracer.uninstall()\n"
+        "second = spans.Tracer()\n"
+        "second.install()\n"
+        "for argv in (['route', sys.argv[3]], ['tomography', '--exact']):\n"
+        "    assert twobell.cli.main([*argv, '--out', sys.argv[2]]) == 0, argv\n"
+        "second.uninstall()\n"
+        "print(*(span[0] for span in tracer.spans))\n"
+        "print(*(span[0] for span in second.spans))\n"
+        "print(twobell.commands.route is twobell.transpile.route)\n",
         ROOT / "perfbench" / "spans.py", tmp_path / "doc.json",
         ROOT / "tests" / "golden" / "route_default.circuit.txt",
     )
-    names = out.split()
+    first, second, unwrapped = out.splitlines()
+    names = first.split()
+    assert set(second.split()) >= {"transpile.route", "circuit.from_text", "circuit.to_text",
+                                   "tomography.tomography_from_state"}
+    assert unwrapped == "True"
     assert set(names) >= {"protocols.cluster_channel_teleport",
                           "protocols.teleport_two_qubit_general",
                           "circuit.from_text", "circuit.to_text"}
@@ -249,26 +265,13 @@ def test_commands_load_no_record_or_log_helpers(tmp_path):
     assert out == "\n"
 
 
-# Loaded on first use only: ``twobell run`` does not need it.
-ON_FIRST_USE = ("twobell.commands",)
-# Defined in that module only, so no module a ``twobell run`` loads compiles them.
-ON_FIRST_USE_NAMES = ("cmd_tomography", "cmd_stats", "cmd_route", "cmd_compare",
-                      "histogram_csv", "packaged_fidelities_path")
-
-
-def test_bare_import_and_run_load_no_on_first_use_code(tmp_path):
+def test_bare_import_loads_no_package_module():
     out = run_python(
         "import sys\n"
         "import twobell\n"
         "print(*sorted(m for m in sys.modules if m.startswith('twobell.')))\n"
-        "from twobell import cli\n"
-        "assert cli.main(['run', '--calibration', 'builtin', '--reps', '2', '--out', sys.argv[1]]) == 0\n"
-        f"print(*sorted(m for m in {ON_FIRST_USE!r} if m in sys.modules))\n"
-        "defined = {n for m, v in list(sys.modules.items()) if m.startswith('twobell') for n in vars(v)}\n"
-        f"print(*sorted(defined & set({ON_FIRST_USE_NAMES!r})))\n",
-        tmp_path / "doc.json",
     )
-    assert out == "\n\n\n"
+    assert out == "\n"
 
 
 # Every name that ``twobell`` exported when its ``__init__`` imported each module.
